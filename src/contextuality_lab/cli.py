@@ -723,13 +723,13 @@ def build_report(target: str, mode: str = EXACT, seed: int = DEFAULT_SEED, custo
     }
 
 
-def _resolve_seed(flag_value: int) -> int:
+def _resolve_seed(flag_value: int, parser) -> int:
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
         try:
             return int(env)
-        except ValueError as exc:
-            raise SystemExit(f"bad {SEED_ENV_VAR} value {env!r}") from exc
+        except ValueError:
+            parser.error(f"bad {SEED_ENV_VAR} value {env!r}: not an integer")
     return flag_value
 
 
@@ -746,7 +746,13 @@ def _cmd_verify(args, parser) -> int:
                 custom = constraints.ConstraintSet.from_json(handle.read())
         except (OSError, ValueError, KeyError, TypeError) as exc:
             parser.error(f"cannot load constraint set: {exc}")
-    report = build_report(args.target, args.mode, _resolve_seed(args.seed), custom)
+        count = len(custom.observables)
+        if count > constraints.MAX_ENUMERATED_OBSERVABLES:
+            parser.error(
+                f"constraint set has {count} observables; the scalar enumeration "
+                f"handles at most {constraints.MAX_ENUMERATED_OBSERVABLES}"
+            )
+    report = build_report(args.target, args.mode, _resolve_seed(args.seed, parser), custom)
     text = json.dumps(report, indent=2)
     if args.out:
         try:

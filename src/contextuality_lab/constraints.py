@@ -99,6 +99,8 @@ class ConstraintLine:
     required: int
 
     def __post_init__(self):
+        if not self.terms:
+            raise ValueError("a constraint line needs at least one term")
         if self.required not in (1, -1):
             raise ValueError("required sign must be +1 or -1")
 
@@ -107,6 +109,10 @@ class ConstraintLine:
 class ConstraintSet:
     name: str
     lines: tuple
+
+    def __post_init__(self):
+        if not self.lines:
+            raise ValueError("a constraint set needs at least one line")
 
     @property
     def observables(self) -> tuple:
@@ -120,12 +126,6 @@ class ConstraintSet:
     @property
     def n_systems(self) -> int:
         return max(f.system for line in self.lines for t in line.terms for f in t.factors)
-
-    @property
-    def elementary_symbols(self) -> tuple:
-        """Every symbol appearing in any observable, deduplicated and sorted."""
-        found = {f for line in self.lines for t in line.terms for f in t.factors}
-        return tuple(sorted(found))
 
     def to_json(self) -> str:
         doc = {
@@ -353,7 +353,7 @@ def evaluate_vector_model(cs: ConstraintSet, assignment: VectorAssignment) -> tu
         reduced = identify_pseudoscalars(raw)
         if not reduced.is_scalar():
             raise ValueError(f"line word did not reduce to a scalar: {reduced}")
-        results.append(LineEvaluation(line, reduced, reduced.scalar_part()))
+        results.append(LineEvaluation(line, reduced, Fraction(reduced.scalar_part())))
     return tuple(results)
 
 

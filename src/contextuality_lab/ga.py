@@ -8,11 +8,16 @@ linear combination of the canonical blades
 
     1, e1, e2, e3, e12, e13, e23, e123.
 
-Coefficients are either exact rationals (``fractions.Fraction``) or floats.
-A multivector is homogeneous in one of the two modes and the mode never mixes
-inside an operation: the exact mode makes identity checking decidable, the
-float mode exists for trigonometric sweeps.  Multivectors are immutable
-values and every operation is a pure function.
+Coefficients are either exact rationals or floats.  Exact rationals are held
+as ``int`` and promoted to ``fractions.Fraction`` only for non-integer values,
+which enter only through fractional literals such as ``1/2`` or
+caller-supplied ``Fraction`` values.  An integral ``Fraction`` handed in is
+stored as ``int``; one left by a product that cancels a denominator compares,
+hashes and renders exactly like that ``int``.  A multivector is homogeneous in
+one of the two modes and the mode never mixes inside an operation: the exact
+mode makes identity checking decidable, the float mode exists for
+trigonometric sweeps.  Multivectors are immutable values and every operation
+is a pure function.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from fractions import Fraction
 from random import Random
 from typing import Union
 
-Coefficient = Union[Fraction, float]
+Coefficient = Union[int, Fraction, float]
 
 EXACT = "exact"
 APPROX = "approx"
@@ -71,7 +76,7 @@ CAYLEY = tuple(
 
 
 def _zero(mode: str) -> Coefficient:
-    return Fraction(0) if mode == EXACT else 0.0
+    return 0 if mode == EXACT else 0.0
 
 
 def _coerce(value, mode: str) -> Coefficient:
@@ -79,7 +84,9 @@ def _coerce(value, mode: str) -> Coefficient:
     if mode == EXACT:
         if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
             raise ValueError(f"exact mode needs int or Fraction coefficients, got {value!r}")
-        return Fraction(value)
+        if isinstance(value, Fraction):
+            return value.numerator if value.denominator == 1 else value
+        return int(value)
     if isinstance(value, Fraction):
         raise ValueError("approx mode does not accept Fraction coefficients")
     return float(value)
@@ -186,9 +193,6 @@ class Multivector:
     def scalar_part(self) -> Coefficient:
         return self.coeffs[0]
 
-    def coefficient(self, mask: int) -> Coefficient:
-        return self.coeffs[mask]
-
     def grades(self) -> set:
         return {blade_grade(m) for m, a in enumerate(self.coeffs) if a}
 
@@ -233,7 +237,7 @@ def random_multivector(rng: Random, mode: str = EXACT, span: int = 3) -> Multive
     """A multivector with small integer coefficients drawn from ``rng``."""
     values = [rng.randint(-span, span) for _ in range(BLADE_COUNT)]
     if mode == EXACT:
-        return Multivector(tuple(Fraction(v) for v in values), EXACT)
+        return Multivector(tuple(values), EXACT)
     return Multivector(tuple(float(v) for v in values), APPROX)
 
 
@@ -300,7 +304,7 @@ def parse_multivector(text: str, mode: str = EXACT) -> Multivector:
         coeff_text = match.group("coeff")
         blade_text = match.group("blade")
         if coeff_text is None:
-            value: Coefficient = Fraction(1) if mode == EXACT else 1.0
+            value: Coefficient = 1 if mode == EXACT else 1.0
         elif "/" in coeff_text:
             value = Fraction(coeff_text)
         elif "." in coeff_text or "e" in coeff_text.lower():
@@ -308,7 +312,7 @@ def parse_multivector(text: str, mode: str = EXACT) -> Multivector:
                 raise ValueError(f"decimal coefficient {coeff_text!r} needs approx mode")
             value = float(coeff_text)
         else:
-            value = Fraction(coeff_text) if mode == EXACT else float(coeff_text)
+            value = int(coeff_text) if mode == EXACT else float(coeff_text)
         mask = _NAME_TO_MASK[blade_text] if blade_text else 0
         if mode == APPROX and isinstance(value, Fraction):
             value = float(value)

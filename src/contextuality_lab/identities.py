@@ -263,10 +263,6 @@ class OrientationReading:
 
     orientations: tuple
 
-    @property
-    def first(self) -> Multivector:
-        return self.orientations[0]
-
     def identical(self, a: int, b: int) -> bool:
         return self.orientations[a - 1] == self.orientations[b - 1]
 

@@ -3,10 +3,12 @@
 Spin matrices and their tensor words are evaluated over the Gaussian
 rationals (complex numbers with rational real and imaginary parts), so every
 operator identity and eigenstate check below is decided exactly, with no
-floating point in the loop.  State vectors carry their squared-norm
-denominator symbolically: the three-particle states used here hold integer
-amplitudes scaled by 1/sqrt(2), and eigenvalue equations never need the
-irrational factor itself.
+floating point in the loop.  The parts are exact rationals held as ``int``
+and promoted to ``fractions.Fraction`` only for non-integer values, the same
+normalisation as the coefficients of :mod:`contextuality_lab.ga`.  State
+vectors carry their squared-norm denominator symbolically: the three-particle
+states used here hold integer amplitudes scaled by 1/sqrt(2), and eigenvalue
+equations never need the irrational factor itself.
 
 The one floating-point entry point is :func:`singlet_correlation`, which
 takes arbitrary real unit vectors; it exists to cross-check the sweep in
@@ -19,18 +21,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .constraints import ObservableProduct
+from .ga import EXACT, _coerce
 
 
 @dataclass(frozen=True)
 class GaussianRational:
     """A complex number with exact rational real and imaginary parts."""
 
-    real: Fraction
-    imag: Fraction
+    real: int | Fraction
+    imag: int | Fraction
 
     @classmethod
     def of(cls, real=0, imag=0) -> "GaussianRational":
-        return cls(Fraction(real), Fraction(imag))
+        return cls(_coerce(real, EXACT), _coerce(imag, EXACT))
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
         return GaussianRational(self.real + other.real, self.imag + other.imag)
@@ -58,9 +61,6 @@ class GaussianRational:
 
     def __bool__(self) -> bool:
         return bool(self.real or self.imag)
-
-    def __complex__(self) -> complex:
-        return complex(float(self.real), float(self.imag))
 
     def __str__(self) -> str:
         return f"{self.real}{'+' if self.imag >= 0 else ''}{self.imag}i"

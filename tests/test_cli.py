@@ -124,6 +124,40 @@ class TestVerify:
             main(["verify", "pm", "--constraints", str(path)])
         assert excinfo.value.code == 2
 
+    def assert_usage_error(self, argv, capsys, fragment):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert fragment in err
+
+    @pytest.mark.parametrize(
+        "lines,fragment",
+        [([], "at least one line"), ([{"terms": [], "required": 1}], "at least one term")],
+    )
+    def test_constraints_empty_lines_exits_2(self, lines, fragment, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"name": "pm", "lines": lines}))
+        self.assert_usage_error(
+            ["verify", "pm", "--constraints", str(path)], capsys, fragment
+        )
+
+    def test_constraints_over_enumeration_bound_exits_2(self, tmp_path, capsys):
+        labels = [f"{a}{s}" for a in "xyz" for s in "123"]
+        labels += [f"{a}1*{b}2" for a in "xyz" for b in "xyz"]
+        labels += ["x1*x3", "y1*y3", "z1*z3"]
+        doc = {"name": "big", "lines": [{"terms": [l], "required": 1} for l in labels]}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        self.assert_usage_error(
+            ["verify", "ghz", "--constraints", str(path)], capsys, "21 observables"
+        )
+
+    def test_non_integer_seed_env_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("CONTEXTUALITY_LAB_SEED", "seven")
+        self.assert_usage_error(["verify", "a3"], capsys, "CONTEXTUALITY_LAB_SEED")
+
     def test_unwritable_out_path_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             main(["verify", "a3", "--out", str(tmp_path / "missing" / "r.json")])
@@ -191,3 +225,14 @@ def test_console_entry_point_runs():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["all_pass"] is True
+
+
+def test_import_needs_no_numeric_library():
+    probe = (
+        "import sys, contextuality_lab, contextuality_lab.cli; "
+        "print(sorted(m for m in ('numpy', 'sympy') if m in sys.modules))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"

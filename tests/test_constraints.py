@@ -143,6 +143,12 @@ class TestScalarEnumeration:
         assert result.satisfying_count > 0
         assert result.parity_witness.rhs_product == 1
 
+    def test_empty_systems_and_lines_rejected(self):
+        with pytest.raises(ValueError):
+            ConstraintSet("empty", ())
+        with pytest.raises(ValueError):
+            ConstraintLine((), 1)
+
     def test_exhaustive_bound(self):
         labels = [f"{a}{s}" for a in "xyz" for s in "123"]
         labels += [f"{a}1*{b}2" for a in "xyz" for b in "xyz"]

@@ -1,0 +1,205 @@
+"""The exact kernel against Fraction-only reference arithmetic.
+
+Exact coefficients are held as ``int`` and promoted to ``Fraction`` only for
+non-integer values.  The references below convert every coefficient to
+``Fraction`` and multiply densely, as the kernel did before that
+normalisation; the kernel must agree with them on inputs that mix ``int``
+and non-integer ``Fraction`` coefficients.
+"""
+
+from fractions import Fraction
+from random import Random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from contextuality_lab.ga import (
+    CAYLEY,
+    EXACT,
+    Multivector,
+    parse_multivector,
+    random_multivector,
+)
+from contextuality_lab.quantum import ComplexMatrix, GaussianRational
+from contextuality_lab.systems import TensorMultivector, identify_pseudoscalars, word
+
+integers = st.integers(min_value=-4, max_value=4)
+fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+coefficients = st.one_of(integers, integers, fractions)
+blade_coefficients = st.lists(coefficients, min_size=8, max_size=8)
+
+
+def from_values(values) -> Multivector:
+    return Multivector.from_blades(dict(enumerate(values)))
+
+
+def reference_product(a: tuple, b: tuple) -> tuple:
+    """Dense 8 x 8 blade product over Fraction coefficients."""
+    acc = [Fraction(0)] * 8
+    for i in range(8):
+        for j in range(8):
+            sign, mask = CAYLEY[i][j]
+            acc[mask] += Fraction(a[i]) * Fraction(b[j]) * sign
+    return tuple(acc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(blade_coefficients, blade_coefficients)
+def test_product_matches_fraction_reference(a, b):
+    assert (from_values(a) * from_values(b)).coeffs == reference_product(a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.lists(integers, min_size=8, max_size=8), min_size=2, max_size=4))
+def test_integer_words_stay_integer(rows):
+    factors = [from_values(row) for row in rows]
+    product = factors[0]
+    for factor in factors[1:]:
+        product = product * factor
+    assert all(type(c) is int for c in product.coeffs)
+
+
+def test_coefficients_are_normalised_to_int():
+    assert type(Multivector.from_blades({3: Fraction(4, 2)}).coeffs[3]) is int
+    assert type(parse_multivector("3*e12 - e1").coeffs[3]) is int
+    assert type(parse_multivector("4/2*e1").coeffs[1]) is int
+    assert type(parse_multivector("1/2*e1").coeffs[1]) is Fraction
+    assert all(type(c) is int for c in random_multivector(Random(3)).coeffs)
+    assert type(GaussianRational.of(Fraction(6, 3), -1).real) is int
+
+
+def test_promotion_cancels_to_the_integer_value():
+    product = parse_multivector("1/2*e1") * parse_multivector("2*e1")
+    one = Multivector.scalar(1)
+    assert product == one
+    assert hash(product) == hash(one)
+    assert str(product) == "1"
+
+
+# -- joint algebra -------------------------------------------------------------
+
+
+def blade_tuples(n: int):
+    return st.tuples(*(st.integers(min_value=0, max_value=7) for _ in range(n)))
+
+
+def tensors(n: int):
+    return st.dictionaries(blade_tuples(n), coefficients, max_size=5).map(
+        lambda coeffs: TensorMultivector(n, coeffs, EXACT)
+    )
+
+
+def reference_tensor_product(a: dict, b: dict) -> dict:
+    """Slot-wise blade product of every term pair over Fraction coefficients."""
+    acc: dict = {}
+    for key_a, x in a.items():
+        for key_b, y in b.items():
+            sign = 1
+            key = []
+            for mask_a, mask_b in zip(key_a, key_b):
+                s, m = CAYLEY[mask_a][mask_b]
+                sign *= s
+                key.append(m)
+            key = tuple(key)
+            acc[key] = acc.get(key, Fraction(0)) + Fraction(x) * Fraction(y) * sign
+    return {k: v for k, v in acc.items() if v}
+
+
+def reference_identify(coeffs: dict) -> dict:
+    """Trivector pairs collapse to -1, left to right, over Fraction values."""
+    acc: dict = {}
+    for key, value in coeffs.items():
+        masks = list(key)
+        full = [slot for slot, mask in enumerate(masks) if mask == 7]
+        value = Fraction(value)
+        while len(full) >= 2:
+            masks[full.pop(0)] = 0
+            masks[full.pop(0)] = 0
+            value = -value
+        out = tuple(masks)
+        acc[out] = acc.get(out, Fraction(0)) + value
+    return {k: v for k, v in acc.items() if v}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=3).flatmap(
+        lambda n: st.lists(tensors(n), min_size=1, max_size=4)
+    )
+)
+def test_tensor_word_matches_fraction_reference(factors):
+    n = factors[0].n
+    expected = {(0,) * n: Fraction(1)}
+    for factor in factors:
+        expected = reference_tensor_product(expected, factor.coeffs)
+    result = word(factors, n)
+    assert result.coeffs == expected
+    assert identify_pseudoscalars(result).coeffs == reference_identify(expected)
+
+
+# -- Gaussian-rational matrices -------------------------------------------------
+
+
+def matrices(dim: int):
+    entry = st.one_of(
+        st.just((0, 0)), st.just((0, 0)), st.tuples(coefficients, coefficients)
+    )
+    row = st.lists(entry, min_size=dim, max_size=dim)
+    return st.lists(row, min_size=dim, max_size=dim)
+
+
+def as_fraction_pairs(rows) -> list:
+    return [[(Fraction(re), Fraction(im)) for re, im in row] for row in rows]
+
+
+def as_matrix(rows) -> ComplexMatrix:
+    return ComplexMatrix(
+        tuple(tuple(GaussianRational.of(re, im) for re, im in row) for row in rows)
+    )
+
+
+def as_pairs(matrix: ComplexMatrix) -> list:
+    return [[(v.real, v.imag) for v in row] for row in matrix.entries]
+
+
+def pair_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def reference_matmul(a, b) -> list:
+    dim = len(a)
+    out = []
+    for r in range(dim):
+        row = []
+        for c in range(dim):
+            re = im = Fraction(0)
+            for k in range(dim):
+                pr, pi = pair_mul(a[r][k], b[k][c])
+                re += pr
+                im += pi
+            row.append((re, im))
+        out.append(row)
+    return out
+
+
+def reference_kron(a, b) -> list:
+    return [
+        [pair_mul(x, y) for x in ra for y in rb]
+        for ra in a
+        for rb in b
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((1, 2, 4)).flatmap(lambda d: st.tuples(matrices(d), matrices(d))))
+def test_matmul_matches_fraction_reference(pair):
+    a, b = pair
+    expected = reference_matmul(as_fraction_pairs(a), as_fraction_pairs(b))
+    assert as_pairs(as_matrix(a) @ as_matrix(b)) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(2), st.sampled_from((1, 2)).flatmap(matrices))
+def test_kron_matches_fraction_reference(a, b):
+    expected = reference_kron(as_fraction_pairs(a), as_fraction_pairs(b))
+    assert as_pairs(as_matrix(a).kron(as_matrix(b))) == expected
