@@ -11,6 +11,16 @@ curve F(phi) = |1 + 2 cos(phi) - cos(2 phi)|, peaking at 5/2 for
 phi = pi/3.  The same curve comes out of matrix mechanics through the
 singlet-state correlations, which is the cross-check wired into
 :func:`quantum_lhs`.
+
+The sweep runs on the even subalgebra span{1, e13}.  A unit vector of the
+e1-e3 plane is the pair (cos t, sin t), and the product of two of them is
+u(s)u(t) = cos(t - s) + sin(t - s) e13, whose scalar part is
+c1*c2 + s1*s2.  :func:`F` sums those scalar parts straight from the cosines
+and sines, in the same order and from the same ``math.cos``/``math.sin``
+values as the dense product, so each value is bit-identical to
+``abs(gamma_vector(CoplanarConfig.at(phi)).scalar_part())``.
+:class:`CoplanarConfig` and :func:`gamma_vector` keep the dense 8-blade
+float path, which the tests use as the oracle for the sweep.
 """
 
 from __future__ import annotations
@@ -36,6 +46,7 @@ def _plane_vector(angle: float) -> Multivector:
 
 
 _FIRST_AXIS = _plane_vector(0.0)
+_FIRST_AXIS_PAIR = (math.cos(0.0), math.sin(0.0))
 
 
 @dataclass(frozen=True)
@@ -58,11 +69,6 @@ class CoplanarConfig:
             a_prime=_plane_vector(2.0 * phi),
             b_prime=_FIRST_AXIS,
         )
-
-    def direction_components(self, name: str) -> tuple:
-        """The (x, y, z) float components of one direction."""
-        mv = getattr(self, name)
-        return (mv.coeffs[1], mv.coeffs[2], mv.coeffs[4])
 
 
 def classical_gamma_enumeration() -> tuple:
@@ -88,9 +94,25 @@ def gamma_vector(config: CoplanarConfig) -> Multivector:
     )
 
 
+def _plane_pairs(phi: float) -> tuple:
+    """(cos, sin) of the directions a (= b), a' and b' at one sweep angle."""
+    a = (math.cos(phi), math.sin(phi))
+    a_prime = (math.cos(2.0 * phi), math.sin(2.0 * phi))
+    return a, a_prime, _FIRST_AXIS_PAIR
+
+
 def F(phi: float) -> float:
-    """Magnitude of the scalar part of the vector-valued combination."""
-    return abs(gamma_vector(CoplanarConfig.at(phi)).scalar_part())
+    """Magnitude of the scalar part of the vector-valued combination.
+
+    The scalar part of u(s)u(t) is c1*c2 + s1*s2; the four products are
+    summed in the order of :func:`gamma_vector`.
+    """
+    (c, s), (c2, s2), (cp, sp) = _plane_pairs(phi)
+    ab = c * c + s * s
+    abp = c * cp + s * sp
+    apb = c2 * c + s2 * s
+    apbp = c2 * cp + s2 * sp
+    return abs(ab + abp + apb - apbp)
 
 
 @dataclass(frozen=True)
@@ -120,12 +142,11 @@ def scan_F(steps: int, start: float = 0.0, end: float = math.pi) -> ScanResult:
 
 def quantum_lhs(phi: float) -> float:
     """The same four-term combination evaluated through singlet-state
-    matrix correlations of the config's directions."""
-    config = CoplanarConfig.at(phi)
-    a = config.direction_components("a")
-    b = config.direction_components("b")
-    ap = config.direction_components("a_prime")
-    bp = config.direction_components("b_prime")
+    matrix correlations of the four directions, as (x, 0, z) triples."""
+    (c, s), (c2, s2), (cp, sp) = _plane_pairs(phi)
+    a = b = (c, 0.0, s)
+    ap = (c2, 0.0, s2)
+    bp = (cp, 0.0, sp)
     return abs(
         singlet_correlation(a, b)
         + singlet_correlation(a, bp)

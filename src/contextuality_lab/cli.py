@@ -744,7 +744,7 @@ def _cmd_verify(args, parser) -> int:
         try:
             with open(args.constraints, "r", encoding="utf-8") as handle:
                 custom = constraints.ConstraintSet.from_json(handle.read())
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError) as exc:
             parser.error(f"cannot load constraint set: {exc}")
         count = len(custom.observables)
         if count > constraints.MAX_ENUMERATED_OBSERVABLES:
@@ -770,8 +770,10 @@ def _cmd_chsh(args, parser) -> int:
         parser.error(f"bad angle range [{args.start}, {args.end}]")
     if args.steps < 3:
         parser.error("steps must be at least 3")
-    result = chsh.scan_F(args.steps, args.start, args.end)
     if args.csv:
+        # One pass: each row is written as it is computed, and the maximum is
+        # tracked from its F column with scan_F's rule (first strict maximum).
+        argmax, maximum = args.start, -math.inf
         try:
             with open(args.csv, "w", encoding="utf-8", newline="") as handle:
                 writer = csv.writer(handle)
@@ -780,9 +782,14 @@ def _cmd_chsh(args, parser) -> int:
                     writer.writerow(
                         [f"{row[0]:.9f}", f"{row[1]:.9f}", f"{row[2]:.9f}", row[3], row[4]]
                     )
+                    if row[1] > maximum:
+                        argmax, maximum = row[0], row[1]
         except OSError as exc:
             parser.error(f"cannot write CSV: {exc}")
-    print(f"max={result.maximum:.6f} at phi={result.argmax:.6f}")
+    else:
+        result = chsh.scan_F(args.steps, args.start, args.end)
+        argmax, maximum = result.argmax, result.maximum
+    print(f"max={maximum:.6f} at phi={argmax:.6f}")
     print(f"classical_bound={chsh.CLASSICAL_BOUND} vector_bound={chsh.VECTOR_BOUND}")
     return 0
 

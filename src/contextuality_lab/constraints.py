@@ -139,15 +139,27 @@ class ConstraintSet:
 
     @classmethod
     def from_json(cls, text: str) -> "ConstraintSet":
+        """Parse ``{"name": str, "lines": [{"terms": [str, ...], "required": 1
+        or -1}, ...]}``; a document of any other shape raises ``ValueError``."""
         doc = json.loads(text)
-        lines = tuple(
-            ConstraintLine(
-                tuple(ObservableProduct.parse(t) for t in entry["terms"]),
-                int(entry["required"]),
-            )
-            for entry in doc["lines"]
-        )
-        return cls(doc["name"], lines)
+        if not isinstance(doc, dict):
+            raise ValueError("a constraint set document must be a JSON object")
+        name, entries = doc.get("name"), doc.get("lines")
+        if not isinstance(name, str):
+            raise ValueError(f"'name' must be a string, got {name!r}")
+        if not isinstance(entries, list):
+            raise ValueError(f"'lines' must be a list, got {entries!r}")
+        rows = []
+        for k, entry in enumerate(entries):
+            if not isinstance(entry, dict):
+                raise ValueError(f"line {k} must be an object, got {entry!r}")
+            terms, required = entry.get("terms"), entry.get("required")
+            if not isinstance(terms, list) or not all(isinstance(t, str) for t in terms):
+                raise ValueError(f"line {k}: 'terms' must be a list of strings, got {terms!r}")
+            if type(required) is not int or required not in (1, -1):
+                raise ValueError(f"line {k}: 'required' must be 1 or -1, got {required!r}")
+            rows.append((terms, required))
+        return _lines(name, rows)
 
 
 def _lines(name: str, rows: Iterable[tuple]) -> ConstraintSet:

@@ -285,10 +285,12 @@ def singlet_correlation(a, b, tolerance: float = 1e-12) -> float:
             raise ValueError(f"direction {name} is not a unit vector (|{name}|^2={norm2})")
     ma = _spin_along(a)
     mb = _spin_along(b)
-    # Kronecker product entries on the singlet support {+-, -+} only.
-    kron = [
-        [ma[r // 2][c // 2] * mb[r % 2][c % 2] for c in range(4)] for r in range(4)
-    ]
-    # singlet amplitudes (0, 1, -1, 0)/sqrt(2)
-    value = (kron[1][1] - kron[1][2] - kron[2][1] + kron[2][2]) / 2.0
+    # The singlet amplitudes (0, 1, -1, 0)/sqrt(2) vanish outside the support
+    # {+-, -+}, so only the four Kronecker entries (ma x mb)[r][c] with r, c
+    # in {1, 2} enter; entry [r][c] is ma[r // 2][c // 2] * mb[r % 2][c % 2].
+    k11 = ma[0][0] * mb[1][1]
+    k12 = ma[0][1] * mb[1][0]
+    k21 = ma[1][0] * mb[0][1]
+    k22 = ma[1][1] * mb[0][0]
+    value = (k11 - k12 - k21 + k22) / 2.0
     return value.real

@@ -3,7 +3,10 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from contextuality_lab import quantum
 from contextuality_lab.chsh import (
     CLASSICAL_BOUND,
     VECTOR_BOUND,
@@ -17,6 +20,7 @@ from contextuality_lab.chsh import (
     scan_F,
 )
 from contextuality_lab.ga import APPROX, Multivector
+from sweep_oracle import components, dense_F, dense_quantum_lhs, kron_singlet_correlation
 
 TOL = 1e-12
 
@@ -60,12 +64,12 @@ class TestConfig:
         for phi in (0.1, 0.7, math.pi / 3, 2.9):
             config = CoplanarConfig.at(phi)
             for name in ("a", "b", "a_prime", "b_prime"):
-                x, y, z = config.direction_components(name)
+                x, y, z = components(config, name)
                 assert x * x + y * y + z * z == pytest.approx(1.0, abs=TOL)
-            a = config.direction_components("a")
-            b = config.direction_components("b")
-            ap = config.direction_components("a_prime")
-            bp = config.direction_components("b_prime")
+            a = components(config, "a")
+            b = components(config, "b")
+            ap = components(config, "a_prime")
+            bp = components(config, "b_prime")
             dot = lambda u, v: sum(x * y for x, y in zip(u, v))
             assert dot(a, b) == pytest.approx(1.0, abs=TOL)
             assert dot(a, bp) == pytest.approx(math.cos(phi), abs=TOL)
@@ -158,3 +162,50 @@ class TestCsvRows:
             assert classical == CLASSICAL_BOUND
             assert vector == VECTOR_BOUND
             assert value == pytest.approx(qm, abs=TOL)
+
+
+angles = st.floats(min_value=0.0, max_value=math.pi, allow_nan=False)
+
+
+@st.composite
+def unit_vectors(draw):
+    """Unit 3-vectors in general position, y component included."""
+    raw = draw(
+        st.tuples(*[st.floats(-1.0, 1.0, allow_nan=False) for _ in range(3)]).filter(
+            lambda v: sum(c * c for c in v) > 1e-3
+        )
+    )
+    norm = math.sqrt(sum(c * c for c in raw))
+    return tuple(c / norm for c in raw)
+
+
+class TestDenseOracle:
+    """The even-subalgebra sweep and the support-only singlet equal the dense
+    paths exactly, not just within a tolerance."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(angles)
+    def test_F_is_bit_identical_to_dense_scalar_part(self, phi):
+        assert F(phi) == dense_F(phi)
+
+    def test_F_is_bit_identical_on_grid(self):
+        for k in range(2001):
+            phi = math.pi * k / 2000
+            assert F(phi) == dense_F(phi)
+
+    @settings(max_examples=500, deadline=None)
+    @given(unit_vectors(), unit_vectors())
+    def test_singlet_matches_full_kronecker_reference(self, a, b):
+        assert quantum.singlet_correlation(a, b) == kron_singlet_correlation(a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(angles)
+    def test_quantum_lhs_is_bit_identical_to_dense_reference(self, phi):
+        assert quantum_lhs(phi) == dense_quantum_lhs(phi)
+
+    @pytest.mark.parametrize(
+        "a,b", [((1.0, 0.0, 0.1), (1.0, 0.0, 0.0)), ((0.0, 1.0, 0.0), (0.5, 0.5, 0.5))]
+    )
+    def test_singlet_rejects_non_unit_directions(self, a, b):
+        with pytest.raises(ValueError, match="not a unit vector"):
+            quantum.singlet_correlation(a, b)

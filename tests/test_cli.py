@@ -1,12 +1,17 @@
 """Command-line interface: reports, exit codes, determinism, CSV output."""
 
+import csv
+import io
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
+from contextuality_lab import chsh
 from contextuality_lab.cli import DEFAULT_SEED, build_report, main
+from sweep_oracle import dense_F, dense_quantum_lhs
 
 
 def run_cli(argv, capsys):
@@ -154,6 +159,26 @@ class TestVerify:
             ["verify", "ghz", "--constraints", str(path)], capsys, "21 observables"
         )
 
+    @pytest.mark.parametrize(
+        "doc,fragment",
+        [
+            ({"name": 7, "lines": [{"terms": ["x1"], "required": 1}]}, "'name' must be a string"),
+            ({"name": "pm", "lines": [["x1"]]}, "line 0 must be an object"),
+            ({"name": "pm", "lines": [{"terms": [5], "required": 1}]}, "list of strings"),
+            ({"name": "pm", "lines": [{"terms": "x1*y2", "required": 1}]}, "list of strings"),
+            ({"name": "pm", "lines": [{"terms": ["x1"], "required": -1.7}]}, "must be 1 or -1"),
+            ({"name": "pm", "lines": [{"terms": ["x1"], "required": True}]}, "must be 1 or -1"),
+        ],
+        ids=["name-not-str", "line-not-object", "terms-int", "terms-str", "required-float",
+             "required-bool"],
+    )
+    def test_constraints_bad_shape_exits_2(self, doc, fragment, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        self.assert_usage_error(
+            ["verify", "pm", "--constraints", str(path)], capsys, fragment
+        )
+
     def test_non_integer_seed_env_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("CONTEXTUALITY_LAB_SEED", "seven")
         self.assert_usage_error(["verify", "a3"], capsys, "CONTEXTUALITY_LAB_SEED")
@@ -183,6 +208,64 @@ class TestChsh:
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "phi,F,qm_lhs,classical_bound,qm_bound"
         assert len(lines) == 1 + 3
+
+    @staticmethod
+    def count_calls(monkeypatch, name):
+        calls = []
+        original = getattr(chsh, name)
+
+        def counted(phi):
+            calls.append(phi)
+            return original(phi)
+
+        monkeypatch.setattr(chsh, name, counted)
+        return calls
+
+    def test_csv_evaluates_F_once_per_point(self, tmp_path, monkeypatch, capsys):
+        f_calls = self.count_calls(monkeypatch, "F")
+        csv_path = tmp_path / "c.csv"
+        code, _, _ = run_cli(["chsh", "0.5", "2.0", "37", "--csv", str(csv_path)], capsys)
+        assert code == 0
+        assert len(f_calls) == 37
+
+    def test_csv_summary_keeps_the_first_of_tied_maxima(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(chsh, "F", lambda phi: 2.0 if phi > 1.0 else 1.0)
+        _, plain, _ = run_cli(["chsh", "0.5", "2.0", "4"], capsys)
+        _, out, _ = run_cli(["chsh", "0.5", "2.0", "4", "--csv", str(tmp_path / "c.csv")], capsys)
+        assert out.splitlines()[0] == "max=2.000000 at phi=1.500000"
+        assert out == plain
+
+    def test_summary_without_csv_skips_the_matrix_path(self, monkeypatch, capsys):
+        lhs_calls = self.count_calls(monkeypatch, "quantum_lhs")
+        f_calls = self.count_calls(monkeypatch, "F")
+        code, _, _ = run_cli(["chsh", "0.5", "2.0", "37"], capsys)
+        assert code == 0
+        assert lhs_calls == []
+        assert len(f_calls) == 37
+
+    def test_csv_and_summary_match_the_dense_oracle(self, tmp_path, capsys):
+        start, end, steps = 0.25, 3.0, 2001
+        spacing = (end - start) / (steps - 1)
+        expected_csv = io.StringIO(newline="")
+        writer = csv.writer(expected_csv)
+        writer.writerow(chsh.CSV_HEADER)
+        best_phi, best = start, -math.inf
+        for k in range(steps):
+            phi = start + k * spacing
+            value = dense_F(phi)
+            writer.writerow(
+                [f"{phi:.9f}", f"{value:.9f}", f"{dense_quantum_lhs(phi):.9f}",
+                 chsh.CLASSICAL_BOUND, chsh.VECTOR_BOUND]
+            )
+            if value > best:
+                best_phi, best = phi, value
+        csv_path = tmp_path / "curve.csv"
+        code, out, _ = run_cli(["chsh", "0.25", "3.0", "2001", "--csv", str(csv_path)], capsys)
+        assert code == 0
+        assert csv_path.read_bytes() == expected_csv.getvalue().encode("utf-8")
+        assert out.splitlines()[0] == f"max={best:.6f} at phi={best_phi:.6f}"
+        _, plain, _ = run_cli(["chsh", "0.25", "3.0", "2001"], capsys)
+        assert plain == out
 
     def test_bad_range_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:

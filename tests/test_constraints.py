@@ -5,6 +5,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contextuality_lab.constraints import (
     BELL_GHZ,
@@ -91,6 +93,76 @@ class TestBuiltinShapes:
             assert again == cs
         doc = json.loads(builtin_constraints(PM).to_json())
         assert doc["lines"][0]["terms"] == ["x1*x2", "x1", "x2"]
+
+
+def _document(name="mine", lines=({"terms": ["x1", "y2"], "required": 1},)):
+    return json.dumps({"name": name, "lines": lines})
+
+
+class TestDocumentSchema:
+    """``from_json`` honours a document in full or raises ``ValueError``."""
+
+    def test_well_formed_document(self):
+        cs = ConstraintSet.from_json(_document())
+        assert cs.name == "mine"
+        assert [t.label for t in cs.lines[0].terms] == ["x1", "y2"]
+        assert cs.lines[0].required == 1
+
+    @pytest.mark.parametrize("name", [7, None, ["pm"], {"n": "pm"}, True])
+    def test_name_must_be_a_string(self, name):
+        with pytest.raises(ValueError, match="'name' must be a string"):
+            ConstraintSet.from_json(_document(name=name))
+
+    def test_name_is_required(self):
+        with pytest.raises(ValueError, match="'name'"):
+            ConstraintSet.from_json(json.dumps({"lines": [{"terms": ["x1"], "required": 1}]}))
+
+    @pytest.mark.parametrize("lines", [None, "x1", {"terms": ["x1"], "required": 1}, 3])
+    def test_lines_must_be_a_list(self, lines):
+        with pytest.raises(ValueError, match="'lines' must be a list"):
+            ConstraintSet.from_json(_document(lines=lines))
+
+    @pytest.mark.parametrize("entry", [5, "x1", ["x1"], None])
+    def test_lines_must_hold_objects(self, entry):
+        with pytest.raises(ValueError, match="line 0 must be an object"):
+            ConstraintSet.from_json(_document(lines=[entry]))
+
+    @pytest.mark.parametrize("terms", [[5], "x1*y2", ["x1", None], {"x1": 1}, None])
+    def test_terms_must_be_a_list_of_strings(self, terms):
+        with pytest.raises(ValueError, match="'terms' must be a list of strings"):
+            ConstraintSet.from_json(_document(lines=[{"terms": terms, "required": 1}]))
+
+    @pytest.mark.parametrize("required", [-1.7, 1.5, 1.0, -1.0, True, False, "1", None, 0, 2, -3])
+    def test_required_must_be_plus_or_minus_one(self, required):
+        with pytest.raises(ValueError, match="'required' must be 1 or -1"):
+            ConstraintSet.from_json(_document(lines=[{"terms": ["x1"], "required": required}]))
+
+    def test_error_names_the_offending_line(self):
+        lines = [{"terms": ["x1"], "required": 1}, {"terms": ["y1"], "required": 0.5}]
+        with pytest.raises(ValueError, match="line 1"):
+            ConstraintSet.from_json(_document(lines=lines))
+
+    def test_top_level_must_be_an_object(self):
+        for text in ("[]", "5", '"pm"', "null"):
+            with pytest.raises(ValueError, match="JSON object"):
+                ConstraintSet.from_json(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.recursive(
+            st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False)
+            | st.sampled_from(["x1", "y2*z3", "pm", "q9", ""]),
+            lambda inner: st.lists(inner, max_size=3)
+            | st.dictionaries(st.sampled_from(["name", "lines", "terms", "required"]), inner),
+            max_leaves=12,
+        )
+    )
+    def test_any_json_value_parses_or_raises_value_error(self, doc):
+        try:
+            cs = ConstraintSet.from_json(json.dumps(doc))
+        except ValueError:
+            return
+        assert ConstraintSet.from_json(cs.to_json()) == cs
 
 
 class TestScalarEnumeration:
