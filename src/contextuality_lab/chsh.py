@@ -122,17 +122,22 @@ class ScanResult:
     steps: int
 
 
-def scan_F(steps: int, start: float = 0.0, end: float = math.pi) -> ScanResult:
-    """Maximum of F over an inclusive grid of ``steps`` points."""
+def _grid(start: float, end: float, steps: int):
+    """The ``steps`` evenly spaced angles from ``start`` to ``end`` inclusive,
+    after checking that they lie in [0, pi] and that ``steps`` is at least 3."""
     if steps < 3:
         raise ValueError("grid needs at least 3 points")
     if not 0.0 <= start < end <= math.pi + 1e-9:
         raise ValueError(f"bad angle range [{start}, {end}]")
     spacing = (end - start) / (steps - 1)
+    return (start + k * spacing for k in range(steps))
+
+
+def scan_F(steps: int, start: float = 0.0, end: float = math.pi) -> ScanResult:
+    """Maximum of F over an inclusive grid of ``steps`` points."""
     best_phi = start
     best_value = -math.inf
-    for k in range(steps):
-        phi = start + k * spacing
+    for phi in _grid(start, end, steps):
         value = F(phi)
         if value > best_value:
             best_value = value
@@ -165,10 +170,8 @@ def non_collinearity_witness(phi: float, tolerance: float = DEFAULT_TOLERANCE) -
 
 
 def csv_rows(start: float, end: float, steps: int):
-    """Yield (phi, F, qm_lhs, classical_bound, qm_bound) over the grid."""
-    if steps < 3:
-        raise ValueError("grid needs at least 3 points")
-    spacing = (end - start) / (steps - 1)
-    for k in range(steps):
-        phi = start + k * spacing
+    """Yield (phi, F, qm_lhs, classical_bound, qm_bound) over the grid of
+    :func:`scan_F`; a range or step count it rejects raises the same
+    ``ValueError`` when the first row is drawn."""
+    for phi in _grid(start, end, steps):
         yield (phi, F(phi), quantum_lhs(phi), CLASSICAL_BOUND, VECTOR_BOUND)

@@ -47,6 +47,22 @@ def _check(check_id: str, claim: str, ok: bool, witness) -> dict:
     }
 
 
+def _enumeration_check(check_id: str, claim: str, cs) -> dict:
+    """The scalar no-go check: it passes when no sign map meets every line."""
+    enum = constraints.enumerate_scalar_assignments(cs)
+    return _check(
+        check_id,
+        claim,
+        enum.satisfying_count == 0,
+        {
+            "assignments": enum.total,
+            "satisfying": enum.satisfying_count,
+            "lhs_parity": enum.parity_witness.lhs_product,
+            "rhs_parity": enum.parity_witness.rhs_product,
+        },
+    )
+
+
 # -- constraint suites (pm / ghz) -------------------------------------------
 
 
@@ -65,35 +81,17 @@ def _constraint_suite(name: str, custom=None) -> list:
                 {"terms": labels, "required": line.required},
             )
         )
-    enum = constraints.enumerate_scalar_assignments(cs)
     checks.append(
-        _check(
+        _enumeration_check(
             f"{tag}.enumeration",
             "no assignment of scalar signs satisfies every line at once",
-            enum.satisfying_count == 0,
-            {
-                "assignments": enum.total,
-                "satisfying": enum.satisfying_count,
-                "lhs_parity": enum.parity_witness.lhs_product,
-                "rhs_parity": enum.parity_witness.rhs_product,
-            },
+            cs,
         )
     )
-    if cs.name not in (constraints.PM, constraints.GHZ):
+    if not constraints.has_vector_model(cs):
         return checks
     assignment = constraints.VectorAssignment.all_positive(cs.n_systems)
-    try:
-        evaluations = constraints.evaluate_vector_model(cs, assignment)
-    except ValueError as exc:
-        checks.append(
-            _check(
-                f"{tag}.vector-model",
-                "every line word reduces to a scalar",
-                False,
-                str(exc),
-            )
-        )
-        return checks
+    evaluations = constraints.evaluate_vector_model(cs, assignment)
     for index, evaluation in enumerate(evaluations, start=1):
         checks.append(
             _check(
@@ -127,18 +125,11 @@ def _constraint_suite(name: str, custom=None) -> list:
 def _bell_ghz_suite(custom=None) -> list:
     checks = []
     cs = custom if custom is not None else builtin_constraints(constraints.BELL_GHZ)
-    enum = constraints.enumerate_scalar_assignments(cs)
     checks.append(
-        _check(
+        _enumeration_check(
             "bellghz.enumeration",
             "no assignment of scalar signs satisfies the four lines at once",
-            enum.satisfying_count == 0,
-            {
-                "assignments": enum.total,
-                "satisfying": enum.satisfying_count,
-                "lhs_parity": enum.parity_witness.lhs_product,
-                "rhs_parity": enum.parity_witness.rhs_product,
-            },
+            cs,
         )
     )
     named = (
@@ -746,12 +737,6 @@ def _cmd_verify(args, parser) -> int:
                 custom = constraints.ConstraintSet.from_json(handle.read())
         except (OSError, ValueError) as exc:
             parser.error(f"cannot load constraint set: {exc}")
-        count = len(custom.observables)
-        if count > constraints.MAX_ENUMERATED_OBSERVABLES:
-            parser.error(
-                f"constraint set has {count} observables; the scalar enumeration "
-                f"handles at most {constraints.MAX_ENUMERATED_OBSERVABLES}"
-            )
     report = build_report(args.target, args.mode, _resolve_seed(args.seed, parser), custom)
     text = json.dumps(report, indent=2)
     if args.out:

@@ -7,20 +7,22 @@ Three built-in systems are provided:
 * ``bell_ghz`` - six single-particle values in four lines.
 
 Each line demands that the product of its observables' values equals +1 or
--1.  Two evaluators operate on a system.  The scalar evaluator enumerates
-every map from the observables to {+1, -1} and counts the maps satisfying
-all lines at once; for the built-in systems that count is zero, which is the
-no-go result.  The vector evaluator instead assigns each elementary symbol a
-signed basis vector of its subsystem's algebra copy, expands composite
-observables through the product rule, multiplies each line's word in the
-joint algebra of :mod:`contextuality_lab.systems`, and reduces trivector
-pairs through the shared-handedness rule.  There every line lands exactly on
-its required sign.
+-1.  Two evaluators operate on a system.  The scalar evaluator counts, among
+all 2^n maps from the n observables to {+1, -1}, the maps satisfying every
+line at once.  Writing each value as (-1)^b makes each line one linear
+equation over GF(2), so Gaussian elimination decides the count exactly
+without visiting the maps: it is 0 or 2^(n - rank).  For the built-in
+systems it is zero, which is the no-go result.  The vector evaluator instead
+assigns each elementary symbol a signed basis vector of its subsystem's
+algebra copy, expands composite observables through the product rule,
+multiplies each line's word in the joint algebra of
+:mod:`contextuality_lab.systems`, and reduces trivector pairs through the
+shared-handedness rule.  It applies to the pm and ghz lines, where every
+line lands exactly on its required sign.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,9 +37,6 @@ AXIS_INDEX = {"x": 1, "y": 2, "z": 3}
 PM = "pm"
 GHZ = "ghz"
 BELL_GHZ = "bell_ghz"
-
-#: Exhaustive-search cutoff for the scalar evaluator.
-MAX_ENUMERATED_OBSERVABLES = 20
 
 
 @dataclass(frozen=True, order=True)
@@ -246,25 +245,33 @@ def parity_witness(cs: ConstraintSet) -> ParityWitness:
 
 
 def enumerate_scalar_assignments(cs: ConstraintSet) -> EnumerationResult:
-    """Count the sign assignments of the observables meeting every line."""
-    observables = cs.observables
-    if len(observables) > MAX_ENUMERATED_OBSERVABLES:
-        raise ValueError(f"{len(observables)} observables exceed the exhaustive bound")
-    index = {obs.label: k for k, obs in enumerate(observables)}
-    line_indices = [
-        ([index[t.label] for t in line.terms], line.required) for line in cs.lines
-    ]
-    satisfying = 0
-    for values in itertools.product((1, -1), repeat=len(observables)):
-        for positions, required in line_indices:
-            product = 1
-            for p in positions:
-                product *= values[p]
-            if product != required:
-                break
-        else:
-            satisfying += 1
-    return EnumerationResult(2 ** len(observables), satisfying, parity_witness(cs))
+    """Count the sign assignments of the observables meeting every line.
+
+    With each value written as (-1)^b, a line says that the bits of its terms
+    sum to 1 over GF(2) when its required sign is -1 and to 0 when it is +1;
+    a term repeated inside a line cancels.  Each line becomes a bitmask row
+    (bit k for observable k) and is reduced against the pivot rows found so
+    far, keyed by leading bit.  A row reducing to 0 = 1 leaves no solution;
+    otherwise the n observables take 2^(n - rank) satisfying assignments out
+    of the 2^n counted in ``total``.
+    """
+    index = {obs.label: k for k, obs in enumerate(cs.observables)}
+    total = 2 ** len(index)
+    witness = parity_witness(cs)
+    pivots: dict[int, tuple[int, int]] = {}
+    for line in cs.lines:
+        row, rhs = 0, int(line.required == -1)
+        for term in line.terms:
+            row ^= 1 << index[term.label]
+        while row and row.bit_length() - 1 in pivots:
+            pivot_row, pivot_rhs = pivots[row.bit_length() - 1]
+            row ^= pivot_row
+            rhs ^= pivot_rhs
+        if row:
+            pivots[row.bit_length() - 1] = (row, rhs)
+        elif rhs:
+            return EnumerationResult(total, 0, witness)
+    return EnumerationResult(total, 2 ** (len(index) - len(pivots)), witness)
 
 
 # -- vector evaluator -------------------------------------------------------
@@ -347,16 +354,22 @@ class LineEvaluation:
         return self.value == self.line.required
 
 
+def has_vector_model(cs: ConstraintSet) -> bool:
+    """True when the lines are the built-in pm or ghz lines: the same terms
+    in the same order with the same required signs, whatever the name."""
+    return any(cs.lines == builtin_constraints(name).lines for name in (PM, GHZ))
+
+
 def evaluate_vector_model(cs: ConstraintSet, assignment: VectorAssignment) -> tuple:
     """Evaluate each line's word in the joint algebra.
 
     Line words multiply the term values in written order; trivector factors
     met in two slots collapse through the shared-handedness rule before the
-    scalar is read off.  Only the pm and ghz systems have a vector model
-    here; the four-line system instead runs through the substitution model
-    of :mod:`contextuality_lab.identities`.
+    scalar is read off.  Only the pm and ghz lines have a vector model here
+    (see :func:`has_vector_model`); the four-line system instead runs
+    through the substitution model of :mod:`contextuality_lab.identities`.
     """
-    if cs.name not in (PM, GHZ):
+    if not has_vector_model(cs):
         raise ValueError(f"no vector model for constraint system {cs.name!r}")
     n = cs.n_systems
     results = []

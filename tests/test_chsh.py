@@ -163,6 +163,17 @@ class TestCsvRows:
             assert vector == VECTOR_BOUND
             assert value == pytest.approx(qm, abs=TOL)
 
+    @pytest.mark.parametrize(
+        "start,end,steps,match",
+        [(2.0, 1.0, 3, "bad angle range"), (0.0, 7.0, 3, "bad angle range"),
+         (-0.5, 1.0, 3, "bad angle range"), (0.0, 1.0, 2, "at least 3 points")],
+    )
+    def test_grid_validated_like_scan(self, start, end, steps, match):
+        with pytest.raises(ValueError, match=match):
+            scan_F(steps, start, end)
+        with pytest.raises(ValueError, match=match):
+            list(csv_rows(start, end, steps))
+
 
 angles = st.floats(min_value=0.0, max_value=math.pi, allow_nan=False)
 

@@ -148,16 +148,38 @@ class TestVerify:
             ["verify", "pm", "--constraints", str(path)], capsys, fragment
         )
 
-    def test_constraints_over_enumeration_bound_exits_2(self, tmp_path, capsys):
+    def test_constraints_with_21_observables_are_decided(self, tmp_path, capsys):
+        # a 21-observable document is decided, not refused: its one
+        # satisfying assignment (all +1) fails the no-go check
         labels = [f"{a}{s}" for a in "xyz" for s in "123"]
         labels += [f"{a}1*{b}2" for a in "xyz" for b in "xyz"]
         labels += ["x1*x3", "y1*y3", "z1*z3"]
         doc = {"name": "big", "lines": [{"terms": [l], "required": 1} for l in labels]}
         path = tmp_path / "big.json"
         path.write_text(json.dumps(doc))
-        self.assert_usage_error(
-            ["verify", "ghz", "--constraints", str(path)], capsys, "21 observables"
-        )
+        code, out, _ = run_cli(["verify", "ghz", "--constraints", str(path)], capsys)
+        assert code == 1
+        enum = next(c for c in json.loads(out)["checks"] if c["id"] == "ghz.enumeration")
+        assert enum["status"] == "fail"
+        assert enum["witness"] == {
+            "assignments": 2097152, "satisfying": 1, "lhs_parity": None, "rhs_parity": 1
+        }
+
+    @pytest.mark.parametrize("target", ["pm", "ghz"])
+    def test_vector_model_chosen_by_lines_not_name(self, target, tmp_path, capsys):
+        from contextuality_lab.constraints import builtin_constraints
+
+        doc = json.loads(builtin_constraints(target).to_json())
+        doc["name"] = "mine"
+        path = tmp_path / "mine.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(["verify", target, "--constraints", str(path)], capsys)
+        assert code == 0
+        model_ids = (f"{target}.vector-line.", f"{target}.value-table")
+        custom = [c for c in json.loads(out)["checks"] if c["id"].startswith(model_ids)]
+        builtin = [c for c in build_report(target)["checks"] if c["id"].startswith(model_ids)]
+        assert len(custom) == len(doc["lines"]) + 1
+        assert custom == builtin
 
     @pytest.mark.parametrize(
         "doc,fragment",

@@ -20,6 +20,7 @@ from contextuality_lab.constraints import (
     builtin_constraints,
     enumerate_scalar_assignments,
     evaluate_vector_model,
+    has_vector_model,
     non_contextuality_audit,
     parity_witness,
 )
@@ -165,6 +166,36 @@ class TestDocumentSchema:
         assert ConstraintSet.from_json(cs.to_json()) == cs
 
 
+@st.composite
+def line_systems(draw):
+    """1-8 lines of 1-4 terms drawn with replacement from a pool of at most
+    12 observables over 1-3 subsystems, so a line may repeat a term."""
+    n_systems = draw(st.integers(1, 3))
+    labels = [
+        "*".join(f"{axis}{slot}" for slot, axis in enumerate(string, start=1) if axis != "i")
+        for string in itertools.product("ixyz", repeat=n_systems)
+        if set(string) != {"i"}
+    ]
+    pool = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=12, unique=True))
+    lines = draw(
+        st.lists(
+            st.tuples(
+                st.lists(st.sampled_from(pool), min_size=1, max_size=4),
+                st.sampled_from((1, -1)),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    return ConstraintSet(
+        "random",
+        tuple(
+            ConstraintLine(tuple(ObservableProduct.parse(t) for t in terms), required)
+            for terms, required in lines
+        ),
+    )
+
+
 class TestScalarEnumeration:
     @pytest.mark.parametrize(
         "name,total",
@@ -221,7 +252,9 @@ class TestScalarEnumeration:
         with pytest.raises(ValueError):
             ConstraintLine((), 1)
 
-    def test_exhaustive_bound(self):
+    def test_no_observable_bound(self):
+        # 21 observables, each pinned to +1 by its own line: no observable
+        # count is too large to decide
         labels = [f"{a}{s}" for a in "xyz" for s in "123"]
         labels += [f"{a}1*{b}2" for a in "xyz" for b in "xyz"]
         labels += ["x1*x3", "y1*y3", "z1*z3"]
@@ -230,8 +263,24 @@ class TestScalarEnumeration:
             tuple(ConstraintLine((ObservableProduct.parse(l),), 1) for l in labels),
         )
         assert len(big.observables) == 21
-        with pytest.raises(ValueError):
-            enumerate_scalar_assignments(big)
+        result = enumerate_scalar_assignments(big)
+        assert result.total == 2**21
+        assert result.satisfying_count == 1
+
+    @pytest.mark.parametrize("required,count", [(-1, 0), (1, 2)])
+    def test_repeated_term_cancels(self, required, count):
+        x1 = ObservableProduct.parse("x1")
+        cs = ConstraintSet("twice", (ConstraintLine((x1, x1), required),))
+        result = enumerate_scalar_assignments(cs)
+        assert result.total == 2
+        assert result.satisfying_count == count == brute_force_count(cs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(line_systems())
+    def test_count_matches_brute_force(self, cs):
+        result = enumerate_scalar_assignments(cs)
+        assert result.total == 2 ** len(cs.observables)
+        assert result.satisfying_count == brute_force_count(cs)
 
 
 class TestVectorModel:
@@ -334,6 +383,24 @@ class TestVectorModel:
             evaluate_vector_model(
                 builtin_constraints(BELL_GHZ), VectorAssignment.all_positive(3)
             )
+
+    @pytest.mark.parametrize("name,n", [(PM, 2), (GHZ, 3)])
+    def test_vector_model_follows_the_lines_not_the_name(self, name, n):
+        cs = builtin_constraints(name)
+        renamed = ConstraintSet("mine", cs.lines)
+        assert has_vector_model(renamed)
+        assignment = VectorAssignment.all_positive(n)
+        assert evaluate_vector_model(renamed, assignment) == evaluate_vector_model(
+            cs, assignment
+        )
+        flipped = ConstraintSet(
+            name, cs.lines[:-1] + (ConstraintLine(cs.lines[-1].terms, 1),)
+        )
+        reordered = ConstraintSet(name, cs.lines[::-1])
+        for other in (flipped, reordered):
+            assert not has_vector_model(other)
+            with pytest.raises(ValueError):
+                evaluate_vector_model(other, assignment)
 
     def test_unassigned_symbol_rejected(self):
         cs = builtin_constraints(PM)
