@@ -14,6 +14,12 @@ line to a signed basis vector, the four reduced values always multiply to
 (x, x, x, -x).  The module also provides the commutator witness showing why
 identified bases cannot commute, and the orientation reading that compares
 the three subsystems' plane orientations induced by a map.
+
+Every factor image is a signed basis vector, so a reduced line is a sign
+times one blade: lines and columns are reduced as ``(sign, mask)`` pairs
+through the blade product table ``ga.CAYLEY``, and a ``Multivector`` is built
+only for the returned values.  The dense 8-blade product gives the same
+values and is kept as the test oracle (``tests/identities_oracle.py``).
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import json
 from dataclasses import dataclass
 
 from .constraints import AXIS_INDEX, ObservableProduct, VectorAssignment
-from .ga import EXACT, Multivector, basis_vector
+from .ga import BLADE_COUNT, CAYLEY, EXACT, Multivector, basis_vector
 
 IN_PLANE_AXES = (1, 2)
 
@@ -170,24 +176,41 @@ COLUMN_LINES = tuple(
 )
 
 
+def _signed_blade(sign: int, mask: int) -> Multivector:
+    coeffs = [0] * BLADE_COUNT
+    coeffs[mask] = sign
+    return Multivector(tuple(coeffs), EXACT)
+
+
+def _reduce_line(
+    imap: IdentityMap, line: ObservableProduct, signs: VectorAssignment | None
+) -> tuple[int, int]:
+    """The reduced word of one line as ``(sign, blade mask)``."""
+    sign, mask = 1, 0
+    for factor in line.factors:
+        if factor.axis == "z":
+            raise ValueError("axis z does not occur in the identified plane")
+        image = imap.image(factor.system, AXIS_INDEX[factor.axis])
+        step, mask = CAYLEY[mask][1 << (image.axis - 1)]
+        sign *= step * image.sign
+        if signs is not None:
+            sign *= signs.sign(factor)
+    return sign, mask
+
+
 def substitute_and_reduce(
     imap: IdentityMap, line: ObservableProduct, signs: VectorAssignment | None = None
 ) -> Multivector:
     """Map each factor's value into the shared copy and reduce the word.
 
     Within-line factors now multiply in one algebra, so distinct-axis images
-    anticommute; nothing commutes by fiat.  Axis z has no image: the
-    identification covers only the plane of axes 1 and 2.
+    anticommute; nothing commutes by fiat.  Each image is a signed basis
+    vector, so the word is reduced as a sign times one blade through the
+    blade product table.  ``signs=None`` gives every symbol the sign +1.
+    Axis z has no image: the identification covers only the plane of axes 1
+    and 2.
     """
-    if signs is None:
-        signs = VectorAssignment.all_positive(3)
-    result = Multivector.scalar(1, EXACT)
-    for factor in line.factors:
-        if factor.axis == "z":
-            raise ValueError("axis z does not occur in the identified plane")
-        image = imap.image(factor.system, AXIS_INDEX[factor.axis])
-        result = result * image.to_multivector().scale(signs.sign(factor))
-    return result
+    return _signed_blade(*_reduce_line(imap, line, signs))
 
 
 @dataclass(frozen=True)
@@ -202,13 +225,14 @@ class ColumnResult:
 
 
 def bell_ghz_column(imap: IdentityMap, signs: VectorAssignment | None = None) -> ColumnResult:
-    entries = tuple(
-        substitute_and_reduce(imap, line, signs) for line in COLUMN_LINES
+    reduced = [_reduce_line(imap, line, signs) for line in COLUMN_LINES]
+    sign, mask = 1, 0
+    for entry_sign, entry_mask in reduced:
+        step, mask = CAYLEY[mask][entry_mask]
+        sign *= step * entry_sign
+    return ColumnResult(
+        tuple(_signed_blade(s, m) for s, m in reduced), _signed_blade(sign, mask)
     )
-    product = Multivector.scalar(1, EXACT)
-    for entry in entries:
-        product = product * entry
-    return ColumnResult(entries, product)
 
 
 def find_identity_maps(target: SignedAxisVector) -> tuple:

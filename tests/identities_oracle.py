@@ -1,0 +1,34 @@
+"""Dense reference for the Bell-GHZ column reduction.
+
+``contextuality_lab.identities`` reduces every line on signed blades: each
+factor image is one signed basis vector, so a line word is a sign times one
+blade.  The functions here compute the same values the long way, multiplying
+full 8-blade multivectors through ``Multivector.__mul__``, and serve as the
+oracle that the blade reduction must equal exactly.
+"""
+
+from contextuality_lab.constraints import AXIS_INDEX, VectorAssignment
+from contextuality_lab.ga import EXACT, Multivector
+from contextuality_lab.identities import COLUMN_LINES, ColumnResult
+
+
+def dense_substitute_and_reduce(imap, line, signs=None) -> Multivector:
+    if signs is None:
+        signs = VectorAssignment.all_positive(3)
+    result = Multivector.scalar(1, EXACT)
+    for factor in line.factors:
+        if factor.axis == "z":
+            raise ValueError("axis z does not occur in the identified plane")
+        image = imap.image(factor.system, AXIS_INDEX[factor.axis])
+        result = result * image.to_multivector().scale(signs.sign(factor))
+    return result
+
+
+def dense_bell_ghz_column(imap, signs=None) -> ColumnResult:
+    entries = tuple(
+        dense_substitute_and_reduce(imap, line, signs) for line in COLUMN_LINES
+    )
+    product = Multivector.scalar(1, EXACT)
+    for entry in entries:
+        product = product * entry
+    return ColumnResult(entries, product)

@@ -2,15 +2,19 @@
 
 import csv
 import io
+import itertools
 import json
 import math
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
-from contextuality_lab import chsh
-from contextuality_lab.cli import DEFAULT_SEED, build_report, main
+from contextuality_lab import chsh, quantum
+from contextuality_lab.cli import DEFAULT_SEED, _operators_suite, build_report, main
+from contextuality_lab.constraints import BELL_GHZ, GHZ, PM, builtin_constraints
+from contextuality_lab.ga import EXACT
 from sweep_oracle import dense_F, dense_quantum_lhs
 
 
@@ -181,6 +185,32 @@ class TestVerify:
         assert len(custom) == len(doc["lines"]) + 1
         assert custom == builtin
 
+    @staticmethod
+    def bell_ghz_document(tmp_path, last_required=-1):
+        doc = json.loads(builtin_constraints(BELL_GHZ).to_json())
+        doc["name"] = "mine"
+        doc["lines"][-1]["required"] = last_required
+        path = tmp_path / "mine.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_bell_ghz_other_lines_get_the_enumeration_only(self, tmp_path, capsys):
+        path = self.bell_ghz_document(tmp_path, last_required=1)
+        code, out, _ = run_cli(["verify", "bell-ghz", "--constraints", str(path)], capsys)
+        assert code == 1
+        checks = json.loads(out)["checks"]
+        assert [c["id"] for c in checks] == ["bellghz.enumeration"]
+        assert checks[0]["status"] == "fail"
+        assert checks[0]["witness"]["satisfying"] == 8
+
+    def test_bell_ghz_lines_chosen_by_structure_not_name(self, tmp_path, capsys):
+        path = self.bell_ghz_document(tmp_path)
+        code, out, _ = run_cli(["verify", "bell-ghz", "--constraints", str(path)], capsys)
+        assert code == 0
+        custom = [c["id"] for c in json.loads(out)["checks"]]
+        assert len(custom) == 10
+        assert custom == [c["id"] for c in build_report("bell-ghz")["checks"]]
+
     @pytest.mark.parametrize(
         "doc,fragment",
         [
@@ -214,6 +244,29 @@ class TestVerify:
         with pytest.raises(SystemExit) as excinfo:
             main(["chsh", "0", "1", "5", "--csv", str(tmp_path / "missing" / "c.csv")])
         assert excinfo.value.code == 2
+
+
+class TestOperatorsSuiteWork:
+    def test_each_single_site_word_is_built_once_per_n(self, monkeypatch):
+        built = []
+        observable_matrix = quantum.observable_matrix
+
+        def counted(product, n):
+            built.append((product.label, n))
+            return observable_matrix(product, n)
+
+        monkeypatch.setattr(quantum, "observable_matrix", counted)
+        ids = [c["id"] for c in _operators_suite(EXACT, DEFAULT_SEED)]
+        assert "pauli.cross-commutation" in ids
+        # pauli.cross-commutation: the 15 single-site words, once per n
+        expected = Counter((f"{a}{s}", n) for n in (2, 3) for s in range(1, n + 1) for a in "xyz")
+        # the pm and ghz line-commutation checks build both members of each pair
+        for name in (PM, GHZ):
+            cs = builtin_constraints(name)
+            for line in cs.lines:
+                for pair in itertools.combinations(line.terms, 2):
+                    expected.update((term.label, cs.n_systems) for term in pair)
+        assert Counter(built) == expected
 
 
 class TestChsh:

@@ -13,6 +13,7 @@ After an intended change to the output, regenerate the files with::
 
 import contextlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -21,10 +22,13 @@ from pathlib import Path
 import pytest
 
 from contextuality_lab.cli import SEED_ENV_VAR, main
+from contextuality_lab.constraints import BELL_GHZ, builtin_constraints
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
-#: (case name, argv); ``{csv}`` stands for a CSV path the case writes.
+#: (case name, argv); ``{csv}`` stands for a CSV path the case writes and
+#: ``{constraints}`` for a document holding the built-in Bell-GHZ lines under
+#: the name ``"mine"``.
 CASES = (
     ("verify-all-exact", ["verify", "all"]),
     ("verify-all-approx", ["verify", "all", "--mode", "approx"]),
@@ -33,13 +37,26 @@ CASES = (
     ("verify-bell-ghz", ["verify", "bell-ghz"]),
     ("chsh-0-3.14159265-9", ["chsh", "0", "3.14159265", "9", "--csv", "{csv}"]),
     ("search-identities-e1", ["search-identities", "e1"]),
+    ("search-identities-minus-e1", ["search-identities", "-e1"]),
+    ("search-identities-e2", ["search-identities", "e2"]),
+    ("search-identities-minus-e2", ["search-identities", "-e2"]),
+    (
+        "verify-bell-ghz-constraints-renamed",
+        ["verify", "bell-ghz", "--constraints", "{constraints}"],
+    ),
 )
 
 
 def run_case(name: str, argv: list, workdir: Path) -> dict:
     """Run one case; returns golden file name -> produced bytes."""
     csv_path = workdir / f"{name}.csv"
-    argv = [str(csv_path) if a == "{csv}" else a for a in argv]
+    constraints_path = workdir / f"{name}.json"
+    if "{constraints}" in argv:
+        doc = json.loads(builtin_constraints(BELL_GHZ).to_json())
+        doc["name"] = "mine"
+        constraints_path.write_text(json.dumps(doc), encoding="utf-8")
+    placeholders = {"{csv}": str(csv_path), "{constraints}": str(constraints_path)}
+    argv = [placeholders.get(a, a) for a in argv]
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         code = main(argv)

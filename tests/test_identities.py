@@ -2,9 +2,13 @@
 
 import itertools
 import json
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from contextuality_lab import identities
 from contextuality_lab.constraints import ObservableProduct, PauliSymbol, VectorAssignment
 from contextuality_lab.ga import Multivector, basis_vector
 from contextuality_lab.identities import (
@@ -20,6 +24,7 @@ from contextuality_lab.identities import (
     orientation_reading,
     substitute_and_reduce,
 )
+from identities_oracle import dense_bell_ghz_column, dense_substitute_and_reduce
 
 E1 = basis_vector(1)
 E2 = basis_vector(2)
@@ -125,6 +130,78 @@ class TestColumns:
             "y1*y2*x3",
             "x1*x2*x3",
         ]
+
+
+SYMBOLS = tuple(PauliSymbol(s, a) for s in (1, 2, 3) for a in "xyz")
+
+#: ``None`` (every sign +1) or a table with random signs flipped.
+assignments = st.one_of(
+    st.none(),
+    st.lists(st.sampled_from((1, -1)), min_size=9, max_size=9).map(
+        lambda signs: VectorAssignment(dict(zip(SYMBOLS, signs)))
+    ),
+)
+
+
+class TestDenseOracle:
+    """The signed-blade reduction equals the dense 8-blade product."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(assignments)
+    def test_lines_equal_dense_product(self, signs):
+        for imap in all_identity_maps():
+            for line in COLUMN_LINES:
+                assert substitute_and_reduce(imap, line, signs) == (
+                    dense_substitute_and_reduce(imap, line, signs)
+                )
+
+    @settings(max_examples=60, deadline=None)
+    @given(assignments)
+    def test_columns_equal_dense_product(self, signs):
+        for imap in all_identity_maps():
+            assert bell_ghz_column(imap, signs) == dense_bell_ghz_column(imap, signs)
+
+    @pytest.mark.parametrize("reduce", [substitute_and_reduce, dense_substitute_and_reduce])
+    def test_z_axis_rejected(self, reduce):
+        with pytest.raises(ValueError, match="axis z"):
+            reduce(UNIFORM_MAP, ObservableProduct.parse("x1*y2*z3"))
+
+    @pytest.mark.parametrize("reduce", [substitute_and_reduce, dense_substitute_and_reduce])
+    def test_out_of_range_system_rejected(self, reduce):
+        # PauliSymbol refuses system 4, so a stand-in factor carries it
+        line = ObservableProduct((PauliSymbol(1, "x"), SimpleNamespace(system=4, axis="y")))
+        with pytest.raises(ValueError, match="system index 4 out of range"):
+            reduce(UNIFORM_MAP, line)
+
+    @pytest.mark.parametrize("reduce", [substitute_and_reduce, dense_substitute_and_reduce])
+    def test_missing_sign_rejected(self, reduce):
+        signs = VectorAssignment({PauliSymbol(1, "x"): 1})
+        with pytest.raises(ValueError, match="no value assigned to symbol y2"):
+            reduce(UNIFORM_MAP, ObservableProduct.parse("x1*y2*y3"), signs)
+
+
+class TestSearchWork:
+    def test_search_forms_no_dense_product(self, monkeypatch):
+        products = []
+        dense_mul = Multivector.__mul__
+
+        def counted_mul(self, other):
+            products.append(1)
+            return dense_mul(self, other)
+
+        monkeypatch.setattr(Multivector, "__mul__", counted_mul)
+        columns = []
+        column = identities.bell_ghz_column
+
+        def counted_column(imap, signs=None):
+            columns.append(imap)
+            return column(imap, signs)
+
+        monkeypatch.setattr(identities, "bell_ghz_column", counted_column)
+        found = find_identity_maps(SignedAxisVector.parse("e1"))
+        assert NEGATED_F1_MAP in found
+        assert products == []
+        assert columns == list(all_identity_maps())
 
 
 E2_VEC = SignedAxisVector(1, 2)
