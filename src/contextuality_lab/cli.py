@@ -416,7 +416,7 @@ def _operators_suite(mode: str, seed: int) -> list:
     cross_pairs = 0
     for n in (2, 3):
         words = {
-            (system, axis): quantum.observable_matrix(
+            (system, axis): quantum.pauli_word(
                 constraints.ObservableProduct.parse(f"{axis}{system}"), n
             )
             for system in range(1, n + 1)
@@ -425,7 +425,7 @@ def _operators_suite(mode: str, seed: int) -> list:
         for sa, sb in itertools.permutations(range(1, n + 1), 2):
             for ax_a in "xyz":
                 for ax_b in "xyz":
-                    cross_ok = cross_ok and quantum.commutes(
+                    cross_ok = cross_ok and quantum.words_commute(
                         words[sa, ax_a], words[sb, ax_b]
                     )
                     cross_pairs += 1
@@ -443,8 +443,8 @@ def _operators_suite(mode: str, seed: int) -> list:
         ok = True
         for line in cs.lines:
             for ta, tb in itertools.combinations(line.terms, 2):
-                ok = ok and quantum.commutes(
-                    quantum.observable_matrix(ta, n), quantum.observable_matrix(tb, n)
+                ok = ok and quantum.words_commute(
+                    quantum.pauli_word(ta, n), quantum.pauli_word(tb, n)
                 )
         checks.append(
             _check(

@@ -1,14 +1,22 @@
 """Exact finite-dimensional quantum mechanics, used as an independent oracle.
 
-Spin matrices and their tensor words are evaluated over the Gaussian
-rationals (complex numbers with rational real and imaginary parts), so every
-operator identity and eigenstate check below is decided exactly, with no
-floating point in the loop.  The parts are exact rationals held as ``int``
-and promoted to ``fractions.Fraction`` only for non-integer values, the same
-normalisation as the coefficients of :mod:`contextuality_lab.ga`.  State
-vectors carry their squared-norm denominator symbolically: the three-particle
-states used here hold integer amplitudes scaled by 1/sqrt(2), and eigenvalue
-equations never need the irrational factor itself.
+Single-site spin matrices are evaluated over the Gaussian rationals (complex
+numbers with rational real and imaginary parts), so the relations tying the
+spin algebra to matrix mechanics are decided exactly, with no floating point
+in the loop.  The parts are exact rationals held as ``int`` and promoted to
+``fractions.Fraction`` only for non-integer values, the same normalisation as
+the coefficients of :mod:`contextuality_lab.ga`.
+
+An n-site spin word is never built as a 2^n x 2^n matrix.  It is a Pauli
+word ``(k, x, z)`` meaning i^k X^x Z^z: a phase exponent mod 4 and one x bit
+and one z bit per subsystem, subsystem 1 in the most significant bit (the
+order of the basis kets below).  Products, commutation and the action on
+basis kets then take an XOR and a popcount (Aaronson & Gottesman,
+quant-ph/0406196; Dehaene & De Moor, PRA 68, 042318 (2003)), so every line
+identity, commutation and eigenstate claim stays exact.  State vectors carry
+their squared-norm denominator symbolically: the three-particle states used
+here hold integer amplitudes scaled by 1/sqrt(2), and eigenvalue equations
+never need the irrational factor itself.
 
 The one floating-point entry point is :func:`singlet_correlation`, which
 takes arbitrary real unit vectors; it exists to cross-check the sweep in
@@ -94,15 +102,6 @@ class ComplexMatrix:
             )
         )
 
-    @classmethod
-    def from_ints(cls, rows) -> "ComplexMatrix":
-        return cls(
-            tuple(
-                tuple(v if isinstance(v, GaussianRational) else GaussianRational.of(v) for v in row)
-                for row in rows
-            )
-        )
-
     def __matmul__(self, other: "ComplexMatrix") -> "ComplexMatrix":
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
@@ -145,14 +144,6 @@ class ComplexMatrix:
                 rows.append(tuple(a * b for a in ra for b in rb))
         return ComplexMatrix(tuple(rows))
 
-    def apply(self, vector: tuple) -> tuple:
-        if len(vector) != self.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {len(vector)}")
-        return tuple(
-            sum((a * v for a, v in zip(row, vector) if a and v), ZERO)
-            for row in self.entries
-        )
-
 
 def pauli(axis: str) -> ComplexMatrix:
     """The 2x2 spin matrix for axis x, y or z, in the z-diagonal basis."""
@@ -165,38 +156,72 @@ def pauli(axis: str) -> ComplexMatrix:
     raise ValueError(f"axis {axis!r} not one of x, y, z")
 
 
-def observable_matrix(product: ObservableProduct, n: int) -> ComplexMatrix:
-    """Tensor word of the product: spin matrices in the named slots,
-    identity elsewhere, slots ordered by ascending subsystem index."""
-    slots = {f.system: pauli(f.axis) for f in product.factors}
-    highest = max(slots)
-    if highest > n:
-        raise ValueError(f"observable {product.label} needs {highest} systems, have {n}")
-    result = ComplexMatrix.identity(1)
-    for system in range(1, n + 1):
-        result = result.kron(slots.get(system, ComplexMatrix.identity(2)))
-    return result
-
-
-def commutes(a: ComplexMatrix, b: ComplexMatrix) -> bool:
-    return a @ b == b @ a
-
-
 def anticommutator(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
     return (a @ b) + (b @ a)
+
+
+# -- Pauli words ------------------------------------------------------------
+
+#: i^k for k = 0, 1, 2, 3.
+PHASES = (ONE, I, -ONE, -I)
+#: The word i^0 X^0 Z^0, the identity on any number of subsystems.
+IDENTITY_WORD = (0, 0, 0)
+
+
+def pauli_word(product: ObservableProduct, n: int) -> tuple:
+    """The product's n-site word ``(k, x, z)``, meaning i^k X^x Z^z.
+
+    Subsystem s sets bit n - s of the masks: x sets the x bit, z the z bit,
+    and y both bits plus one to k, since Y = iXZ.  Factors sit on distinct
+    subsystems, so their order does not matter.
+    """
+    highest = max(f.system for f in product.factors)
+    if highest > n:
+        raise ValueError(f"observable {product.label} needs {highest} systems, have {n}")
+    k = x = z = 0
+    for factor in product.factors:
+        bit = 1 << (n - factor.system)
+        if factor.axis != "z":
+            x |= bit
+        if factor.axis != "x":
+            z |= bit
+        if factor.axis == "y":
+            k += 1
+    return k, x, z
+
+
+def word_product(a: tuple, b: tuple) -> tuple:
+    """The word of the operator product a b: moving Z^z1 past X^x2 gives one
+    sign per subsystem where both are set, since ZX = -XZ."""
+    k1, x1, z1 = a
+    k2, x2, z2 = b
+    return (k1 + k2 + 2 * (z1 & x2).bit_count()) % 4, x1 ^ x2, z1 ^ z2
+
+
+def words_commute(a: tuple, b: tuple) -> bool:
+    """Two words commute when they anticommute on an even number of sites."""
+    _, x1, z1 = a
+    _, x2, z2 = b
+    return (x1 & z2 ^ z1 & x2).bit_count() % 2 == 0
+
+
+def apply_word(word: tuple, ket: int) -> tuple:
+    """The word sends basis ket b to i^k (-1)^|z & b| |b ^ x>; returns that
+    phase exponent mod 4 and the image ket."""
+    k, x, z = word
+    return (k + 2 * (z & ket).bit_count()) % 4, ket ^ x
 
 
 def verify_operator_identities(cs) -> tuple:
     """Check, per line, that the product of the member operators is the
     required sign times the identity.  Returns one boolean per line."""
     n = cs.n_systems
-    target_dim = 2 ** n
     results = []
     for line in cs.lines:
-        product = ComplexMatrix.identity(target_dim)
+        word = IDENTITY_WORD
         for term in line.terms:
-            product = product @ observable_matrix(term, n)
-        results.append(product == ComplexMatrix.identity(target_dim).scale(line.required))
+            word = word_product(word, pauli_word(term, n))
+        results.append(word == (0 if line.required == 1 else 2, 0, 0))
     return tuple(results)
 
 
@@ -254,14 +279,20 @@ def alternating_ghz_state() -> StateVector:
 
 def eigencheck(state: StateVector, product: ObservableProduct, eigenvalue: int, n: int) -> bool:
     """Exact test of M state == eigenvalue state; the hidden 1/sqrt(norm2)
-    cancels on both sides."""
-    matrix = observable_matrix(product, n)
-    if matrix.dim != state.dim:
-        raise ValueError(f"dimension mismatch: {matrix.dim} vs {state.dim}")
-    image = matrix.apply(state.amplitudes)
-    return all(
-        out == amp * eigenvalue for out, amp in zip(image, state.amplitudes)
-    )
+    cancels on both sides.  M permutes the basis kets up to phases, so each
+    nonzero amplitude is compared with the one its image ket carries.  The
+    ket map b -> b ^ x is an involution, so a zero amplitude whose image is
+    nonzero shows up as a nonzero amplitude whose image is zero."""
+    word = pauli_word(product, n)
+    if 2 ** n != state.dim:
+        raise ValueError(f"dimension mismatch: {2 ** n} vs {state.dim}")
+    amplitudes = state.amplitudes
+    for ket, amp in enumerate(amplitudes):
+        if amp:
+            k, image = apply_word(word, ket)
+            if PHASES[k] * amp != amplitudes[image] * eigenvalue:
+                return False
+    return True
 
 
 def is_eigenstate(state: StateVector, product: ObservableProduct, n: int) -> bool:

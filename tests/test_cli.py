@@ -12,7 +12,13 @@ from collections import Counter
 import pytest
 
 from contextuality_lab import chsh, quantum
-from contextuality_lab.cli import DEFAULT_SEED, _operators_suite, build_report, main
+from contextuality_lab.cli import (
+    DEFAULT_SEED,
+    _operators_suite,
+    _states_suite,
+    build_report,
+    main,
+)
 from contextuality_lab.constraints import BELL_GHZ, GHZ, PM, builtin_constraints
 from contextuality_lab.ga import EXACT
 from sweep_oracle import dense_F, dense_quantum_lhs
@@ -249,13 +255,13 @@ class TestVerify:
 class TestOperatorsSuiteWork:
     def test_each_single_site_word_is_built_once_per_n(self, monkeypatch):
         built = []
-        observable_matrix = quantum.observable_matrix
+        pauli_word = quantum.pauli_word
 
         def counted(product, n):
             built.append((product.label, n))
-            return observable_matrix(product, n)
+            return pauli_word(product, n)
 
-        monkeypatch.setattr(quantum, "observable_matrix", counted)
+        monkeypatch.setattr(quantum, "pauli_word", counted)
         ids = [c["id"] for c in _operators_suite(EXACT, DEFAULT_SEED)]
         assert "pauli.cross-commutation" in ids
         # pauli.cross-commutation: the 15 single-site words, once per n
@@ -267,6 +273,49 @@ class TestOperatorsSuiteWork:
                 for pair in itertools.combinations(line.terms, 2):
                     expected.update((term.label, cs.n_systems) for term in pair)
         assert Counter(built) == expected
+
+
+class TestNoDenseWords:
+    """n-site claims are decided on Pauli words, never on Kronecker matrices."""
+
+    @pytest.fixture
+    def dense_calls(self, monkeypatch):
+        calls = Counter()
+        for name in ("kron", "__matmul__"):
+            method = getattr(quantum.ComplexMatrix, name)
+
+            def counted(self, other, name=name, method=method):
+                calls[name] += 1
+                return method(self, other)
+
+            monkeypatch.setattr(quantum.ComplexMatrix, name, counted)
+        return calls
+
+    def test_constraint_document_and_states_suite(self, dense_calls, tmp_path, capsys):
+        # 18 distinct three-subsystem observables, three to a line
+        labels = [
+            f"{a}1*{b}2*{c}3" for a, b, c in itertools.product("xyz", repeat=3)
+        ][:18]
+        doc = {
+            "name": "eighteen",
+            "lines": [
+                {"terms": labels[k : k + 3], "required": (1, -1)[k % 2]}
+                for k in range(0, 18, 3)
+            ],
+        }
+        path = tmp_path / "lines.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, _ = run_cli(["verify", "ghz", "--constraints", str(path)], capsys)
+        assert code in (0, 1)
+        ids = [c["id"] for c in json.loads(out)["checks"]]
+        assert sum(1 for i in ids if i.startswith("ghz.word.")) == 6
+        assert all(c["status"] == "pass" for c in _states_suite(DEFAULT_SEED))
+        assert dense_calls == Counter()
+
+    def test_counter_sees_dense_products(self, dense_calls):
+        two = quantum.pauli("x")
+        two.kron(two) @ two.kron(two)
+        assert dense_calls == Counter({"kron": 2, "__matmul__": 1})
 
 
 class TestChsh:

@@ -26,59 +26,112 @@ from contextuality_lab.constraints import BELL_GHZ, builtin_constraints
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
-#: (case name, argv); ``{csv}`` stands for a CSV path the case writes and
-#: ``{constraints}`` for a document holding the built-in Bell-GHZ lines under
-#: the name ``"mine"``.
+#: Constraint documents written for the ``{constraints}`` placeholder, by
+#: case name.  Besides the built-in Bell-GHZ lines under another name, they
+#: pin failing ``*.word.*`` verdicts: a line holding at -1, a wrong sign, a
+#: product that is +-i times the identity, a product of +-i times a spin
+#: (``x1 y1 = i z1``), a leftover non-identity factor and repeated terms, on
+#: three subsystems and on two, the latter also under ``ghz``.
+DOCUMENTS = {
+    "verify-bell-ghz-constraints-renamed": {
+        **json.loads(builtin_constraints(BELL_GHZ).to_json()),
+        "name": "mine",
+    },
+    "verify-pm-constraints-words": {
+        "name": "pm-words",
+        "lines": [
+            {"terms": ["x1*x2", "y1*y2", "z1*z2"], "required": -1},
+            {"terms": ["x1*x2", "x1", "x2"], "required": -1},
+            {"terms": ["x1", "y1"], "required": 1},
+            {"terms": ["x1", "z1", "y1"], "required": -1},
+            {"terms": ["x1", "x2"], "required": 1},
+            {"terms": ["x1*y2", "x1*y2"], "required": 1},
+            {"terms": ["z2", "y1*z2", "y1"], "required": 1},
+            {"terms": ["z1", "z1", "x2", "x2", "y1*y2"], "required": -1},
+        ],
+    },
+    "verify-ghz-constraints-words": {
+        "name": "ghz-words",
+        "lines": [
+            {"terms": ["x1*x2*x3", "x1*y2*y3", "y1*x2*y3", "y1*y2*x3"], "required": -1},
+            {"terms": ["x1*y2*y3", "y1*x2*y3", "y1*y2*x3", "x1*x2*x3"], "required": 1},
+            {"terms": ["y1*x2*y3", "y1", "x2", "y3"], "required": -1},
+            {"terms": ["x2", "y2", "z3"], "required": 1},
+            {"terms": ["y3", "x3", "z3"], "required": 1},
+            {"terms": ["x1*x2*x3", "x1"], "required": 1},
+            {"terms": ["z1*z3", "z1*z3", "y2", "y2", "x1"], "required": 1},
+        ],
+    },
+    "verify-ghz-constraints-two-subsystems": {
+        "name": "ghz-two",
+        "lines": [
+            {"terms": ["x1*y2", "y1*x2", "z1*z2"], "required": 1},
+            {"terms": ["y1*x2", "x1*y2", "z1*z2"], "required": 1},
+            {"terms": ["x1", "y1", "z1"], "required": 1},
+            {"terms": ["z2", "y2"], "required": -1},
+            {"terms": ["y1*y2", "y1*y2"], "required": 1},
+        ],
+    },
+}
+
+#: (case name, argv, exit code); ``{csv}`` stands for a CSV path the case
+#: writes and ``{constraints}`` for the case's document in ``DOCUMENTS``.
 CASES = (
-    ("verify-all-exact", ["verify", "all"]),
-    ("verify-all-approx", ["verify", "all", "--mode", "approx"]),
-    ("verify-pm", ["verify", "pm"]),
-    ("verify-ghz", ["verify", "ghz"]),
-    ("verify-bell-ghz", ["verify", "bell-ghz"]),
-    ("chsh-0-3.14159265-9", ["chsh", "0", "3.14159265", "9", "--csv", "{csv}"]),
-    ("search-identities-e1", ["search-identities", "e1"]),
-    ("search-identities-minus-e1", ["search-identities", "-e1"]),
-    ("search-identities-e2", ["search-identities", "e2"]),
-    ("search-identities-minus-e2", ["search-identities", "-e2"]),
+    ("verify-all-exact", ["verify", "all"], 0),
+    ("verify-all-approx", ["verify", "all", "--mode", "approx"], 0),
+    ("verify-pm", ["verify", "pm"], 0),
+    ("verify-ghz", ["verify", "ghz"], 0),
+    ("verify-bell-ghz", ["verify", "bell-ghz"], 0),
+    ("chsh-0-3.14159265-9", ["chsh", "0", "3.14159265", "9", "--csv", "{csv}"], 0),
+    ("search-identities-e1", ["search-identities", "e1"], 0),
+    ("search-identities-minus-e1", ["search-identities", "-e1"], 0),
+    ("search-identities-e2", ["search-identities", "e2"], 0),
+    ("search-identities-minus-e2", ["search-identities", "-e2"], 0),
     (
         "verify-bell-ghz-constraints-renamed",
         ["verify", "bell-ghz", "--constraints", "{constraints}"],
+        0,
+    ),
+    ("verify-pm-constraints-words", ["verify", "pm", "--constraints", "{constraints}"], 1),
+    ("verify-ghz-constraints-words", ["verify", "ghz", "--constraints", "{constraints}"], 1),
+    (
+        "verify-ghz-constraints-two-subsystems",
+        ["verify", "ghz", "--constraints", "{constraints}"],
+        1,
     ),
 )
 
 
-def run_case(name: str, argv: list, workdir: Path) -> dict:
+def run_case(name: str, argv: list, expected_code: int, workdir: Path) -> dict:
     """Run one case; returns golden file name -> produced bytes."""
     csv_path = workdir / f"{name}.csv"
     constraints_path = workdir / f"{name}.json"
     if "{constraints}" in argv:
-        doc = json.loads(builtin_constraints(BELL_GHZ).to_json())
-        doc["name"] = "mine"
-        constraints_path.write_text(json.dumps(doc), encoding="utf-8")
+        constraints_path.write_text(json.dumps(DOCUMENTS[name]), encoding="utf-8")
     placeholders = {"{csv}": str(csv_path), "{constraints}": str(constraints_path)}
     argv = [placeholders.get(a, a) for a in argv]
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         code = main(argv)
-    if code != 0:
-        raise AssertionError(f"{name} exited {code}")
+    if code != expected_code:
+        raise AssertionError(f"{name} exited {code}, expected {expected_code}")
     produced = {f"{name}.stdout": stdout.getvalue().encode("utf-8")}
     if csv_path.exists():
         produced[csv_path.name] = csv_path.read_bytes()
     return produced
 
 
-@pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])
-def test_output_matches_golden(name, argv, tmp_path, monkeypatch):
+@pytest.mark.parametrize("name,argv,code", CASES, ids=[name for name, _, _ in CASES])
+def test_output_matches_golden(name, argv, code, tmp_path, monkeypatch):
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
-    produced = run_case(name, argv, tmp_path)
+    produced = run_case(name, argv, code, tmp_path)
     for filename, data in produced.items():
         assert data == (GOLDEN_DIR / filename).read_bytes(), filename
 
 
 def test_every_golden_file_has_a_case():
     expected = set()
-    for name, argv in CASES:
+    for name, argv, _ in CASES:
         expected.add(f"{name}.stdout")
         if "{csv}" in argv:
             expected.add(f"{name}.csv")
@@ -89,8 +142,8 @@ def regenerate() -> None:
     os.environ.pop(SEED_ENV_VAR, None)
     GOLDEN_DIR.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for name, argv in CASES:
-            for filename, data in run_case(name, argv, Path(tmp)).items():
+        for name, argv, code in CASES:
+            for filename, data in run_case(name, argv, code, Path(tmp)).items():
                 (GOLDEN_DIR / filename).write_bytes(data)
                 print(f"wrote {GOLDEN_DIR / filename}", file=sys.stderr)
 

@@ -6,8 +6,19 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from contextuality_lab.constraints import GHZ, PM, ObservableProduct, builtin_constraints
+from contextuality_lab.constraints import (
+    BELL_GHZ,
+    GHZ,
+    PM,
+    ConstraintLine,
+    ConstraintSet,
+    ObservableProduct,
+    PauliSymbol,
+    builtin_constraints,
+)
 from contextuality_lab.ga import Multivector, basis_vector
 from contextuality_lab.quantum import (
     I,
@@ -16,14 +27,24 @@ from contextuality_lab.quantum import (
     StateVector,
     alternating_ghz_state,
     anticommutator,
-    commutes,
+    apply_word,
     eigencheck,
     ghz_state,
     is_eigenstate,
-    observable_matrix,
     pauli,
+    pauli_word,
     singlet_correlation,
     verify_operator_identities,
+    word_product,
+    words_commute,
+)
+from quantum_oracle import (
+    apply,
+    commutes,
+    dense_eigencheck,
+    dense_verify_operator_identities,
+    observable_matrix,
+    word_matrix,
 )
 
 
@@ -100,6 +121,152 @@ class TestOperatorWords:
             ),
         )
         assert verify_operator_identities(flipped)[0] is False
+
+
+def observables(n):
+    """Products over a nonempty subset of subsystems 1..n, axes drawn freely."""
+    return st.lists(
+        st.tuples(st.integers(1, n), st.sampled_from("xyz")),
+        min_size=1,
+        max_size=n,
+        unique_by=lambda f: f[0],
+    ).map(lambda fs: ObservableProduct(tuple(PauliSymbol(s, a) for s, a in fs)))
+
+
+def words(n):
+    return st.tuples(st.integers(0, 3), st.integers(0, 2**n - 1), st.integers(0, 2**n - 1))
+
+
+def sized(*parts):
+    """Tuples (n, part(n), ...) for n = 1, 2, 3 subsystems."""
+    return st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), *(part(n) for part in parts)))
+
+
+# Lines of 1-5 terms over 1-3 subsystems; terms may repeat and may share a
+# subsystem across terms, such as [x1, y1], whose product is i z1.
+constraint_sets = st.integers(1, 3).flatmap(
+    lambda n: st.lists(
+        st.tuples(
+            st.lists(observables(n), min_size=1, max_size=5),
+            st.sampled_from((1, -1)),
+        ),
+        min_size=1,
+        max_size=4,
+    )
+).map(
+    lambda rows: ConstraintSet(
+        "random", tuple(ConstraintLine(tuple(terms), required) for terms, required in rows)
+    )
+)
+
+gaussian_integers = st.builds(GaussianRational.of, st.integers(-2, 2), st.integers(-2, 2))
+
+
+def state_from(amplitudes):
+    total = sum((a * a.conjugate() for a in amplitudes), GaussianRational.of(0))
+    return StateVector(tuple(amplitudes), total.real)
+
+
+class TestPauliWordOracle:
+    """The Pauli-word kernel reaches the dense Kronecker oracle's verdicts."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(sized(observables))
+    def test_word_rebuilds_the_observable_matrix(self, case):
+        n, product = case
+        assert word_matrix(pauli_word(product, n), n) == observable_matrix(product, n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(sized(words, words))
+    def test_word_product_is_the_matrix_product(self, case):
+        n, a, b = case
+        assert word_matrix(word_product(a, b), n) == word_matrix(a, n) @ word_matrix(b, n)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sized(words))
+    def test_apply_word_is_the_matrix_column(self, case):
+        n, word = case
+        matrix = word_matrix(word, n)
+        for ket in range(2**n):
+            k, image = apply_word(word, ket)
+            column = [row[ket] for row in matrix.entries]
+            expected = [GaussianRational.of(0)] * 2**n
+            expected[image] = (GaussianRational.of(1), I, GaussianRational.of(-1), -I)[k]
+            assert column == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(constraint_sets)
+    def test_line_verdicts_equal_dense_words(self, cs):
+        assert verify_operator_identities(cs) == dense_verify_operator_identities(cs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(sized(observables, observables))
+    def test_commutation_agrees(self, case):
+        n, a, b = case
+        assert words_commute(pauli_word(a, n), pauli_word(b, n)) == commutes(
+            observable_matrix(a, n), observable_matrix(b, n)
+        )
+
+    @pytest.mark.parametrize(
+        "state", [ghz_state(), alternating_ghz_state()], ids=["ghz", "alternating"]
+    )
+    def test_eigencheck_agrees_on_the_featured_states(self, state):
+        for product in itertools.product(*[("", "x", "y", "z")] * 3):
+            label = "*".join(f"{a}{s}" for s, a in enumerate(product, start=1) if a)
+            if not label:
+                continue
+            term = ObservableProduct.parse(label)
+            for value in (1, -1):
+                assert eigencheck(state, term, value, 3) == dense_eigencheck(state, term, value, 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sized(
+            observables,
+            lambda n: st.lists(gaussian_integers, min_size=2**n, max_size=2**n),
+            lambda n: st.sampled_from((1, -1)),
+            lambda n: st.booleans(),
+        )
+    )
+    def test_eigencheck_agrees_on_integer_states(self, case):
+        n, product, amplitudes, value, project = case
+        if project:
+            # v + value M v is an eigenvector of M for value, or zero
+            image = apply(observable_matrix(product, n), tuple(amplitudes))
+            amplitudes = [a + b * value for a, b in zip(amplitudes, image)]
+        if not any(amplitudes):
+            return
+        state = state_from(amplitudes)
+        for eigenvalue in (1, -1):
+            assert eigencheck(state, product, eigenvalue, n) == (
+                dense_eigencheck(state, product, eigenvalue, n)
+            )
+        if project:
+            assert eigencheck(state, product, value, n)
+
+    @pytest.mark.parametrize("name", [PM, GHZ, BELL_GHZ])
+    def test_builtin_lines_agree(self, name):
+        cs = builtin_constraints(name)
+        n = cs.n_systems
+        assert verify_operator_identities(cs) == dense_verify_operator_identities(cs)
+        for line in cs.lines:
+            for ta, tb in itertools.combinations(line.terms, 2):
+                assert words_commute(pauli_word(ta, n), pauli_word(tb, n)) == commutes(
+                    observable_matrix(ta, n), observable_matrix(tb, n)
+                )
+
+    def test_shared_subsystem_line_leaves_i_z(self):
+        line = [ObservableProduct.parse("x1"), ObservableProduct.parse("y1")]
+        assert word_product(pauli_word(line[0], 1), pauli_word(line[1], 1)) == (1, 0, 1)
+        for required in (1, -1):
+            cs = ConstraintSet("xy", (ConstraintLine(tuple(line), required),))
+            assert verify_operator_identities(cs) == (False,)
+            assert dense_verify_operator_identities(cs) == (False,)
+
+    @pytest.mark.parametrize("build", [pauli_word, observable_matrix])
+    def test_system_beyond_n_rejected(self, build):
+        with pytest.raises(ValueError, match="observable x1\\*z3 needs 3 systems, have 2"):
+            build(ObservableProduct.parse("x1*z3"), 2)
 
 
 def blade_matrix(mask):
