@@ -17,19 +17,18 @@ e1-e3 plane is the pair (cos t, sin t), and the product of two of them is
 u(s)u(t) = cos(t - s) + sin(t - s) e13, whose scalar part is
 c1*c2 + s1*s2.  :func:`F` sums those scalar parts straight from the cosines
 and sines, in the same order and from the same ``math.cos``/``math.sin``
-values as the dense product, so each value is bit-identical to
-``abs(gamma_vector(CoplanarConfig.at(phi)).scalar_part())``.
-:class:`CoplanarConfig` and :func:`gamma_vector` keep the dense 8-blade
-float path, which the tests use as the oracle for the sweep.
+values as the dense 8-blade float product of the four directions, so each
+value is bit-identical to it; :func:`non_collinearity_witness` reads the
+same pairs.  The dense path is kept only as the test oracle for the sweep
+(``tests/sweep_oracle.py``).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
-from .ga import APPROX, DEFAULT_TOLERANCE, Multivector
+from .ga import DEFAULT_TOLERANCE, _Record
 from .quantum import singlet_correlation
 
 CLASSICAL_BOUND = 2.0
@@ -38,37 +37,7 @@ VECTOR_BOUND = 2.5
 CSV_HEADER = ("phi", "F", "qm_lhs", "classical_bound", "qm_bound")
 
 
-def _plane_vector(angle: float) -> Multivector:
-    """Unit vector e1*cos(angle) + e3*sin(angle) as a float multivector."""
-    return Multivector(
-        (0.0, math.cos(angle), 0.0, 0.0, math.sin(angle), 0.0, 0.0, 0.0), APPROX
-    )
-
-
-_FIRST_AXIS = _plane_vector(0.0)
 _FIRST_AXIS_PAIR = (math.cos(0.0), math.sin(0.0))
-
-
-@dataclass(frozen=True)
-class CoplanarConfig:
-    """The four coplanar directions for one sweep angle."""
-
-    phi: float
-    a: Multivector
-    b: Multivector
-    a_prime: Multivector
-    b_prime: Multivector
-
-    @classmethod
-    def at(cls, phi: float) -> "CoplanarConfig":
-        a = _plane_vector(phi)
-        return cls(
-            phi=phi,
-            a=a,
-            b=a,
-            a_prime=_plane_vector(2.0 * phi),
-            b_prime=_FIRST_AXIS,
-        )
 
 
 def classical_gamma_enumeration() -> tuple:
@@ -78,20 +47,6 @@ def classical_gamma_enumeration() -> tuple:
         gamma = a * b + a * bp + ap * b - ap * bp
         rows.append(((a, ap, b, bp), gamma))
     return tuple(rows)
-
-
-def gamma_vector(config: CoplanarConfig) -> Multivector:
-    """The vector-valued combination a*b + a*b' + a'*b - a'*b'.
-
-    All four summands are geometric products of in-plane unit vectors, so
-    the result is even: a scalar plus an e13 bivector component.
-    """
-    return (
-        config.a * config.b
-        + config.a * config.b_prime
-        + config.a_prime * config.b
-        - config.a_prime * config.b_prime
-    )
 
 
 def _plane_pairs(phi: float) -> tuple:
@@ -105,7 +60,7 @@ def F(phi: float) -> float:
     """Magnitude of the scalar part of the vector-valued combination.
 
     The scalar part of u(s)u(t) is c1*c2 + s1*s2; the four products are
-    summed in the order of :func:`gamma_vector`.
+    summed in the order of the combination a*b + a*b' + a'*b - a'*b'.
     """
     (c, s), (c2, s2), (cp, sp) = _plane_pairs(phi)
     ab = c * c + s * s
@@ -115,11 +70,13 @@ def F(phi: float) -> float:
     return abs(ab + abp + apb - apbp)
 
 
-@dataclass(frozen=True)
-class ScanResult:
-    argmax: float
-    maximum: float
-    steps: int
+class ScanResult(_Record):
+    __slots__ = ("argmax", "maximum", "steps")
+
+    def __init__(self, argmax: float, maximum: float, steps: int):
+        object.__setattr__(self, "argmax", argmax)
+        object.__setattr__(self, "maximum", maximum)
+        object.__setattr__(self, "steps", steps)
 
 
 def _grid(start: float, end: float, steps: int):
@@ -162,11 +119,15 @@ def quantum_lhs(phi: float) -> float:
 
 def non_collinearity_witness(phi: float, tolerance: float = DEFAULT_TOLERANCE) -> bool:
     """For interior angles, neither b + b' nor b - b' vanishes, which is
-    what blocks the factored scalar argument for the value 2 bound."""
-    config = CoplanarConfig.at(phi)
-    plus = config.b + config.b_prime
-    minus = config.b - config.b_prime
-    return not plus.is_zero(tolerance) and not minus.is_zero(tolerance)
+    what blocks the factored scalar argument for the value 2 bound.
+
+    A sum vanishes when both its (cos, sin) components are within
+    ``tolerance`` of zero; the other blades of the two vectors are zero.
+    """
+    (c, s), _, (cp, sp) = _plane_pairs(phi)
+    plus_zero = abs(c + cp) <= tolerance and abs(s + sp) <= tolerance
+    minus_zero = abs(c - cp) <= tolerance and abs(s - sp) <= tolerance
+    return not plus_zero and not minus_zero
 
 
 def csv_rows(start: float, end: float, steps: int):

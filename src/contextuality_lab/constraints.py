@@ -24,11 +24,11 @@ line lands exactly on its required sign.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 from . import systems
+from .ga import _Record
 from .systems import TensorMultivector, identify_pseudoscalars
 
 AXES = ("x", "y", "z")
@@ -39,38 +39,39 @@ GHZ = "ghz"
 BELL_GHZ = "bell_ghz"
 
 
-@dataclass(frozen=True, order=True)
-class PauliSymbol:
+class PauliSymbol(_Record):
     """One elementary spin symbol: a subsystem index and a measurement axis."""
 
-    system: int
-    axis: str
+    __slots__ = ("system", "axis")
 
-    def __post_init__(self):
-        if self.axis not in AXES:
-            raise ValueError(f"axis {self.axis!r} not one of x, y, z")
-        if not 1 <= self.system <= systems.MAX_SYSTEMS:
-            raise ValueError(f"system index {self.system} out of range")
+    def __init__(self, system: int, axis: str):
+        if axis not in AXES:
+            raise ValueError(f"axis {axis!r} not one of x, y, z")
+        if not 1 <= system <= systems.MAX_SYSTEMS:
+            raise ValueError(f"system index {system} out of range")
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "axis", axis)
 
     @property
     def label(self) -> str:
         return f"{self.axis}{self.system}"
 
 
-@dataclass(frozen=True)
-class ObservableProduct:
+class ObservableProduct(_Record):
     """An ordered product of elementary symbols, one per distinct subsystem."""
 
-    factors: tuple
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
+    def __init__(self, factors: tuple):
         seen = set()
-        for factor in self.factors:
+        for factor in factors:
             if factor.system in seen:
-                raise ValueError(f"repeated subsystem in observable {self.factors!r}")
+                label = "*".join(f.label for f in factors)
+                raise ValueError(f"repeated subsystem in observable {label}")
             seen.add(factor.system)
-        if not self.factors:
+        if not factors:
             raise ValueError("an observable needs at least one factor")
+        object.__setattr__(self, "factors", factors)
 
     @classmethod
     def parse(cls, label: str) -> "ObservableProduct":
@@ -90,28 +91,28 @@ class ObservableProduct:
         return self.label
 
 
-@dataclass(frozen=True)
-class ConstraintLine:
+class ConstraintLine(_Record):
     """One product equation: the terms' values must multiply to ``required``."""
 
-    terms: tuple
-    required: int
+    __slots__ = ("terms", "required")
 
-    def __post_init__(self):
-        if not self.terms:
+    def __init__(self, terms: tuple, required: int):
+        if not terms:
             raise ValueError("a constraint line needs at least one term")
-        if self.required not in (1, -1):
+        if required not in (1, -1):
             raise ValueError("required sign must be +1 or -1")
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "required", required)
 
 
-@dataclass(frozen=True)
-class ConstraintSet:
-    name: str
-    lines: tuple
+class ConstraintSet(_Record):
+    __slots__ = ("name", "lines")
 
-    def __post_init__(self):
-        if not self.lines:
+    def __init__(self, name: str, lines: tuple):
+        if not lines:
             raise ValueError("a constraint set needs at least one line")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "lines", lines)
 
     @property
     def observables(self) -> tuple:
@@ -171,49 +172,44 @@ def _lines(name: str, rows: Iterable[tuple]) -> ConstraintSet:
     )
 
 
+#: The built-in line systems as (term labels, required sign) rows; they are
+#: parsed only when a system is built.
+_BUILTIN_ROWS = {
+    PM: (
+        (("x1*x2", "x1", "x2"), 1),
+        (("y1*y2", "y1", "y2"), 1),
+        (("x1*y2", "x1", "y2"), 1),
+        (("y1*x2", "y1", "x2"), 1),
+        (("x1*y2", "y1*x2", "z1*z2"), 1),
+        (("x1*x2", "y1*y2", "z1*z2"), -1),
+    ),
+    GHZ: (
+        (("x1*y2*y3", "x1", "y2", "y3"), 1),
+        (("y1*x2*y3", "y1", "x2", "y3"), 1),
+        (("y1*y2*x3", "y1", "y2", "x3"), 1),
+        (("x1*x2*x3", "x1", "x2", "x3"), 1),
+        (("x1*x2*x3", "x1*y2*y3", "y1*x2*y3", "y1*y2*x3"), -1),
+    ),
+    BELL_GHZ: (
+        (("x1", "y2", "y3"), 1),
+        (("y1", "x2", "y3"), 1),
+        (("y1", "y2", "x3"), 1),
+        (("x1", "x2", "x3"), -1),
+    ),
+}
+
+
 def builtin_constraints(name: str) -> ConstraintSet:
     """The built-in line systems ``pm``, ``ghz`` and ``bell_ghz``."""
-    if name == PM:
-        return _lines(
-            PM,
-            [
-                (("x1*x2", "x1", "x2"), 1),
-                (("y1*y2", "y1", "y2"), 1),
-                (("x1*y2", "x1", "y2"), 1),
-                (("y1*x2", "y1", "x2"), 1),
-                (("x1*y2", "y1*x2", "z1*z2"), 1),
-                (("x1*x2", "y1*y2", "z1*z2"), -1),
-            ],
-        )
-    if name == GHZ:
-        return _lines(
-            GHZ,
-            [
-                (("x1*y2*y3", "x1", "y2", "y3"), 1),
-                (("y1*x2*y3", "y1", "x2", "y3"), 1),
-                (("y1*y2*x3", "y1", "y2", "x3"), 1),
-                (("x1*x2*x3", "x1", "x2", "x3"), 1),
-                (("x1*x2*x3", "x1*y2*y3", "y1*x2*y3", "y1*y2*x3"), -1),
-            ],
-        )
-    if name == BELL_GHZ:
-        return _lines(
-            BELL_GHZ,
-            [
-                (("x1", "y2", "y3"), 1),
-                (("y1", "x2", "y3"), 1),
-                (("y1", "y2", "x3"), 1),
-                (("x1", "x2", "x3"), -1),
-            ],
-        )
-    raise ValueError(f"unknown constraint system {name!r}")
+    if name not in _BUILTIN_ROWS:
+        raise ValueError(f"unknown constraint system {name!r}")
+    return _lines(name, _BUILTIN_ROWS[name])
 
 
 # -- scalar evaluator -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ParityWitness:
+class ParityWitness(_Record):
     """Forced sign of the product of all line left sides vs right sides.
 
     ``lhs_product`` is +1 when every observable occurs an even number of
@@ -222,15 +218,20 @@ class ParityWitness:
     ``rhs_product`` multiplies the required signs.
     """
 
-    lhs_product: int | None
-    rhs_product: int
+    __slots__ = ("lhs_product", "rhs_product")
+
+    def __init__(self, lhs_product: int | None, rhs_product: int):
+        object.__setattr__(self, "lhs_product", lhs_product)
+        object.__setattr__(self, "rhs_product", rhs_product)
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
-    total: int
-    satisfying_count: int
-    parity_witness: ParityWitness
+class EnumerationResult(_Record):
+    __slots__ = ("total", "satisfying_count", "parity_witness")
+
+    def __init__(self, total: int, satisfying_count: int, parity_witness: ParityWitness):
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "satisfying_count", satisfying_count)
+        object.__setattr__(self, "parity_witness", parity_witness)
 
 
 def parity_witness(cs: ConstraintSet) -> ParityWitness:
@@ -277,8 +278,7 @@ def enumerate_scalar_assignments(cs: ConstraintSet) -> EnumerationResult:
 # -- vector evaluator -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VectorAssignment:
+class VectorAssignment(_Record):
     """A sign for each elementary symbol's canonical basis vector.
 
     The symbol of axis a in subsystem s takes the value
@@ -287,12 +287,13 @@ class VectorAssignment:
     them.
     """
 
-    signs: Mapping[PauliSymbol, int]
+    __slots__ = ("signs",)
 
-    def __post_init__(self):
-        for symbol, sign in self.signs.items():
+    def __init__(self, signs: Mapping[PauliSymbol, int]):
+        for symbol, sign in signs.items():
             if sign not in (1, -1):
                 raise ValueError(f"sign for {symbol.label} must be +1 or -1")
+        object.__setattr__(self, "signs", signs)
 
     @classmethod
     def all_positive(cls, n_systems: int) -> "VectorAssignment":
@@ -343,11 +344,13 @@ class VectorAssignment:
         return systems.word((self.symbol_value(f, n) for f in term.factors), n)
 
 
-@dataclass(frozen=True)
-class LineEvaluation:
-    line: ConstraintLine
-    word: TensorMultivector
-    value: Fraction
+class LineEvaluation(_Record):
+    __slots__ = ("line", "word", "value")
+
+    def __init__(self, line: ConstraintLine, word: TensorMultivector, value: Fraction):
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "value", value)
 
     @property
     def matches_required(self) -> bool:
@@ -356,8 +359,10 @@ class LineEvaluation:
 
 def has_vector_model(cs: ConstraintSet) -> bool:
     """True when the lines are the built-in pm or ghz lines: the same terms
-    in the same order with the same required signs, whatever the name."""
-    return any(cs.lines == builtin_constraints(name).lines for name in (PM, GHZ))
+    in the same order with the same required signs, whatever the name.  The
+    lines are compared by their term labels, so nothing is parsed."""
+    rows = tuple((tuple(t.label for t in line.terms), line.required) for line in cs.lines)
+    return rows == _BUILTIN_ROWS[PM] or rows == _BUILTIN_ROWS[GHZ]
 
 
 def evaluate_vector_model(cs: ConstraintSet, assignment: VectorAssignment) -> tuple:
@@ -385,17 +390,23 @@ def evaluate_vector_model(cs: ConstraintSet, assignment: VectorAssignment) -> tu
 # -- non-contextuality audit ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ObservableAudit:
-    observable: ObservableProduct
-    value: str
-    occurrences: tuple
-    single_valued: bool
+class ObservableAudit(_Record):
+    __slots__ = ("observable", "value", "occurrences", "single_valued")
+
+    def __init__(
+        self, observable: ObservableProduct, value: str, occurrences: tuple, single_valued: bool
+    ):
+        object.__setattr__(self, "observable", observable)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "occurrences", occurrences)
+        object.__setattr__(self, "single_valued", single_valued)
 
 
-@dataclass(frozen=True)
-class AuditReport:
-    entries: tuple
+class AuditReport(_Record):
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple):
+        object.__setattr__(self, "entries", entries)
 
     @property
     def all_single_valued(self) -> bool:

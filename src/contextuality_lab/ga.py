@@ -23,8 +23,8 @@ is a pure function.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from random import Random
 from typing import Union
 
@@ -92,18 +92,58 @@ def _coerce(value, mode: str) -> Coefficient:
     return float(value)
 
 
-@dataclass(frozen=True, slots=True)
-class Multivector:
+class _Record:
+    """Base of the package's immutable value records.
+
+    A subclass lists its fields in ``__slots__`` and writes them in its own
+    ``__init__`` with ``object.__setattr__``.  From the slots the base derives
+    equality (with records of the same class only), a hash over the fields, a
+    ``Name(field=value, ...)`` repr and pickling; assigning or deleting a
+    field raises ``AttributeError``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        get = attrgetter(*cls.__slots__)
+        # the field values as a tuple, for one field as for several
+        cls._values = staticmethod(get if len(cls.__slots__) > 1 else lambda r: (get(r),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values(self)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Multivector(_Record):
     """A dense multivector: one coefficient per canonical blade."""
 
-    coeffs: tuple
-    mode: str
+    __slots__ = ("coeffs", "mode")
 
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown coefficient mode {self.mode!r}")
-        if len(self.coeffs) != BLADE_COUNT:
+    def __init__(self, coeffs: tuple, mode: str):
+        if mode not in MODES:
+            raise ValueError(f"unknown coefficient mode {mode!r}")
+        if len(coeffs) != BLADE_COUNT:
             raise ValueError("a multivector carries exactly 8 blade coefficients")
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "mode", mode)
 
     # -- constructors -------------------------------------------------
 

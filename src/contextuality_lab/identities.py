@@ -26,26 +26,25 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 
 from .constraints import AXIS_INDEX, ObservableProduct, VectorAssignment
-from .ga import BLADE_COUNT, CAYLEY, EXACT, Multivector, basis_vector
+from .ga import BLADE_COUNT, CAYLEY, EXACT, Multivector, _Record, basis_vector
 
 IN_PLANE_AXES = (1, 2)
 
 
-@dataclass(frozen=True, order=True)
-class SignedAxisVector:
+class SignedAxisVector(_Record):
     """A signed in-plane basis vector of the shared copy, e.g. ``-e1``."""
 
-    sign: int
-    axis: int
+    __slots__ = ("sign", "axis")
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
+    def __init__(self, sign: int, axis: int):
+        if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        if self.axis not in IN_PLANE_AXES:
-            raise ValueError(f"axis {self.axis} outside the identified plane")
+        if axis not in IN_PLANE_AXES:
+            raise ValueError(f"axis {axis} outside the identified plane")
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "axis", axis)
 
     @classmethod
     def parse(cls, label: str) -> "SignedAxisVector":
@@ -72,24 +71,30 @@ class SignedAxisVector:
         return self.label
 
 
-@dataclass(frozen=True)
-class IdentityMap:
+class IdentityMap(_Record):
     """Signed-permutation images of the f and g in-plane generators.
 
     Per subsystem the two images use distinct axes, so each substitution is
     an orthonormality-preserving signed permutation of the plane.
     """
 
-    f1: SignedAxisVector
-    f2: SignedAxisVector
-    g1: SignedAxisVector
-    g2: SignedAxisVector
+    __slots__ = ("f1", "f2", "g1", "g2")
 
-    def __post_init__(self):
-        if self.f1.axis == self.f2.axis:
+    def __init__(
+        self,
+        f1: SignedAxisVector,
+        f2: SignedAxisVector,
+        g1: SignedAxisVector,
+        g2: SignedAxisVector,
+    ):
+        if f1.axis == f2.axis:
             raise ValueError("f images must use distinct axes")
-        if self.g1.axis == self.g2.axis:
+        if g1.axis == g2.axis:
             raise ValueError("g images must use distinct axes")
+        object.__setattr__(self, "f1", f1)
+        object.__setattr__(self, "f2", f2)
+        object.__setattr__(self, "g1", g1)
+        object.__setattr__(self, "g2", g2)
 
     @classmethod
     def parse(cls, mapping: dict) -> "IdentityMap":
@@ -213,12 +218,14 @@ def substitute_and_reduce(
     return _signed_blade(*_reduce_line(imap, line, signs))
 
 
-@dataclass(frozen=True)
-class ColumnResult:
+class ColumnResult(_Record):
     """The four reduced line values, in (xyy, yxy, yyx, xxx) order."""
 
-    entries: tuple
-    product: Multivector
+    __slots__ = ("entries", "product")
+
+    def __init__(self, entries: tuple, product: Multivector):
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "product", product)
 
     def labels(self) -> tuple:
         return tuple(str(entry) for entry in self.entries)
@@ -273,8 +280,7 @@ def check_a3_incompatibility(i: int, j: int) -> Multivector:
 # -- orientation reading ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrientationReading:
+class OrientationReading(_Record):
     """The three subsystems' plane orientations induced by a map.
 
     Reading rule: subsystem 1 is assigned the orientation e1*e2.  Walking
@@ -285,7 +291,10 @@ class OrientationReading:
     of g1*g2 in axis order.
     """
 
-    orientations: tuple
+    __slots__ = ("orientations",)
+
+    def __init__(self, orientations: tuple):
+        object.__setattr__(self, "orientations", orientations)
 
     def identical(self, a: int, b: int) -> bool:
         return self.orientations[a - 1] == self.orientations[b - 1]

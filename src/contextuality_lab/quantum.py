@@ -25,19 +25,20 @@ takes arbitrary real unit vectors; it exists to cross-check the sweep in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .constraints import ObservableProduct
-from .ga import EXACT, _coerce
+from .ga import EXACT, _coerce, _Record
 
 
-@dataclass(frozen=True)
-class GaussianRational:
+class GaussianRational(_Record):
     """A complex number with exact rational real and imaginary parts."""
 
-    real: int | Fraction
-    imag: int | Fraction
+    __slots__ = ("real", "imag")
+
+    def __init__(self, real: int | Fraction, imag: int | Fraction):
+        object.__setattr__(self, "real", real)
+        object.__setattr__(self, "imag", imag)
 
     @classmethod
     def of(cls, real=0, imag=0) -> "GaussianRational":
@@ -79,16 +80,16 @@ ONE = GaussianRational.of(1)
 I = GaussianRational.of(0, 1)
 
 
-@dataclass(frozen=True)
-class ComplexMatrix:
+class ComplexMatrix(_Record):
     """A square matrix over the Gaussian rationals."""
 
-    entries: tuple
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        size = len(self.entries)
-        if any(len(row) != size for row in self.entries):
+    def __init__(self, entries: tuple):
+        size = len(entries)
+        if any(len(row) != size for row in entries):
             raise ValueError("matrix must be square")
+        object.__setattr__(self, "entries", entries)
 
     @property
     def dim(self) -> int:
@@ -228,20 +229,20 @@ def verify_operator_identities(cs) -> tuple:
 # -- states ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StateVector:
+class StateVector(_Record):
     """Amplitudes scaled by 1/sqrt(norm2): the stored squared norm of the
     amplitude tuple must equal ``norm2``, so the physical norm is exactly 1."""
 
-    amplitudes: tuple
-    norm2: int
+    __slots__ = ("amplitudes", "norm2")
 
-    def __post_init__(self):
+    def __init__(self, amplitudes: tuple, norm2: int):
         total = sum(
-            (a * a.conjugate() for a in self.amplitudes), ZERO
+            (a * a.conjugate() for a in amplitudes), ZERO
         )
-        if total != GaussianRational.of(self.norm2):
+        if total != GaussianRational.of(norm2):
             raise ValueError("squared amplitude sum does not match norm2")
+        object.__setattr__(self, "amplitudes", amplitudes)
+        object.__setattr__(self, "norm2", norm2)
 
     @property
     def dim(self) -> int:

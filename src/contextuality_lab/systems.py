@@ -21,7 +21,6 @@ are safe to share between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -32,6 +31,7 @@ from .ga import (
     EXACT,
     Coefficient,
     Multivector,
+    _Record,
     _coerce,
     _zero,
 )
@@ -46,24 +46,23 @@ def _scalar_key(n: int) -> BladeTuple:
     return (0,) * n
 
 
-@dataclass(frozen=True)
-class TensorMultivector:
+class TensorMultivector(_Record):
     """Sparse element of the joint algebra: blade-mask tuples to coefficients."""
 
-    n: int
-    coeffs: Mapping[BladeTuple, Coefficient]
-    mode: str
+    __slots__ = ("n", "coeffs", "mode")
 
-    def __post_init__(self):
-        if not 1 <= self.n <= MAX_SYSTEMS:
-            raise ValueError(f"system count {self.n} out of range 1..{MAX_SYSTEMS}")
+    def __init__(self, n: int, coeffs: Mapping[BladeTuple, Coefficient], mode: str):
+        if not 1 <= n <= MAX_SYSTEMS:
+            raise ValueError(f"system count {n} out of range 1..{MAX_SYSTEMS}")
         cleaned = {}
-        for key, value in self.coeffs.items():
-            if len(key) != self.n or any(not 0 <= m < 8 for m in key):
-                raise ValueError(f"bad blade tuple {key!r} for {self.n} systems")
+        for key, value in coeffs.items():
+            if len(key) != n or any(not 0 <= m < 8 for m in key):
+                raise ValueError(f"bad blade tuple {key!r} for {n} systems")
             if value:
                 cleaned[key] = value
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "coeffs", cleaned)
+        object.__setattr__(self, "mode", mode)
 
     # -- constructors ---------------------------------------------------
 

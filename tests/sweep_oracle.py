@@ -3,11 +3,70 @@
 The library evaluates the sweep on the even subalgebra span{1, e13} and
 forms only the singlet-support entries of the spin Kronecker product.  The
 helpers here take the long way round: dense 8-blade float multivectors for
-F, and the full 16-entry Kronecker product for the singlet correlation.
-Both are meant to agree with the library bit for bit, not approximately.
+F and the non-collinearity witness, and the full 16-entry Kronecker product
+for the singlet correlation.  They are meant to agree with the library bit
+for bit, not approximately.
 """
 
-from contextuality_lab.chsh import CoplanarConfig, gamma_vector
+import math
+from dataclasses import dataclass
+
+from contextuality_lab.ga import APPROX, DEFAULT_TOLERANCE, Multivector
+
+
+def _plane_vector(angle):
+    """Unit vector e1*cos(angle) + e3*sin(angle) as a float multivector."""
+    return Multivector(
+        (0.0, math.cos(angle), 0.0, 0.0, math.sin(angle), 0.0, 0.0, 0.0), APPROX
+    )
+
+
+_FIRST_AXIS = _plane_vector(0.0)
+
+
+@dataclass(frozen=True)
+class CoplanarConfig:
+    """The four coplanar directions for one sweep angle."""
+
+    phi: float
+    a: Multivector
+    b: Multivector
+    a_prime: Multivector
+    b_prime: Multivector
+
+    @classmethod
+    def at(cls, phi):
+        a = _plane_vector(phi)
+        return cls(
+            phi=phi,
+            a=a,
+            b=a,
+            a_prime=_plane_vector(2.0 * phi),
+            b_prime=_FIRST_AXIS,
+        )
+
+
+def gamma_vector(config):
+    """The vector-valued combination a*b + a*b' + a'*b - a'*b'.
+
+    All four summands are geometric products of in-plane unit vectors, so
+    the result is even: a scalar plus an e13 bivector component.
+    """
+    return (
+        config.a * config.b
+        + config.a * config.b_prime
+        + config.a_prime * config.b
+        - config.a_prime * config.b_prime
+    )
+
+
+def dense_non_collinearity_witness(phi, tolerance=DEFAULT_TOLERANCE):
+    """Neither b + b' nor b - b' is zero, read on dense multivectors."""
+    config = CoplanarConfig.at(phi)
+    plus = config.b + config.b_prime
+    minus = config.b - config.b_prime
+    return not plus.is_zero(tolerance) and not minus.is_zero(tolerance)
+
 
 #: Singlet amplitudes over the basis ++, +-, -+, --, times sqrt(2).
 SINGLET = (0, 1, -1, 0)

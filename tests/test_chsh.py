@@ -3,24 +3,30 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contextuality_lab import quantum
 from contextuality_lab.chsh import (
     CLASSICAL_BOUND,
     VECTOR_BOUND,
-    CoplanarConfig,
     classical_gamma_enumeration,
     csv_rows,
-    gamma_vector,
     F,
     non_collinearity_witness,
     quantum_lhs,
     scan_F,
 )
 from contextuality_lab.ga import APPROX, Multivector
-from sweep_oracle import components, dense_F, dense_quantum_lhs, kron_singlet_correlation
+from sweep_oracle import (
+    CoplanarConfig,
+    components,
+    dense_F,
+    dense_non_collinearity_witness,
+    dense_quantum_lhs,
+    gamma_vector,
+    kron_singlet_correlation,
+)
 
 TOL = 1e-12
 
@@ -213,6 +219,21 @@ class TestDenseOracle:
     @given(angles)
     def test_quantum_lhs_is_bit_identical_to_dense_reference(self, phi):
         assert quantum_lhs(phi) == dense_quantum_lhs(phi)
+
+    @settings(max_examples=500, deadline=None)
+    @given(angles, st.sampled_from((1e-12, 1e-6, 0.1)))
+    @example(0.0, 1e-12)
+    @example(math.pi, 1e-12)
+    @example(math.pi, 0.1)
+    def test_non_collinearity_witness_equals_dense_witness(self, phi, tolerance):
+        assert non_collinearity_witness(phi) == dense_non_collinearity_witness(phi)
+        assert non_collinearity_witness(phi, tolerance) == dense_non_collinearity_witness(
+            phi, tolerance
+        )
+
+    def test_non_collinearity_fails_at_both_ends(self):
+        assert not non_collinearity_witness(0.0)
+        assert not non_collinearity_witness(math.pi)
 
     @pytest.mark.parametrize(
         "a,b", [((1.0, 0.0, 0.1), (1.0, 0.0, 0.0)), ((0.0, 1.0, 0.0), (0.5, 0.5, 0.5))]

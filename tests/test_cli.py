@@ -237,6 +237,17 @@ class TestVerify:
             ["verify", "pm", "--constraints", str(path)], capsys, fragment
         )
 
+    def test_repeated_subsystem_is_named_by_labels(self, tmp_path, capsys):
+        path = tmp_path / "repeated.json"
+        path.write_text(json.dumps({"name": "pm", "lines": [{"terms": ["x1*y1"], "required": 1}]}))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "pm", "--constraints", str(path)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert "repeated subsystem in observable x1*y1" in err
+        assert "PauliSymbol(" not in err and "Traceback" not in err
+
     def test_non_integer_seed_env_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("CONTEXTUALITY_LAB_SEED", "seven")
         self.assert_usage_error(["verify", "a3"], capsys, "CONTEXTUALITY_LAB_SEED")
@@ -435,9 +446,11 @@ def test_console_entry_point_runs():
 
 
 def test_import_needs_no_numeric_library():
+    # dataclasses (and the inspect it pulls in) would cost the import more
+    # than a constraint-file verdict takes
     probe = (
-        "import sys, contextuality_lab, contextuality_lab.cli; "
-        "print(sorted(m for m in ('numpy', 'sympy') if m in sys.modules))"
+        "import sys, contextuality_lab, contextuality_lab.cli; print(sorted(m for m in "
+        "('numpy', 'sympy', 'dataclasses', 'inspect') if m in sys.modules))"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True

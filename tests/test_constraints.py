@@ -402,6 +402,20 @@ class TestVectorModel:
             with pytest.raises(ValueError):
                 evaluate_vector_model(other, assignment)
 
+    def test_vector_model_check_parses_nothing(self, monkeypatch):
+        documents = [builtin_constraints(name) for name in (PM, GHZ, BELL_GHZ)]
+        documents.append(ConstraintSet("mine", documents[0].lines))
+        parsed = []
+        parse = ObservableProduct.parse
+
+        def counted(label):
+            parsed.append(label)
+            return parse(label)
+
+        monkeypatch.setattr(ObservableProduct, "parse", staticmethod(counted))
+        assert [has_vector_model(cs) for cs in documents] == [True, True, False, True]
+        assert parsed == []
+
     def test_unassigned_symbol_rejected(self):
         cs = builtin_constraints(PM)
         partial = VectorAssignment({PauliSymbol(1, "x"): 1})

@@ -1,0 +1,121 @@
+"""The value-record contract shared by the library's immutable classes."""
+
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from contextuality_lab.chsh import ScanResult
+from contextuality_lab.constraints import (
+    AuditReport,
+    ConstraintLine,
+    ConstraintSet,
+    EnumerationResult,
+    LineEvaluation,
+    ObservableAudit,
+    ObservableProduct,
+    ParityWitness,
+    PauliSymbol,
+    VectorAssignment,
+)
+from contextuality_lab.ga import EXACT, Multivector, basis_vector, pseudoscalar
+from contextuality_lab.identities import (
+    ColumnResult,
+    IdentityMap,
+    OrientationReading,
+    SignedAxisVector,
+)
+from contextuality_lab.quantum import ONE, ZERO, ComplexMatrix, GaussianRational, StateVector
+from contextuality_lab.systems import TensorMultivector
+
+
+def _line():
+    return ConstraintLine((ObservableProduct.parse("x1"), ObservableProduct.parse("y2")), 1)
+
+
+#: (class, field names in order, factory of the field values); each call of
+#: a factory builds new objects with equal values.
+RECORDS = [
+    (Multivector, ("coeffs", "mode"), lambda: ((1, 0, 0, 0, 0, 0, 0, 2), EXACT)),
+    (TensorMultivector, ("n", "coeffs", "mode"), lambda: (2, {(1, 0): 1, (0, 6): -1}, EXACT)),
+    (PauliSymbol, ("system", "axis"), lambda: (1, "x")),
+    (ObservableProduct, ("factors",), lambda: ((PauliSymbol(1, "x"), PauliSymbol(2, "y")),)),
+    (ConstraintLine, ("terms", "required"), lambda: (_line().terms, -1)),
+    (ConstraintSet, ("name", "lines"), lambda: ("mine", (_line(),))),
+    (ParityWitness, ("lhs_product", "rhs_product"), lambda: (None, -1)),
+    (
+        EnumerationResult,
+        ("total", "satisfying_count", "parity_witness"),
+        lambda: (8, 0, ParityWitness(1, -1)),
+    ),
+    (VectorAssignment, ("signs",), lambda: ({PauliSymbol(1, "x"): 1, PauliSymbol(2, "z"): -1},)),
+    (
+        LineEvaluation,
+        ("line", "word", "value"),
+        lambda: (_line(), TensorMultivector.scalar(1, 2), Fraction(1)),
+    ),
+    (
+        ObservableAudit,
+        ("observable", "value", "occurrences", "single_valued"),
+        lambda: (ObservableProduct.parse("x1*y2"), "e1*f2", ((2, 0), (4, 0)), True),
+    ),
+    (
+        AuditReport,
+        ("entries",),
+        lambda: ((ObservableAudit(ObservableProduct.parse("x1"), "e1", ((0, 1),), True),),),
+    ),
+    (GaussianRational, ("real", "imag"), lambda: (1, Fraction(1, 2))),
+    (ComplexMatrix, ("entries",), lambda: (((ONE, ZERO), (ZERO, ONE)),)),
+    (StateVector, ("amplitudes", "norm2"), lambda: ((ONE, ZERO), 1)),
+    (SignedAxisVector, ("sign", "axis"), lambda: (-1, 2)),
+    (
+        IdentityMap,
+        ("f1", "f2", "g1", "g2"),
+        lambda: (
+            SignedAxisVector(1, 1),
+            SignedAxisVector(1, 2),
+            SignedAxisVector(-1, 2),
+            SignedAxisVector(1, 1),
+        ),
+    ),
+    (ColumnResult, ("entries", "product"), lambda: ((basis_vector(1),) * 4, pseudoscalar())),
+    (
+        OrientationReading,
+        ("orientations",),
+        lambda: ((basis_vector(1) * basis_vector(2),) * 3,),
+    ),
+    (ScanResult, ("argmax", "maximum", "steps"), lambda: (1.0, 2.5, 3)),
+]
+
+#: Records that render themselves instead of listing their fields.
+OWN_REPR = (Multivector, TensorMultivector)
+#: Records holding a dict, which cannot be hashed.
+UNHASHABLE = (VectorAssignment,)
+
+
+@pytest.mark.parametrize("cls,names,values", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_record_contract(cls, names, values):
+    record, twin = cls(*values()), cls(*values())
+    assert record == twin and not record != twin
+    assert cls(**dict(zip(names, values()))) == record
+    if cls in UNHASHABLE:
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == hash(twin)
+    fields = tuple(getattr(record, name) for name in names)
+    assert record != fields and fields != record
+    assert pickle.loads(pickle.dumps(record)) == record
+    if cls not in OWN_REPR:
+        listed = ", ".join(f"{name}={value!r}" for name, value in zip(names, fields))
+        assert repr(record) == f"{cls.__name__}({listed})"
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert tuple(getattr(record, name) for name in names) == fields
+
+
+def test_pauli_symbol_repr():
+    assert repr(PauliSymbol(1, "x")) == "PauliSymbol(system=1, axis='x')"
