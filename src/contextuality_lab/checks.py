@@ -1,0 +1,536 @@
+"""The claims that ``verify`` decides, as tables of ``(id, claim, compute)`` rows.
+
+``compute(ctx)`` returns ``(ok, witness)`` for one run's :class:`Context`.  A
+suite maps the context to its rows, and :data:`SUITES` lists them in the order
+``verify all`` runs them.  Each ``ga.*`` and ``systems.*`` axiom check lists
+cases of words ``(factors, expected)``; one loop, :class:`Words`, decides them
+all, and a witness count is the number of cases.  Library functions are looked
+up on their modules at call time, so a wrapper installed there sees each call.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+import operator
+from functools import partial, reduce
+from random import Random
+
+from . import constraints, identities, quantum, systems
+from .constraints import GHZ, PM, ObservableProduct, builtin_constraints
+from .ga import (
+    APPROX,
+    BLADE_COUNT,
+    Multivector,
+    _Record,
+    basis_vector,
+    pseudoscalar,
+    random_multivector,
+)
+from .identities import NEGATED_F1_MAP, UNIFORM_MAP, SignedAxisVector
+
+AXES = (1, 2, 3)
+#: Ordered pairs and permutations of distinct axes, in lexicographic order.
+PAIRS = tuple(itertools.permutations(AXES, 2))
+PERMUTATIONS = tuple(itertools.permutations(AXES))
+SAMPLES = 200
+MINUS_ONE = Multivector.scalar(-1)
+
+
+class Context(_Record):
+    """One run: the coefficient mode of the ``ga.*`` words, the seed and the
+    constraint document (``None`` for the built-in lines)."""
+
+    __slots__ = ("mode", "seed", "document")
+
+    def __init__(self, mode: str, seed: int, document=None):
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "document", document)
+
+
+def run(rows, ctx: Context) -> list:
+    """Report entries for the rows, in order."""
+    entries = []
+    for check_id, claim, compute in rows:
+        ok, witness = compute(ctx)
+        status = "pass" if ok else "fail"
+        entries.append({"id": check_id, "claim": claim, "status": status, "witness": witness})
+    return entries
+
+
+def _given(ok: bool, witness):
+    """The compute of a row whose verdict was decided with its whole family."""
+    return lambda ctx: (ok, witness)
+
+
+# -- the algebra axioms: one loop over (factors, expected) words ---------------
+
+
+class Words:
+    """Compute of an axiom check: every word of every case holds.
+
+    ``cases(ctx)`` lists the cases.  A string ``witness`` names the case count;
+    otherwise ``witness(ctx, cases, values)`` builds the witness from the cases
+    and the word values.  With ``identify`` each product is first reduced by
+    ``systems.identify_pseudoscalars``.
+    """
+
+    __slots__ = ("cases", "witness", "identify")
+
+    def __init__(self, cases, witness, identify: bool = False):
+        self.cases = cases
+        self.witness = witness
+        self.identify = identify
+
+    def __call__(self, ctx: Context):
+        cases = self.cases(ctx)
+        ok, values = True, []
+        for case in cases:
+            for factors, expected in case:
+                value = reduce(operator.mul, factors)
+                if self.identify:
+                    value = systems.identify_pseudoscalars(value)
+                ok = ok and (value.equals(expected) if value.mode == APPROX else value == expected)
+                values.append(value)
+        if isinstance(self.witness, str):
+            return ok, {self.witness: len(cases)}
+        return ok, self.witness(ctx, cases, values)
+
+
+def _ga(witness, build):
+    """Words built by ``build(e, one, minus_one)`` from the basis vectors
+    ``e[1..3]`` and the scalars of the run's mode."""
+
+    def cases(ctx):
+        e = (None, *(basis_vector(i, ctx.mode) for i in AXES))
+        return build(e, Multivector.scalar(1, ctx.mode), Multivector.scalar(-1, ctx.mode))
+
+    return Words(cases, witness)
+
+
+def _sampled(offset: int, word):
+    """``word(a, b, c)`` on seeded random triples; the witness names the seed."""
+
+    def cases(ctx):
+        rng = Random(ctx.seed + offset)
+        triples = [[random_multivector(rng, ctx.mode) for _ in range(3)] for _ in range(SAMPLES)]
+        return [[word(a, b, c)] for a, b, c in triples]
+
+    return Words(
+        cases, lambda ctx, cases, values: {"samples": len(cases), "seed": ctx.seed + offset}
+    )
+
+
+def _pseudoscalar(e, one, minus_one):
+    t = pseudoscalar(one.mode)
+    return [[((t, t), minus_one)] + [((t, e[i]), e[i] * t) for i in AXES]]
+
+
+def _generators(n: int) -> list:
+    """The embedded basis vectors, ``[system][axis]`` from 0, of n subsystems."""
+    return [[systems.generator(s, a, n) for a in AXES] for s in range(1, n + 1)]
+
+
+def _cross_commutation(ctx):
+    gens = [(s, x) for s, xs in enumerate(_generators(3)) for x in xs]
+    return [[((x, y), y * x)] for s, x in gens for t, y in gens if s != t]
+
+
+def _embedded_relations(ctx):
+    one = systems.identity(3)
+    cases = []
+    for es in _generators(3):
+        word = es[0] * es[1] * es[2]
+        cases.append(
+            [((x, x), one) for x in es]
+            + [((x, y), -(y * x)) for x, y in itertools.permutations(es, 2)]
+            + [((word, word), -one)]
+        )
+    return cases
+
+
+def _two_systems():
+    """The six generators of two subsystems, the second basis in the order
+    (2, 1, 3) and then in axis order, and the identity."""
+    (e1, e2, e3), (f1, f2, f3) = _generators(2)
+    return (e1, e2, e3, f2, f1, f3), (e1, e2, e3, f1, f2, f3), systems.identity(2)
+
+
+def _two_basis_words(ctx):
+    opposite, aligned, one = _two_systems()
+    return [[(opposite, one), (aligned, -one)]]
+
+
+def _even_flips(ctx):
+    opposite, _, one = _two_systems()
+    return [
+        [(tuple(s * x for s, x in zip(signs, opposite)), one.scale(math.prod(signs)))]
+        for signs in itertools.product((1, -1), repeat=6)
+    ]
+
+
+def _three_system_word(ctx):
+    e, f, g = _generators(3)
+    minus_one = -systems.identity(3)
+    axis_pairs = itertools.permutations(range(3), 2)
+    halves = (e[i] * f[i] * g[i] * e[j] * f[j] * g[j] for i, j in axis_pairs)
+    return [[((half, half), minus_one)] for half in halves]
+
+
+def _free_flips(ctx):
+    g, minus_one = _generators(3), -systems.identity(3)
+    cases = []
+    for signs in itertools.product((1, -1), repeat=6):
+        pairs = [(signs[2 * s] * xs[0], signs[2 * s + 1] * xs[1]) for s, xs in enumerate(g)]
+        cases.append([(tuple(x for a, b in pairs for x in (a, b, a, b)), minus_one)])
+    return cases
+
+
+GA_AXIOMS = (
+    ("ga.contraction", "each basis vector squares to 1",
+     _ga("axes", lambda e, one, neg: [[((e[i], e[i]), one)] for i in AXES])),
+    ("ga.anticommutation", "distinct basis vectors anticommute",
+     _ga("ordered_pairs", lambda e, one, neg: [
+         [((e[i], e[j]), -(e[j] * e[i]))] for i, j in PAIRS
+     ])),
+    ("ga.bivector-cancel", "e_i e_j e_j e_i equals 1 for distinct axes",
+     _ga("ordered_pairs", lambda e, one, neg: [
+         [((e[i], e[j], e[j], e[i]), one)] for i, j in PAIRS
+     ])),
+    ("ga.bivector-square", "e_i e_j e_i e_j equals -1 for distinct axes",
+     _ga("ordered_pairs", lambda e, one, neg: [
+         [((e[i], e[j], e[i], e[j]), neg)] for i, j in PAIRS
+     ])),
+    ("ga.trivector-cancel", "e_i e_j e_k e_k e_j e_i equals 1 for every axis permutation",
+     _ga("permutations", lambda e, one, neg: [
+         [((e[i], e[j], e[k], e[k], e[j], e[i]), one)] for i, j, k in PERMUTATIONS
+     ])),
+    ("ga.trivector-square", "e_i e_j e_k e_i e_j e_k equals -1 for every axis permutation",
+     _ga("permutations", lambda e, one, neg: [
+         [((e[i], e[j], e[k], e[i], e[j], e[k]), neg)] for i, j, k in PERMUTATIONS
+     ])),
+    ("ga.pseudoscalar", "the unit trivector squares to -1 and commutes with each basis vector",
+     _ga(lambda ctx, cases, values: {"square": str(values[0])}, _pseudoscalar)),
+    ("ga.sign-flips-plane", "signed in-plane words keep their values for every sign choice",
+     _ga("cases", lambda e, one, neg: [
+         [((a, b, b, a), one), ((a, b, a, b), neg)]
+         for i, j in PAIRS
+         for a in (e[i], -e[i])
+         for b in (e[j], -e[j])
+     ])),
+    ("ga.sign-flips-space", "signed space words keep their values for every sign choice",
+     _ga("cases", lambda e, one, neg: [
+         [((a, b, c, c, b, a), one), ((a, b, c, a, b, c), neg)]
+         for i, j, k in PERMUTATIONS
+         for a in (e[i], -e[i])
+         for b in (e[j], -e[j])
+         for c in (e[k], -e[k])
+     ])),
+    ("ga.associativity", f"the product is associative on {SAMPLES} seeded random triples",
+     _sampled(0, lambda a, b, c: ((a, b, c), a * (b * c)))),
+    ("ga.distributivity",
+     f"the product distributes over addition on {SAMPLES} seeded random triples",
+     _sampled(1, lambda a, b, c: ((a, b + c), a * b + a * c))),
+)
+
+SYSTEMS_AXIOMS = (
+    ("systems.cross-commutation",
+     "embedded generators of distinct subsystems commute (three subsystems)",
+     Words(_cross_commutation, "ordered_pairs")),
+    ("systems.embedded-relations",
+     "each embedded subsystem copy satisfies the single-copy relations",
+     Words(_embedded_relations, "systems")),
+    ("systems.two-basis-words",
+     "the six-generator words reduce to 1 (opposite order) and -1 (same order)",
+     Words(_two_basis_words,
+           lambda ctx, cases, values: {
+               "opposite_order": str(values[0]), "same_order": str(values[1])
+           },
+           identify=True)),
+    ("systems.even-flips", "flipping an even number of the six generators keeps the word value",
+     Words(_even_flips, "sign_choices", identify=True)),
+    ("systems.three-system-word",
+     "the squared three-subsystem word equals -1 for all distinct axis pairs",
+     Words(_three_system_word, "axis_pairs")),
+    ("systems.free-flips", "the per-subsystem squared word equals -1 for all 64 sign choices",
+     Words(_free_flips, "sign_choices")),
+)
+
+
+# -- the matrix claims ------------------------------------------------------------
+
+
+def _pauli_anticommutation(ctx):
+    two = quantum.ComplexMatrix.identity(2)
+    pairs = list(itertools.product("xyz", repeat=2))
+    ok = all(
+        quantum.anticommutator(quantum.pauli(i), quantum.pauli(j)) == two.scale(2 if i == j else 0)
+        for i, j in pairs
+    )
+    return ok, {"pairs": len(pairs)}
+
+
+def _pauli_cross_commutation(ctx):
+    pairs = []
+    for n in (2, 3):
+        words = [
+            [quantum.pauli_word(ObservableProduct.parse(f"{a}{s}"), n) for a in "xyz"]
+            for s in range(1, n + 1)
+        ]
+        pairs += [(u, w) for us, ws in itertools.permutations(words, 2) for u in us for w in ws]
+    return all(quantum.words_commute(u, w) for u, w in pairs), {"ordered_pairs": len(pairs)}
+
+
+def _line_commutation(name: str, ctx):
+    cs = builtin_constraints(name)
+    n = cs.n_systems
+    ok = all(
+        quantum.words_commute(quantum.pauli_word(a, n), quantum.pauli_word(b, n))
+        for line in cs.lines
+        for a, b in itertools.combinations(line.terms, 2)
+    )
+    return ok, {"lines": len(cs.lines)}
+
+
+def _blade_map(ctx):
+    """A blade's spin matrix is the product of its axes' matrices, and a
+    multivector's is the coefficient-weighted sum of its blades'."""
+    one, paulis = quantum.ComplexMatrix.identity(2), [quantum.pauli(n) for n in "xyz"]
+    spin = [
+        reduce(operator.matmul, [p for k, p in enumerate(paulis) if mask >> k & 1], one)
+        for mask in range(BLADE_COUNT)
+    ]
+    blades = [Multivector.from_blades({mask: 1}) for mask in range(BLADE_COUNT)]
+    zero = one.scale(0)
+    pairs = list(itertools.product(range(BLADE_COUNT), repeat=2))
+    ok = all(
+        sum((spin[m].scale(v) for m, v in enumerate((blades[a] * blades[b]).coeffs) if v), zero)
+        == spin[a] @ spin[b]
+        for a, b in pairs
+    )
+    return ok, {"blade_pairs": len(pairs)}
+
+
+OPERATORS = (
+    *GA_AXIOMS,
+    ("pauli.anticommutation", "spin matrices anticommute off-axis and square to the identity",
+     _pauli_anticommutation),
+    ("pauli.xy-product", "the x and y spin matrices multiply to i times the z matrix",
+     lambda ctx: (
+         quantum.pauli("x") @ quantum.pauli("y") == quantum.pauli("z").scale(quantum.I),
+         {"product": "i*z"},
+     )),
+    ("pauli.cross-commutation", "spin matrices of distinct subsystems commute",
+     _pauli_cross_commutation),
+    *(
+        (f"{name}.line-commutation", f"the members of every {name} line mutually commute",
+         partial(_line_commutation, name))
+        for name in (PM, GHZ)
+    ),
+    ("iso.blade-map", "mapping basis vectors to spin matrices preserves all 64 blade products",
+     _blade_map),
+    *SYSTEMS_AXIOMS,
+)
+
+
+# -- the line systems ---------------------------------------------------------------
+
+
+def _enumeration(cs, ctx):
+    """The scalar no-go: it holds when no sign map meets every line."""
+    enum = constraints.enumerate_scalar_assignments(cs)
+    return enum.satisfying_count == 0, {
+        "assignments": enum.total,
+        "satisfying": enum.satisfying_count,
+        "lhs_parity": enum.parity_witness.lhs_product,
+        "rhs_parity": enum.parity_witness.rhs_product,
+    }
+
+
+def _value_table(cs, assignment, ctx):
+    audit = constraints.non_contextuality_audit(cs, assignment)
+    return audit.all_single_valued, {
+        entry.observable.label: {"value": entry.value, "occurrences": len(entry.occurrences)}
+        for entry in audit.entries
+    }
+
+
+def _lines(name: str, ctx):
+    """The pm or ghz rows: one operator word per line, the scalar no-go and,
+    on the built-in lines, the vector model and its value table."""
+    cs = ctx.document if ctx.document is not None else builtin_constraints(name)
+    words = quantum.verify_operator_identities(cs)
+    for k, (line, ok) in enumerate(zip(cs.lines, words), start=1):
+        labels = [t.label for t in line.terms]
+        yield (
+            f"{name}.word.{k}",
+            f"operator word {' '.join(labels)} equals {line.required:+d} times the identity",
+            _given(ok, {"terms": labels, "required": line.required}),
+        )
+    yield (f"{name}.enumeration", "no assignment of scalar signs satisfies every line at once",
+           partial(_enumeration, cs))
+    if not constraints.has_vector_model(cs):
+        return
+    assignment = constraints.VectorAssignment.all_positive(cs.n_systems)
+    for k, evaluation in enumerate(constraints.evaluate_vector_model(cs, assignment), start=1):
+        yield (
+            f"{name}.vector-line.{k}",
+            f"vector-valued line {k} reduces to {evaluation.line.required:+d}",
+            _given(evaluation.matches_required, {"value": str(evaluation.value)}),
+        )
+    yield (f"{name}.value-table",
+           "every observable reads one value from the single assignment table",
+           partial(_value_table, cs, assignment))
+
+
+# -- Bell-GHZ: every column row reads the one table of 64 columns --------------------
+
+
+def _named_column(imap, expected: tuple, ctx):
+    column = dict(identities.columns())[imap]
+    ok = column.labels() == expected and str(column.product) == "-1"
+    return ok, {
+        "map": imap.as_dict(), "column": list(column.labels()), "product": str(column.product)
+    }
+
+
+def _all_maps(ctx):
+    table = identities.columns()
+    ok = all(column.product == MINUS_ONE for _, column in table)
+    return ok, {"maps": len(table), "product": "-1"}
+
+
+def _search(label: str, ctx):
+    found = identities.find_identity_maps(SignedAxisVector.parse(label))
+    table = dict(identities.columns())
+    witness = {"target": label, "maps_found": len(found)}
+    if label == "e1":
+        witness["includes_negated_f1"] = NEGATED_F1_MAP in found
+    return bool(found) and all(table[m].product == MINUS_ONE for m in found), witness
+
+
+def _orientation(imap, rule, ctx):
+    reading = identities.orientation_reading(imap)
+    e12 = basis_vector(1) * basis_vector(2)
+    return rule(reading, e12), {"orientations": [str(o) for o in reading.orientations]}
+
+
+BELL_GHZ_COLUMNS = (
+    *(
+        (f"bellghz.column.{label}",
+         f"the {label} map gives the column {list(expected)} with product -1",
+         partial(_named_column, imap, expected))
+        for label, imap, expected in (
+            ("negated-f1", NEGATED_F1_MAP, ("e1", "e1", "e1", "-e1")),
+            ("uniform", UNIFORM_MAP, ("e1", "-e1", "e1", "e1")),
+        )
+    ),
+    ("bellghz.column.all-maps", "every valid identification map gives a column multiplying to -1",
+     _all_maps),
+    *(
+        (f"bellghz.search.{label}",
+         f"some identification map yields the column ({label}, ..., -{label})",
+         partial(_search, label))
+        for label in ("e1", "-e1", "e2", "-e2")
+    ),
+    ("bellghz.orientation.negated-f1",
+     "under the negated-f1 map all three subsystems share the orientation e12",
+     partial(_orientation, NEGATED_F1_MAP, lambda r, e12: all(o == e12 for o in r.orientations))),
+    ("bellghz.orientation.uniform",
+     "under the uniform map subsystems 1 and 3 agree and subsystem 2 is opposite",
+     partial(_orientation, UNIFORM_MAP, lambda r, e12: (
+         r.identical(1, 3) and not r.identical(1, 2) and r.orientations[1] == -e12
+     ))),
+)
+
+
+def _bell_ghz(ctx):
+    builtin = builtin_constraints(constraints.BELL_GHZ)
+    cs = ctx.document if ctx.document is not None else builtin
+    enumeration = ("bellghz.enumeration",
+                   "no assignment of scalar signs satisfies the four lines at once",
+                   partial(_enumeration, cs))
+    # The column, search and orientation rows are claims about the built-in
+    # lines (identities.COLUMN_LINES); a document with other lines gets the
+    # enumeration only, whatever its name.
+    return (enumeration, *BELL_GHZ_COLUMNS) if cs.lines == builtin.lines else (enumeration,)
+
+
+# -- states and a3 -------------------------------------------------------------------
+
+
+#: The four three-subsystem products (xyy, yxy, yyx, xxx).
+_GHZ_PRODUCTS = ("x1*y2*y3", "y1*x2*y3", "y1*y2*x3", "x1*x2*x3")
+
+
+def _eigenvalues(state, values: tuple, ctx):
+    ok = all(
+        quantum.eigencheck(state(), ObservableProduct.parse(label), value, 3)
+        for label, value in zip(_GHZ_PRODUCTS, values)
+    )
+    return ok, {"eigenvalues": list(values)}
+
+
+def _random_unit(rng: Random) -> tuple:
+    while True:
+        v = [rng.gauss(0.0, 1.0) for _ in range(3)]
+        norm = math.sqrt(sum(x * x for x in v))
+        if norm > 1e-6:
+            return tuple(x / norm for x in v)
+
+
+def _singlet(samples: int, ctx):
+    rng = Random(ctx.seed)
+    worst = 0.0
+    for _ in range(samples):
+        a = _random_unit(rng)
+        b = _random_unit(rng)
+        dot = sum(x * y for x, y in zip(a, b))
+        worst = max(worst, abs(quantum.singlet_correlation(a, b) + dot))
+    return worst <= 1e-12, {"samples": samples, "seed": ctx.seed, "max_deviation": worst}
+
+
+STATES = (
+    ("states.convention", "basis convention on record",
+     _given(True, "kets are z-diagonal with plus mapped to bit 0; x*y = i*z")),
+    ("states.ghz.eigenvalues",
+     "the symmetric state has eigenvalues (1, 1, 1, -1) on (xyy, yxy, yyx, xxx)",
+     partial(_eigenvalues, quantum.ghz_state, (1, 1, 1, -1))),
+    ("states.alternating.eigenvalues",
+     "the alternating state has eigenvalues (1, -1, 1, 1) on (xyy, yxy, yyx, xxx)",
+     partial(_eigenvalues, quantum.alternating_ghz_state, (1, -1, 1, 1))),
+    ("states.ghz.not-eigenstate-x1",
+     "the symmetric state is no eigenstate of a single-subsystem spin",
+     lambda ctx: (
+         not quantum.is_eigenstate(quantum.ghz_state(), ObservableProduct.parse("x1"), 3),
+         {"observable": "x1"},
+     )),
+    ("states.singlet", "singlet correlations equal minus the dot product on 100 seeded pairs",
+     partial(_singlet, 100)),
+)
+
+
+def _a3(i: int, j: int, ctx):
+    commutator = identities.check_a3_incompatibility(i, j)
+    ok = commutator == basis_vector(j).scale(2) and not commutator.is_zero()
+    return ok, {"commutator": str(commutator)}
+
+
+A3 = tuple(
+    (f"a3.commutator.{i}{j}",
+     f"e{i} fails to commute with the identified pair e{i}e{j}: commutator 2*e{j}",
+     partial(_a3, i, j))
+    for i, j in PAIRS
+)
+
+
+#: Every ``verify`` target but ``all``, in the order ``all`` runs them.
+SUITES = {
+    "pm": partial(_lines, PM),
+    "ghz": partial(_lines, GHZ),
+    "bell-ghz": _bell_ghz,
+    "operators": lambda ctx: OPERATORS,
+    "states": lambda ctx: STATES,
+    "a3": lambda ctx: A3,
+}

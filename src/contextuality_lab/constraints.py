@@ -140,8 +140,12 @@ class ConstraintSet(_Record):
     @classmethod
     def from_json(cls, text: str) -> "ConstraintSet":
         """Parse ``{"name": str, "lines": [{"terms": [str, ...], "required": 1
-        or -1}, ...]}``; a document of any other shape raises ``ValueError``."""
-        doc = json.loads(text)
+        or -1}, ...]}``; a document of any other shape, or one nested too
+        deeply for the decoder, raises ``ValueError``."""
+        try:
+            doc = json.loads(text)
+        except RecursionError:
+            raise ValueError("the document is nested too deeply to decode") from None
         if not isinstance(doc, dict):
             raise ValueError("a constraint set document must be a JSON object")
         name, entries = doc.get("name"), doc.get("lines")

@@ -24,6 +24,7 @@ values and is kept as the test oracle (``tests/identities_oracle.py``).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 
@@ -242,23 +243,22 @@ def bell_ghz_column(imap: IdentityMap, signs: VectorAssignment | None = None) ->
     )
 
 
+@functools.cache
+def columns() -> tuple:
+    """The 64 ``(map, column)`` pairs in :func:`all_identity_maps` order,
+    each column reduced once per process."""
+    return tuple((imap, bell_ghz_column(imap)) for imap in all_identity_maps())
+
+
 def find_identity_maps(target: SignedAxisVector) -> tuple:
     """All maps whose column is (x, x, x, -x) for the given target x.
 
-    Exhausts the 64 signed-permutation maps; the result is nonempty for
-    every signed in-plane target.
+    Filters the 64 signed-permutation maps of :func:`columns`; the result is
+    nonempty for every signed in-plane target.
     """
-    wanted = (
-        target.to_multivector(),
-        target.to_multivector(),
-        target.to_multivector(),
-        (-target).to_multivector(),
-    )
-    found = []
-    for imap in all_identity_maps():
-        if bell_ghz_column(imap).entries == wanted:
-            found.append(imap)
-    return tuple(found)
+    x, minus_x = target.to_multivector(), (-target).to_multivector()
+    wanted = (x, x, x, minus_x)
+    return tuple(imap for imap, column in columns() if column.entries == wanted)
 
 
 def check_a3_incompatibility(i: int, j: int) -> Multivector:

@@ -8,20 +8,19 @@ import math
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from contextuality_lab import chsh, quantum
-from contextuality_lab.cli import (
-    DEFAULT_SEED,
-    _operators_suite,
-    _states_suite,
-    build_report,
-    main,
-)
+from contextuality_lab import chsh, identities, quantum
+from contextuality_lab.checks import OPERATORS, STATES, Context, Words, run
+from contextuality_lab.cli import DEFAULT_SEED, build_report, main
 from contextuality_lab.constraints import BELL_GHZ, GHZ, PM, builtin_constraints
-from contextuality_lab.ga import EXACT
+from contextuality_lab.ga import APPROX, EXACT, Multivector
 from sweep_oracle import dense_F, dense_quantum_lhs
+
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def run_cli(argv, capsys):
@@ -248,6 +247,20 @@ class TestVerify:
         assert "repeated subsystem in observable x1*y1" in err
         assert "PauliSymbol(" not in err and "Traceback" not in err
 
+    def test_deeply_nested_constraints_exit_2_without_traceback(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200000 + "]" * 200000)
+        result = subprocess.run(
+            [sys.executable, "-m", "contextuality_lab.cli", "verify", "pm", "--constraints",
+             str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 2
+        assert result.stderr.startswith("usage:")
+        assert "nested too deeply" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_non_integer_seed_env_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("CONTEXTUALITY_LAB_SEED", "seven")
         self.assert_usage_error(["verify", "a3"], capsys, "CONTEXTUALITY_LAB_SEED")
@@ -273,7 +286,7 @@ class TestOperatorsSuiteWork:
             return pauli_word(product, n)
 
         monkeypatch.setattr(quantum, "pauli_word", counted)
-        ids = [c["id"] for c in _operators_suite(EXACT, DEFAULT_SEED)]
+        ids = [c["id"] for c in run(OPERATORS, Context(EXACT, DEFAULT_SEED))]
         assert "pauli.cross-commutation" in ids
         # pauli.cross-commutation: the 15 single-site words, once per n
         expected = Counter((f"{a}{s}", n) for n in (2, 3) for s in range(1, n + 1) for a in "xyz")
@@ -284,6 +297,80 @@ class TestOperatorsSuiteWork:
                 for pair in itertools.combinations(line.terms, 2):
                     expected.update((term.label, cs.n_systems) for term in pair)
         assert Counter(built) == expected
+
+
+class TestAxiomRows:
+    """The ga.* and systems.* checks are rows decided by one loop."""
+
+    ROWS = [row for row in OPERATORS if isinstance(row[2], Words)]
+
+    def test_every_axiom_check_is_a_row_check(self):
+        ids = [c["id"] for c in build_report("operators")["checks"]]
+        assert [row[0] for row in self.ROWS] == [i for i in ids if i.startswith(("ga.", "systems."))]
+
+    @pytest.mark.parametrize("mode", [EXACT, APPROX])
+    def test_every_axiom_check_evaluates_rows(self, mode):
+        ctx = Context(mode, DEFAULT_SEED)
+        for check_id, _, words in self.ROWS:
+            cases = words.cases(ctx)
+            assert cases and all(len(case) > 0 for case in cases), check_id
+            ok, witness = words(ctx)
+            assert ok, check_id
+            counts = [v for v in witness.values() if isinstance(v, int) and not isinstance(v, bool)]
+            if check_id not in ("ga.associativity", "ga.distributivity"):
+                assert counts in ([], [len(cases)]), check_id
+
+    def test_a_wrong_blade_sign_fails_the_ga_words(self, monkeypatch, capsys):
+        dense = Multivector.__mul__
+
+        def blade(mv):
+            masks = [m for m, v in enumerate(mv.coeffs) if v]
+            return masks[0] if len(masks) == 1 else None
+
+        def wrong(self, other):
+            product = dense(self, other)
+            # e1 times e2, whatever the signs of the factors, comes out negated
+            if isinstance(other, Multivector) and (blade(self), blade(other)) == (1, 2):
+                return -product
+            return product
+
+        monkeypatch.setattr(Multivector, "__mul__", wrong)
+        for mode in (EXACT, APPROX):
+            entries = run(OPERATORS, Context(mode, DEFAULT_SEED))
+            failed = {c["id"] for c in entries if c["status"] == "fail"}
+            assert {i for i in failed if i.startswith("ga.")} == {
+                "ga.anticommutation", "ga.bivector-cancel", "ga.bivector-square",
+                "ga.trivector-cancel", "ga.trivector-square", "ga.sign-flips-plane",
+                "ga.sign-flips-space",
+            }
+        code, out, _ = run_cli(["verify", "operators"], capsys)
+        assert code == 1
+        assert json.loads(out)["all_pass"] is False
+
+
+class TestBellGhzColumnWork:
+    @pytest.fixture
+    def column_calls(self, monkeypatch):
+        calls = []
+        column = identities.bell_ghz_column
+
+        def counted(imap, signs=None):
+            calls.append(imap)
+            return column(imap, signs)
+
+        monkeypatch.setattr(identities, "bell_ghz_column", counted)
+        identities.columns.cache_clear()
+        yield calls
+        identities.columns.cache_clear()
+
+    def test_verify_all_reduces_each_column_once(self, column_calls, capsys):
+        assert build_report("all")["all_pass"] is True
+        assert len(column_calls) == 64
+        assert set(column_calls) == set(identities.all_identity_maps())
+        code, out, _ = run_cli(["search-identities", "e1"], capsys)
+        assert code == 0
+        assert out.encode("utf-8") == (GOLDEN_DIR / "search-identities-e1.stdout").read_bytes()
+        assert len(column_calls) == 64
 
 
 class TestNoDenseWords:
@@ -320,7 +407,7 @@ class TestNoDenseWords:
         assert code in (0, 1)
         ids = [c["id"] for c in json.loads(out)["checks"]]
         assert sum(1 for i in ids if i.startswith("ghz.word.")) == 6
-        assert all(c["status"] == "pass" for c in _states_suite(DEFAULT_SEED))
+        assert all(c["status"] == "pass" for c in run(STATES, Context(EXACT, DEFAULT_SEED)))
         assert dense_calls == Counter()
 
     def test_counter_sees_dense_products(self, dense_calls):

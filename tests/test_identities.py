@@ -198,6 +198,7 @@ class TestSearchWork:
             return column(imap, signs)
 
         monkeypatch.setattr(identities, "bell_ghz_column", counted_column)
+        identities.columns.cache_clear()
         found = find_identity_maps(SignedAxisVector.parse("e1"))
         assert NEGATED_F1_MAP in found
         assert products == []
