@@ -73,7 +73,9 @@ class Words:
     ``cases(ctx)`` lists the cases.  A string ``witness`` names the case count;
     otherwise ``witness(ctx, cases, values)`` builds the witness from the cases
     and the word values.  With ``identify`` each product is first reduced by
-    ``systems.identify_pseudoscalars``.
+    ``systems.identify_pseudoscalars``.  Under ``--mode approx`` each word is
+    compared with ``equals``, which allows a tolerance on the float ``ga.*``
+    words; the joint algebra is exact in either mode.
     """
 
     __slots__ = ("cases", "witness", "identify")
@@ -91,7 +93,7 @@ class Words:
                 value = reduce(operator.mul, factors)
                 if self.identify:
                     value = systems.identify_pseudoscalars(value)
-                ok = ok and (value.equals(expected) if value.mode == APPROX else value == expected)
+                ok = ok and (value.equals(expected) if ctx.mode == APPROX else value == expected)
                 values.append(value)
         if isinstance(self.witness, str):
             return ok, {self.witness: len(cases)}

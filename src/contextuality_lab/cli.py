@@ -157,7 +157,7 @@ def _make_parser() -> argparse.ArgumentParser:
         "--mode",
         choices=(EXACT, APPROX),
         default=EXACT,
-        help="coefficient mode for the algebra-axiom checks",
+        help="coefficient mode of the ga.* axiom checks (the joint algebra is exact)",
     )
     verify.add_argument(
         "--seed",

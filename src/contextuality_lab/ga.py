@@ -51,22 +51,27 @@ def blade_grade(mask: int) -> int:
     return bin(mask).count("1")
 
 
-def blade_product(mask_a: int, mask_b: int) -> tuple[int, int]:
-    """Product of two canonical blades as ``(sign, result_mask)``.
+#: Bit 0 and bits 0-1 of every 3-bit slot, for keys of up to 64 slots.
+_SLOT_LOW_ONE = (8**64 - 1) // 7
+_SLOT_LOW_TWO = 3 * _SLOT_LOW_ONE
 
-    The result blade is the symmetric difference of the factor sets.  The
-    sign counts the transpositions needed to sort the concatenation of the
-    two ascending factor lists: each bit of ``mask_a`` above a bit of
-    ``mask_b`` contributes one swap.  Repeated factors then cancel with a
-    positive square.
+
+def blade_product(key_a: int, key_b: int) -> tuple[int, int]:
+    """Product of two blade keys as ``(sign, result_key)``.
+
+    A key packs one 3-bit blade mask per slot, slot 1 in the lowest bits, so
+    a one-slot key is a mask 0..7.  Slots multiply independently: generators
+    of distinct slots commute.  The result key is the symmetric difference of
+    the factor sets.  The sign counts the transpositions needed to sort the
+    concatenation of two ascending factor lists: each bit of ``key_a`` above a
+    bit of ``key_b`` in the same slot contributes one swap, found by shifting
+    ``key_a`` right by 1 and by 2 and keeping what stays inside its slot.
+    Repeated factors then cancel with a positive square.
     """
-    swaps = 0
-    a = mask_a >> 1
-    while a:
-        swaps += bin(a & mask_b).count("1")
-        a >>= 1
-    sign = -1 if swaps & 1 else 1
-    return sign, mask_a ^ mask_b
+    swaps = (key_a >> 1 & _SLOT_LOW_TWO & key_b).bit_count() + (
+        key_a >> 2 & _SLOT_LOW_ONE & key_b
+    ).bit_count()
+    return (-1 if swaps & 1 else 1), key_a ^ key_b
 
 
 #: Precomputed 8 x 8 table of blade products: CAYLEY[a][b] = (sign, mask).
@@ -283,33 +288,32 @@ def random_multivector(rng: Random, mode: str = EXACT, span: int = 3) -> Multive
 
 # -- text format ---------------------------------------------------------
 
-def _format_coefficient(value: Coefficient) -> str:
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return str(value.numerator)
-    return str(value)
-
-
-def render_multivector(mv: Multivector) -> str:
-    """Render as a signed blade sum, e.g. ``1 + 2*e12 - e123``."""
+def render_terms(terms) -> str:
+    """Join ``(coefficient, blade name)`` terms into a signed sum such as
+    ``1 + 2*e12 - e123``, skipping zero coefficients; the scalar blade is
+    named ``1``."""
     parts: list[str] = []
-    for mask in DISPLAY_ORDER:
-        value = mv.coeffs[mask]
+    for value, name in terms:
         if not value:
             continue
         negative = value < 0
         magnitude = -value if negative else value
-        name = BLADE_NAMES[mask]
-        if mask == 0:
-            body = _format_coefficient(magnitude)
+        if name == "1":
+            body = str(magnitude)
         elif magnitude == 1:
             body = name
         else:
-            body = f"{_format_coefficient(magnitude)}*{name}"
-        if not parts:
-            parts.append(f"-{body}" if negative else body)
-        else:
+            body = f"{magnitude}*{name}"
+        if parts:
             parts.append(f"- {body}" if negative else f"+ {body}")
-    return " ".join(parts) if parts else "0"
+        else:
+            parts.append(f"-{body}" if negative else body)
+    return " ".join(parts) or "0"
+
+
+def render_multivector(mv: Multivector) -> str:
+    """Render as a signed blade sum, e.g. ``1 + 2*e12 - e123``."""
+    return render_terms((mv.coeffs[mask], BLADE_NAMES[mask]) for mask in DISPLAY_ORDER)
 
 
 _TERM_RE = re.compile(

@@ -1,13 +1,17 @@
-"""Up to three commuting copies of the 3D geometric algebra.
+"""Up to three commuting copies of the 3D geometric algebra, exact only.
 
 Each subsystem carries its own copy of the eight-blade algebra from
-:mod:`contextuality_lab.ga`; a basis element of the joint algebra is a tuple
-of blade masks, one slot per subsystem.  Products act slot by slot and no
-sign is exchanged across slots, so generators living in different subsystems
-commute while generators inside one slot keep their anticommutation rules.
+:mod:`contextuality_lab.ga`.  A basis element of the joint algebra is an int
+key that packs one 3-bit blade mask per subsystem, subsystem 1 in the lowest
+bits, so a one-subsystem key is the ``ga`` mask itself.  Products multiply
+keys through :func:`contextuality_lab.ga.blade_product`: no sign is exchanged
+across slots, so generators living in different subsystems commute while
+generators inside one slot keep their anticommutation rules.
 
-Rendering names the subsystem bases e, f and g: the embedded basis vector of
-axis 2 in subsystem 3 prints as ``g2``.
+Coefficients are exact (``int``, or ``Fraction`` for non-integer values);
+:func:`embed` rejects a float multivector.  Rendering names the subsystem
+bases e, f and g: the embedded basis vector of axis 2 in subsystem 3 prints
+as ``g2``.
 
 The joint algebra treats the subsystem bases as fully independent.  The one
 cross-subsystem identification this module knows about is handedness:
@@ -26,63 +30,57 @@ from typing import Mapping
 
 from .ga import (
     BLADE_NAMES,
-    CAYLEY,
-    DEFAULT_TOLERANCE,
     EXACT,
     Coefficient,
     Multivector,
     _Record,
     _coerce,
-    _zero,
+    blade_product,
+    render_terms,
 )
 
 MAX_SYSTEMS = 3
 SYSTEM_LETTERS = ("e", "f", "g")
 
-BladeTuple = tuple
 
-
-def _scalar_key(n: int) -> BladeTuple:
-    return (0,) * n
+def _slots(key: int, n: int) -> list:
+    """The blade masks of a key, subsystem 1 first."""
+    return [key >> 3 * slot & 7 for slot in range(n)]
 
 
 class TensorMultivector(_Record):
-    """Sparse element of the joint algebra: blade-mask tuples to coefficients."""
+    """Sparse element of the joint algebra: packed blade keys to coefficients."""
 
-    __slots__ = ("n", "coeffs", "mode")
+    __slots__ = ("n", "coeffs")
 
-    def __init__(self, n: int, coeffs: Mapping[BladeTuple, Coefficient], mode: str):
+    def __init__(self, n: int, coeffs: Mapping[int, Coefficient]):
         if not 1 <= n <= MAX_SYSTEMS:
             raise ValueError(f"system count {n} out of range 1..{MAX_SYSTEMS}")
+        limit = 8**n
         cleaned = {}
         for key, value in coeffs.items():
-            if len(key) != n or any(not 0 <= m < 8 for m in key):
-                raise ValueError(f"bad blade tuple {key!r} for {n} systems")
+            if type(key) is not int or not 0 <= key < limit:
+                raise ValueError(f"bad blade key {key!r} for {n} systems")
             if value:
                 cleaned[key] = value
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "coeffs", cleaned)
-        object.__setattr__(self, "mode", mode)
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def zero(cls, n: int, mode: str = EXACT) -> "TensorMultivector":
-        return cls(n, {}, mode)
+    def zero(cls, n: int) -> "TensorMultivector":
+        return cls(n, {})
 
     @classmethod
-    def scalar(cls, value, n: int, mode: str = EXACT) -> "TensorMultivector":
-        return cls(n, {_scalar_key(n): _coerce(value, mode)}, mode)
+    def scalar(cls, value, n: int) -> "TensorMultivector":
+        return cls(n, {0: _coerce(value, EXACT)})
 
-    # -- plumbing ---------------------------------------------------------
+    # -- linear structure ---------------------------------------------------
 
     def _require_compatible(self, other: "TensorMultivector") -> None:
         if self.n != other.n:
             raise ValueError(f"mismatched system counts: {self.n} vs {other.n}")
-        if self.mode != other.mode:
-            raise ValueError(f"mixed coefficient modes: {self.mode} vs {other.mode}")
-
-    # -- linear structure ---------------------------------------------------
 
     def __add__(self, other: "TensorMultivector") -> "TensorMultivector":
         if not isinstance(other, TensorMultivector):
@@ -90,11 +88,11 @@ class TensorMultivector(_Record):
         self._require_compatible(other)
         acc = dict(self.coeffs)
         for key, value in other.coeffs.items():
-            acc[key] = acc.get(key, _zero(self.mode)) + value
-        return TensorMultivector(self.n, acc, self.mode)
+            acc[key] = acc.get(key, 0) + value
+        return TensorMultivector(self.n, acc)
 
     def __neg__(self) -> "TensorMultivector":
-        return TensorMultivector(self.n, {k: -v for k, v in self.coeffs.items()}, self.mode)
+        return TensorMultivector(self.n, {k: -v for k, v in self.coeffs.items()})
 
     def __sub__(self, other: "TensorMultivector") -> "TensorMultivector":
         if not isinstance(other, TensorMultivector):
@@ -102,8 +100,8 @@ class TensorMultivector(_Record):
         return self + (-other)
 
     def scale(self, factor) -> "TensorMultivector":
-        c = _coerce(factor, self.mode)
-        return TensorMultivector(self.n, {k: v * c for k, v in self.coeffs.items()}, self.mode)
+        c = _coerce(factor, EXACT)
+        return TensorMultivector(self.n, {k: v * c for k, v in self.coeffs.items()})
 
     # -- product -----------------------------------------------------------
 
@@ -113,20 +111,14 @@ class TensorMultivector(_Record):
         if not isinstance(other, TensorMultivector):
             return NotImplemented
         self._require_compatible(other)
-        acc: dict[BladeTuple, Coefficient] = {}
-        zero = _zero(self.mode)
+        acc: dict[int, Coefficient] = {}
         get = acc.get
+        right = other.coeffs.items()
         for key_a, a in self.coeffs.items():
-            for key_b, b in other.coeffs.items():
-                sign = 1
-                masks = []
-                for mask_a, mask_b in zip(key_a, key_b):
-                    s, m = CAYLEY[mask_a][mask_b]
-                    sign *= s
-                    masks.append(m)
-                key = tuple(masks)
-                acc[key] = get(key, zero) + a * b * sign
-        return TensorMultivector(self.n, acc, self.mode)
+            for key_b, b in right:
+                sign, key = blade_product(key_a, key_b)
+                acc[key] = get(key, 0) + a * b * sign
+        return TensorMultivector(self.n, acc)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, float)):
@@ -136,36 +128,22 @@ class TensorMultivector(_Record):
     # -- projections ---------------------------------------------------------
 
     def scalar_part(self) -> Coefficient:
-        return self.coeffs.get(_scalar_key(self.n), _zero(self.mode))
+        return self.coeffs.get(0, 0)
 
     def is_scalar(self) -> bool:
-        return set(self.coeffs) <= {_scalar_key(self.n)}
+        return self.coeffs.keys() <= {0}
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
     # -- comparison ------------------------------------------------------------
 
-    def equals(self, other: "TensorMultivector", tolerance: float | None = None) -> bool:
+    def equals(self, other: "TensorMultivector") -> bool:
         self._require_compatible(other)
-        if self.mode == EXACT:
-            return self.coeffs == other.coeffs
-        tol = DEFAULT_TOLERANCE if tolerance is None else tolerance
-        keys = set(self.coeffs) | set(other.coeffs)
-        zero = _zero(self.mode)
-        return all(
-            abs(self.coeffs.get(k, zero) - other.coeffs.get(k, zero)) <= tol for k in keys
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TensorMultivector):
-            return NotImplemented
-        return (
-            self.n == other.n and self.mode == other.mode and self.coeffs == other.coeffs
-        )
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.n, self.mode, frozenset(self.coeffs.items())))
+        return hash((self.n, frozenset(self.coeffs.items())))
 
     # -- rendering ------------------------------------------------------------
 
@@ -173,38 +151,38 @@ class TensorMultivector(_Record):
         return render_tensor(self)
 
     def __repr__(self) -> str:
-        return f"TensorMultivector({render_tensor(self)!r}, n={self.n}, mode={self.mode!r})"
+        return f"TensorMultivector({render_tensor(self)!r}, n={self.n})"
 
 
-def identity(n: int, mode: str = EXACT) -> TensorMultivector:
-    return TensorMultivector.scalar(1, n, mode)
+def identity(n: int) -> TensorMultivector:
+    return TensorMultivector.scalar(1, n)
 
 
 def embed(system: int, mv: Multivector, n: int) -> TensorMultivector:
-    """Place a single-copy multivector into one slot, identity elsewhere."""
+    """Place a single-copy multivector into one slot, identity elsewhere.
+
+    The joint algebra is exact: a float coefficient raises ``ValueError``.
+    """
     if not 1 <= system <= n:
         raise ValueError(f"system index {system} out of range 1..{n}")
-    coeffs: dict[BladeTuple, Coefficient] = {}
-    for mask, value in enumerate(mv.coeffs):
-        if value:
-            key = tuple(mask if k == system - 1 else 0 for k in range(n))
-            coeffs[key] = value
-    return TensorMultivector(n, coeffs, mv.mode)
+    shift = 3 * (system - 1)
+    return TensorMultivector(
+        n, {mask << shift: _coerce(value, EXACT) for mask, value in enumerate(mv.coeffs)}
+    )
 
 
-def generator(system: int, axis: int, n: int, sign: int = 1, mode: str = EXACT) -> TensorMultivector:
+def generator(system: int, axis: int, n: int, sign: int = 1) -> TensorMultivector:
     """The embedded signed basis vector of one subsystem."""
     if axis not in (1, 2, 3):
         raise ValueError(f"axis index {axis} out of range 1..3")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    mv = Multivector.from_blades({1 << (axis - 1): sign}, mode)
-    return embed(system, mv, n)
+    return embed(system, Multivector.from_blades({1 << (axis - 1): sign}), n)
 
 
-def word(factors, n: int, mode: str = EXACT) -> TensorMultivector:
+def word(factors, n: int) -> TensorMultivector:
     """Multiply a sequence of joint-algebra elements left to right."""
-    result = identity(n, mode)
+    result = identity(n)
     for factor in factors:
         result = result * factor
     return result
@@ -219,42 +197,30 @@ def identify_pseudoscalars(tm: TensorMultivector) -> TensorMultivector:
     is -1.  Pairs are removed left to right; a lone leftover trivector slot
     is preserved.
     """
-    acc: dict[BladeTuple, Coefficient] = {}
+    ones = (8**tm.n - 1) // 7  # bit 0 of every slot
+    acc: dict[int, Coefficient] = {}
     for key, value in tm.coeffs.items():
-        masks = list(key)
-        full = [slot for slot, mask in enumerate(masks) if mask == 7]
-        while len(full) >= 2:
-            masks[full.pop(0)] = 0
-            masks[full.pop(0)] = 0
+        # bit 0 of every slot whose mask is 7
+        full = key & key >> 1 & key >> 2 & ones
+        pairs = full.bit_count() // 2
+        if full.bit_count() & 1:
+            full ^= 1 << full.bit_length() - 1  # a lone last trivector slot stays
+        key ^= 7 * full
+        if pairs & 1:
             value = -value
-        out = tuple(masks)
-        acc[out] = acc.get(out, _zero(tm.mode)) + value
-    return TensorMultivector(tm.n, acc, tm.mode)
+        acc[key] = acc.get(key, 0) + value
+    return TensorMultivector(tm.n, acc)
 
 
 def render_tensor(tm: TensorMultivector) -> str:
     """Render with per-system letters, e.g. ``e1*f2*g2 - e12*g3``."""
-    if not tm.coeffs:
-        return "0"
-    parts: list[str] = []
-    for key in sorted(tm.coeffs):
-        value = tm.coeffs[key]
-        negative = value < 0
-        magnitude = -value if negative else value
+    n = tm.n
+    terms = []
+    for key in sorted(tm.coeffs, key=lambda k: _slots(k, n)):
         names = [
             SYSTEM_LETTERS[slot] + BLADE_NAMES[mask][1:]
-            for slot, mask in enumerate(key)
+            for slot, mask in enumerate(_slots(key, n))
             if mask
         ]
-        blade = "*".join(names) if names else "1"
-        if magnitude == 1 and names:
-            body = blade
-        elif names:
-            body = f"{magnitude}*{blade}"
-        else:
-            body = str(magnitude)
-        if not parts:
-            parts.append(f"-{body}" if negative else body)
-        else:
-            parts.append(f"- {body}" if negative else f"+ {body}")
-    return " ".join(parts)
+        terms.append((tm.coeffs[key], "*".join(names) or "1"))
+    return render_terms(terms)

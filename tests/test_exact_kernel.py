@@ -13,9 +13,9 @@ from random import Random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blade_keys import pack, unpack
 from contextuality_lab.ga import (
     CAYLEY,
-    EXACT,
     Multivector,
     parse_multivector,
     random_multivector,
@@ -77,6 +77,9 @@ def test_promotion_cancels_to_the_integer_value():
 
 
 # -- joint algebra -------------------------------------------------------------
+#
+# The references keep the per-subsystem tuple keys and the per-slot table
+# product; the kernel's packed int keys are converted with ``unpack``.
 
 
 def blade_tuples(n: int):
@@ -85,7 +88,7 @@ def blade_tuples(n: int):
 
 def tensors(n: int):
     return st.dictionaries(blade_tuples(n), coefficients, max_size=5).map(
-        lambda coeffs: TensorMultivector(n, coeffs, EXACT)
+        lambda coeffs: TensorMultivector(n, {pack(k): v for k, v in coeffs.items()})
     )
 
 
@@ -129,12 +132,16 @@ def reference_identify(coeffs: dict) -> dict:
 )
 def test_tensor_word_matches_fraction_reference(factors):
     n = factors[0].n
+
+    def tuple_keyed(tm):
+        return {unpack(k, n): v for k, v in tm.coeffs.items()}
+
     expected = {(0,) * n: Fraction(1)}
     for factor in factors:
-        expected = reference_tensor_product(expected, factor.coeffs)
+        expected = reference_tensor_product(expected, tuple_keyed(factor))
     result = word(factors, n)
-    assert result.coeffs == expected
-    assert identify_pseudoscalars(result).coeffs == reference_identify(expected)
+    assert tuple_keyed(result) == expected
+    assert tuple_keyed(identify_pseudoscalars(result)) == reference_identify(expected)
 
 
 # -- Gaussian-rational matrices -------------------------------------------------

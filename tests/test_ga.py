@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from contextuality_lab.ga import (
     APPROX,
+    CAYLEY,
     EXACT,
     Multivector,
     basis_vector,
@@ -88,6 +89,20 @@ class TestBladeProduct:
         assert blade_product(7, 7) == (-1, 0)
         assert blade_product(1, 2) == (1, 3)
         assert blade_product(2, 1) == (-1, 3)
+
+    def test_table_matches_transposition_count(self):
+        # the reference counts, shift by shift, each bit of the left mask
+        # above a bit of the right mask
+        def counted(mask_a, mask_b):
+            swaps, a = 0, mask_a >> 1
+            while a:
+                swaps += bin(a & mask_b).count("1")
+                a >>= 1
+            return (-1 if swaps & 1 else 1), mask_a ^ mask_b
+
+        assert CAYLEY == tuple(
+            tuple(counted(a, b) for b in range(8)) for a in range(8)
+        )
 
 
 class TestSignFlips:

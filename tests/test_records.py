@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from blade_keys import pack
 from contextuality_lab.chsh import ScanResult
 from contextuality_lab.constraints import (
     AuditReport,
@@ -37,7 +38,7 @@ def _line():
 #: a factory builds new objects with equal values.
 RECORDS = [
     (Multivector, ("coeffs", "mode"), lambda: ((1, 0, 0, 0, 0, 0, 0, 2), EXACT)),
-    (TensorMultivector, ("n", "coeffs", "mode"), lambda: (2, {(1, 0): 1, (0, 6): -1}, EXACT)),
+    (TensorMultivector, ("n", "coeffs"), lambda: (2, {pack((1, 0)): 1, pack((0, 6)): -1})),
     (PauliSymbol, ("system", "axis"), lambda: (1, "x")),
     (ObservableProduct, ("factors",), lambda: ((PauliSymbol(1, "x"), PauliSymbol(2, "y")),)),
     (ConstraintLine, ("terms", "required"), lambda: (_line().terms, -1)),

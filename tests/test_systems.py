@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contextuality_lab.ga import APPROX, Multivector, basis_vector
+from blade_keys import pack
+from contextuality_lab.ga import APPROX, CAYLEY, Multivector, basis_vector, blade_product
 from contextuality_lab.systems import (
     TensorMultivector,
     embed,
@@ -26,7 +27,7 @@ def gens(system, n=2):
 class TestEmbedding:
     def test_embed_places_slot(self):
         f1 = embed(2, basis_vector(1), 2)
-        assert f1.coeffs == {(0, 1): 1}
+        assert f1.coeffs == {pack((0, 1)): 1}
         assert f1 == generator(2, 1, 2)
 
     def test_embed_scalar_is_identity(self):
@@ -74,11 +75,20 @@ class TestProduct:
             assert trivector * trivector == -one
 
     def test_mismatched_systems_or_mode_rejected(self):
+        # the joint algebra is exact: a float multivector is refused at embed
         with pytest.raises(ValueError):
             _ = generator(1, 1, 2) * generator(1, 1, 3)
-        approx = embed(1, basis_vector(1, APPROX), 2)
         with pytest.raises(ValueError):
-            _ = approx * generator(1, 1, 2)
+            embed(1, basis_vector(1, APPROX), 2)
+
+    def test_packed_sign_rule_matches_per_slot_table(self):
+        # all 4096 pairs of two-slot keys: the packed rule multiplies each
+        # slot through the one-slot table and exchanges no sign across slots
+        for key_a in range(64):
+            for key_b in range(64):
+                low_sign, low = CAYLEY[key_a & 7][key_b & 7]
+                high_sign, high = CAYLEY[key_a >> 3][key_b >> 3]
+                assert blade_product(key_a, key_b) == (low_sign * high_sign, pack((low, high)))
 
     def test_scalar_part(self):
         e = gens(1)
@@ -95,14 +105,14 @@ class TestTwoBasisWords:
         e = gens(1)
         f = gens(2)
         raw = word([e[0], e[1], e[2], f[1], f[0], f[2]], 2)
-        assert raw.coeffs == {(7, 7): -1}
+        assert raw.coeffs == {pack((7, 7)): -1}
         assert identify_pseudoscalars(raw) == identity(2)
 
     def test_same_order_reduces_to_minus_one(self):
         e = gens(1)
         f = gens(2)
         raw = word([e[0], e[1], e[2], f[0], f[1], f[2]], 2)
-        assert raw.coeffs == {(7, 7): 1}
+        assert raw.coeffs == {pack((7, 7)): 1}
         assert identify_pseudoscalars(raw) == -identity(2)
 
     def test_flip_parity_governs_word_value(self):
@@ -178,12 +188,10 @@ class TestThreeSystemWords:
             assert value == minus_one
 
 
-_tuples = st.tuples(st.integers(0, 7), st.integers(0, 7))
+_keys = st.tuples(st.integers(0, 7), st.integers(0, 7)).map(pack)
 tensor_strategy = st.builds(
-    lambda entries: TensorMultivector(
-        2, {k: Fraction(v) for k, v in entries.items()}, "exact"
-    ),
-    st.dictionaries(_tuples, st.integers(-3, 3), max_size=4),
+    lambda entries: TensorMultivector(2, {k: Fraction(v) for k, v in entries.items()}),
+    st.dictionaries(_keys, st.integers(-3, 3), max_size=4),
 )
 
 
@@ -201,21 +209,21 @@ def test_tensor_product_distributive(a, b, c):
 
 class TestIdentifyPseudoscalars:
     def test_pairs_collapse(self):
-        tm = TensorMultivector(2, {(7, 7): 1}, "exact")
+        tm = TensorMultivector(2, {pack((7, 7)): 1})
         assert identify_pseudoscalars(tm) == -identity(2)
 
     def test_lone_trivector_slot_is_kept(self):
-        tm = TensorMultivector(3, {(7, 0, 0): 1}, "exact")
+        tm = TensorMultivector(3, {pack((7, 0, 0)): 1})
         assert identify_pseudoscalars(tm) == tm
 
     def test_triple_keeps_one(self):
-        tm = TensorMultivector(3, {(7, 7, 7): 1}, "exact")
-        assert identify_pseudoscalars(tm) == TensorMultivector(3, {(0, 0, 7): -1}, "exact")
+        tm = TensorMultivector(3, {pack((7, 7, 7)): 1})
+        assert identify_pseudoscalars(tm) == TensorMultivector(3, {pack((0, 0, 7)): -1})
 
     def test_linear_over_terms(self):
-        tm = TensorMultivector(2, {(7, 7): 2, (1, 0): 3}, "exact")
+        tm = TensorMultivector(2, {pack((7, 7)): 2, pack((1, 0)): 3})
         reduced = identify_pseudoscalars(tm)
-        assert reduced.coeffs == {(0, 0): -2, (1, 0): 3}
+        assert reduced.coeffs == {pack((0, 0)): -2, pack((1, 0)): 3}
 
 
 class TestRendering:
