@@ -17,7 +17,7 @@ from functools import partial, reduce
 from random import Random
 
 from . import constraints, identities, quantum, systems
-from .constraints import GHZ, PM, ObservableProduct, builtin_constraints
+from .constraints import BELL_GHZ, GHZ, PM, ObservableProduct, builtin_constraints
 from .ga import (
     APPROX,
     BLADE_COUNT,
@@ -448,28 +448,25 @@ BELL_GHZ_COLUMNS = (
 
 
 def _bell_ghz(ctx):
-    builtin = builtin_constraints(constraints.BELL_GHZ)
-    cs = ctx.document if ctx.document is not None else builtin
+    cs = ctx.document if ctx.document is not None else builtin_constraints(BELL_GHZ)
     enumeration = ("bellghz.enumeration",
                    "no assignment of scalar signs satisfies the four lines at once",
                    partial(_enumeration, cs))
     # The column, search and orientation rows are claims about the built-in
     # lines (identities.COLUMN_LINES); a document with other lines gets the
     # enumeration only, whatever its name.
-    return (enumeration, *BELL_GHZ_COLUMNS) if cs.lines == builtin.lines else (enumeration,)
+    if constraints.has_builtin_lines(cs, BELL_GHZ):
+        return (enumeration, *BELL_GHZ_COLUMNS)
+    return (enumeration,)
 
 
 # -- states and a3 -------------------------------------------------------------------
 
 
-#: The four three-subsystem products (xyy, yxy, yyx, xxx).
-_GHZ_PRODUCTS = ("x1*y2*y3", "y1*x2*y3", "y1*y2*x3", "x1*x2*x3")
-
-
 def _eigenvalues(state, values: tuple, ctx):
     ok = all(
-        quantum.eigencheck(state(), ObservableProduct.parse(label), value, 3)
-        for label, value in zip(_GHZ_PRODUCTS, values)
+        quantum.eigencheck(state(), product, value, 3)
+        for product, value in zip(identities.COLUMN_LINES, values)
     )
     return ok, {"eigenvalues": list(values)}
 

@@ -73,19 +73,20 @@ def F(phi: float) -> float:
 class ScanResult(_Record):
     __slots__ = ("argmax", "maximum", "steps")
 
-    def __init__(self, argmax: float, maximum: float, steps: int):
-        object.__setattr__(self, "argmax", argmax)
-        object.__setattr__(self, "maximum", maximum)
-        object.__setattr__(self, "steps", steps)
 
-
-def _grid(start: float, end: float, steps: int):
-    """The ``steps`` evenly spaced angles from ``start`` to ``end`` inclusive,
-    after checking that they lie in [0, pi] and that ``steps`` is at least 3."""
+def check_grid(start: float, end: float, steps: int) -> None:
+    """Raise ``ValueError`` unless ``start < end`` lie in [0, pi] and
+    ``steps`` is at least 3."""
     if steps < 3:
         raise ValueError("grid needs at least 3 points")
     if not 0.0 <= start < end <= math.pi + 1e-9:
         raise ValueError(f"bad angle range [{start}, {end}]")
+
+
+def _grid(start: float, end: float, steps: int):
+    """The ``steps`` evenly spaced angles from ``start`` to ``end`` inclusive,
+    after :func:`check_grid`."""
+    check_grid(start, end, steps)
     spacing = (end - start) / (steps - 1)
     return (start + k * spacing for k in range(steps))
 

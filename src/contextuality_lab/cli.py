@@ -76,7 +76,7 @@ def _resolve_seed(flag_value: int, parser) -> int:
 
 def _cmd_verify(args, parser) -> int:
     custom = None
-    if args.constraints:
+    if args.constraints is not None:
         if args.target not in ("pm", "ghz", "bell-ghz"):
             parser.error("--constraints applies to the pm, ghz and bell-ghz targets")
         try:
@@ -86,7 +86,7 @@ def _cmd_verify(args, parser) -> int:
             parser.error(f"cannot load constraint set: {exc}")
     report = build_report(args.target, args.mode, _resolve_seed(args.seed, parser), custom)
     text = json.dumps(report, indent=2)
-    if args.out:
+    if args.out is not None:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(text + "\n")
@@ -98,11 +98,11 @@ def _cmd_verify(args, parser) -> int:
 
 
 def _cmd_chsh(args, parser) -> int:
-    if not (0.0 <= args.start < args.end <= math.pi + 1e-9):
-        parser.error(f"bad angle range [{args.start}, {args.end}]")
-    if args.steps < 3:
-        parser.error("steps must be at least 3")
-    if args.csv:
+    try:
+        chsh.check_grid(args.start, args.end, args.steps)
+    except ValueError as exc:
+        parser.error(str(exc))
+    if args.csv is not None:
         # One pass: each row is written as it is computed, and the maximum is
         # tracked from its F column with scan_F's rule (first strict maximum).
         argmax, maximum = args.start, -math.inf

@@ -210,6 +210,15 @@ def builtin_constraints(name: str) -> ConstraintSet:
     return _lines(name, _BUILTIN_ROWS[name])
 
 
+def has_builtin_lines(cs: ConstraintSet, name: str) -> bool:
+    """True when the lines are those of the built-in system ``name``: the same
+    terms in the same order with the same required signs, whatever the set's
+    name.  Labels are canonical, so the lines are compared by their term
+    labels and nothing is parsed."""
+    rows = tuple((tuple(t.label for t in line.terms), line.required) for line in cs.lines)
+    return rows == _BUILTIN_ROWS[name]
+
+
 # -- scalar evaluator -----------------------------------------------------
 
 
@@ -224,18 +233,9 @@ class ParityWitness(_Record):
 
     __slots__ = ("lhs_product", "rhs_product")
 
-    def __init__(self, lhs_product: int | None, rhs_product: int):
-        object.__setattr__(self, "lhs_product", lhs_product)
-        object.__setattr__(self, "rhs_product", rhs_product)
-
 
 class EnumerationResult(_Record):
     __slots__ = ("total", "satisfying_count", "parity_witness")
-
-    def __init__(self, total: int, satisfying_count: int, parity_witness: ParityWitness):
-        object.__setattr__(self, "total", total)
-        object.__setattr__(self, "satisfying_count", satisfying_count)
-        object.__setattr__(self, "parity_witness", parity_witness)
 
 
 def parity_witness(cs: ConstraintSet) -> ParityWitness:
@@ -351,22 +351,14 @@ class VectorAssignment(_Record):
 class LineEvaluation(_Record):
     __slots__ = ("line", "word", "value")
 
-    def __init__(self, line: ConstraintLine, word: TensorMultivector, value: Fraction):
-        object.__setattr__(self, "line", line)
-        object.__setattr__(self, "word", word)
-        object.__setattr__(self, "value", value)
-
     @property
     def matches_required(self) -> bool:
         return self.value == self.line.required
 
 
 def has_vector_model(cs: ConstraintSet) -> bool:
-    """True when the lines are the built-in pm or ghz lines: the same terms
-    in the same order with the same required signs, whatever the name.  The
-    lines are compared by their term labels, so nothing is parsed."""
-    rows = tuple((tuple(t.label for t in line.terms), line.required) for line in cs.lines)
-    return rows == _BUILTIN_ROWS[PM] or rows == _BUILTIN_ROWS[GHZ]
+    """True when the lines are the built-in pm or ghz lines."""
+    return has_builtin_lines(cs, PM) or has_builtin_lines(cs, GHZ)
 
 
 def evaluate_vector_model(cs: ConstraintSet, assignment: VectorAssignment) -> tuple:
@@ -397,20 +389,9 @@ def evaluate_vector_model(cs: ConstraintSet, assignment: VectorAssignment) -> tu
 class ObservableAudit(_Record):
     __slots__ = ("observable", "value", "occurrences", "single_valued")
 
-    def __init__(
-        self, observable: ObservableProduct, value: str, occurrences: tuple, single_valued: bool
-    ):
-        object.__setattr__(self, "observable", observable)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "occurrences", occurrences)
-        object.__setattr__(self, "single_valued", single_valued)
-
 
 class AuditReport(_Record):
     __slots__ = ("entries",)
-
-    def __init__(self, entries: tuple):
-        object.__setattr__(self, "entries", entries)
 
     @property
     def all_single_valued(self) -> bool:

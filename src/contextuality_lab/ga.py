@@ -100,11 +100,13 @@ def _coerce(value, mode: str) -> Coefficient:
 class _Record:
     """Base of the package's immutable value records.
 
-    A subclass lists its fields in ``__slots__`` and writes them in its own
-    ``__init__`` with ``object.__setattr__``.  From the slots the base derives
+    A subclass lists its fields in ``__slots__``.  From the slots the base
+    derives a constructor taking the fields by position or by keyword,
     equality (with records of the same class only), a hash over the fields, a
     ``Name(field=value, ...)`` repr and pickling; assigning or deleting a
-    field raises ``AttributeError``.
+    field raises ``AttributeError``.  A subclass writes its own ``__init__``,
+    setting the fields with ``object.__setattr__``, only to check an argument
+    or to supply a default.
     """
 
     __slots__ = ()
@@ -114,6 +116,32 @@ class _Record:
         get = attrgetter(*cls.__slots__)
         # the field values as a tuple, for one field as for several
         cls._values = staticmethod(get if len(cls.__slots__) > 1 else lambda r: (get(r),))
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self.__slots__):
+            args = self._bind(args, kwargs)
+        for field, value in zip(self.__slots__, args):
+            object.__setattr__(self, field, value)
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
+        """The field values in slot order from positional and keyword
+        arguments; a missing, extra, unknown or repeated field raises
+        ``TypeError``."""
+        names, name = cls.__slots__, cls.__qualname__
+        if len(args) > len(names):
+            raise TypeError(f"{name}() takes {len(names)} fields, got {len(args)} positional")
+        values = dict(zip(names, args))
+        for field, value in kwargs.items():
+            if field not in names:
+                raise TypeError(f"{name}() has no field {field!r}")
+            if field in values:
+                raise TypeError(f"{name}() got field {field!r} twice")
+            values[field] = value
+        missing = [field for field in names if field not in values]
+        if missing:
+            raise TypeError(f"{name}() is missing field(s) {', '.join(missing)}")
+        return tuple(values[field] for field in names)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -278,9 +306,14 @@ def pseudoscalar(mode: str = EXACT) -> Multivector:
     return Multivector.from_blades({7: 1}, mode)
 
 
-def random_multivector(rng: Random, mode: str = EXACT, span: int = 3) -> Multivector:
-    """A multivector with small integer coefficients drawn from ``rng``."""
-    values = [rng.randint(-span, span) for _ in range(BLADE_COUNT)]
+#: Bound of the integer coefficients drawn by :func:`random_multivector`.
+RANDOM_SPAN = 3
+
+
+def random_multivector(rng: Random, mode: str = EXACT) -> Multivector:
+    """A multivector with integer coefficients in [-RANDOM_SPAN, RANDOM_SPAN]
+    drawn from ``rng``."""
+    values = [rng.randint(-RANDOM_SPAN, RANDOM_SPAN) for _ in range(BLADE_COUNT)]
     if mode == EXACT:
         return Multivector(tuple(values), EXACT)
     return Multivector(tuple(float(v) for v in values), APPROX)

@@ -28,7 +28,7 @@ import functools
 import itertools
 import json
 
-from .constraints import AXIS_INDEX, ObservableProduct, VectorAssignment
+from .constraints import AXIS_INDEX, BELL_GHZ, ObservableProduct, VectorAssignment, builtin_constraints
 from .ga import BLADE_COUNT, CAYLEY, EXACT, Multivector, _Record, basis_vector
 
 IN_PLANE_AXES = (1, 2)
@@ -175,10 +175,11 @@ NEGATED_F1_MAP = IdentityMap(
 )
 
 
-#: The four product lines, in the fixed (xyy, yxy, yyx, xxx) order.
+#: The four built-in Bell-GHZ lines as products, in the fixed (xyy, yxy, yyx,
+#: xxx) order: each line's single-factor terms joined into one observable.
 COLUMN_LINES = tuple(
-    ObservableProduct.parse(label)
-    for label in ("x1*y2*y3", "y1*x2*y3", "y1*y2*x3", "x1*x2*x3")
+    ObservableProduct(tuple(f for term in line.terms for f in term.factors))
+    for line in builtin_constraints(BELL_GHZ).lines
 )
 
 
@@ -223,10 +224,6 @@ class ColumnResult(_Record):
     """The four reduced line values, in (xyy, yxy, yyx, xxx) order."""
 
     __slots__ = ("entries", "product")
-
-    def __init__(self, entries: tuple, product: Multivector):
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "product", product)
 
     def labels(self) -> tuple:
         return tuple(str(entry) for entry in self.entries)
@@ -292,9 +289,6 @@ class OrientationReading(_Record):
     """
 
     __slots__ = ("orientations",)
-
-    def __init__(self, orientations: tuple):
-        object.__setattr__(self, "orientations", orientations)
 
     def identical(self, a: int, b: int) -> bool:
         return self.orientations[a - 1] == self.orientations[b - 1]

@@ -36,19 +36,12 @@ class GaussianRational(_Record):
 
     __slots__ = ("real", "imag")
 
-    def __init__(self, real: int | Fraction, imag: int | Fraction):
-        object.__setattr__(self, "real", real)
-        object.__setattr__(self, "imag", imag)
-
     @classmethod
     def of(cls, real=0, imag=0) -> "GaussianRational":
         return cls(_coerce(real, EXACT), _coerce(imag, EXACT))
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
         return GaussianRational(self.real + other.real, self.imag + other.imag)
-
-    def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.real - other.real, self.imag - other.imag)
 
     def __neg__(self) -> "GaussianRational":
         return GaussianRational(-self.real, -self.imag)
@@ -127,9 +120,6 @@ class ComplexMatrix(_Record):
                 for ra, rb in zip(self.entries, other.entries)
             )
         )
-
-    def __neg__(self) -> "ComplexMatrix":
-        return self.scale(-1)
 
     def scale(self, factor) -> "ComplexMatrix":
         if not isinstance(factor, GaussianRational):
@@ -308,12 +298,16 @@ def _spin_along(direction) -> list:
     return [[complex(az, 0), complex(ax, -ay)], [complex(ax, ay), complex(-az, 0)]]
 
 
-def singlet_correlation(a, b, tolerance: float = 1e-12) -> float:
+#: How far a direction's squared norm may stray from 1.
+UNIT_NORM_TOLERANCE = 1e-11
+
+
+def singlet_correlation(a, b) -> float:
     """Expectation of (spin along a)x(spin along b) in the two-particle
     singlet state; equals minus the dot product of the unit vectors."""
     for name, v in (("a", a), ("b", b)):
         norm2 = sum(float(c) ** 2 for c in v)
-        if abs(norm2 - 1.0) > 10 * tolerance:
+        if abs(norm2 - 1.0) > UNIT_NORM_TOLERANCE:
             raise ValueError(f"direction {name} is not a unit vector (|{name}|^2={norm2})")
     ma = _spin_along(a)
     mb = _spin_along(b)

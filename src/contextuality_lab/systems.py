@@ -69,10 +69,6 @@ class TensorMultivector(_Record):
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def zero(cls, n: int) -> "TensorMultivector":
-        return cls(n, {})
-
-    @classmethod
     def scalar(cls, value, n: int) -> "TensorMultivector":
         return cls(n, {0: _coerce(value, EXACT)})
 
@@ -132,9 +128,6 @@ class TensorMultivector(_Record):
 
     def is_scalar(self) -> bool:
         return self.coeffs.keys() <= {0}
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     # -- comparison ------------------------------------------------------------
 

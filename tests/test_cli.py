@@ -275,6 +275,29 @@ class TestVerify:
             main(["chsh", "0", "1", "5", "--csv", str(tmp_path / "missing" / "c.csv")])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv,fragment",
+        [
+            (["verify", "pm", "--constraints", ""], "cannot load constraint set"),
+            (["verify", "pm", "--out", ""], "cannot write report"),
+            (["chsh", "0", "1", "3", "--csv", ""], "cannot write CSV"),
+        ],
+        ids=["constraints", "out", "csv"],
+    )
+    def test_empty_path_is_a_usage_error(self, argv, fragment, tmp_path):
+        # an empty path is a path that cannot be opened, not an absent option
+        result = subprocess.run(
+            [sys.executable, "-m", "contextuality_lab.cli", *argv],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+        )
+        assert result.returncode == 2
+        assert result.stderr.startswith("usage:") and fragment in result.stderr
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestOperatorsSuiteWork:
     def test_each_single_site_word_is_built_once_per_n(self, monkeypatch):
@@ -498,6 +521,19 @@ class TestChsh:
         with pytest.raises(SystemExit) as excinfo:
             main(["chsh", "0", "1", "2"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv,fragment",
+        [(["1", "0", "10"], "bad angle range [1.0, 0.0]"),
+         (["0", "1", "2"], "grid needs at least 3 points")],
+    )
+    def test_grid_errors_come_from_chsh_before_any_csv(self, argv, fragment, tmp_path, capsys):
+        csv_path = tmp_path / "c.csv"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["chsh", *argv, "--csv", str(csv_path)])
+        assert excinfo.value.code == 2
+        assert fragment in capsys.readouterr().err
+        assert not csv_path.exists()
 
 
 class TestSearchIdentities:

@@ -20,6 +20,7 @@ from contextuality_lab.constraints import (
     builtin_constraints,
     enumerate_scalar_assignments,
     evaluate_vector_model,
+    has_builtin_lines,
     has_vector_model,
     non_contextuality_audit,
     parity_witness,
@@ -401,6 +402,17 @@ class TestVectorModel:
             assert not has_vector_model(other)
             with pytest.raises(ValueError):
                 evaluate_vector_model(other, assignment)
+
+    def test_builtin_label_rows_decide_like_line_records(self):
+        documents = []
+        for name in (PM, GHZ, BELL_GHZ):
+            lines = builtin_constraints(name).lines
+            flipped = lines[:-1] + (ConstraintLine(lines[-1].terms, -lines[-1].required),)
+            documents += [ConstraintSet("mine", v) for v in (lines, lines[::-1], flipped)]
+        for cs in documents:
+            for name in (PM, GHZ, BELL_GHZ):
+                expected = cs.lines == builtin_constraints(name).lines
+                assert has_builtin_lines(cs, name) is expected
 
     def test_vector_model_check_parses_nothing(self, monkeypatch):
         documents = [builtin_constraints(name) for name in (PM, GHZ, BELL_GHZ)]

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from blade_keys import pack
+from contextuality_lab.checks import Context
 from contextuality_lab.chsh import ScanResult
 from contextuality_lab.constraints import (
     AuditReport,
@@ -19,7 +20,7 @@ from contextuality_lab.constraints import (
     PauliSymbol,
     VectorAssignment,
 )
-from contextuality_lab.ga import EXACT, Multivector, basis_vector, pseudoscalar
+from contextuality_lab.ga import EXACT, Multivector, _Record, basis_vector, pseudoscalar
 from contextuality_lab.identities import (
     ColumnResult,
     IdentityMap,
@@ -86,6 +87,7 @@ RECORDS = [
         lambda: ((basis_vector(1) * basis_vector(2),) * 3,),
     ),
     (ScanResult, ("argmax", "maximum", "steps"), lambda: (1.0, 2.5, 3)),
+    (Context, ("mode", "seed", "document"), lambda: (EXACT, 7, None)),
 ]
 
 #: Records that render themselves instead of listing their fields.
@@ -120,3 +122,38 @@ def test_record_contract(cls, names, values):
 
 def test_pauli_symbol_repr():
     assert repr(PauliSymbol(1, "x")) == "PauliSymbol(system=1, axis='x')"
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_record_is_listed():
+    import contextuality_lab.cli  # noqa: F401  (imports every module of the package)
+
+    listed = [record[0] for record in RECORDS]
+    found = [cls for cls in _subclasses(_Record) if cls.__module__.startswith("contextuality_lab")]
+    assert len(set(listed)) == len(listed)
+    assert set(listed) == set(found)
+
+
+def test_base_constructor_mixes_position_and_keyword():
+    assert ScanResult(1.0, steps=3, maximum=2.5) == ScanResult(1.0, 2.5, 3)
+
+
+@pytest.mark.parametrize(
+    "args,kwargs,fragment",
+    [
+        ((1.0,), {}, "is missing field(s) maximum, steps"),
+        ((1.0, 2.5, 3, 4), {}, "takes 3 fields, got 4 positional"),
+        ((1.0, 2.5), {"step": 3}, "has no field 'step'"),
+        ((1.0, 2.5, 3), {"steps": 3}, "got field 'steps' twice"),
+    ],
+    ids=["missing", "extra-positional", "unknown-keyword", "given-twice"],
+)
+def test_base_constructor_rejects_bad_fields(args, kwargs, fragment):
+    with pytest.raises(TypeError) as excinfo:
+        ScanResult(*args, **kwargs)
+    assert str(excinfo.value) == f"ScanResult() {fragment}"
