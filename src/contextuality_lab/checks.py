@@ -21,11 +21,11 @@ from .constraints import BELL_GHZ, GHZ, PM, ObservableProduct, builtin_constrain
 from .ga import (
     APPROX,
     BLADE_COUNT,
+    EXACT,
     Multivector,
     _Record,
     basis_vector,
     pseudoscalar,
-    random_multivector,
 )
 from .identities import NEGATED_F1_MAP, UNIFORM_MAP, SignedAxisVector
 
@@ -33,7 +33,6 @@ AXES = (1, 2, 3)
 #: Ordered pairs and permutations of distinct axes, in lexicographic order.
 PAIRS = tuple(itertools.permutations(AXES, 2))
 PERMUTATIONS = tuple(itertools.permutations(AXES))
-SAMPLES = 200
 MINUS_ONE = Multivector.scalar(-1)
 
 
@@ -111,17 +110,32 @@ def _ga(witness, build):
     return Words(cases, witness)
 
 
-def _sampled(offset: int, word):
-    """``word(a, b, c)`` on seeded random triples; the witness names the seed."""
+def _blade_table(mode: str) -> tuple:
+    """The eight basis blades ``e[a]`` of the mode and the table
+    ``p[a][b] = e[a] * e[b]`` of their 64 products, formed by the dense
+    product."""
+    e = [Multivector.from_blades({a: 1}, mode) for a in range(BLADE_COUNT)]
+    return e, [[x * y for y in e] for x in e]
 
-    def cases(ctx):
-        rng = Random(ctx.seed + offset)
-        triples = [[random_multivector(rng, ctx.mode) for _ in range(3)] for _ in range(SAMPLES)]
-        return [[word(a, b, c)] for a, b, c in triples]
 
-    return Words(
-        cases, lambda ctx, cases, values: {"samples": len(cases), "seed": ctx.seed + offset}
-    )
+def _associativity(ctx):
+    """``(e_a e_b) e_c == e_a (e_b e_c)`` for every blade triple: the product
+    is linear in each factor, so this decides it for all multivectors."""
+    e, p = _blade_table(ctx.mode)
+    triples = itertools.product(range(BLADE_COUNT), repeat=3)
+    return [[((p[a][b], e[c]), e[a] * p[b][c])] for a, b, c in triples]
+
+
+def _distributivity(ctx):
+    """A sum of two blades (a doubled blade when they coincide) distributes
+    on either side of each blade."""
+    e, p = _blade_table(ctx.mode)
+    cases = []
+    for a in range(BLADE_COUNT):
+        for b, c in itertools.combinations_with_replacement(range(BLADE_COUNT), 2):
+            s = e[b] + e[c]
+            cases.append([((e[a], s), p[a][b] + p[a][c]), ((s, e[a]), p[b][a] + p[c][a])])
+    return cases
 
 
 def _pseudoscalar(e, one, minus_one):
@@ -229,11 +243,11 @@ GA_AXIOMS = (
          for b in (e[j], -e[j])
          for c in (e[k], -e[k])
      ])),
-    ("ga.associativity", f"the product is associative on {SAMPLES} seeded random triples",
-     _sampled(0, lambda a, b, c: ((a, b, c), a * (b * c)))),
+    ("ga.associativity", "the product is associative on all 512 basis-blade triples",
+     Words(_associativity, "triples")),
     ("ga.distributivity",
-     f"the product distributes over addition on {SAMPLES} seeded random triples",
-     _sampled(1, lambda a, b, c: ((a, b + c), a * b + a * c))),
+     "the product distributes over sums of two basis blades, on either side",
+     Words(_distributivity, "triples")),
 )
 
 SYSTEMS_AXIOMS = (
@@ -303,11 +317,11 @@ def _blade_map(ctx):
         reduce(operator.matmul, [p for k, p in enumerate(paulis) if mask >> k & 1], one)
         for mask in range(BLADE_COUNT)
     ]
-    blades = [Multivector.from_blades({mask: 1}) for mask in range(BLADE_COUNT)]
+    _, products = _blade_table(EXACT)
     zero = one.scale(0)
     pairs = list(itertools.product(range(BLADE_COUNT), repeat=2))
     ok = all(
-        sum((spin[m].scale(v) for m, v in enumerate((blades[a] * blades[b]).coeffs) if v), zero)
+        sum((spin[m].scale(v) for m, v in enumerate(products[a][b].coeffs) if v), zero)
         == spin[a] @ spin[b]
         for a, b in pairs
     )

@@ -14,9 +14,10 @@ Subcommands:
 The claims themselves, with their ids, witnesses and pass rules, are the
 rows of :mod:`contextuality_lab.checks`; this module loads the optional
 constraint document, resolves the seed and wraps the entries in a report.
-Reports are deterministic byte for byte for fixed flags: randomized suites
-draw from a seeded generator (``--seed``, overridden by the environment
-variable ``CONTEXTUALITY_LAB_SEED``) and no timestamps are embedded.
+Reports are deterministic byte for byte for fixed flags: the one sampled
+check, ``states.singlet``, draws from a seeded generator (``--seed``,
+overridden by the environment variable ``CONTEXTUALITY_LAB_SEED``) and no
+timestamps are embedded.
 """
 
 from __future__ import annotations
@@ -71,10 +72,26 @@ def _resolve_seed(flag_value: int, parser) -> int:
     return flag_value
 
 
+def _check_out(path: str, parser) -> None:
+    """Reject an ``--out`` path that cannot take the report before any check
+    runs; the file itself is neither opened nor truncated here."""
+    if not path:
+        parser.error("cannot write report: empty path")
+    if os.path.isdir(path):
+        parser.error(f"cannot write report: {path!r} is a directory")
+    parent = os.path.dirname(path) or os.curdir
+    if not os.path.isdir(parent):
+        parser.error(f"cannot write report: no directory {parent!r}")
+    if not os.access(parent, os.W_OK):
+        parser.error(f"cannot write report: directory {parent!r} is not writable")
+
+
 # -- subcommand handlers ------------------------------------------------------------------
 
 
 def _cmd_verify(args, parser) -> int:
+    if args.out is not None:
+        _check_out(args.out, parser)
     custom = None
     if args.constraints is not None:
         if args.target not in ("pm", "ghz", "bell-ghz"):

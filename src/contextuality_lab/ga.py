@@ -25,7 +25,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from operator import attrgetter
-from random import Random
 from typing import Union
 
 Coefficient = Union[int, Fraction, float]
@@ -304,19 +303,6 @@ def basis_vector(axis: int, mode: str = EXACT) -> Multivector:
 def pseudoscalar(mode: str = EXACT) -> Multivector:
     """The unit trivector e123."""
     return Multivector.from_blades({7: 1}, mode)
-
-
-#: Bound of the integer coefficients drawn by :func:`random_multivector`.
-RANDOM_SPAN = 3
-
-
-def random_multivector(rng: Random, mode: str = EXACT) -> Multivector:
-    """A multivector with integer coefficients in [-RANDOM_SPAN, RANDOM_SPAN]
-    drawn from ``rng``."""
-    values = [rng.randint(-RANDOM_SPAN, RANDOM_SPAN) for _ in range(BLADE_COUNT)]
-    if mode == EXACT:
-        return Multivector(tuple(values), EXACT)
-    return Multivector(tuple(float(v) for v in values), APPROX)
 
 
 # -- text format ---------------------------------------------------------

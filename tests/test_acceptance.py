@@ -23,7 +23,8 @@ from contextuality_lab.constraints import (
     evaluate_vector_model,
     non_contextuality_audit,
 )
-from contextuality_lab.ga import Multivector, basis_vector, random_multivector
+from contextuality_lab.ga import Multivector, basis_vector
+from random_multivectors import random_multivector
 from sweep_oracle import CoplanarConfig, gamma_vector
 
 SEED = 1729

@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 from collections import Counter
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from contextuality_lab import chsh, identities, quantum
+from contextuality_lab import checks, chsh, ga, identities, quantum
 from contextuality_lab.checks import OPERATORS, STATES, Context, Words, run
 from contextuality_lab.cli import DEFAULT_SEED, build_report, main
 from contextuality_lab.constraints import BELL_GHZ, GHZ, PM, builtin_constraints
@@ -270,6 +271,28 @@ class TestVerify:
             main(["verify", "a3", "--out", str(tmp_path / "missing" / "r.json")])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize(
+        "case", ["missing-directory", "directory", "unwritable-directory", "bad-seed"]
+    )
+    def test_out_is_refused_before_any_check_runs(self, case, tmp_path, monkeypatch, capsys):
+        existing = tmp_path / "r.json"
+        existing.write_bytes(b"an earlier report\n")
+        out = {"missing-directory": tmp_path / "missing" / "r.json", "directory": tmp_path}
+        if case == "unwritable-directory":
+            # a test may run as a user who can write anywhere
+            monkeypatch.setattr(os, "access", lambda path, mode: False)
+        if case == "bad-seed":
+            monkeypatch.setenv("CONTEXTUALITY_LAB_SEED", "seven")
+        runs = []
+        monkeypatch.setattr(checks, "run", lambda rows, ctx: runs.append(ctx) or [])
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "all", "--out", str(out.get(case, existing))])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "Traceback" not in err
+        assert runs == []
+        assert existing.read_bytes() == b"an earlier report\n"
+
     def test_unwritable_csv_path_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             main(["chsh", "0", "1", "5", "--csv", str(tmp_path / "missing" / "c.csv")])
@@ -340,8 +363,7 @@ class TestAxiomRows:
             ok, witness = words(ctx)
             assert ok, check_id
             counts = [v for v in witness.values() if isinstance(v, int) and not isinstance(v, bool)]
-            if check_id not in ("ga.associativity", "ga.distributivity"):
-                assert counts in ([], [len(cases)]), check_id
+            assert counts in ([], [len(cases)]), check_id
 
     def test_a_wrong_blade_sign_fails_the_ga_words(self, monkeypatch, capsys):
         dense = Multivector.__mul__
@@ -364,11 +386,32 @@ class TestAxiomRows:
             assert {i for i in failed if i.startswith("ga.")} == {
                 "ga.anticommutation", "ga.bivector-cancel", "ga.bivector-square",
                 "ga.trivector-cancel", "ga.trivector-square", "ga.sign-flips-plane",
-                "ga.sign-flips-space",
+                "ga.sign-flips-space", "ga.associativity", "ga.distributivity",
             }
         code, out, _ = run_cli(["verify", "operators"], capsys)
         assert code == 1
         assert json.loads(out)["all_pass"] is False
+
+    def test_any_wrong_cayley_sign_fails_associativity(self, monkeypatch):
+        words = next(row[2] for row in self.ROWS if row[0] == "ga.associativity")
+        cayley, missed = ga.CAYLEY, []
+        for a, b in itertools.product(range(ga.BLADE_COUNT), repeat=2):
+            table = [list(row) for row in cayley]
+            sign, mask = table[a][b]
+            table[a][b] = (-sign, mask)
+            monkeypatch.setattr(ga, "CAYLEY", tuple(map(tuple, table)))
+            for mode in (EXACT, APPROX):
+                if words(Context(mode, DEFAULT_SEED))[0]:
+                    missed.append((a, b, mode))
+        assert missed == []
+
+    def test_ga_proofs_do_not_read_the_seed(self):
+        ids = ("ga.associativity", "ga.distributivity")
+        first, second = (
+            [c for c in build_report("operators", seed=seed)["checks"] if c["id"] in ids]
+            for seed in (1, 2)
+        )
+        assert len(first) == 2 and first == second
 
 
 class TestBellGhzColumnWork:

@@ -14,14 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blade_keys import pack, unpack
-from contextuality_lab.ga import (
-    CAYLEY,
-    Multivector,
-    parse_multivector,
-    random_multivector,
-)
+from contextuality_lab.ga import CAYLEY, Multivector, parse_multivector
 from contextuality_lab.quantum import ComplexMatrix, GaussianRational
 from contextuality_lab.systems import TensorMultivector, identify_pseudoscalars, word
+from random_multivectors import random_multivector
 
 integers = st.integers(min_value=-4, max_value=4)
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)

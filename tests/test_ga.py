@@ -17,9 +17,9 @@ from contextuality_lab.ga import (
     blade_product,
     parse_multivector,
     pseudoscalar,
-    random_multivector,
     render_multivector,
 )
+from random_multivectors import random_multivector
 
 ONE = Multivector.scalar(1)
 MINUS_ONE = Multivector.scalar(-1)

@@ -46,6 +46,7 @@ from quantum_oracle import (
     observable_matrix,
     word_matrix,
 )
+from random_multivectors import random_multivector
 
 
 class TestPauliAlgebra:
@@ -308,8 +309,6 @@ class TestStructuralIsomorphism:
             assert multivector_matrix(mv) == matrix
 
     def test_random_multivector_pairs_carry_over(self):
-        from contextuality_lab.ga import random_multivector
-
         rng = Random(17)
         for _ in range(40):
             a = random_multivector(rng)
