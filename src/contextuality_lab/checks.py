@@ -547,3 +547,7 @@ SUITES = {
     "states": lambda ctx: STATES,
     "a3": lambda ctx: A3,
 }
+
+#: The targets whose suites read ``ctx.document``, so ``verify --constraints``
+#: applies to them and to no other.
+DOCUMENT_TARGETS = ("pm", "ghz", "bell-ghz")

@@ -13,11 +13,11 @@ Subcommands:
 
 The claims themselves, with their ids, witnesses and pass rules, are the
 rows of :mod:`contextuality_lab.checks`; this module loads the optional
-constraint document, resolves the seed and wraps the entries in a report.
+constraint document and wraps the entries in a report.  Every input comes
+from argv and every usage error goes through ``parser.error`` (exit 2).
 Reports are deterministic byte for byte for fixed flags: the one sampled
-check, ``states.singlet``, draws from a seeded generator (``--seed``,
-overridden by the environment variable ``CONTEXTUALITY_LAB_SEED``) and no
-timestamps are embedded.
+check, ``states.singlet``, draws from a generator seeded by ``--seed`` and
+no timestamps are embedded.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .identities import SignedAxisVector
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 1729
-SEED_ENV_VAR = "CONTEXTUALITY_LAB_SEED"
 
 VERIFY_TARGETS = (*checks.SUITES, "all")
 
@@ -62,16 +61,6 @@ def build_report(target: str, mode: str = EXACT, seed: int = DEFAULT_SEED, custo
     }
 
 
-def _resolve_seed(flag_value: int, parser) -> int:
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            parser.error(f"bad {SEED_ENV_VAR} value {env!r}: not an integer")
-    return flag_value
-
-
 def _check_out(path: str, parser) -> None:
     """Reject an ``--out`` path that cannot take the report before any check
     runs; the file itself is neither opened nor truncated here."""
@@ -84,6 +73,8 @@ def _check_out(path: str, parser) -> None:
         parser.error(f"cannot write report: no directory {parent!r}")
     if not os.access(parent, os.W_OK):
         parser.error(f"cannot write report: directory {parent!r} is not writable")
+    if os.path.exists(path) and not os.access(path, os.W_OK):
+        parser.error(f"cannot write report: {path!r} is not writable")
 
 
 # -- subcommand handlers ------------------------------------------------------------------
@@ -94,14 +85,15 @@ def _cmd_verify(args, parser) -> int:
         _check_out(args.out, parser)
     custom = None
     if args.constraints is not None:
-        if args.target not in ("pm", "ghz", "bell-ghz"):
-            parser.error("--constraints applies to the pm, ghz and bell-ghz targets")
+        if args.target not in checks.DOCUMENT_TARGETS:
+            targets = ", ".join(checks.DOCUMENT_TARGETS)
+            parser.error(f"--constraints applies only to the targets {targets}")
         try:
             with open(args.constraints, "r", encoding="utf-8") as handle:
                 custom = constraints.ConstraintSet.from_json(handle.read())
         except (OSError, ValueError) as exc:
             parser.error(f"cannot load constraint set: {exc}")
-    report = build_report(args.target, args.mode, _resolve_seed(args.seed, parser), custom)
+    report = build_report(args.target, args.mode, args.seed, custom)
     text = json.dumps(report, indent=2)
     if args.out is not None:
         try:
@@ -143,12 +135,11 @@ def _cmd_chsh(args, parser) -> int:
     return 0
 
 
-def _cmd_search_identities(args) -> int:
+def _cmd_search_identities(args, parser) -> int:
     try:
         target = SignedAxisVector.parse(args.target)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        parser.error(str(exc))
     maps = identities.find_identity_maps(target)
     print(json.dumps([m.as_dict() for m in maps], indent=2))
     return 0
@@ -163,6 +154,7 @@ def _make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify", help="run a check suite, emit a JSON report")
+    verify.set_defaults(handler=_cmd_verify)
     verify.add_argument("target", choices=VERIFY_TARGETS)
     verify.add_argument("--out", help="write the JSON report to a file")
     verify.add_argument(
@@ -180,10 +172,11 @@ def _make_parser() -> argparse.ArgumentParser:
         "--seed",
         type=int,
         default=DEFAULT_SEED,
-        help=f"seed for randomized checks ({SEED_ENV_VAR} overrides)",
+        help="seed for randomized checks",
     )
 
     sweep = sub.add_parser("chsh", help="scan the correlation curve F over [start, end]")
+    sweep.set_defaults(handler=_cmd_chsh)
     sweep.add_argument("start", type=float)
     sweep.add_argument("end", type=float)
     sweep.add_argument("steps", type=int)
@@ -193,6 +186,7 @@ def _make_parser() -> argparse.ArgumentParser:
         "search-identities",
         help="list identification maps producing the column (x, x, x, -x)",
     )
+    search.set_defaults(handler=_cmd_search_identities)
     search.add_argument(
         "target",
         help="signed in-plane vector, e.g. e1 or -e2 (letters e, f, g accepted)",
@@ -216,14 +210,7 @@ def _shield_dash_target(argv: list) -> list:
 def main(argv=None) -> int:
     parser = _make_parser()
     args = parser.parse_args(_shield_dash_target(sys.argv[1:] if argv is None else argv))
-    if args.command == "verify":
-        return _cmd_verify(args, parser)
-    if args.command == "chsh":
-        return _cmd_chsh(args, parser)
-    if args.command == "search-identities":
-        return _cmd_search_identities(args)
-    parser.error("no command")
-    return 2
+    return args.handler(args, parser)
 
 
 if __name__ == "__main__":

@@ -15,9 +15,9 @@ caller-supplied ``Fraction`` values.  An integral ``Fraction`` handed in is
 stored as ``int``; one left by a product that cancels a denominator compares,
 hashes and renders exactly like that ``int``.  A multivector is homogeneous in
 one of the two modes and the mode never mixes inside an operation: the exact
-mode makes identity checking decidable, the float mode exists for
-trigonometric sweeps.  Multivectors are immutable values and every operation
-is a pure function.
+mode makes identity checking decidable, the float mode serves ``verify
+--mode approx`` and the dense sweep oracle of the tests.  Multivectors are
+immutable values and every operation is a pure function.
 """
 
 from __future__ import annotations

@@ -19,8 +19,9 @@ here hold integer amplitudes scaled by 1/sqrt(2), and eigenvalue equations
 never need the irrational factor itself.
 
 The one floating-point entry point is :func:`singlet_correlation`, which
-takes arbitrary real unit vectors; it exists to cross-check the sweep in
-:mod:`contextuality_lab.chsh` against matrix mechanics.
+takes arbitrary real unit vectors.  It cross-checks the sweep in
+:mod:`contextuality_lab.chsh` against matrix mechanics, and the sampled
+``states.singlet`` check compares it with minus the dot product.
 """
 
 from __future__ import annotations

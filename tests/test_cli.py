@@ -1,5 +1,6 @@
 """Command-line interface: reports, exit codes, determinism, CSV output."""
 
+import contextlib
 import csv
 import io
 import itertools
@@ -12,6 +13,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contextuality_lab import checks, chsh, ga, identities, quantum
 from contextuality_lab.checks import OPERATORS, STATES, Context, Words, run
@@ -28,6 +31,15 @@ def run_cli(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_usage_error(argv, capsys, fragment):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "Traceback" not in err
+    assert fragment in err
 
 
 class TestVerify:
@@ -91,11 +103,14 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["environment"]["mode"] == "approx"
 
-    def test_seed_env_override(self, capsys, monkeypatch):
+    def test_seed_comes_from_argv_only(self, capsys, monkeypatch):
+        monkeypatch.delenv("CONTEXTUALITY_LAB_SEED", raising=False)
+        code, plain, _ = run_cli(["verify", "states", "--seed", "3"], capsys)
         monkeypatch.setenv("CONTEXTUALITY_LAB_SEED", "7")
-        code, out, _ = run_cli(["verify", "states", "--seed", "3"], capsys)
-        assert code == 0
-        assert json.loads(out)["environment"]["seed"] == 7
+        code_with_env, out, _ = run_cli(["verify", "states", "--seed", "3"], capsys)
+        assert code == code_with_env == 0
+        assert json.loads(out)["environment"]["seed"] == 3
+        assert out == plain
 
     def test_build_report_all_targets(self):
         report = build_report("all", seed=DEFAULT_SEED)
@@ -139,14 +154,6 @@ class TestVerify:
             main(["verify", "pm", "--constraints", str(path)])
         assert excinfo.value.code == 2
 
-    def assert_usage_error(self, argv, capsys, fragment):
-        with pytest.raises(SystemExit) as excinfo:
-            main(argv)
-        assert excinfo.value.code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("usage:")
-        assert fragment in err
-
     @pytest.mark.parametrize(
         "lines,fragment",
         [([], "at least one line"), ([{"terms": [], "required": 1}], "at least one term")],
@@ -154,7 +161,7 @@ class TestVerify:
     def test_constraints_empty_lines_exits_2(self, lines, fragment, tmp_path, capsys):
         path = tmp_path / "empty.json"
         path.write_text(json.dumps({"name": "pm", "lines": lines}))
-        self.assert_usage_error(
+        assert_usage_error(
             ["verify", "pm", "--constraints", str(path)], capsys, fragment
         )
 
@@ -233,7 +240,7 @@ class TestVerify:
     def test_constraints_bad_shape_exits_2(self, doc, fragment, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
-        self.assert_usage_error(
+        assert_usage_error(
             ["verify", "pm", "--constraints", str(path)], capsys, fragment
         )
 
@@ -262,17 +269,13 @@ class TestVerify:
         assert "nested too deeply" in result.stderr
         assert "Traceback" not in result.stderr
 
-    def test_non_integer_seed_env_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("CONTEXTUALITY_LAB_SEED", "seven")
-        self.assert_usage_error(["verify", "a3"], capsys, "CONTEXTUALITY_LAB_SEED")
-
     def test_unwritable_out_path_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             main(["verify", "a3", "--out", str(tmp_path / "missing" / "r.json")])
         assert excinfo.value.code == 2
 
     @pytest.mark.parametrize(
-        "case", ["missing-directory", "directory", "unwritable-directory", "bad-seed"]
+        "case", ["missing-directory", "directory", "unwritable-directory", "unwritable-file"]
     )
     def test_out_is_refused_before_any_check_runs(self, case, tmp_path, monkeypatch, capsys):
         existing = tmp_path / "r.json"
@@ -281,8 +284,12 @@ class TestVerify:
         if case == "unwritable-directory":
             # a test may run as a user who can write anywhere
             monkeypatch.setattr(os, "access", lambda path, mode: False)
-        if case == "bad-seed":
-            monkeypatch.setenv("CONTEXTUALITY_LAB_SEED", "seven")
+        if case == "unwritable-file":
+            # refuse the file only; its directory stays writable
+            access = os.access
+            monkeypatch.setattr(
+                os, "access", lambda path, mode: path != str(existing) and access(path, mode)
+            )
         runs = []
         monkeypatch.setattr(checks, "run", lambda rows, ctx: runs.append(ctx) or [])
         with pytest.raises(SystemExit) as excinfo:
@@ -592,13 +599,33 @@ class TestSearchIdentities:
         assert len(json.loads(out)) > 0
 
     def test_out_of_plane_target_exits_2(self, capsys):
-        code, _, err = run_cli(["search-identities", "e3"], capsys)
-        assert code == 2
-        assert "error" in err
+        assert_usage_error(["search-identities", "e3"], capsys, "vector 'e3'")
 
     def test_unparsable_target_exits_2(self, capsys):
-        code, _, _ = run_cli(["search-identities", "zap"], capsys)
+        assert_usage_error(["search-identities", "zap"], capsys, "vector 'zap'")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        st.text(alphabet="efg123+-− ", max_size=5).map(lambda t: ["search-identities", t]),
+        st.tuples(st.floats(-4, 4), st.floats(-4, 4), st.integers(-2, 40)).map(
+            lambda grid: ["chsh", *map(str, grid)]
+        ),
+    )
+)
+def test_search_and_sweep_argv_exit_0_or_with_usage(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    if code == 0:
+        assert out.getvalue() and err.getvalue() == ""
+    else:
         assert code == 2
+        assert err.getvalue().startswith("usage:") and out.getvalue() == ""
 
 
 def test_console_entry_point_runs():

@@ -14,14 +14,13 @@ After an intended change to the output, regenerate the files with::
 import contextlib
 import io
 import json
-import os
 import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 
-from contextuality_lab.cli import SEED_ENV_VAR, main
+from contextuality_lab.cli import main
 from contextuality_lab.constraints import BELL_GHZ, builtin_constraints
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -122,8 +121,7 @@ def run_case(name: str, argv: list, expected_code: int, workdir: Path) -> dict:
 
 
 @pytest.mark.parametrize("name,argv,code", CASES, ids=[name for name, _, _ in CASES])
-def test_output_matches_golden(name, argv, code, tmp_path, monkeypatch):
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+def test_output_matches_golden(name, argv, code, tmp_path):
     produced = run_case(name, argv, code, tmp_path)
     for filename, data in produced.items():
         assert data == (GOLDEN_DIR / filename).read_bytes(), filename
@@ -139,7 +137,6 @@ def test_every_golden_file_has_a_case():
 
 
 def regenerate() -> None:
-    os.environ.pop(SEED_ENV_VAR, None)
     GOLDEN_DIR.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name, argv, code in CASES:

@@ -1,0 +1,56 @@
+"""The package runs on the standard library alone and reads no environment.
+
+Every module under ``src/contextuality_lab`` is parsed, not imported, so an
+import behind a guard or inside a function is seen too.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+import contextuality_lab
+
+PACKAGE = "contextuality_lab"
+MODULES = sorted(Path(contextuality_lab.__file__).parent.glob("*.py"))
+ENVIRONMENT_READS = {"environ", "environb", "getenv"}
+
+
+def parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def test_every_module_is_checked():
+    assert {p.stem for p in MODULES} >= {"__init__", "cli", "checks", "ga"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_imports_are_stdlib_or_the_package(path):
+    imported = set()
+    for node in ast.walk(parse(path)):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module.split(".")[0])
+    assert imported - sys.stdlib_module_names - {PACKAGE} == set()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_module_reads_the_environment(path):
+    reads = []
+    for node in ast.walk(parse(path)):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "os"
+            and node.attr in ENVIRONMENT_READS
+        ):
+            reads.append(f"{path.name}:{node.lineno}: os.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            reads.extend(
+                f"{path.name}:{node.lineno}: from os import {alias.name}"
+                for alias in node.names
+                if alias.name in ENVIRONMENT_READS
+            )
+    assert reads == []
