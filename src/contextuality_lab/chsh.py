@@ -8,7 +8,7 @@ here by enumerating all 16 assignments.  When the symbols instead take the
 direction vectors themselves as values and multiply geometrically, the
 combination becomes an even multivector whose scalar magnitude traces the
 curve F(phi) = |1 + 2 cos(phi) - cos(2 phi)|, peaking at 5/2 for
-phi = pi/3.  The same curve comes out of matrix mechanics through the
+phi = pi/3.  The same curve comes out of quantum mechanics through the
 singlet-state correlations, which is the cross-check wired into
 :func:`quantum_lhs`.
 
@@ -19,8 +19,10 @@ c1*c2 + s1*s2.  :func:`F` sums those scalar parts straight from the cosines
 and sines, in the same order and from the same ``math.cos``/``math.sin``
 values as the dense 8-blade float product of the four directions, so each
 value is bit-identical to it; :func:`non_collinearity_witness` reads the
-same pairs.  The dense path is kept only as the test oracle for the sweep
-(``tests/sweep_oracle.py``).
+same pairs.  Likewise each singlet correlation is computed in real
+arithmetic, bit-identical to the complex Kronecker-product matrix mechanics.
+The dense multivectors and the complex matrices are kept only as the test
+oracle for the sweep (``tests/sweep_oracle.py``).
 """
 
 from __future__ import annotations
@@ -104,8 +106,8 @@ def scan_F(steps: int, start: float = 0.0, end: float = math.pi) -> ScanResult:
 
 
 def quantum_lhs(phi: float) -> float:
-    """The same four-term combination evaluated through singlet-state
-    matrix correlations of the four directions, as (x, 0, z) triples."""
+    """The same four-term combination evaluated through the singlet-state
+    correlations of the four directions, as (x, 0, z) triples."""
     (c, s), (c2, s2), (cp, sp) = _plane_pairs(phi)
     a = b = (c, 0.0, s)
     ap = (c2, 0.0, s2)

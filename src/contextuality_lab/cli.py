@@ -14,7 +14,8 @@ Subcommands:
 The claims themselves, with their ids, witnesses and pass rules, are the
 rows of :mod:`contextuality_lab.checks`; this module loads the optional
 constraint document and wraps the entries in a report.  Every input comes
-from argv and every usage error goes through ``parser.error`` (exit 2).
+from argv and every usage error goes through the subcommand parser's
+``error`` (exit 2), so it shows that subcommand's usage line.
 Reports are deterministic byte for byte for fixed flags: the one sampled
 check, ``states.singlet``, draws from a generator seeded by ``--seed`` and
 no timestamps are embedded.
@@ -154,7 +155,7 @@ def _make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify", help="run a check suite, emit a JSON report")
-    verify.set_defaults(handler=_cmd_verify)
+    verify.set_defaults(handler=_cmd_verify, parser=verify)
     verify.add_argument("target", choices=VERIFY_TARGETS)
     verify.add_argument("--out", help="write the JSON report to a file")
     verify.add_argument(
@@ -176,7 +177,7 @@ def _make_parser() -> argparse.ArgumentParser:
     )
 
     sweep = sub.add_parser("chsh", help="scan the correlation curve F over [start, end]")
-    sweep.set_defaults(handler=_cmd_chsh)
+    sweep.set_defaults(handler=_cmd_chsh, parser=sweep)
     sweep.add_argument("start", type=float)
     sweep.add_argument("end", type=float)
     sweep.add_argument("steps", type=int)
@@ -186,7 +187,7 @@ def _make_parser() -> argparse.ArgumentParser:
         "search-identities",
         help="list identification maps producing the column (x, x, x, -x)",
     )
-    search.set_defaults(handler=_cmd_search_identities)
+    search.set_defaults(handler=_cmd_search_identities, parser=search)
     search.add_argument(
         "target",
         help="signed in-plane vector, e.g. e1 or -e2 (letters e, f, g accepted)",
@@ -210,7 +211,7 @@ def _shield_dash_target(argv: list) -> list:
 def main(argv=None) -> int:
     parser = _make_parser()
     args = parser.parse_args(_shield_dash_target(sys.argv[1:] if argv is None else argv))
-    return args.handler(args, parser)
+    return args.handler(args, args.parser)
 
 
 if __name__ == "__main__":

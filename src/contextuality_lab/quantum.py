@@ -18,10 +18,10 @@ their squared-norm denominator symbolically: the three-particle states used
 here hold integer amplitudes scaled by 1/sqrt(2), and eigenvalue equations
 never need the irrational factor itself.
 
-The one floating-point entry point is :func:`singlet_correlation`, which
-takes arbitrary real unit vectors.  It cross-checks the sweep in
-:mod:`contextuality_lab.chsh` against matrix mechanics, and the sampled
-``states.singlet`` check compares it with minus the dot product.
+The one floating-point entry point is :func:`singlet_correlation`, behind
+the sweep's ``qm_lhs`` column and the sampled ``states.singlet`` check.  It
+is the real-arithmetic reduction, equal bit for bit, of the complex 4 x 4
+Kronecker product kept as the test oracle in ``tests/sweep_oracle.py``.
 """
 
 from __future__ import annotations
@@ -293,31 +293,29 @@ def is_eigenstate(state: StateVector, product: ObservableProduct, n: int) -> boo
 
 # -- singlet correlation (float path) ------------------------------------------
 
-
-def _spin_along(direction) -> list:
-    ax, ay, az = (float(c) for c in direction)
-    return [[complex(az, 0), complex(ax, -ay)], [complex(ax, ay), complex(-az, 0)]]
-
-
 #: How far a direction's squared norm may stray from 1.
 UNIT_NORM_TOLERANCE = 1e-11
 
 
 def singlet_correlation(a, b) -> float:
     """Expectation of (spin along a)x(spin along b) in the two-particle
-    singlet state; equals minus the dot product of the unit vectors."""
-    for name, v in (("a", a), ("b", b)):
-        norm2 = sum(float(c) ** 2 for c in v)
-        if abs(norm2 - 1.0) > UNIT_NORM_TOLERANCE:
-            raise ValueError(f"direction {name} is not a unit vector (|{name}|^2={norm2})")
-    ma = _spin_along(a)
-    mb = _spin_along(b)
-    # The singlet amplitudes (0, 1, -1, 0)/sqrt(2) vanish outside the support
-    # {+-, -+}, so only the four Kronecker entries (ma x mb)[r][c] with r, c
-    # in {1, 2} enter; entry [r][c] is ma[r // 2][c // 2] * mb[r % 2][c % 2].
-    k11 = ma[0][0] * mb[1][1]
-    k12 = ma[0][1] * mb[1][0]
-    k21 = ma[1][0] * mb[0][1]
-    k22 = ma[1][1] * mb[0][0]
-    value = (k11 - k12 - k21 + k22) / 2.0
-    return value.real
+    singlet state; equals minus the dot product of the unit vectors.
+
+    Spin along (x, y, z) is [[z, x - iy], [x + iy, -z]].  The singlet
+    amplitudes (0, 1, -1, 0)/sqrt(2) vanish outside the support {+-, -+}, so
+    only the four Kronecker entries there enter, with signs (+, -, -, +) and
+    weight 1/2.  Their real parts are az * -bz on the diagonal and
+    ax*bx + ay*by off it, summed in the complex product's order; ``+ 0.0``
+    gives an exactly cancelling sum the complex product's sign of zero.
+    """
+    ax, ay, az = map(float, a)
+    bx, by, bz = map(float, b)
+    norm2_a = ax ** 2 + ay ** 2 + az ** 2
+    norm2_b = bx ** 2 + by ** 2 + bz ** 2
+    if abs(norm2_a - 1.0) > UNIT_NORM_TOLERANCE:
+        raise ValueError(f"direction a is not a unit vector (|a|^2={norm2_a})")
+    if abs(norm2_b - 1.0) > UNIT_NORM_TOLERANCE:
+        raise ValueError(f"direction b is not a unit vector (|b|^2={norm2_b})")
+    zz = az * -bz
+    xy = ax * bx + ay * by
+    return (zz - xy - xy + zz + 0.0) / 2.0

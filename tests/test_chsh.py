@@ -197,8 +197,8 @@ def unit_vectors(draw):
 
 
 class TestDenseOracle:
-    """The even-subalgebra sweep and the support-only singlet equal the dense
-    paths exactly, not just within a tolerance."""
+    """The even-subalgebra sweep and the real-arithmetic singlet equal the
+    dense paths exactly, not just within a tolerance."""
 
     @settings(max_examples=500, deadline=None)
     @given(angles)
@@ -212,6 +212,15 @@ class TestDenseOracle:
 
     @settings(max_examples=500, deadline=None)
     @given(unit_vectors(), unit_vectors())
+    @example((1.0, 0.0, 0.0), (1.0, 0.0, 0.0))
+    @example((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+    @example((1.0, 0.0, 0.0), (0.0, 0.0, 1.0))
+    @example((0.0, 1.0, 0.0), (0.0, 1.0, 0.0))
+    @example((0.0, 1.0, 0.0), (0.0, 0.0, -1.0))
+    @example((0.0, 0.0, 1.0), (0.0, 0.0, 1.0))
+    @example((-0.0, 1.0, 0.0), (1.0, -0.0, 0.0))
+    @example((0.0, -0.0, -1.0), (-0.0, 1.0, -0.0))
+    @example((-1.0, -0.0, -0.0), (-1.0, 0.0, -0.0))
     def test_singlet_matches_full_kronecker_reference(self, a, b):
         assert quantum.singlet_correlation(a, b) == kron_singlet_correlation(a, b)
 
@@ -219,6 +228,11 @@ class TestDenseOracle:
     @given(angles)
     def test_quantum_lhs_is_bit_identical_to_dense_reference(self, phi):
         assert quantum_lhs(phi) == dense_quantum_lhs(phi)
+
+    def test_quantum_lhs_is_bit_identical_on_grid(self):
+        for k in range(2001):
+            phi = math.pi * k / 2000
+            assert quantum_lhs(phi) == dense_quantum_lhs(phi)
 
     @settings(max_examples=500, deadline=None)
     @given(angles, st.sampled_from((1e-12, 1e-6, 0.1)))

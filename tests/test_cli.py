@@ -605,6 +605,25 @@ class TestSearchIdentities:
         assert_usage_error(["search-identities", "zap"], capsys, "vector 'zap'")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chsh", "1", "0", "5"],
+        ["search-identities", "e3"],
+        ["verify", "pm", "--constraints", "{tmp}/missing.json"],
+        ["verify", "all", "--out", "{tmp}"],
+    ],
+    ids=["chsh-grid", "search-target", "verify-constraints", "verify-out"],
+)
+def test_errors_after_parsing_show_the_subcommand_usage(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([a.format(tmp=tmp_path) for a in argv])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: contextuality-lab {argv[0]} ")
+    assert f"contextuality-lab {argv[0]}: error: " in err and "Traceback" not in err
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.one_of(

@@ -47,6 +47,7 @@ from quantum_oracle import (
     word_matrix,
 )
 from random_multivectors import random_multivector
+from sweep_oracle import kron_singlet_correlation
 
 
 class TestPauliAlgebra:
@@ -370,6 +371,27 @@ class TestSingletCorrelation:
     def test_non_unit_rejected(self):
         with pytest.raises(ValueError):
             singlet_correlation((1.0, 1.0, 0.0), (1.0, 0.0, 0.0))
+
+    def test_non_unit_b_is_named(self):
+        with pytest.raises(ValueError, match=r"direction b is not a unit vector \(\|b\|\^2=0\.5"):
+            singlet_correlation((1.0, 0.0, 0.0), (0.5, 0.5, 0.0))
+
+    def test_exact_components_match_the_kronecker_oracle(self):
+        a, b = (Fraction(3, 5), 0, Fraction(4, 5)), (1, 0, 0)
+        assert singlet_correlation(a, b) == kron_singlet_correlation(a, b) == -0.6
+
+    def test_signed_axis_pairs_match_the_oracle_bit_for_bit(self):
+        # every sign of every zero component: the exact cancellations of
+        # orthogonal axes must come out +0.0, as from the complex product
+        axes = []
+        for axis, one in itertools.product(range(3), (1.0, -1.0)):
+            for zeros in itertools.product((0.0, -0.0), repeat=2):
+                axes.append((*zeros[:axis], one, *zeros[axis:]))
+        for a, b in itertools.product(axes, repeat=2):
+            got = singlet_correlation(a, b)
+            assert got.hex() == kron_singlet_correlation(a, b).hex()
+            if got == 0.0:
+                assert math.copysign(1.0, got) == 1.0
 
 
 def _unit(rng):
