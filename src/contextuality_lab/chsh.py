@@ -19,8 +19,10 @@ c1*c2 + s1*s2.  :func:`F` sums those scalar parts straight from the cosines
 and sines, in the same order and from the same ``math.cos``/``math.sin``
 values as the dense 8-blade float product of the four directions, so each
 value is bit-identical to it; :func:`non_collinearity_witness` reads the
-same pairs.  Likewise each singlet correlation is computed in real
-arithmetic, bit-identical to the complex Kronecker-product matrix mechanics.
+same pairs.  Likewise the singlet side is one :func:`quantum.singlet_chsh`
+call per angle, in real arithmetic and bit-identical to the complex
+Kronecker-product matrix mechanics; b is a, so it checks three directions.
+:data:`CSV_ROW` renders a row of :func:`csv_rows` as ``csv.writer`` would.
 The dense multivectors and the complex matrices are kept only as the test
 oracle for the sweep (``tests/sweep_oracle.py``).
 """
@@ -31,12 +33,16 @@ import itertools
 import math
 
 from .ga import DEFAULT_TOLERANCE, _Record
-from .quantum import singlet_correlation
+from .quantum import singlet_chsh
+from .quantum import singlet_correlation  # noqa: F401  (bench/tracing.py wraps this name)
 
 CLASSICAL_BOUND = 2.0
 VECTOR_BOUND = 2.5
 
 CSV_HEADER = ("phi", "F", "qm_lhs", "classical_bound", "qm_bound")
+#: One CSV data row from (phi, F, qm_lhs): nine decimals, then the two bounds
+#: as ``repr`` gives them, with the ``\r\n`` ending of ``csv.writer``.
+CSV_ROW = "%.9f,%.9f,%.9f," + f"{CLASSICAL_BOUND!r},{VECTOR_BOUND!r}\r\n"
 
 
 _FIRST_AXIS_PAIR = (math.cos(0.0), math.sin(0.0))
@@ -107,17 +113,11 @@ def scan_F(steps: int, start: float = 0.0, end: float = math.pi) -> ScanResult:
 
 def quantum_lhs(phi: float) -> float:
     """The same four-term combination evaluated through the singlet-state
-    correlations of the four directions, as (x, 0, z) triples."""
+    correlations of the four directions, as (x, 0, z) triples; b is a, so
+    three directions are checked."""
     (c, s), (c2, s2), (cp, sp) = _plane_pairs(phi)
-    a = b = (c, 0.0, s)
-    ap = (c2, 0.0, s2)
-    bp = (cp, 0.0, sp)
-    return abs(
-        singlet_correlation(a, b)
-        + singlet_correlation(a, bp)
-        + singlet_correlation(ap, b)
-        - singlet_correlation(ap, bp)
-    )
+    a = (c, 0.0, s)
+    return abs(singlet_chsh(a, (c2, 0.0, s2), a, (cp, 0.0, sp)))
 
 
 def non_collinearity_witness(phi: float, tolerance: float = DEFAULT_TOLERANCE) -> bool:

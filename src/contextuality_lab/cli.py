@@ -24,7 +24,6 @@ no timestamps are embedded.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -113,17 +112,17 @@ def _cmd_chsh(args, parser) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     if args.csv is not None:
-        # One pass: each row is written as it is computed, and the maximum is
-        # tracked from its F column with scan_F's rule (first strict maximum).
+        # One pass: each row is written as it is computed, from the one format
+        # string chsh.CSV_ROW (the bytes csv.writer would give), and the
+        # maximum is tracked from its F column with scan_F's rule (first
+        # strict maximum).
         argmax, maximum = args.start, -math.inf
         try:
             with open(args.csv, "w", encoding="utf-8", newline="") as handle:
-                writer = csv.writer(handle)
-                writer.writerow(chsh.CSV_HEADER)
+                write = handle.write
+                write(",".join(chsh.CSV_HEADER) + "\r\n")
                 for row in chsh.csv_rows(args.start, args.end, args.steps):
-                    writer.writerow(
-                        [f"{row[0]:.9f}", f"{row[1]:.9f}", f"{row[2]:.9f}", row[3], row[4]]
-                    )
+                    write(chsh.CSV_ROW % row[:3])
                     if row[1] > maximum:
                         argmax, maximum = row[0], row[1]
         except OSError as exc:

@@ -18,10 +18,12 @@ their squared-norm denominator symbolically: the three-particle states used
 here hold integer amplitudes scaled by 1/sqrt(2), and eigenvalue equations
 never need the irrational factor itself.
 
-The one floating-point entry point is :func:`singlet_correlation`, behind
-the sweep's ``qm_lhs`` column and the sampled ``states.singlet`` check.  It
-is the real-arithmetic reduction, equal bit for bit, of the complex 4 x 4
-Kronecker product kept as the test oracle in ``tests/sweep_oracle.py``.
+The floating-point path is the singlet correlation: :func:`singlet_correlation`
+behind the sampled ``states.singlet`` check, and :func:`singlet_chsh`, the
+four-term combination behind the sweep's ``qm_lhs`` column, which checks
+each distinct direction once.  Both share one unit-norm check and one
+formula, the real-arithmetic reduction, equal bit for bit, of the complex
+4 x 4 Kronecker product kept as the test oracle in ``tests/sweep_oracle.py``.
 """
 
 from __future__ import annotations
@@ -297,6 +299,27 @@ def is_eigenstate(state: StateVector, product: ObservableProduct, n: int) -> boo
 UNIT_NORM_TOLERANCE = 1e-11
 
 
+def _unit(v, name: str) -> tuple:
+    """The float components of direction ``v``; ``ValueError`` naming it
+    unless its squared norm is within ``UNIT_NORM_TOLERANCE`` of 1 (a NaN
+    component fails too)."""
+    x, y, z = map(float, v)
+    norm2 = x ** 2 + y ** 2 + z ** 2
+    if not abs(norm2 - 1.0) <= UNIT_NORM_TOLERANCE:
+        raise ValueError(f"direction {name} is not a unit vector (|{name}|^2={norm2})")
+    return x, y, z
+
+
+def _correlation(a: tuple, b: tuple) -> float:
+    """The singlet correlation of two checked directions; see
+    :func:`singlet_correlation`."""
+    ax, ay, az = a
+    bx, by, bz = b
+    zz = az * -bz
+    xy = ax * bx + ay * by
+    return (zz - xy - xy + zz + 0.0) / 2.0
+
+
 def singlet_correlation(a, b) -> float:
     """Expectation of (spin along a)x(spin along b) in the two-particle
     singlet state; equals minus the dot product of the unit vectors.
@@ -308,14 +331,20 @@ def singlet_correlation(a, b) -> float:
     ax*bx + ay*by off it, summed in the complex product's order; ``+ 0.0``
     gives an exactly cancelling sum the complex product's sign of zero.
     """
-    ax, ay, az = map(float, a)
-    bx, by, bz = map(float, b)
-    norm2_a = ax ** 2 + ay ** 2 + az ** 2
-    norm2_b = bx ** 2 + by ** 2 + bz ** 2
-    if abs(norm2_a - 1.0) > UNIT_NORM_TOLERANCE:
-        raise ValueError(f"direction a is not a unit vector (|a|^2={norm2_a})")
-    if abs(norm2_b - 1.0) > UNIT_NORM_TOLERANCE:
-        raise ValueError(f"direction b is not a unit vector (|b|^2={norm2_b})")
-    zz = az * -bz
-    xy = ax * bx + ay * by
-    return (zz - xy - xy + zz + 0.0) / 2.0
+    return _correlation(_unit(a, "a"), _unit(b, "b"))
+
+
+def singlet_chsh(a, a_prime, b, b_prime) -> float:
+    """E(a,b) + E(a,b') + E(a',b) - E(a',b') of :func:`singlet_correlation`,
+    summed in that order, with each direction checked once (``b is a``
+    reuses the check of ``a``)."""
+    va = _unit(a, "a")
+    vap = _unit(a_prime, "a_prime")
+    vb = va if b is a else _unit(b, "b")
+    vbp = _unit(b_prime, "b_prime")
+    return (
+        _correlation(va, vb)
+        + _correlation(va, vbp)
+        + _correlation(vap, vb)
+        - _correlation(vap, vbp)
+    )

@@ -224,6 +224,21 @@ class TestDenseOracle:
     def test_singlet_matches_full_kronecker_reference(self, a, b):
         assert quantum.singlet_correlation(a, b) == kron_singlet_correlation(a, b)
 
+    @settings(max_examples=300, deadline=None)
+    @given(unit_vectors(), unit_vectors(), unit_vectors(), unit_vectors(), st.booleans())
+    @example((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), True)
+    @example((-0.0, 1.0, 0.0), (1.0, -0.0, 0.0), (0.0, -0.0, -1.0), (-1.0, 0.0, -0.0), False)
+    def test_singlet_chsh_is_the_four_kronecker_terms(self, a, ap, b, bp, b_is_a):
+        if b_is_a:
+            b = a
+        expected = (
+            kron_singlet_correlation(a, b)
+            + kron_singlet_correlation(a, bp)
+            + kron_singlet_correlation(ap, b)
+            - kron_singlet_correlation(ap, bp)
+        )
+        assert quantum.singlet_chsh(a, ap, b, bp).hex() == expected.hex()
+
     @settings(max_examples=200, deadline=None)
     @given(angles)
     def test_quantum_lhs_is_bit_identical_to_dense_reference(self, phi):

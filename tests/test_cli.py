@@ -9,11 +9,12 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contextuality_lab import checks, chsh, ga, identities, quantum
@@ -31,6 +32,15 @@ def run_cli(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_quiet(argv):
+    """(exit code, stdout) of one in-process run, for tests that cannot take
+    the function-scoped ``capsys`` fixture."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
 
 
 def assert_usage_error(argv, capsys, fragment):
@@ -538,8 +548,47 @@ class TestChsh:
         assert lhs_calls == []
         assert len(f_calls) == 37
 
-    def test_csv_and_summary_match_the_dense_oracle(self, tmp_path, capsys):
-        start, end, steps = 0.25, 3.0, 2001
+    @staticmethod
+    def count_singlet_calls(monkeypatch, name):
+        """Count calls of ``quantum.<name>``, through chsh's binding too."""
+        calls = []
+        original = getattr(quantum, name)
+
+        def counted(*directions):
+            calls.append(directions)
+            return original(*directions)
+
+        monkeypatch.setattr(quantum, name, counted)
+        if hasattr(chsh, name):
+            monkeypatch.setattr(chsh, name, counted)
+        return calls
+
+    def test_csv_makes_one_singlet_call_per_point(self, tmp_path, monkeypatch, capsys):
+        lhs_calls = self.count_calls(monkeypatch, "quantum_lhs")
+        chsh_calls = self.count_singlet_calls(monkeypatch, "singlet_chsh")
+        pair_calls = self.count_singlet_calls(monkeypatch, "singlet_correlation")
+        code, _, _ = run_cli(["chsh", "0.5", "2.0", "37", "--csv", str(tmp_path / "c.csv")], capsys)
+        assert code == 0
+        assert len(lhs_calls) == 37
+        assert len(chsh_calls) == 37
+        assert pair_calls == []
+
+    def test_verify_states_keeps_its_sampled_singlet_pairs(self, monkeypatch, capsys):
+        pair_calls = self.count_singlet_calls(monkeypatch, "singlet_correlation")
+        code, _, _ = run_cli(["verify", "states"], capsys)
+        assert code == 0
+        assert len(pair_calls) == 100
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.tuples(st.floats(0.0, math.pi), st.floats(0.0, math.pi)).filter(
+            lambda span: span[0] < span[1]
+        ),
+        st.integers(3, 300),
+    )
+    @example((0.25, 3.0), 2001)
+    def test_csv_and_summary_match_the_dense_oracle(self, span, steps):
+        start, end = span
         spacing = (end - start) / (steps - 1)
         expected_csv = io.StringIO(newline="")
         writer = csv.writer(expected_csv)
@@ -554,13 +603,14 @@ class TestChsh:
             )
             if value > best:
                 best_phi, best = phi, value
-        csv_path = tmp_path / "curve.csv"
-        code, out, _ = run_cli(["chsh", "0.25", "3.0", "2001", "--csv", str(csv_path)], capsys)
-        assert code == 0
-        assert csv_path.read_bytes() == expected_csv.getvalue().encode("utf-8")
+        grid = ["chsh", repr(start), repr(end), str(steps)]
+        with tempfile.TemporaryDirectory() as workdir:
+            csv_path = Path(workdir) / "curve.csv"
+            code, out = run_quiet([*grid, "--csv", str(csv_path)])
+            assert code == 0
+            assert csv_path.read_bytes() == expected_csv.getvalue().encode("utf-8")
         assert out.splitlines()[0] == f"max={best:.6f} at phi={best_phi:.6f}"
-        _, plain, _ = run_cli(["chsh", "0.25", "3.0", "2001"], capsys)
-        assert plain == out
+        assert run_quiet(grid) == (0, out)
 
     def test_bad_range_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:

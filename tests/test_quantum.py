@@ -33,6 +33,7 @@ from contextuality_lab.quantum import (
     is_eigenstate,
     pauli,
     pauli_word,
+    singlet_chsh,
     singlet_correlation,
     verify_operator_identities,
     word_product,
@@ -375,6 +376,24 @@ class TestSingletCorrelation:
     def test_non_unit_b_is_named(self):
         with pytest.raises(ValueError, match=r"direction b is not a unit vector \(\|b\|\^2=0\.5"):
             singlet_correlation((1.0, 0.0, 0.0), (0.5, 0.5, 0.0))
+
+    @pytest.mark.parametrize(
+        "a,b,name",
+        [((math.nan, 0.0, 0.0), (1.0, 0.0, 0.0), "a"),
+         ((1.0, 0.0, 0.0), (0.0, math.nan, 1.0), "b")],
+    )
+    def test_nan_direction_is_named(self, a, b, name):
+        message = rf"direction {name} is not a unit vector \(\|{name}\|\^2=nan\)"
+        with pytest.raises(ValueError, match=message):
+            singlet_correlation(a, b)
+
+    @pytest.mark.parametrize("slot", range(4))
+    def test_nan_direction_in_the_combination_is_named(self, slot):
+        directions = [(1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.0, 1.0, 0.0), (-1.0, 0.0, 0.0)]
+        directions[slot] = (0.0, 0.0, math.nan)
+        name = ("a", "a_prime", "b", "b_prime")[slot]
+        with pytest.raises(ValueError, match=rf"direction {name} is not a unit vector"):
+            singlet_chsh(*directions)
 
     def test_exact_components_match_the_kronecker_oracle(self):
         a, b = (Fraction(3, 5), 0, Fraction(4, 5)), (1, 0, 0)
