@@ -11,7 +11,7 @@ suites that ``verify`` runs (:mod:`.checks`) and the command-line front end
 
 __version__ = "0.1.0"
 
-from .ga import APPROX, EXACT, Multivector, basis_vector, parse_multivector
+from .ga import APPROX, EXACT, Multivector, basis_vector
 from .systems import TensorMultivector, embed, generator, identify_pseudoscalars
 from .constraints import (
     ConstraintSet,
@@ -46,7 +46,6 @@ __all__ = [
     "NEGATED_F1_MAP",
     "UNIFORM_MAP",
     "basis_vector",
-    "parse_multivector",
     "embed",
     "generator",
     "identify_pseudoscalars",

@@ -18,15 +18,7 @@ from random import Random
 
 from . import constraints, identities, quantum, systems
 from .constraints import BELL_GHZ, GHZ, PM, ObservableProduct, builtin_constraints
-from .ga import (
-    APPROX,
-    BLADE_COUNT,
-    EXACT,
-    Multivector,
-    _Record,
-    basis_vector,
-    pseudoscalar,
-)
+from .ga import BLADE_COUNT, EXACT, Multivector, _Record, basis_vector, pseudoscalar
 from .identities import NEGATED_F1_MAP, UNIFORM_MAP, SignedAxisVector
 
 AXES = (1, 2, 3)
@@ -72,9 +64,10 @@ class Words:
     ``cases(ctx)`` lists the cases.  A string ``witness`` names the case count;
     otherwise ``witness(ctx, cases, values)`` builds the witness from the cases
     and the word values.  With ``identify`` each product is first reduced by
-    ``systems.identify_pseudoscalars``.  Under ``--mode approx`` each word is
-    compared with ``equals``, which allows a tolerance on the float ``ga.*``
-    words; the joint algebra is exact in either mode.
+    ``systems.identify_pseudoscalars``.  Each word is compared with
+    ``equals``: exact coefficients compare exactly, the float ``ga.*`` words
+    of ``--mode approx`` within the default tolerance, and the joint algebra
+    is exact in either mode.
     """
 
     __slots__ = ("cases", "witness", "identify")
@@ -92,7 +85,7 @@ class Words:
                 value = reduce(operator.mul, factors)
                 if self.identify:
                     value = systems.identify_pseudoscalars(value)
-                ok = ok and (value.equals(expected) if ctx.mode == APPROX else value == expected)
+                ok = ok and value.equals(expected)
                 values.append(value)
         if isinstance(self.witness, str):
             return ok, {self.witness: len(cases)}

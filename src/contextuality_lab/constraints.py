@@ -140,15 +140,18 @@ class ConstraintSet(_Record):
     @classmethod
     def from_json(cls, text: str) -> "ConstraintSet":
         """Parse ``{"name": str, "lines": [{"terms": [str, ...], "required": 1
-        or -1}, ...]}``; a document of any other shape, or one nested too
-        deeply for the decoder, raises ``ValueError``."""
+        or -1}, ...]}``; a document of any other shape, with a key outside
+        that shape or a key repeated in one object, or nested too deeply for
+        the decoder, raises ``ValueError``."""
         try:
-            doc = json.loads(text)
+            doc = json.loads(text, object_pairs_hook=_unique_keys)
         except RecursionError:
             raise ValueError("the document is nested too deeply to decode") from None
         if not isinstance(doc, dict):
             raise ValueError("a constraint set document must be a JSON object")
-        name, entries = doc.get("name"), doc.get("lines")
+        name, entries = doc.pop("name", None), doc.pop("lines", None)
+        if doc:
+            raise ValueError(f"unknown key {next(iter(doc))!r}")
         if not isinstance(name, str):
             raise ValueError(f"'name' must be a string, got {name!r}")
         if not isinstance(entries, list):
@@ -157,13 +160,25 @@ class ConstraintSet(_Record):
         for k, entry in enumerate(entries):
             if not isinstance(entry, dict):
                 raise ValueError(f"line {k} must be an object, got {entry!r}")
-            terms, required = entry.get("terms"), entry.get("required")
+            terms, required = entry.pop("terms", None), entry.pop("required", None)
+            if entry:
+                raise ValueError(f"line {k}: unknown key {next(iter(entry))!r}")
             if not isinstance(terms, list) or not all(isinstance(t, str) for t in terms):
                 raise ValueError(f"line {k}: 'terms' must be a list of strings, got {terms!r}")
             if type(required) is not int or required not in (1, -1):
                 raise ValueError(f"line {k}: 'required' must be 1 or -1, got {required!r}")
             rows.append((terms, required))
         return _lines(name, rows)
+
+
+def _unique_keys(pairs: list) -> dict:
+    """JSON object hook: a key repeated in one object raises ``ValueError``."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
 
 
 def _lines(name: str, rows: Iterable[tuple]) -> ConstraintSet:

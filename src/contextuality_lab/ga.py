@@ -22,7 +22,6 @@ immutable values and every operation is a pure function.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from operator import attrgetter
 from typing import Union
@@ -39,7 +38,6 @@ BLADE_COUNT = 8
 
 #: Blade names per mask; ascending axis order inside a blade is canonical.
 BLADE_NAMES = ("1", "e1", "e2", "e12", "e3", "e13", "e23", "e123")
-_NAME_TO_MASK = {name: mask for mask, name in enumerate(BLADE_NAMES)}
 
 #: Masks sorted by grade then by axes, the order used for rendering.
 DISPLAY_ORDER = (0, 1, 2, 4, 3, 5, 6, 7)
@@ -305,7 +303,7 @@ def pseudoscalar(mode: str = EXACT) -> Multivector:
     return Multivector.from_blades({7: 1}, mode)
 
 
-# -- text format ---------------------------------------------------------
+# -- rendering -----------------------------------------------------------
 
 def render_terms(terms) -> str:
     """Join ``(coefficient, blade name)`` terms into a signed sum such as
@@ -333,57 +331,3 @@ def render_terms(terms) -> str:
 def render_multivector(mv: Multivector) -> str:
     """Render as a signed blade sum, e.g. ``1 + 2*e12 - e123``."""
     return render_terms((mv.coeffs[mask], BLADE_NAMES[mask]) for mask in DISPLAY_ORDER)
-
-
-_TERM_RE = re.compile(
-    r"(?P<sign>[+-]?)\s*"
-    r"(?:(?P<coeff>\d*\.\d+(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+|\d+(?:/\d+)?)\s*\*?\s*)?"
-    r"(?P<blade>e1(?:2(?:3)?|3)?|e2(?:3)?|e3|1)?"
-)
-
-
-def parse_multivector(text: str, mode: str = EXACT) -> Multivector:
-    """Parse the rendering grammar back into a multivector.
-
-    Accepts ASCII and typographic signs/multiplication dots, integer,
-    fractional and (in approx mode) decimal coefficients.
-    """
-    source = text.replace("−", "-").replace("·", "*").strip()
-    if not source:
-        raise ValueError("empty multivector literal")
-    if source == "0":
-        return Multivector.zero(mode)
-    blades: dict[int, Coefficient] = {}
-    pos = 0
-    first = True
-    while pos < len(source):
-        match = _TERM_RE.match(source, pos)
-        if match is None or (match.group("coeff") is None and match.group("blade") is None):
-            raise ValueError(f"cannot parse multivector term at {source[pos:]!r}")
-        if not first and not match.group("sign"):
-            raise ValueError(f"missing sign before term at {source[pos:]!r}")
-        first = False
-        sign = -1 if match.group("sign") == "-" else 1
-        coeff_text = match.group("coeff")
-        blade_text = match.group("blade")
-        if coeff_text is None:
-            value: Coefficient = 1 if mode == EXACT else 1.0
-        elif "/" in coeff_text:
-            value = Fraction(coeff_text)
-        elif "." in coeff_text or "e" in coeff_text.lower():
-            if mode == EXACT:
-                raise ValueError(f"decimal coefficient {coeff_text!r} needs approx mode")
-            value = float(coeff_text)
-        else:
-            value = int(coeff_text) if mode == EXACT else float(coeff_text)
-        mask = _NAME_TO_MASK[blade_text] if blade_text else 0
-        if mode == APPROX and isinstance(value, Fraction):
-            value = float(value)
-        previous = blades.get(mask, _zero(mode))
-        blades[mask] = previous + sign * value
-        pos = match.end()
-        while pos < len(source) and source[pos] in " \t":
-            pos += 1
-    return Multivector.from_blades(blades, mode) if mode == EXACT else Multivector(
-        tuple(float(blades.get(m, 0.0)) for m in range(BLADE_COUNT)), APPROX
-    )

@@ -26,9 +26,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 
-from .constraints import AXIS_INDEX, BELL_GHZ, ObservableProduct, VectorAssignment, builtin_constraints
+from .constraints import AXIS_INDEX, BELL_GHZ, ObservableProduct, builtin_constraints
 from .ga import BLADE_COUNT, CAYLEY, EXACT, Multivector, _Record, basis_vector
 
 IN_PLANE_AXES = (1, 2)
@@ -97,15 +96,6 @@ class IdentityMap(_Record):
         object.__setattr__(self, "g1", g1)
         object.__setattr__(self, "g2", g2)
 
-    @classmethod
-    def parse(cls, mapping: dict) -> "IdentityMap":
-        return cls(
-            SignedAxisVector.parse(mapping["f1"]),
-            SignedAxisVector.parse(mapping["f2"]),
-            SignedAxisVector.parse(mapping["g1"]),
-            SignedAxisVector.parse(mapping["g2"]),
-        )
-
     def image(self, system: int, axis: int) -> SignedAxisVector:
         """Where the in-plane generator of a subsystem lands in the shared copy."""
         if axis not in IN_PLANE_AXES:
@@ -127,9 +117,6 @@ class IdentityMap(_Record):
         permutation = 1 if first.axis == 1 else -1
         return permutation * first.sign * second.sign
 
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict())
-
     def as_dict(self) -> dict:
         return {
             "f1": self.f1.label,
@@ -137,10 +124,6 @@ class IdentityMap(_Record):
             "g1": self.g1.label,
             "g2": self.g2.label,
         }
-
-    @classmethod
-    def from_json(cls, text: str) -> "IdentityMap":
-        return cls.parse(json.loads(text))
 
 
 def _signed_permutations():
@@ -189,9 +172,7 @@ def _signed_blade(sign: int, mask: int) -> Multivector:
     return Multivector(tuple(coeffs), EXACT)
 
 
-def _reduce_line(
-    imap: IdentityMap, line: ObservableProduct, signs: VectorAssignment | None
-) -> tuple[int, int]:
+def _reduce_line(imap: IdentityMap, line: ObservableProduct) -> tuple[int, int]:
     """The reduced word of one line as ``(sign, blade mask)``."""
     sign, mask = 1, 0
     for factor in line.factors:
@@ -200,24 +181,19 @@ def _reduce_line(
         image = imap.image(factor.system, AXIS_INDEX[factor.axis])
         step, mask = CAYLEY[mask][1 << (image.axis - 1)]
         sign *= step * image.sign
-        if signs is not None:
-            sign *= signs.sign(factor)
     return sign, mask
 
 
-def substitute_and_reduce(
-    imap: IdentityMap, line: ObservableProduct, signs: VectorAssignment | None = None
-) -> Multivector:
+def substitute_and_reduce(imap: IdentityMap, line: ObservableProduct) -> Multivector:
     """Map each factor's value into the shared copy and reduce the word.
 
     Within-line factors now multiply in one algebra, so distinct-axis images
     anticommute; nothing commutes by fiat.  Each image is a signed basis
     vector, so the word is reduced as a sign times one blade through the
-    blade product table.  ``signs=None`` gives every symbol the sign +1.
-    Axis z has no image: the identification covers only the plane of axes 1
-    and 2.
+    blade product table.  Axis z has no image: the identification covers
+    only the plane of axes 1 and 2.
     """
-    return _signed_blade(*_reduce_line(imap, line, signs))
+    return _signed_blade(*_reduce_line(imap, line))
 
 
 class ColumnResult(_Record):
@@ -229,8 +205,8 @@ class ColumnResult(_Record):
         return tuple(str(entry) for entry in self.entries)
 
 
-def bell_ghz_column(imap: IdentityMap, signs: VectorAssignment | None = None) -> ColumnResult:
-    reduced = [_reduce_line(imap, line, signs) for line in COLUMN_LINES]
+def bell_ghz_column(imap: IdentityMap) -> ColumnResult:
+    reduced = [_reduce_line(imap, line) for line in COLUMN_LINES]
     sign, mask = 1, 0
     for entry_sign, entry_mask in reduced:
         step, mask = CAYLEY[mask][entry_mask]

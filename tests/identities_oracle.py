@@ -7,27 +7,23 @@ full 8-blade multivectors through ``Multivector.__mul__``, and serve as the
 oracle that the blade reduction must equal exactly.
 """
 
-from contextuality_lab.constraints import AXIS_INDEX, VectorAssignment
+from contextuality_lab.constraints import AXIS_INDEX
 from contextuality_lab.ga import EXACT, Multivector
 from contextuality_lab.identities import COLUMN_LINES, ColumnResult
 
 
-def dense_substitute_and_reduce(imap, line, signs=None) -> Multivector:
-    if signs is None:
-        signs = VectorAssignment.all_positive(3)
+def dense_substitute_and_reduce(imap, line) -> Multivector:
     result = Multivector.scalar(1, EXACT)
     for factor in line.factors:
         if factor.axis == "z":
             raise ValueError("axis z does not occur in the identified plane")
         image = imap.image(factor.system, AXIS_INDEX[factor.axis])
-        result = result * image.to_multivector().scale(signs.sign(factor))
+        result = result * image.to_multivector()
     return result
 
 
-def dense_bell_ghz_column(imap, signs=None) -> ColumnResult:
-    entries = tuple(
-        dense_substitute_and_reduce(imap, line, signs) for line in COLUMN_LINES
-    )
+def dense_bell_ghz_column(imap) -> ColumnResult:
+    entries = tuple(dense_substitute_and_reduce(imap, line) for line in COLUMN_LINES)
     product = Multivector.scalar(1, EXACT)
     for entry in entries:
         product = product * entry

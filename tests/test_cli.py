@@ -175,6 +175,22 @@ class TestVerify:
             ["verify", "pm", "--constraints", str(path)], capsys, fragment
         )
 
+    def test_constraints_unknown_key_exits_2_and_writes_no_report(self, tmp_path, capsys):
+        doc = {
+            "name": "pm",
+            "subsystems": 7,
+            "lines": [{"terms": ["x1*x2", "x1", "x2"], "required": 1, "negate": True}],
+        }
+        path = tmp_path / "extra.json"
+        path.write_text(json.dumps(doc))
+        report = tmp_path / "r.json"
+        assert_usage_error(
+            ["verify", "pm", "--constraints", str(path), "--out", str(report)],
+            capsys,
+            "unknown key 'subsystems'",
+        )
+        assert not report.exists()
+
     def test_constraints_with_21_observables_are_decided(self, tmp_path, capsys):
         # a 21-observable document is decided, not refused: its one
         # satisfying assignment (all +1) fails the no-go check
@@ -437,9 +453,9 @@ class TestBellGhzColumnWork:
         calls = []
         column = identities.bell_ghz_column
 
-        def counted(imap, signs=None):
+        def counted(imap):
             calls.append(imap)
-            return column(imap, signs)
+            return column(imap)
 
         monkeypatch.setattr(identities, "bell_ghz_column", counted)
         identities.columns.cache_clear()

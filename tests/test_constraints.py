@@ -144,6 +144,27 @@ class TestDocumentSchema:
         with pytest.raises(ValueError, match="line 1"):
             ConstraintSet.from_json(_document(lines=lines))
 
+    @pytest.mark.parametrize(
+        "doc,fragment",
+        [
+            ('"name": "pm", "subsystems": 7, "lines": [LINE]', "unknown key 'subsystems'"),
+            ('"name": "pm", "lines": [LINE, {"terms": ["y1"], "required": 1, "negate": true}]',
+             "line 1: unknown key 'negate'"),
+            ('"name": "pm", "name": "ghz", "lines": [LINE]', "repeated key 'name'"),
+            ('"name": "pm", "lines": [{"terms": ["x1"], "required": -1, "required": 1}]',
+             "repeated key 'required'"),
+            ('"name": "pm", "lines": [{"terms": ["x1"], "terms": ["y1"], "required": 1}]',
+             "repeated key 'terms'"),
+        ],
+        ids=["unknown-top", "unknown-line", "repeated-name", "repeated-required",
+             "repeated-terms"],
+    )
+    def test_unknown_and_repeated_keys_rejected(self, doc, fragment):
+        # each document is well formed but for the one key, which is named
+        text = "{" + doc.replace("LINE", '{"terms": ["x1"], "required": 1}') + "}"
+        with pytest.raises(ValueError, match=fragment):
+            ConstraintSet.from_json(text)
+
     def test_top_level_must_be_an_object(self):
         for text in ("[]", "5", '"pm"', "null"):
             with pytest.raises(ValueError, match="JSON object"):
@@ -155,7 +176,9 @@ class TestDocumentSchema:
             st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False)
             | st.sampled_from(["x1", "y2*z3", "pm", "q9", ""]),
             lambda inner: st.lists(inner, max_size=3)
-            | st.dictionaries(st.sampled_from(["name", "lines", "terms", "required"]), inner),
+            | st.dictionaries(
+                st.sampled_from(["name", "lines", "terms", "required", "negate"]), inner
+            ),
             max_leaves=12,
         )
     )
