@@ -15,16 +15,25 @@ singlet-state correlations, which is the cross-check wired into
 The sweep runs on the even subalgebra span{1, e13}.  A unit vector of the
 e1-e3 plane is the pair (cos t, sin t), and the product of two of them is
 u(s)u(t) = cos(t - s) + sin(t - s) e13, whose scalar part is
-c1*c2 + s1*s2.  :func:`F` sums those scalar parts straight from the cosines
-and sines, in the same order and from the same ``math.cos``/``math.sin``
-values as the dense 8-blade float product of the four directions, so each
-value is bit-identical to it; :func:`non_collinearity_witness` reads the
-same pairs.  Likewise the singlet side is one :func:`quantum.singlet_chsh`
-call per angle, in real arithmetic and bit-identical to the complex
-Kronecker-product matrix mechanics; b is a, so it checks three directions.
-:data:`CSV_ROW` renders a row of :func:`csv_rows` as ``csv.writer`` would.
-The dense multivectors and the complex matrices are kept only as the test
-oracle for the sweep (``tests/sweep_oracle.py``).
+c1*c2 + s1*s2.  The F column sums those scalar parts straight from the
+cosines and sines, in the same order and from the same ``math.cos``/
+``math.sin`` values as the dense 8-blade float product of the four
+directions, so each value is bit-identical to it.  The qm_lhs column sums
+the singlet correlations of :mod:`.quantum` over the same cosines and
+sines, in real arithmetic and bit-identical to the complex
+Kronecker-product matrix mechanics; b is a.
+
+The grid is evaluated in batches of :data:`BATCH_SIZE` angles: one pass of
+``math.cos``/``math.sin`` per batch gives both columns, and a long sweep
+holds one batch at a time.  The unit norm of a and a' is checked at every
+angle; b' = (cos 0, 0, sin 0) is the same floats at every angle, so one
+check per sweep is the same check.  :func:`F` and :func:`quantum_lhs` are
+the one-angle case of this kernel; :func:`scan_F` takes the first strict
+maximum over the batches and, given a writer, writes each batch's
+:data:`CSV_ROW` rows (the bytes ``csv.writer`` would give) in one write;
+:func:`csv_rows` yields the same rows one by one.  The dense multivectors
+and the complex matrices are kept only as the test oracle for the sweep
+(``tests/sweep_oracle.py``).
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ import itertools
 import math
 
 from .ga import DEFAULT_TOLERANCE, _Record
-from .quantum import singlet_chsh
+from .quantum import _check_units, _chsh_terms, _unit
 from .quantum import singlet_correlation  # noqa: F401  (bench/tracing.py wraps this name)
 
 CLASSICAL_BOUND = 2.0
@@ -44,6 +53,10 @@ CSV_HEADER = ("phi", "F", "qm_lhs", "classical_bound", "qm_bound")
 #: as ``repr`` gives them, with the ``\r\n`` ending of ``csv.writer``.
 CSV_ROW = "%.9f,%.9f,%.9f," + f"{CLASSICAL_BOUND!r},{VECTOR_BOUND!r}\r\n"
 
+
+#: Angles evaluated together by the sweep kernel; bounds the memory of a
+#: long sweep, whatever its step count.
+BATCH_SIZE = 1024
 
 _FIRST_AXIS_PAIR = (math.cos(0.0), math.sin(0.0))
 
@@ -57,25 +70,59 @@ def classical_gamma_enumeration() -> tuple:
     return tuple(rows)
 
 
-def _plane_pairs(phi: float) -> tuple:
-    """(cos, sin) of the directions a (= b), a' and b' at one sweep angle."""
-    a = (math.cos(phi), math.sin(phi))
-    a_prime = (math.cos(2.0 * phi), math.sin(2.0 * phi))
-    return a, a_prime, _FIRST_AXIS_PAIR
+def _plane_columns(phis: list) -> tuple:
+    """Cosine and sine columns of the directions a (= b) and a' over a list
+    of sweep angles, one ``math.cos``/``math.sin`` value each."""
+    doubles = [2.0 * phi for phi in phis]
+    return (
+        list(map(math.cos, phis)),
+        list(map(math.sin, phis)),
+        list(map(math.cos, doubles)),
+        list(map(math.sin, doubles)),
+    )
+
+
+def _F_column(cs: list, ss: list, c2s: list, s2s: list) -> list:
+    """|a*b + a*b' + a'*b - a'*b'| per angle from the plane columns: the
+    scalar part of u(s)u(t) is c1*c2 + s1*s2, and the four products are
+    summed in the order of the combination."""
+    cp, sp = _FIRST_AXIS_PAIR
+    return [
+        abs((c * c + s * s) + (c * cp + s * sp) + (c2 * c + s2 * s) - (c2 * cp + s2 * sp))
+        for c, s, c2, s2 in zip(cs, ss, c2s, s2s)
+    ]
+
+
+def _qm_lhs_column(cs: list, ss: list, c2s: list, s2s: list, b_prime: tuple) -> list:
+    """|E(a,b) + E(a,b') + E(a',b) - E(a',b')| per angle through the singlet
+    correlations of a (= b) = (c, 0, s) and a' = (c2, 0, s2), each checked
+    here at every angle, and of ``b_prime``, the one-entry columns of b'
+    checked once per sweep by the caller."""
+    zeros = [0.0] * len(cs)
+    a = (cs, zeros, ss)
+    a_prime = (c2s, zeros, s2s)
+    _check_units("a", *a)
+    _check_units("a_prime", *a_prime)
+    b_prime = tuple(column * len(cs) for column in b_prime)
+    return list(map(abs, _chsh_terms(a, a_prime, a, b_prime)))
+
+
+def _checked_b_prime() -> tuple:
+    """b' = (cos 0, 0, sin 0) as checked one-entry columns."""
+    return _unit((_FIRST_AXIS_PAIR[0], 0.0, _FIRST_AXIS_PAIR[1]), "b_prime")
 
 
 def F(phi: float) -> float:
-    """Magnitude of the scalar part of the vector-valued combination.
+    """Magnitude of the scalar part of the vector-valued combination: the
+    one-angle case of the sweep's F column."""
+    return _F_column(*_plane_columns([phi]))[0]
 
-    The scalar part of u(s)u(t) is c1*c2 + s1*s2; the four products are
-    summed in the order of the combination a*b + a*b' + a'*b - a'*b'.
-    """
-    (c, s), (c2, s2), (cp, sp) = _plane_pairs(phi)
-    ab = c * c + s * s
-    abp = c * cp + s * sp
-    apb = c2 * c + s2 * s
-    apbp = c2 * cp + s2 * sp
-    return abs(ab + abp + apb - apbp)
+
+def quantum_lhs(phi: float) -> float:
+    """The same four-term combination evaluated through the singlet-state
+    correlations of the four directions, as (x, 0, z) triples: the one-angle
+    case of the sweep's qm_lhs column."""
+    return _qm_lhs_column(*_plane_columns([phi]), _checked_b_prime())[0]
 
 
 class ScanResult(_Record):
@@ -91,33 +138,39 @@ def check_grid(start: float, end: float, steps: int) -> None:
         raise ValueError(f"bad angle range [{start}, {end}]")
 
 
-def _grid(start: float, end: float, steps: int):
+def sweep(start: float, end: float, steps: int, singlet: bool = True):
     """The ``steps`` evenly spaced angles from ``start`` to ``end`` inclusive,
-    after :func:`check_grid`."""
+    as (phis, F column, qm_lhs column) batches of at most ``BATCH_SIZE``
+    angles in grid order; the qm_lhs column is None unless ``singlet``.
+    Raises ``ValueError`` at once for a grid :func:`check_grid` rejects."""
     check_grid(start, end, steps)
-    spacing = (end - start) / (steps - 1)
-    return (start + k * spacing for k in range(steps))
+    return _batches(start, (end - start) / (steps - 1), steps, singlet)
 
 
-def scan_F(steps: int, start: float = 0.0, end: float = math.pi) -> ScanResult:
-    """Maximum of F over an inclusive grid of ``steps`` points."""
-    best_phi = start
-    best_value = -math.inf
-    for phi in _grid(start, end, steps):
-        value = F(phi)
-        if value > best_value:
-            best_value = value
-            best_phi = phi
+def _batches(start: float, spacing: float, steps: int, singlet: bool):
+    b_prime = _checked_b_prime() if singlet else None
+    for first in range(0, steps, BATCH_SIZE):
+        phis = [start + k * spacing for k in range(first, min(first + BATCH_SIZE, steps))]
+        plane = _plane_columns(phis)
+        yield phis, _F_column(*plane), _qm_lhs_column(*plane, b_prime) if singlet else None
+
+
+def scan_F(steps: int, start: float = 0.0, end: float = math.pi, write=None) -> ScanResult:
+    """Maximum of F over an inclusive grid of ``steps`` points; the first
+    strict maximum wins.  Given ``write``, the grid is also rendered as CSV
+    with its qm_lhs column: ``write`` gets the header, then one string of
+    :data:`CSV_ROW` rows per batch."""
+    batches = sweep(start, end, steps, singlet=write is not None)
+    if write is not None:
+        write(",".join(CSV_HEADER) + "\r\n")
+    best_phi, best_value = start, -math.inf
+    for phis, values, qm_lhs in batches:
+        if write is not None:
+            write("".join(map(CSV_ROW.__mod__, zip(phis, values, qm_lhs))))
+        top = max(values)
+        if top > best_value:
+            best_phi, best_value = phis[values.index(top)], top
     return ScanResult(best_phi, best_value, steps)
-
-
-def quantum_lhs(phi: float) -> float:
-    """The same four-term combination evaluated through the singlet-state
-    correlations of the four directions, as (x, 0, z) triples; b is a, so
-    three directions are checked."""
-    (c, s), (c2, s2), (cp, sp) = _plane_pairs(phi)
-    a = (c, 0.0, s)
-    return abs(singlet_chsh(a, (c2, 0.0, s2), a, (cp, 0.0, sp)))
 
 
 def non_collinearity_witness(phi: float, tolerance: float = DEFAULT_TOLERANCE) -> bool:
@@ -127,7 +180,8 @@ def non_collinearity_witness(phi: float, tolerance: float = DEFAULT_TOLERANCE) -
     A sum vanishes when both its (cos, sin) components are within
     ``tolerance`` of zero; the other blades of the two vectors are zero.
     """
-    (c, s), _, (cp, sp) = _plane_pairs(phi)
+    c, s = math.cos(phi), math.sin(phi)
+    cp, sp = _FIRST_AXIS_PAIR
     plus_zero = abs(c + cp) <= tolerance and abs(s + sp) <= tolerance
     minus_zero = abs(c - cp) <= tolerance and abs(s - sp) <= tolerance
     return not plus_zero and not minus_zero
@@ -137,5 +191,6 @@ def csv_rows(start: float, end: float, steps: int):
     """Yield (phi, F, qm_lhs, classical_bound, qm_bound) over the grid of
     :func:`scan_F`; a range or step count it rejects raises the same
     ``ValueError`` when the first row is drawn."""
-    for phi in _grid(start, end, steps):
-        yield (phi, F(phi), quantum_lhs(phi), CLASSICAL_BOUND, VECTOR_BOUND)
+    for phis, values, qm_lhs in sweep(start, end, steps):
+        for row in zip(phis, values, qm_lhs):
+            yield (*row, CLASSICAL_BOUND, VECTOR_BOUND)

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import re
 import sys
@@ -112,25 +111,16 @@ def _cmd_chsh(args, parser) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     if args.csv is not None:
-        # One pass: each row is written as it is computed, from the one format
-        # string chsh.CSV_ROW (the bytes csv.writer would give), and the
-        # maximum is tracked from its F column with scan_F's rule (first
-        # strict maximum).
-        argmax, maximum = args.start, -math.inf
+        # One pass over the sweep's batches: scan_F writes the header, then
+        # each batch's rows with one write, while it takes the maximum.
         try:
             with open(args.csv, "w", encoding="utf-8", newline="") as handle:
-                write = handle.write
-                write(",".join(chsh.CSV_HEADER) + "\r\n")
-                for row in chsh.csv_rows(args.start, args.end, args.steps):
-                    write(chsh.CSV_ROW % row[:3])
-                    if row[1] > maximum:
-                        argmax, maximum = row[0], row[1]
+                result = chsh.scan_F(args.steps, args.start, args.end, handle.write)
         except OSError as exc:
             parser.error(f"cannot write CSV: {exc}")
     else:
         result = chsh.scan_F(args.steps, args.start, args.end)
-        argmax, maximum = result.argmax, result.maximum
-    print(f"max={maximum:.6f} at phi={argmax:.6f}")
+    print(f"max={result.maximum:.6f} at phi={result.argmax:.6f}")
     print(f"classical_bound={chsh.CLASSICAL_BOUND} vector_bound={chsh.VECTOR_BOUND}")
     return 0
 

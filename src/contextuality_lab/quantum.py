@@ -20,15 +20,19 @@ never need the irrational factor itself.
 
 The floating-point path is the singlet correlation: :func:`singlet_correlation`
 behind the sampled ``states.singlet`` check, and :func:`singlet_chsh`, the
-four-term combination behind the sweep's ``qm_lhs`` column, which checks
-each distinct direction once.  Both share one unit-norm check and one
-formula, the real-arithmetic reduction, equal bit for bit, of the complex
-4 x 4 Kronecker product kept as the test oracle in ``tests/sweep_oracle.py``.
+four-term combination, which checks each distinct direction once.  The
+correlation formula, the four-term sum and the unit-norm rule are each
+written once, over columns of direction components; a single direction is
+a column of one entry, and the sweep in :mod:`.chsh` hands in whole
+batches.  The formula is the real-arithmetic reduction, equal bit for bit,
+of the complex 4 x 4 Kronecker product kept as the test oracle in
+``tests/sweep_oracle.py``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, mul, neg
 
 from .constraints import ObservableProduct
 from .ga import EXACT, _coerce, _Record
@@ -299,25 +303,47 @@ def is_eigenstate(state: StateVector, product: ObservableProduct, n: int) -> boo
 UNIT_NORM_TOLERANCE = 1e-11
 
 
+def _check_units(name: str, xs, ys, zs) -> None:
+    """``ValueError`` naming direction ``name`` at the first (x, y, z) of the
+    columns whose squared norm is not within ``UNIT_NORM_TOLERANCE`` of 1
+    (a NaN component fails too)."""
+    for x, y, z in zip(xs, ys, zs):
+        norm2 = x ** 2 + y ** 2 + z ** 2
+        if not abs(norm2 - 1.0) <= UNIT_NORM_TOLERANCE:
+            raise ValueError(f"direction {name} is not a unit vector (|{name}|^2={norm2})")
+
+
 def _unit(v, name: str) -> tuple:
-    """The float components of direction ``v``; ``ValueError`` naming it
-    unless its squared norm is within ``UNIT_NORM_TOLERANCE`` of 1 (a NaN
-    component fails too)."""
+    """Direction ``v`` as checked one-entry float columns ([x], [y], [z])."""
     x, y, z = map(float, v)
-    norm2 = x ** 2 + y ** 2 + z ** 2
-    if not abs(norm2 - 1.0) <= UNIT_NORM_TOLERANCE:
-        raise ValueError(f"direction {name} is not a unit vector (|{name}|^2={norm2})")
-    return x, y, z
+    _check_units(name, (x,), (y,), (z,))
+    return [x], [y], [z]
 
 
-def _correlation(a: tuple, b: tuple) -> float:
-    """The singlet correlation of two checked directions; see
-    :func:`singlet_correlation`."""
+def _correlations(a: tuple, b: tuple) -> list:
+    """The singlet correlation of each pair of entries of the checked
+    direction columns a = (xs, ys, zs) and b; see :func:`singlet_correlation`.
+    Per entry, zz is az * -bz and xy is ax*bx + ay*by."""
     ax, ay, az = a
     bx, by, bz = b
-    zz = az * -bz
-    xy = ax * bx + ay * by
-    return (zz - xy - xy + zz + 0.0) / 2.0
+    return [
+        (zz - xy - xy + zz + 0.0) / 2.0
+        for zz, xy in zip(map(mul, az, map(neg, bz)), map(add, map(mul, ax, bx), map(mul, ay, by)))
+    ]
+
+
+def _chsh_terms(a: tuple, a_prime: tuple, b: tuple, b_prime: tuple) -> list:
+    """E(a,b) + E(a,b') + E(a',b) - E(a',b') per entry of four checked
+    direction columns, summed in that order."""
+    return [
+        ab + abp + apb - apbp
+        for ab, abp, apb, apbp in zip(
+            _correlations(a, b),
+            _correlations(a, b_prime),
+            _correlations(a_prime, b),
+            _correlations(a_prime, b_prime),
+        )
+    ]
 
 
 def singlet_correlation(a, b) -> float:
@@ -331,7 +357,7 @@ def singlet_correlation(a, b) -> float:
     ax*bx + ay*by off it, summed in the complex product's order; ``+ 0.0``
     gives an exactly cancelling sum the complex product's sign of zero.
     """
-    return _correlation(_unit(a, "a"), _unit(b, "b"))
+    return _correlations(_unit(a, "a"), _unit(b, "b"))[0]
 
 
 def singlet_chsh(a, a_prime, b, b_prime) -> float:
@@ -341,10 +367,4 @@ def singlet_chsh(a, a_prime, b, b_prime) -> float:
     va = _unit(a, "a")
     vap = _unit(a_prime, "a_prime")
     vb = va if b is a else _unit(b, "b")
-    vbp = _unit(b_prime, "b_prime")
-    return (
-        _correlation(va, vb)
-        + _correlation(va, vbp)
-        + _correlation(vap, vb)
-        - _correlation(vap, vbp)
-    )
+    return _chsh_terms(va, vap, vb, _unit(b_prime, "b_prime"))[0]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from contextuality_lab import quantum
+from contextuality_lab import chsh, quantum
 from contextuality_lab.chsh import (
     CLASSICAL_BOUND,
     VECTOR_BOUND,
@@ -270,3 +270,49 @@ class TestDenseOracle:
     def test_singlet_rejects_non_unit_directions(self, a, b):
         with pytest.raises(ValueError, match="not a unit vector"):
             quantum.singlet_correlation(a, b)
+
+
+SEAM_STEPS = (chsh.BATCH_SIZE, chsh.BATCH_SIZE + 1, 2 * chsh.BATCH_SIZE + 1)
+
+
+class TestBatches:
+    """The sweep runs in batches of ``BATCH_SIZE`` angles; nothing about the
+    result may depend on where the seams fall."""
+
+    @pytest.mark.parametrize("steps", SEAM_STEPS)
+    def test_scan_at_batch_seams_is_the_dense_per_angle_max(self, steps):
+        start, end = 0.25, 3.0
+        spacing = (end - start) / (steps - 1)
+        best_phi, best = start, -math.inf
+        for k in range(steps):
+            phi = start + k * spacing
+            value = dense_F(phi)
+            if value > best:
+                best_phi, best = phi, value
+        assert scan_F(steps, start, end) == chsh.ScanResult(best_phi, best, steps)
+
+    @pytest.mark.parametrize("steps", SEAM_STEPS)
+    def test_batches_cover_the_grid_in_order(self, steps):
+        batches = list(chsh.sweep(0.0, math.pi, steps, singlet=False))
+        assert all(len(phis) <= chsh.BATCH_SIZE for phis, _, _ in batches)
+        assert all(qm_lhs is None for _, _, qm_lhs in batches)
+        spacing = math.pi / (steps - 1)
+        assert [phi for phis, _, _ in batches for phi in phis] == [
+            0.0 + k * spacing for k in range(steps)
+        ]
+
+    @pytest.mark.parametrize("name", ["a", "a_prime"])
+    @pytest.mark.parametrize(
+        "bad", [(math.nan, 0.0), (math.sqrt(1.0 + 2e-11), 0.0)], ids=["nan", "norm-off-by-2e-11"]
+    )
+    def test_batched_unit_check_rejects_like_quantum_unit(self, name, bad):
+        good = (math.cos(0.3), math.sin(0.3))
+        a = [good, bad if name == "a" else good]
+        a_prime = [good, bad if name == "a_prime" else good]
+        columns = ([c for c, _ in a], [s for _, s in a], [c for c, _ in a_prime], [s for _, s in a_prime])
+        with pytest.raises(ValueError) as batched:
+            chsh._qm_lhs_column(*columns, chsh._checked_b_prime())
+        with pytest.raises(ValueError) as single:
+            quantum._unit((bad[0], 0.0, bad[1]), name)
+        assert str(batched.value) == str(single.value)
+        assert str(batched.value).startswith(f"direction {name} is not a unit vector")

@@ -531,38 +531,71 @@ class TestChsh:
         assert len(lines) == 1 + 3
 
     @staticmethod
-    def count_calls(monkeypatch, name):
-        calls = []
+    def record_batches(monkeypatch, name):
+        """Record the first column handed to each call of the batch kernel
+        ``chsh.<name>``: the angles for ``_plane_columns``, cos(phi) for the
+        F and qm_lhs columns."""
+        batches = []
         original = getattr(chsh, name)
 
-        def counted(phi):
-            calls.append(phi)
-            return original(phi)
+        def recorded(first, *rest):
+            batches.append(list(first))
+            return original(first, *rest)
 
-        monkeypatch.setattr(chsh, name, counted)
-        return calls
+        monkeypatch.setattr(chsh, name, recorded)
+        return batches
+
+    @staticmethod
+    def grid(start, end, steps):
+        spacing = (end - start) / (steps - 1)
+        return [start + k * spacing for k in range(steps)]
+
+    STEPS_OVER_TWO_SEAMS = 2 * chsh.BATCH_SIZE + 37
 
     def test_csv_evaluates_F_once_per_point(self, tmp_path, monkeypatch, capsys):
-        f_calls = self.count_calls(monkeypatch, "F")
+        angles = self.record_batches(monkeypatch, "_plane_columns")
+        f_columns = self.record_batches(monkeypatch, "_F_column")
+        steps = self.STEPS_OVER_TWO_SEAMS
         csv_path = tmp_path / "c.csv"
-        code, _, _ = run_cli(["chsh", "0.5", "2.0", "37", "--csv", str(csv_path)], capsys)
+        code, _, _ = run_cli(["chsh", "0.5", "2.0", str(steps), "--csv", str(csv_path)], capsys)
         assert code == 0
-        assert len(f_calls) == 37
+        grid = self.grid(0.5, 2.0, steps)
+        assert [len(batch) for batch in angles] == [chsh.BATCH_SIZE, chsh.BATCH_SIZE, 37]
+        assert [phi for batch in angles for phi in batch] == grid
+        assert [c for batch in f_columns for c in batch] == [math.cos(phi) for phi in grid]
 
     def test_csv_summary_keeps_the_first_of_tied_maxima(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(chsh, "F", lambda phi: 2.0 if phi > 1.0 else 1.0)
-        _, plain, _ = run_cli(["chsh", "0.5", "2.0", "4"], capsys)
-        _, out, _ = run_cli(["chsh", "0.5", "2.0", "4", "--csv", str(tmp_path / "c.csv")], capsys)
-        assert out.splitlines()[0] == "max=2.000000 at phi=1.500000"
+        # F reads 2.0 from the third-last angle of the first batch on, so the
+        # maximum ties inside the first batch, across the seam and inside the
+        # second batch.
+        seam = chsh.BATCH_SIZE
+        seen = []
+
+        def tied(cs, *rest):
+            first = len(seen)
+            seen.extend(cs)
+            return [2.0 if first + i >= seam - 3 else 1.0 for i in range(len(cs))]
+
+        monkeypatch.setattr(chsh, "_F_column", tied)
+        steps = seam + 2
+        _, plain, _ = run_cli(["chsh", "0.5", "2.0", str(steps)], capsys)
+        seen.clear()
+        _, out, _ = run_cli(
+            ["chsh", "0.5", "2.0", str(steps), "--csv", str(tmp_path / "c.csv")], capsys
+        )
+        first_max = self.grid(0.5, 2.0, steps)[seam - 3]
+        assert out.splitlines()[0] == f"max=2.000000 at phi={first_max:.6f}"
         assert out == plain
 
     def test_summary_without_csv_skips_the_matrix_path(self, monkeypatch, capsys):
-        lhs_calls = self.count_calls(monkeypatch, "quantum_lhs")
-        f_calls = self.count_calls(monkeypatch, "F")
-        code, _, _ = run_cli(["chsh", "0.5", "2.0", "37"], capsys)
+        angles = self.record_batches(monkeypatch, "_plane_columns")
+        qm_columns = self.record_batches(monkeypatch, "_qm_lhs_column")
+        terms = self.count_singlet_calls(monkeypatch, "_chsh_terms")
+        steps = self.STEPS_OVER_TWO_SEAMS
+        code, _, _ = run_cli(["chsh", "0.5", "2.0", str(steps)], capsys)
         assert code == 0
-        assert lhs_calls == []
-        assert len(f_calls) == 37
+        assert qm_columns == [] and terms == []
+        assert [phi for batch in angles for phi in batch] == self.grid(0.5, 2.0, steps)
 
     @staticmethod
     def count_singlet_calls(monkeypatch, name):
@@ -580,14 +613,33 @@ class TestChsh:
         return calls
 
     def test_csv_makes_one_singlet_call_per_point(self, tmp_path, monkeypatch, capsys):
-        lhs_calls = self.count_calls(monkeypatch, "quantum_lhs")
+        qm_columns = self.record_batches(monkeypatch, "_qm_lhs_column")
         chsh_calls = self.count_singlet_calls(monkeypatch, "singlet_chsh")
         pair_calls = self.count_singlet_calls(monkeypatch, "singlet_correlation")
-        code, _, _ = run_cli(["chsh", "0.5", "2.0", "37", "--csv", str(tmp_path / "c.csv")], capsys)
+        steps = self.STEPS_OVER_TWO_SEAMS
+        code, _, _ = run_cli(["chsh", "0.5", "2.0", str(steps), "--csv", str(tmp_path / "c.csv")], capsys)
         assert code == 0
-        assert len(lhs_calls) == 37
-        assert len(chsh_calls) == 37
-        assert pair_calls == []
+        cosines = [math.cos(phi) for phi in self.grid(0.5, 2.0, steps)]
+        assert [c for batch in qm_columns for c in batch] == cosines
+        assert chsh_calls == [] and pair_calls == []
+
+    def test_csv_checks_b_prime_once_and_a_a_prime_at_every_angle(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        units = self.count_singlet_calls(monkeypatch, "_unit")
+        checked = Counter()
+        original = quantum._check_units
+
+        def counted(name, xs, ys, zs):
+            checked[name] += len(xs)
+            return original(name, xs, ys, zs)
+
+        monkeypatch.setattr(chsh, "_check_units", counted)
+        steps = self.STEPS_OVER_TWO_SEAMS
+        code, _, _ = run_cli(["chsh", "0.5", "2.0", str(steps), "--csv", str(tmp_path / "c.csv")], capsys)
+        assert code == 0
+        assert [name for _, name in units] == ["b_prime"]
+        assert checked == {"a": steps, "a_prime": steps}
 
     def test_verify_states_keeps_its_sampled_singlet_pairs(self, monkeypatch, capsys):
         pair_calls = self.count_singlet_calls(monkeypatch, "singlet_correlation")
@@ -603,6 +655,9 @@ class TestChsh:
         st.integers(3, 300),
     )
     @example((0.25, 3.0), 2001)
+    @example((0.25, 3.0), chsh.BATCH_SIZE)
+    @example((0.25, 3.0), chsh.BATCH_SIZE + 1)
+    @example((0.25, 3.0), 2 * chsh.BATCH_SIZE + 1)
     def test_csv_and_summary_match_the_dense_oracle(self, span, steps):
         start, end = span
         spacing = (end - start) / (steps - 1)
