@@ -24,8 +24,7 @@ line lands exactly on its required sign.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 from . import systems
 from .ga import _Record
@@ -394,7 +393,7 @@ def evaluate_vector_model(cs: ConstraintSet, assignment: VectorAssignment) -> tu
         reduced = identify_pseudoscalars(raw)
         if not reduced.is_scalar():
             raise ValueError(f"line word did not reduce to a scalar: {reduced}")
-        results.append(LineEvaluation(line, reduced, Fraction(reduced.scalar_part())))
+        results.append(LineEvaluation(line, reduced, reduced.scalar_part()))
     return tuple(results)
 
 

@@ -3,9 +3,10 @@
 Single-site spin matrices are evaluated over the Gaussian rationals (complex
 numbers with rational real and imaginary parts), so the relations tying the
 spin algebra to matrix mechanics are decided exactly, with no floating point
-in the loop.  The parts are exact rationals held as ``int`` and promoted to
-``fractions.Fraction`` only for non-integer values, the same normalisation as
-the coefficients of :mod:`contextuality_lab.ga`.
+in the loop.  The parts are exact rationals held as ``int``; a non-integer
+part is a ``fractions.Fraction`` handed in by a caller, the same
+normalisation as the coefficients of :mod:`contextuality_lab.ga`.
+``Fraction`` is accepted, never imported.
 
 An n-site spin word is never built as a 2^n x 2^n matrix.  It is a Pauli
 word ``(k, x, z)`` meaning i^k X^x Z^z: a phase exponent mod 4 and one x bit
@@ -31,11 +32,10 @@ of the complex 4 x 4 Kronecker product kept as the test oracle in
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import add, mul, neg
 
 from .constraints import ObservableProduct
-from .ga import EXACT, _coerce, _Record
+from .ga import EXACT, _coerce, _is_fraction, _Record
 
 
 class GaussianRational(_Record):
@@ -59,7 +59,7 @@ class GaussianRational(_Record):
                 self.real * other.real - self.imag * other.imag,
                 self.real * other.imag + self.imag * other.real,
             )
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int) or _is_fraction(other):
             return GaussianRational(self.real * other, self.imag * other)
         return NotImplemented
 

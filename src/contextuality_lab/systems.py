@@ -8,8 +8,10 @@ keys through :func:`contextuality_lab.ga.blade_product`: no sign is exchanged
 across slots, so generators living in different subsystems commute while
 generators inside one slot keep their anticommutation rules.
 
-Coefficients are exact (``int``, or ``Fraction`` for non-integer values);
-:func:`embed` rejects a float multivector.  Rendering names the subsystem
+Coefficients are exact: ``int``, or a ``fractions.Fraction`` for a
+non-integer value a caller hands in.  As in :mod:`contextuality_lab.ga`,
+``Fraction`` is accepted, never imported.  :func:`embed` rejects a float
+multivector.  Rendering names the subsystem
 bases e, f and g: the embedded basis vector of axis 2 in subsystem 3 prints
 as ``g2``.
 
@@ -25,8 +27,7 @@ are safe to share between threads.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Mapping
+from collections.abc import Mapping
 
 from .ga import (
     BLADE_NAMES,
@@ -35,6 +36,7 @@ from .ga import (
     Multivector,
     _Record,
     _coerce,
+    _is_scalar,
     blade_product,
     render_terms,
 )
@@ -102,10 +104,8 @@ class TensorMultivector(_Record):
     # -- product -----------------------------------------------------------
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, float)):
-            return self.scale(other)
         if not isinstance(other, TensorMultivector):
-            return NotImplemented
+            return self.scale(other) if _is_scalar(other) else NotImplemented
         self._require_compatible(other)
         acc: dict[int, Coefficient] = {}
         get = acc.get
@@ -117,7 +117,7 @@ class TensorMultivector(_Record):
         return TensorMultivector(self.n, acc)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, float)):
+        if _is_scalar(other):
             return self.scale(other)
         return NotImplemented
 

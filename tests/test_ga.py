@@ -194,6 +194,23 @@ class TestModes:
         with pytest.raises(ValueError):
             basis_vector(1, APPROX).scale(Fraction(1, 2))
 
+    @pytest.mark.parametrize(
+        "build,shown",
+        [
+            (lambda: Multivector.from_blades({0: "1.5"}, APPROX), "'1.5'"),
+            (lambda: Multivector.from_blades({0: True}, APPROX), "True"),
+            (lambda: basis_vector(1, APPROX).scale("2"), "'2'"),
+        ],
+        ids=["str-coefficient", "bool-coefficient", "str-factor"],
+    )
+    def test_bool_and_str_rejected_in_approx_mode(self, build, shown):
+        """Approx mode takes non-bool int and float only, as exact mode
+        takes non-bool int and Fraction only."""
+        message = f"approx mode needs int or float coefficients, got {shown}"
+        with pytest.raises(ValueError) as raised:
+            build()
+        assert str(raised.value) == message
+
     def test_approx_equals_tolerance(self):
         x = basis_vector(1, APPROX)
         nudged = x + basis_vector(1, APPROX).scale(1e-15)

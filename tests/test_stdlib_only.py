@@ -1,20 +1,31 @@
-"""The package runs on the standard library alone, reads no environment, and
-parses text only in its two input readers.
+"""The package runs on the standard library alone, reads no environment,
+parses text only in its two input readers, and loads no more of the standard
+library than its commands use.
 
 Every module under ``src/contextuality_lab`` is parsed, not imported, so an
-import behind a guard or inside a function is seen too.
+import behind a guard or inside a function is seen too.  What a command
+loads is read from ``sys.modules`` of a fresh ``python -I -S`` interpreter,
+where no site hook has imported anything ahead of the package.
 """
 
 import ast
+import json
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 import contextuality_lab
+from contextuality_lab.constraints import builtin_constraints
 
 PACKAGE = "contextuality_lab"
+SRC = Path(contextuality_lab.__file__).parent.parent
 MODULES = sorted(Path(contextuality_lab.__file__).parent.glob("*.py"))
+#: Modules no command needs: ``Fraction`` is accepted but never imported
+#: (``fractions`` brings ``decimal`` and ``numbers``), and nothing is typed
+#: at run time.
+UNUSED_MODULES = ("fractions", "decimal", "numbers", "typing")
 ENVIRONMENT_READS = {"environ", "environb", "getenv"}
 INPUT_READERS = {"cli", "constraints"}
 
@@ -44,6 +55,11 @@ def test_imports_are_stdlib_or_the_package(path):
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_module_imports_an_unused_module(path):
+    assert top_level_imports(path) & set(UNUSED_MODULES) == set()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_only_the_input_readers_import_json_or_re(path):
     """The program's text inputs are argv and the ``--constraints`` document,
     read by ``cli`` and ``constraints``; no other module parses text."""
@@ -69,3 +85,93 @@ def test_no_module_reads_the_environment(path):
                 if alias.name in ENVIRONMENT_READS
             )
     assert reads == []
+
+
+def run_fresh(code: str, *args: str) -> str:
+    """Stdout of ``code`` in a fresh ``python -I -S`` interpreter with the
+    package's source directory as ``sys.argv[1]``."""
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, str(SRC), *args],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+COMMAND_CODE = """\
+import sys
+sys.path.insert(0, sys.argv[1])
+from contextuality_lab.cli import main
+try:
+    code = main(sys.argv[3:])
+except SystemExit as exc:
+    code = exc.code
+print(code, *(name for name in sys.argv[2].split(",") if name in sys.modules))
+"""
+
+#: (case name, argv, exit code); ``{doc}`` and ``{out}`` stand for a
+#: constraint document and an output path in the test's directory.
+COMMANDS = [
+    ("verify-all-exact", ["verify", "all"], 0),
+    ("verify-all-approx", ["verify", "all", "--mode", "approx"], 0),
+    ("verify-pm-constraints", ["verify", "pm", "--constraints", "{doc}", "--out", "{out}"], 0),
+    ("chsh-csv", ["chsh", "0", "3.14159265", "2049", "--csv", "{out}"], 0),
+    ("search-identities-minus-e1", ["search-identities", "-e1"], 0),
+    ("usage-error", ["verify", "everything"], 2),
+]
+
+
+@pytest.mark.parametrize("argv,code", [c[1:] for c in COMMANDS], ids=[c[0] for c in COMMANDS])
+def test_commands_load_no_unused_module(argv, code, tmp_path):
+    doc = tmp_path / "pm.json"
+    doc.write_text(builtin_constraints("pm").to_json(), encoding="utf-8")
+    places = {"{doc}": str(doc), "{out}": str(tmp_path / "out")}
+    argv = [places.get(arg, arg) for arg in argv]
+    last = run_fresh(COMMAND_CODE, ",".join(UNUSED_MODULES), *argv).splitlines()[-1]
+    assert last.split() == [str(code)]
+
+
+FRACTION_CODE = """\
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from contextuality_lab.ga import APPROX, Multivector, basis_vector
+from contextuality_lab.quantum import GaussianRational
+from contextuality_lab.systems import TensorMultivector
+loaded_by_package = "fractions" in sys.modules
+from fractions import Fraction
+
+def error(build):
+    try:
+        build()
+    except ValueError as exc:
+        return str(exc)
+
+half = Fraction(1, 2)
+e1 = basis_vector(1)
+print(json.dumps({
+    "loaded_by_package": loaded_by_package,
+    "render": str(Multivector.from_blades({6: Fraction(3, 2)})),
+    "integral_type": type(Multivector.from_blades({3: Fraction(4, 2)}).coeffs[3]).__name__,
+    "multivector": [str(e1 * half), str(half * e1), str(e1.scale(half))],
+    "tensor": [str(TensorMultivector.scalar(3, 2) * half), str(half * TensorMultivector.scalar(3, 2))],
+    "gaussian": [str(GaussianRational.of(1, 3) * half), str(half * GaussianRational.of(1, 3))],
+    "approx_fraction": error(lambda: basis_vector(1, APPROX).scale(half)),
+    "exact_bool": error(lambda: Multivector.from_blades({0: True})),
+}))
+"""
+
+
+def test_fraction_imported_after_the_package_is_accepted():
+    """A ``Fraction`` made after the package was imported is recognised,
+    normalised and rejected exactly as one made before."""
+    seen = json.loads(run_fresh(FRACTION_CODE))
+    assert seen == {
+        "loaded_by_package": False,
+        "render": "3/2*e23",
+        "integral_type": "int",
+        "multivector": ["1/2*e1"] * 3,
+        "tensor": ["3/2"] * 2,
+        "gaussian": ["1/2+3/2i"] * 2,
+        "approx_fraction": "approx mode does not accept Fraction coefficients",
+        "exact_bool": "exact mode needs int or Fraction coefficients, got True",
+    }
