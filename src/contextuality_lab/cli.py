@@ -13,9 +13,17 @@ Subcommands:
 
 The claims themselves, with their ids, witnesses and pass rules, are the
 rows of :mod:`contextuality_lab.checks`; this module loads the optional
-constraint document and wraps the entries in a report.  Every input comes
-from argv and every usage error goes through the subcommand parser's
-``error`` (exit 2), so it shows that subcommand's usage line.
+constraint document and wraps the entries in a report.
+
+Every input comes from argv, read in one pass against :data:`COMMANDS`, one
+row per command: its handler, help line, positionals and options.  The
+rules are argparse's: ``--flag value`` or ``--flag=value``, a unique prefix
+of a flag names it, ``--`` ends the options, an option's value may be a
+negative number but not an option-like token, and ``-h``/``--help`` prints
+the help (built from the same table) and exits 0.  Two rules differ: once
+a valid command name is read, every usage error shows that command's usage
+line; and a single-dash token other than ``-h`` (``-e2``, ``-1e5``) is a
+positional.  Every usage error goes through :meth:`Usage.error` (exit 2).
 Reports are deterministic byte for byte for fixed flags: the one sampled
 check, ``states.singlet``, draws from a generator seeded by ``--seed`` and
 no timestamps are embedded.
@@ -23,11 +31,10 @@ no timestamps are embedded.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
-import re
 import sys
+from types import SimpleNamespace
 
 from . import __version__, checks, chsh, constraints, identities
 from .ga import APPROX, EXACT
@@ -135,72 +142,241 @@ def _cmd_search_identities(args, parser) -> int:
     return 0
 
 
-def _make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="contextuality-lab",
-        description="exact verification of the built-in constraint systems "
-        "and the coplanar correlation sweep",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# -- argv ---------------------------------------------------------------------------------
 
-    verify = sub.add_parser("verify", help="run a check suite, emit a JSON report")
-    verify.set_defaults(handler=_cmd_verify, parser=verify)
-    verify.add_argument("target", choices=VERIFY_TARGETS)
-    verify.add_argument("--out", help="write the JSON report to a file")
-    verify.add_argument(
-        "--constraints",
-        metavar="FILE",
-        help="JSON constraint-set document to check instead of the builtin lines",
-    )
-    verify.add_argument(
-        "--mode",
-        choices=(EXACT, APPROX),
-        default=EXACT,
-        help="coefficient mode of the ga.* axiom checks (the joint algebra is exact)",
-    )
-    verify.add_argument(
-        "--seed",
-        type=int,
-        default=DEFAULT_SEED,
-        help="seed for randomized checks",
-    )
+PROG = "contextuality-lab"
+DESCRIPTION = (
+    "exact verification of the built-in constraint systems and the coplanar correlation sweep"
+)
+HELP = "--help"
 
-    sweep = sub.add_parser("chsh", help="scan the correlation curve F over [start, end]")
-    sweep.set_defaults(handler=_cmd_chsh, parser=sweep)
-    sweep.add_argument("start", type=float)
-    sweep.add_argument("end", type=float)
-    sweep.add_argument("steps", type=int)
-    sweep.add_argument("--csv", help="write the grid as CSV to a file")
-
-    search = sub.add_parser(
-        "search-identities",
-        help="list identification maps producing the column (x, x, x, -x)",
-    )
-    search.set_defaults(handler=_cmd_search_identities, parser=search)
-    search.add_argument(
-        "target",
-        help="signed in-plane vector, e.g. e1 or -e2 (letters e, f, g accepted)",
-    )
-    return parser
+#: command -> (handler, help line, positionals, options).  A positional is
+#: (name, converter, help); an option maps its flag to (dest, metavar,
+#: converter, default, help).  A converter is a tuple of choices, or ``str``,
+#: ``int`` or ``float`` applied to the argument.
+COMMANDS = {
+    "verify": (
+        _cmd_verify,
+        "run a check suite, emit a JSON report",
+        (("target", VERIFY_TARGETS, "the check suite to run (all: every suite)"),),
+        {
+            "--out": ("out", "OUT", str, None, "write the JSON report to a file"),
+            "--constraints": ("constraints", "FILE", str, None,
+                              "JSON constraint-set document to check instead of the builtin lines"),
+            "--mode": ("mode", None, (EXACT, APPROX), EXACT,
+                       "coefficient mode of the ga.* axiom checks (the joint algebra is exact)"),
+            "--seed": ("seed", "SEED", int, DEFAULT_SEED, "seed for randomized checks"),
+        },
+    ),
+    "chsh": (
+        _cmd_chsh,
+        "scan the correlation curve F over [start, end]",
+        (
+            ("start", float, "first angle of the grid, in radians"),
+            ("end", float, "last angle of the grid, in radians"),
+            ("steps", int, "number of grid points"),
+        ),
+        {"--csv": ("csv", "CSV", str, None, "write the grid as CSV to a file")},
+    ),
+    "search-identities": (
+        _cmd_search_identities,
+        "list identification maps producing the column (x, x, x, -x)",
+        (("target", str, "signed in-plane vector, e.g. e1 or -e2 (letters e, f, g accepted)"),),
+        {},
+    ),
+}
 
 
-def _shield_dash_target(argv: list) -> list:
-    """Let a ``-e2`` style target through argparse by swapping in the
-    typographic minus, which the target parser accepts."""
-    argv = list(argv)
+def _shown(name: str, converter) -> str:
+    """A positional or metavar as usage and help show it: its choices in braces."""
+    return "{" + ",".join(converter) + "}" if type(converter) is tuple else name
+
+
+class Usage:
+    """The usage line, help and usage errors of one command, or of the
+    program when ``command`` is None."""
+
+    __slots__ = ("command",)
+
+    def __init__(self, command=None):
+        self.command = command
+
+    def prog(self) -> str:
+        return PROG if self.command is None else f"{PROG} {self.command}"
+
+    def line(self) -> str:
+        if self.command is None:
+            return f"{PROG} [-h] {_shown('command', tuple(COMMANDS))} ..."
+        _, _, positionals, options = COMMANDS[self.command]
+        words = [self.prog(), "[-h]"]
+        words += [f"[{flag} {_shown(spec[1], spec[2])}]" for flag, spec in options.items()]
+        words += [_shown(name, converter) for name, converter, _ in positionals]
+        return " ".join(words)
+
+    def error(self, message: str):
+        """Print the usage line and ``message`` to stderr and exit 2."""
+        sys.stderr.write(f"usage: {self.line()}\n{self.prog()}: error: {message}\n")
+        sys.exit(2)
+
+    def help(self):
+        """Print the help to stdout and exit 0."""
+        if self.command is None:
+            about = DESCRIPTION
+            sections = [("commands", [(name, spec[1]) for name, spec in COMMANDS.items()])]
+            options = {}
+        else:
+            _, about, positionals, options = COMMANDS[self.command]
+            rows = [
+                (name, f"{text}; one of {', '.join(converter)}" if type(converter) is tuple else text)
+                for name, converter, text in positionals
+            ]
+            sections = [("positional arguments", rows)]
+        rows = [("-h, --help", "show this help message and exit")]
+        rows += [(f"{flag} {_shown(s[1], s[2])}", s[4]) for flag, s in options.items()]
+        sections.append(("options", rows))
+        width = max(len(left) for _, rows in sections for left, _ in rows) + 2
+        lines = [f"usage: {self.line()}", "", about]
+        for title, rows in sections:
+            lines += ["", f"{title}:"] + [f"  {left:<{width}}{text}" for left, text in rows]
+        sys.stdout.write("\n".join(lines) + "\n")
+        sys.exit(0)
+
+
+def _convert(usage: Usage, name: str, converter, text: str):
+    """``text`` checked against a tuple of choices, or converted."""
+    if type(converter) is tuple:
+        if text not in converter:
+            choices = ", ".join(map(repr, converter))
+            usage.error(f"argument {name}: invalid choice: {text!r} (choose from {choices})")
+        return text
     try:
-        at = argv.index("search-identities")
+        return converter(text)
     except ValueError:
-        return argv
-    if at + 1 < len(argv) and re.fullmatch(r"-[efg][12]", argv[at + 1]):
-        argv[at + 1] = "−" + argv[at + 1][1:]
-    return argv
+        usage.error(f"argument {name}: invalid {converter.__name__} value: {text!r}")
+
+
+def _is_negative_number(token: str) -> bool:
+    """``-7``, ``-0.5`` or ``-.5``: a dash, then digits with at most one point
+    that has digits after it."""
+    whole, point, fraction = token[1:].partition(".")
+    if point:
+        return fraction.isdecimal() and (not whole or whole.isdecimal())
+    return whole.isdecimal()
+
+
+def _flag(usage: Usage, token: str, flags):
+    """The flag that a ``--name`` or ``--name=value`` token names, by the
+    whole name or a unique prefix of it; None when it names none."""
+    name = token.partition("=")[0]
+    known = (HELP, *flags)
+    if name in known:
+        return name
+    matches = [flag for flag in known if flag.startswith(name)]
+    if len(matches) > 1:
+        usage.error(f"ambiguous option: {token} could match {', '.join(matches)}")
+    return matches[0] if matches else None
+
+
+def _help(usage: Usage, token: str):
+    """Print the help for a token that names ``--help``; it takes no value."""
+    _, equals, value = token.partition("=")
+    if equals:
+        usage.error(f"argument -h/--help: ignored explicit argument {value!r}")
+    usage.help()
+
+
+def _can_be_value(usage: Usage, token: str, flags) -> bool:
+    """Whether ``token`` can be an option's value: it does not start with a
+    dash, or is a lone ``-``, or names no flag and is a negative number or
+    holds a space."""
+    if token[:1] != "-" or token == "-":
+        return True
+    if token == "--" or token[:2] == "-h" or (token[:2] == "--" and _flag(usage, token, flags)):
+        return False
+    return " " in token or _is_negative_number(token)
+
+
+def _parse_command(usage: Usage, argv: list, extras: list) -> SimpleNamespace:
+    _, _, positionals, options = COMMANDS[usage.command]
+    values = {dest: default for dest, _, _, default, _ in options.values()}
+    filled = 0
+    filled_at = -1
+    options_ended = False
+    at = 0
+    while at < len(argv):
+        token = argv[at]
+        at += 1
+        if not options_ended:
+            if token == "--":
+                options_ended = True
+                # the "--" is dropped when a positional stands next to it:
+                # the one it follows, or the one the next token fills
+                if filled_at != at - 2 and not (filled < len(positionals) and at < len(argv)):
+                    extras.append(token)
+                continue
+            if token == "-h":
+                usage.help()
+            if token.startswith("--"):
+                flag = _flag(usage, token, options)
+                if flag == HELP:
+                    _help(usage, token)
+                if flag is not None:
+                    _, equals, value = token.partition("=")
+                    if not equals:
+                        if at == len(argv) or not _can_be_value(usage, argv[at], options):
+                            usage.error(f"argument {flag}: expected one argument")
+                        value = argv[at]
+                        at += 1
+                    dest, _, converter, _, _ = options[flag]
+                    values[dest] = _convert(usage, flag, converter, value)
+                    continue
+                if " " not in token:
+                    extras.append(token)
+                    continue
+        if filled < len(positionals):
+            name, converter, _ = positionals[filled]
+            values[name] = _convert(usage, name, converter, token)
+            filled += 1
+            filled_at = at - 1
+        else:
+            extras.append(token)
+    if filled < len(positionals):
+        missing = ", ".join(name for name, _, _ in positionals[filled:])
+        usage.error(f"the following arguments are required: {missing}")
+    if extras:
+        usage.error(f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(**values)
+
+
+def parse(argv: list):
+    """(usage of the command, its parsed values) for ``argv``, in one pass.
+
+    The first token that is not an option names the command, and the rest
+    is read against that command's row of :data:`COMMANDS`.  A usage error
+    exits 2 through :meth:`Usage.error`; ``-h`` or ``--help`` prints the help
+    and exits 0.
+    """
+    top = Usage()
+    extras = []
+    for at, token in enumerate(argv):
+        if token == "-h":
+            top.help()
+        if token.startswith("--") and token != "--":
+            if _flag(top, token, ()) == HELP:
+                _help(top, token)
+            if " " not in token:
+                extras.append(token)
+                continue
+        if token == "--" and at + 1 == len(argv):
+            break  # a "--" names the command (an invalid one) only when tokens follow it
+        usage = Usage(_convert(top, "command", tuple(COMMANDS), token))
+        return usage, _parse_command(usage, argv[at + 1 :], extras)
+    top.error("the following arguments are required: command")
 
 
 def main(argv=None) -> int:
-    parser = _make_parser()
-    args = parser.parse_args(_shield_dash_target(sys.argv[1:] if argv is None else argv))
-    return args.handler(args, args.parser)
+    usage, args = parse(sys.argv[1:] if argv is None else argv)
+    return COMMANDS[usage.command][0](args, usage)
 
 
 if __name__ == "__main__":

@@ -17,7 +17,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from contextuality_lab import checks, chsh, ga, identities, quantum
+import cli_oracle
+from contextuality_lab import checks, chsh, cli, ga, identities, quantum
 from contextuality_lab.checks import OPERATORS, STATES, Context, Words, run
 from contextuality_lab.cli import DEFAULT_SEED, build_report, main
 from contextuality_lab.constraints import BELL_GHZ, GHZ, PM, builtin_constraints
@@ -693,6 +694,11 @@ class TestChsh:
             main(["chsh", "0", "1", "2"])
         assert excinfo.value.code == 2
 
+    def test_second_dash_dash_is_read_as_an_angle(self, capsys):
+        assert_usage_error(
+            ["chsh", "0", "--", "--", "5"], capsys, "argument end: invalid float value: '--'"
+        )
+
     @pytest.mark.parametrize(
         "argv,fragment",
         [(["1", "0", "10"], "bad angle range [1.0, 0.0]"),
@@ -725,6 +731,12 @@ class TestSearchIdentities:
     def test_unparsable_target_exits_2(self, capsys):
         assert_usage_error(["search-identities", "zap"], capsys, "vector 'zap'")
 
+    @pytest.mark.parametrize("target", ["-e3", "-x1"])
+    def test_dash_target_is_read_as_the_target(self, target, capsys):
+        assert_usage_error(
+            ["search-identities", target], capsys, f"cannot parse signed in-plane vector '{target}'"
+        )
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -733,8 +745,14 @@ class TestSearchIdentities:
         ["search-identities", "e3"],
         ["verify", "pm", "--constraints", "{tmp}/missing.json"],
         ["verify", "all", "--out", "{tmp}"],
+        ["verify", "all", "--bogus"],
+        ["chsh", "0", "1", "5", "extra"],
+        ["search-identities", "e1", "e2"],
     ],
-    ids=["chsh-grid", "search-target", "verify-constraints", "verify-out"],
+    ids=[
+        "chsh-grid", "search-target", "verify-constraints", "verify-out",
+        "verify-unknown-option", "chsh-extra-positional", "search-extra-positional",
+    ],
 )
 def test_errors_after_parsing_show_the_subcommand_usage(argv, tmp_path, capsys):
     with pytest.raises(SystemExit) as excinfo:
@@ -766,6 +784,126 @@ def test_search_and_sweep_argv_exit_0_or_with_usage(argv):
     else:
         assert code == 2
         assert err.getvalue().startswith("usage:") and out.getvalue() == ""
+
+
+@pytest.mark.parametrize("command", [None, *cli.COMMANDS])
+def test_help_is_built_from_the_command_table(command, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["-h"] if command is None else [command, "--help"])
+    assert excinfo.value.code == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    if command is None:
+        assert out.startswith("usage: contextuality-lab [-h] {verify,chsh,search-identities} ...\n")
+        assert cli.DESCRIPTION in out
+        for name, (_, text, _, _) in cli.COMMANDS.items():
+            assert f"  {name}  " in out and text in out
+        return
+    _, text, positionals, options = cli.COMMANDS[command]
+    assert out.startswith(f"usage: contextuality-lab {command} [-h] ") and text in out
+    for name, converter, help_text in positionals:
+        assert f"  {name}  " in out and help_text in out
+        if type(converter) is tuple:
+            assert ", ".join(converter) in out
+    for flag, (_, metavar, converter, _, help_text) in options.items():
+        shown = metavar or "{" + ",".join(converter) + "}"
+        assert f"  {flag} {shown}  " in out and help_text in out
+
+
+# -- the argparse definition as the oracle of cli.parse ---------------------------------------
+
+ORACLE_FLAGS = ["--help", *sorted({flag for *_, options in cli.COMMANDS.values() for flag in options})]
+ORACLE_VALUES = [
+    *cli.COMMANDS, "verif", *cli.VERIFY_TARGETS, "e1", "e3", "approx", "exact",
+    "0", "3", "2001", "0.5", "3.14159265", "1e3", "-1", "-0.5", "-.5",
+    "--", "-h", "-e2", "-", "", "bogus", "x y", "-x y",
+]
+ORACLE_TOKENS = st.one_of(
+    st.sampled_from(ORACLE_VALUES),
+    st.sampled_from(ORACLE_FLAGS),
+    st.builds(lambda flag, size: flag[:size], st.sampled_from(ORACLE_FLAGS), st.integers(3, 12)),
+    st.builds(
+        lambda flag, size, value: f"{flag[:size]}={value}",
+        st.sampled_from(ORACLE_FLAGS), st.integers(3, 12), st.sampled_from(ORACLE_VALUES),
+    ),
+)
+
+
+def parse_outcome(parse, argv):
+    """(exit status or None, parsed values, stdout, stderr) of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    values = status = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            values = parse(argv)
+        except SystemExit as exc:
+            status = exc.code
+    return status, values, out.getvalue(), err.getvalue()
+
+
+def table_parse(argv):
+    usage, args = cli.parse(argv)
+    return {"command": usage.command, **vars(args)}
+
+
+def differs_on_purpose(argv) -> bool:
+    """Argv the two parsers read differently by design: a single-dash token
+    other than ``-h`` before any ``--`` is an unknown option to argparse and
+    a positional here; and argparse strips a second ``--``, read as a
+    positional, to an empty list, which ``chsh`` met with a traceback."""
+    before = argv[: argv.index("--")] if "--" in argv else argv
+    single_dash = any(
+        t[:1] == "-" and t[:2] != "--" and t not in ("-", "-h")
+        and (t[:2] == "-h" or " " not in t and not cli._is_negative_number(t))
+        for t in before
+    )
+    return single_dash or argv.count("--") > 1
+
+
+def error_line(stderr):
+    """(prog, message) of a usage error's last line."""
+    return tuple(stderr.splitlines()[-1].split(": error: ", 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.tuples(st.lists(st.sampled_from(list(cli.COMMANDS)), max_size=1), st.lists(ORACLE_TOKENS, max_size=6))
+    .map(lambda parts: parts[0] + parts[1])
+    .filter(lambda argv: not differs_on_purpose(argv))
+)
+@example(["verify", "a3", "--mo", "approx"])
+@example(["verify", "all", "--mode", "approx", "--"])
+@example(["verify", "--", "all"])
+@example(["--", "verify", "all"])
+@example(["--"])
+@example(["--zz", "verify", "all", "--bogus"])
+@example(["chsh", "0", "--", "-1", "2"])
+@example(["chsh", "0", "1", "5", "--csv"])
+@example(["verify", "all", "--help=x"])
+@example(["verify", "all", "--=x"])
+@example(["--=x"])
+@example(["verify", "--constraints", "--h=x y"])
+@example(["verify", "--out", "-x y", "all"])
+def test_parse_agrees_with_the_argparse_oracle(argv):
+    want = parse_outcome(cli_oracle.parse, argv)
+    got = parse_outcome(table_parse, argv)
+    assert got[0] == want[0]
+    if want[0] is None:
+        assert got[1] == want[1]
+    elif want[0] == 0:
+        assert got[2].split(" [-h]")[0] == want[2].split(" [-h]")[0]
+    else:
+        (want_prog, want_message), (got_prog, got_message) = error_line(want[3]), error_line(got[3])
+        assert got_message == want_message
+        if got_prog == want_prog:
+            assert got_prog != "contextuality-lab" or got[3] == want[3]
+        else:
+            # argparse reports unrecognized arguments with the program's
+            # usage line; here the command's usage line shows
+            assert want_prog == "contextuality-lab"
+            assert want_message.startswith("unrecognized arguments: ")
+            assert got_prog.split(" ", 1)[1] in cli.COMMANDS
+            assert got[3].startswith(f"usage: {got_prog} [-h] ")
 
 
 def test_console_entry_point_runs():

@@ -23,9 +23,10 @@ PACKAGE = "contextuality_lab"
 SRC = Path(contextuality_lab.__file__).parent.parent
 MODULES = sorted(Path(contextuality_lab.__file__).parent.glob("*.py"))
 #: Modules no command needs: ``Fraction`` is accepted but never imported
-#: (``fractions`` brings ``decimal`` and ``numbers``), and nothing is typed
-#: at run time.
-UNUSED_MODULES = ("fractions", "decimal", "numbers", "typing")
+#: (``fractions`` brings ``decimal`` and ``numbers``), nothing is typed at
+#: run time, and argv is read from ``cli.COMMANDS``, not by ``argparse``
+#: (which brings ``gettext``), help included.
+UNUSED_MODULES = ("fractions", "decimal", "numbers", "typing", "argparse", "gettext")
 ENVIRONMENT_READS = {"environ", "environb", "getenv"}
 INPUT_READERS = {"cli", "constraints"}
 
@@ -118,6 +119,8 @@ COMMANDS = [
     ("chsh-csv", ["chsh", "0", "3.14159265", "2049", "--csv", "{out}"], 0),
     ("search-identities-minus-e1", ["search-identities", "-e1"], 0),
     ("usage-error", ["verify", "everything"], 2),
+    ("verify-help", ["verify", "-h"], 0),
+    ("unrecognized-option", ["verify", "all", "--bogus"], 2),
 ]
 
 
