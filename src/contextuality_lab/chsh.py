@@ -3,13 +3,12 @@
 Four measurement directions a, b, a', b' lie in one plane, parametrized by
 an angle phi: a and b coincide, a' sits at 2*phi from b' and at phi from
 both a and b.  The scalar combination a*b + a*b' + a'*b - a'*b' is bounded
-by 2 when the four symbols take values in {+1, -1}; that bound is checked
-here by enumerating all 16 assignments.  When the symbols instead take the
-direction vectors themselves as values and multiply geometrically, the
-combination becomes an even multivector whose scalar magnitude traces the
-curve F(phi) = |1 + 2 cos(phi) - cos(2 phi)|, peaking at 5/2 for
-phi = pi/3.  The same curve comes out of quantum mechanics through the
-singlet-state correlations, which is the cross-check wired into
+by 2 when the four symbols take values in {+1, -1}.  When the symbols
+instead take the direction vectors themselves as values and multiply
+geometrically, the combination becomes an even multivector whose scalar
+magnitude traces the curve F(phi) = |1 + 2 cos(phi) - cos(2 phi)|, peaking
+at 5/2 for phi = pi/3.  The same curve comes out of quantum mechanics
+through the singlet-state correlations, which is the cross-check wired into
 :func:`quantum_lhs`.
 
 The sweep runs on the even subalgebra span{1, e13}.  A unit vector of the
@@ -38,10 +37,9 @@ and the complex matrices are kept only as the test oracle for the sweep
 
 from __future__ import annotations
 
-import itertools
 import math
 
-from .ga import DEFAULT_TOLERANCE, _Record
+from .ga import _Record
 from .quantum import _check_units, _chsh_terms, _unit
 from .quantum import singlet_correlation  # noqa: F401  (bench/tracing.py wraps this name)
 
@@ -59,15 +57,6 @@ CSV_ROW = "%.9f,%.9f,%.9f," + f"{CLASSICAL_BOUND!r},{VECTOR_BOUND!r}\r\n"
 BATCH_SIZE = 1024
 
 _FIRST_AXIS_PAIR = (math.cos(0.0), math.sin(0.0))
-
-
-def classical_gamma_enumeration() -> tuple:
-    """All 16 sign assignments with their combination value; each is +-2."""
-    rows = []
-    for a, ap, b, bp in itertools.product((1, -1), repeat=4):
-        gamma = a * b + a * bp + ap * b - ap * bp
-        rows.append(((a, ap, b, bp), gamma))
-    return tuple(rows)
 
 
 def _plane_columns(phis: list) -> tuple:
@@ -171,20 +160,6 @@ def scan_F(steps: int, start: float = 0.0, end: float = math.pi, write=None) -> 
         if top > best_value:
             best_phi, best_value = phis[values.index(top)], top
     return ScanResult(best_phi, best_value, steps)
-
-
-def non_collinearity_witness(phi: float, tolerance: float = DEFAULT_TOLERANCE) -> bool:
-    """For interior angles, neither b + b' nor b - b' vanishes, which is
-    what blocks the factored scalar argument for the value 2 bound.
-
-    A sum vanishes when both its (cos, sin) components are within
-    ``tolerance`` of zero; the other blades of the two vectors are zero.
-    """
-    c, s = math.cos(phi), math.sin(phi)
-    cp, sp = _FIRST_AXIS_PAIR
-    plus_zero = abs(c + cp) <= tolerance and abs(s + sp) <= tolerance
-    minus_zero = abs(c - cp) <= tolerance and abs(s - sp) <= tolerance
-    return not plus_zero and not minus_zero
 
 
 def csv_rows(start: float, end: float, steps: int):

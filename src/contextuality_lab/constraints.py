@@ -126,16 +126,6 @@ class ConstraintSet(_Record):
     def n_systems(self) -> int:
         return max(f.system for line in self.lines for t in line.terms for f in t.factors)
 
-    def to_json(self) -> str:
-        doc = {
-            "name": self.name,
-            "lines": [
-                {"terms": [t.label for t in line.terms], "required": line.required}
-                for line in self.lines
-            ],
-        }
-        return json.dumps(doc, indent=2)
-
     @classmethod
     def from_json(cls, text: str) -> "ConstraintSet":
         """Parse ``{"name": str, "lines": [{"terms": [str, ...], "required": 1
@@ -328,29 +318,6 @@ class VectorAssignment(_Record):
             return self.signs[symbol]
         except KeyError:
             raise ValueError(f"no value assigned to symbol {symbol.label}") from None
-
-    def flipped(self, *symbols: PauliSymbol) -> "VectorAssignment":
-        signs = dict(self.signs)
-        for symbol in symbols:
-            signs[symbol] = -self.sign(symbol)
-        return VectorAssignment(signs)
-
-    def orientation_preserving(self, n_systems: int) -> bool:
-        """True when every subsystem's three signs multiply to +1.
-
-        An even number of flips inside a subsystem leaves its handed volume
-        (the product of its three generators) untouched; an odd number flips
-        it.  Assignments failing this predicate step outside the model in
-        which the canonical line values are guaranteed, so callers should
-        treat their line values as descriptive only.
-        """
-        for system in range(1, n_systems + 1):
-            product = 1
-            for axis in AXES:
-                product *= self.sign(PauliSymbol(system, axis))
-            if product != 1:
-                return False
-        return True
 
     def symbol_value(self, symbol: PauliSymbol, n: int) -> TensorMultivector:
         return systems.generator(

@@ -49,11 +49,6 @@ BLADE_NAMES = ("1", "e1", "e2", "e12", "e3", "e13", "e23", "e123")
 DISPLAY_ORDER = (0, 1, 2, 4, 3, 5, 6, 7)
 
 
-def blade_grade(mask: int) -> int:
-    """Number of basis-vector factors of the blade (0 for the scalar)."""
-    return bin(mask).count("1")
-
-
 #: Bit 0 and bits 0-1 of every 3-bit slot, for keys of up to 64 slots.
 _SLOT_LOW_ONE = (8**64 - 1) // 7
 _SLOT_LOW_TWO = 3 * _SLOT_LOW_ONE
@@ -203,11 +198,6 @@ class Multivector(_Record):
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, mode: str = EXACT) -> "Multivector":
-        z = _zero(mode)
-        return cls((z,) * BLADE_COUNT, mode)
-
-    @classmethod
     def scalar(cls, value, mode: str = EXACT) -> "Multivector":
         return cls.from_blades({0: value}, mode)
 
@@ -273,31 +263,13 @@ class Multivector(_Record):
             return self.scale(other)
         return NotImplemented
 
-    # -- projections ---------------------------------------------------
-
-    def grade_projection(self, grade: int) -> "Multivector":
-        """Keep only the blades of the given grade (0..3)."""
-        if not 0 <= grade <= 3:
-            raise ValueError(f"grade {grade} out of range 0..3")
-        z = _zero(self.mode)
-        return Multivector(
-            tuple(a if blade_grade(m) == grade else z for m, a in enumerate(self.coeffs)),
-            self.mode,
-        )
-
-    def scalar_part(self) -> Coefficient:
-        return self.coeffs[0]
-
-    def grades(self) -> set:
-        return {blade_grade(m) for m, a in enumerate(self.coeffs) if a}
+    # -- comparison -----------------------------------------------------
 
     def is_zero(self, tolerance: float | None = None) -> bool:
         if self.mode == EXACT:
             return not any(self.coeffs)
         tol = DEFAULT_TOLERANCE if tolerance is None else tolerance
         return all(abs(a) <= tol for a in self.coeffs)
-
-    # -- comparison -----------------------------------------------------
 
     def equals(self, other: "Multivector", tolerance: float | None = None) -> bool:
         """Coefficientwise equality; approx mode compares within a tolerance."""

@@ -108,15 +108,6 @@ class IdentityMap(_Record):
             return self.g1 if axis == 1 else self.g2
         raise ValueError(f"system index {system} out of range 1..3")
 
-    def handedness(self, system: int) -> int:
-        """Sign of the induced plane orientation: permutation parity times
-        the product of the image signs.  +1 means the substituted axis-order
-        bivector equals +e12, -1 means it equals -e12."""
-        first = self.image(system, 1)
-        second = self.image(system, 2)
-        permutation = 1 if first.axis == 1 else -1
-        return permutation * first.sign * second.sign
-
     def as_dict(self) -> dict:
         return {
             "f1": self.f1.label,
@@ -176,24 +167,10 @@ def _reduce_line(imap: IdentityMap, line: ObservableProduct) -> tuple[int, int]:
     """The reduced word of one line as ``(sign, blade mask)``."""
     sign, mask = 1, 0
     for factor in line.factors:
-        if factor.axis == "z":
-            raise ValueError("axis z does not occur in the identified plane")
         image = imap.image(factor.system, AXIS_INDEX[factor.axis])
         step, mask = CAYLEY[mask][1 << (image.axis - 1)]
         sign *= step * image.sign
     return sign, mask
-
-
-def substitute_and_reduce(imap: IdentityMap, line: ObservableProduct) -> Multivector:
-    """Map each factor's value into the shared copy and reduce the word.
-
-    Within-line factors now multiply in one algebra, so distinct-axis images
-    anticommute; nothing commutes by fiat.  Each image is a signed basis
-    vector, so the word is reduced as a sign times one blade through the
-    blade product table.  Axis z has no image: the identification covers
-    only the plane of axes 1 and 2.
-    """
-    return _signed_blade(*_reduce_line(imap, line))
 
 
 class ColumnResult(_Record):
@@ -268,13 +245,6 @@ class OrientationReading(_Record):
 
     def identical(self, a: int, b: int) -> bool:
         return self.orientations[a - 1] == self.orientations[b - 1]
-
-    def verdicts(self) -> dict:
-        return {
-            "1-2": self.identical(1, 2),
-            "1-3": self.identical(1, 3),
-            "2-3": self.identical(2, 3),
-        }
 
 
 def orientation_reading(imap: IdentityMap) -> OrientationReading:

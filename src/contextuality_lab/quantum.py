@@ -20,14 +20,13 @@ here hold integer amplitudes scaled by 1/sqrt(2), and eigenvalue equations
 never need the irrational factor itself.
 
 The floating-point path is the singlet correlation: :func:`singlet_correlation`
-behind the sampled ``states.singlet`` check, and :func:`singlet_chsh`, the
-four-term combination, which checks each distinct direction once.  The
-correlation formula, the four-term sum and the unit-norm rule are each
-written once, over columns of direction components; a single direction is
-a column of one entry, and the sweep in :mod:`.chsh` hands in whole
-batches.  The formula is the real-arithmetic reduction, equal bit for bit,
-of the complex 4 x 4 Kronecker product kept as the test oracle in
-``tests/sweep_oracle.py``.
+behind the sampled ``states.singlet`` check, and the four-term combination
+that the sweep in :mod:`.chsh` sums.  The correlation formula, the four-term
+sum and the unit-norm rule are each written once, over columns of direction
+components; a single direction is a column of one entry, and the sweep
+hands in whole batches.  The formula is the real-arithmetic reduction,
+equal bit for bit, of the complex 4 x 4 Kronecker product kept as the test
+oracle in ``tests/sweep_oracle.py``.
 """
 
 from __future__ import annotations
@@ -359,12 +358,3 @@ def singlet_correlation(a, b) -> float:
     """
     return _correlations(_unit(a, "a"), _unit(b, "b"))[0]
 
-
-def singlet_chsh(a, a_prime, b, b_prime) -> float:
-    """E(a,b) + E(a,b') + E(a',b) - E(a',b') of :func:`singlet_correlation`,
-    summed in that order, with each direction checked once (``b is a``
-    reuses the check of ``a``)."""
-    va = _unit(a, "a")
-    vap = _unit(a_prime, "a_prime")
-    vb = va if b is a else _unit(b, "b")
-    return _chsh_terms(va, vap, vb, _unit(b_prime, "b_prime"))[0]

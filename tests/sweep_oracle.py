@@ -3,15 +3,16 @@
 The library evaluates the sweep on the even subalgebra span{1, e13} and
 forms only the singlet-support entries of the spin Kronecker product.  The
 helpers here take the long way round: dense 8-blade float multivectors for
-F and the non-collinearity witness, and the full 16-entry Kronecker product
-for the singlet correlation.  They are meant to agree with the library bit
-for bit, not approximately.
+F, and the full 16-entry Kronecker product for the singlet correlation.
+They are meant to agree with the library bit for bit, not approximately.
+The 16 sign cases of the classical combination are enumerated here too.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
-from contextuality_lab.ga import APPROX, DEFAULT_TOLERANCE, Multivector
+from contextuality_lab.ga import APPROX, EXACT, Multivector
 
 
 def _plane_vector(angle):
@@ -60,12 +61,24 @@ def gamma_vector(config):
     )
 
 
-def dense_non_collinearity_witness(phi, tolerance=DEFAULT_TOLERANCE):
-    """Neither b + b' nor b - b' is zero, read on dense multivectors."""
-    config = CoplanarConfig.at(phi)
-    plus = config.b + config.b_prime
-    minus = config.b - config.b_prime
-    return not plus.is_zero(tolerance) and not minus.is_zero(tolerance)
+def grade_projection(mv, grade):
+    """Keep only the blades of ``mv`` of the given grade (0..3)."""
+    if not 0 <= grade <= 3:
+        raise ValueError(f"grade {grade} out of range 0..3")
+    zero = 0 if mv.mode == EXACT else 0.0
+    return Multivector(
+        tuple(a if mask.bit_count() == grade else zero for mask, a in enumerate(mv.coeffs)),
+        mv.mode,
+    )
+
+
+def classical_gamma_enumeration():
+    """All 16 sign assignments (a, a', b, b') with the value of
+    a*b + a*b' + a'*b - a'*b'; each is +-2."""
+    return tuple(
+        ((a, ap, b, bp), a * b + a * bp + ap * b - ap * bp)
+        for a, ap, b, bp in itertools.product((1, -1), repeat=4)
+    )
 
 
 #: Singlet amplitudes over the basis ++, +-, -+, --, times sqrt(2).
@@ -80,7 +93,7 @@ def components(config, name):
 
 def dense_F(phi):
     """|scalar part| of the four-term combination, from dense multivectors."""
-    return abs(gamma_vector(CoplanarConfig.at(phi)).scalar_part())
+    return abs(gamma_vector(CoplanarConfig.at(phi)).coeffs[0])
 
 
 def spin_matrix(direction):

@@ -25,7 +25,7 @@ from contextuality_lab.constraints import (
 )
 from contextuality_lab.ga import Multivector, basis_vector
 from random_multivectors import random_multivector
-from sweep_oracle import CoplanarConfig, gamma_vector
+from sweep_oracle import CoplanarConfig, classical_gamma_enumeration, gamma_vector
 
 SEED = 1729
 
@@ -158,7 +158,7 @@ def test_criterion_9_chsh_numbers():
         assert abs(gamma.coeffs[5] + bivector) <= 1e-12
         assert abs(gamma.coeffs[1]) <= 1e-12 and abs(gamma.coeffs[2]) <= 1e-12
         assert abs(gamma.coeffs[4]) <= 1e-12 and abs(gamma.coeffs[7]) <= 1e-12
-    for _, gamma_value in chsh.classical_gamma_enumeration():
+    for _, gamma_value in classical_gamma_enumeration():
         assert gamma_value in (2, -2)
     for k in range(0, 1001, 10):
         phi = math.pi * k / 1000

@@ -10,21 +10,20 @@ from contextuality_lab import chsh, quantum
 from contextuality_lab.chsh import (
     CLASSICAL_BOUND,
     VECTOR_BOUND,
-    classical_gamma_enumeration,
     csv_rows,
     F,
-    non_collinearity_witness,
     quantum_lhs,
     scan_F,
 )
 from contextuality_lab.ga import APPROX, Multivector
 from sweep_oracle import (
     CoplanarConfig,
+    classical_gamma_enumeration,
     components,
     dense_F,
-    dense_non_collinearity_witness,
     dense_quantum_lhs,
     gamma_vector,
+    grade_projection,
     kron_singlet_correlation,
 )
 
@@ -95,22 +94,18 @@ class TestGammaVector:
         for k in range(1001):
             phi = math.pi * k / 1000
             gamma = gamma_vector(CoplanarConfig.at(phi))
-            assert gamma.grade_projection(1).is_zero(TOL)
-            assert gamma.grade_projection(3).is_zero(TOL)
+            assert grade_projection(gamma, 1).is_zero(TOL)
+            assert grade_projection(gamma, 3).is_zero(TOL)
 
     def test_value_at_sixty_degrees(self):
         gamma = gamma_vector(CoplanarConfig.at(math.pi / 3))
-        assert gamma.scalar_part() == pytest.approx(2.5, abs=TOL)
+        assert gamma.coeffs[0] == pytest.approx(2.5, abs=TOL)
         assert abs(gamma.coeffs[5]) == pytest.approx(math.sqrt(3) / 2, abs=TOL)
 
     def test_degenerate_collinear_case(self):
         gamma = gamma_vector(CoplanarConfig.at(0.0))
-        assert gamma.scalar_part() == pytest.approx(2.0, abs=TOL)
+        assert gamma.coeffs[0] == pytest.approx(2.0, abs=TOL)
         assert gamma.coeffs[5] == pytest.approx(0.0, abs=TOL)
-
-    def test_non_collinearity_inside_the_range(self):
-        for phi in (0.01, 1.0, 2.0, math.pi - 0.01):
-            assert non_collinearity_witness(phi)
 
 
 class TestCurveF:
@@ -237,7 +232,11 @@ class TestDenseOracle:
             + kron_singlet_correlation(ap, b)
             - kron_singlet_correlation(ap, bp)
         )
-        assert quantum.singlet_chsh(a, ap, b, bp).hex() == expected.hex()
+        # the sweep's kernel over one-entry direction columns; when b is a,
+        # a's columns are handed in for b too, as the sweep does
+        va, vap, vbp = (quantum._unit(v, n) for v, n in ((a, "a"), (ap, "a_prime"), (bp, "b_prime")))
+        vb = va if b_is_a else quantum._unit(b, "b")
+        assert quantum._chsh_terms(va, vap, vb, vbp)[0].hex() == expected.hex()
 
     @settings(max_examples=200, deadline=None)
     @given(angles)
@@ -248,21 +247,6 @@ class TestDenseOracle:
         for k in range(2001):
             phi = math.pi * k / 2000
             assert quantum_lhs(phi) == dense_quantum_lhs(phi)
-
-    @settings(max_examples=500, deadline=None)
-    @given(angles, st.sampled_from((1e-12, 1e-6, 0.1)))
-    @example(0.0, 1e-12)
-    @example(math.pi, 1e-12)
-    @example(math.pi, 0.1)
-    def test_non_collinearity_witness_equals_dense_witness(self, phi, tolerance):
-        assert non_collinearity_witness(phi) == dense_non_collinearity_witness(phi)
-        assert non_collinearity_witness(phi, tolerance) == dense_non_collinearity_witness(
-            phi, tolerance
-        )
-
-    def test_non_collinearity_fails_at_both_ends(self):
-        assert not non_collinearity_witness(0.0)
-        assert not non_collinearity_witness(math.pi)
 
     @pytest.mark.parametrize(
         "a,b", [((1.0, 0.0, 0.1), (1.0, 0.0, 0.0)), ((0.0, 1.0, 0.0), (0.5, 0.5, 0.5))]

@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cli_oracle
+from constraint_documents import document
 from contextuality_lab import checks, chsh, cli, ga, identities, quantum
 from contextuality_lab.checks import OPERATORS, STATES, Context, Words, run
 from contextuality_lab.cli import DEFAULT_SEED, build_report, main
@@ -133,7 +134,7 @@ class TestVerify:
         from contextuality_lab.constraints import builtin_constraints
 
         path = tmp_path / "pm.json"
-        path.write_text(builtin_constraints("pm").to_json())
+        path.write_text(json.dumps(document(builtin_constraints("pm"))))
         code, out, _ = run_cli(["verify", "pm", "--constraints", str(path)], capsys)
         assert code == 0
         assert json.loads(out)["all_pass"] is True
@@ -141,7 +142,7 @@ class TestVerify:
     def test_constraints_file_with_flipped_sign_fails(self, tmp_path, capsys):
         from contextuality_lab.constraints import builtin_constraints
 
-        doc = json.loads(builtin_constraints("pm").to_json())
+        doc = document(builtin_constraints("pm"))
         doc["lines"][5]["required"] = 1
         path = tmp_path / "flipped.json"
         path.write_text(json.dumps(doc))
@@ -213,7 +214,7 @@ class TestVerify:
     def test_vector_model_chosen_by_lines_not_name(self, target, tmp_path, capsys):
         from contextuality_lab.constraints import builtin_constraints
 
-        doc = json.loads(builtin_constraints(target).to_json())
+        doc = document(builtin_constraints(target))
         doc["name"] = "mine"
         path = tmp_path / "mine.json"
         path.write_text(json.dumps(doc))
@@ -227,7 +228,7 @@ class TestVerify:
 
     @staticmethod
     def bell_ghz_document(tmp_path, last_required=-1):
-        doc = json.loads(builtin_constraints(BELL_GHZ).to_json())
+        doc = document(builtin_constraints(BELL_GHZ))
         doc["name"] = "mine"
         doc["lines"][-1]["required"] = last_required
         path = tmp_path / "mine.json"
@@ -615,14 +616,13 @@ class TestChsh:
 
     def test_csv_makes_one_singlet_call_per_point(self, tmp_path, monkeypatch, capsys):
         qm_columns = self.record_batches(monkeypatch, "_qm_lhs_column")
-        chsh_calls = self.count_singlet_calls(monkeypatch, "singlet_chsh")
         pair_calls = self.count_singlet_calls(monkeypatch, "singlet_correlation")
         steps = self.STEPS_OVER_TWO_SEAMS
         code, _, _ = run_cli(["chsh", "0.5", "2.0", str(steps), "--csv", str(tmp_path / "c.csv")], capsys)
         assert code == 0
         cosines = [math.cos(phi) for phi in self.grid(0.5, 2.0, steps)]
         assert [c for batch in qm_columns for c in batch] == cosines
-        assert chsh_calls == [] and pair_calls == []
+        assert pair_calls == []
 
     def test_csv_checks_b_prime_once_and_a_a_prime_at_every_angle(
         self, tmp_path, monkeypatch, capsys

@@ -25,6 +25,7 @@ from contextuality_lab.constraints import (
     non_contextuality_audit,
     parity_witness,
 )
+from constraint_documents import document
 
 
 def brute_force_count(cs):
@@ -91,9 +92,9 @@ class TestBuiltinShapes:
     def test_json_round_trip(self):
         for name in (PM, GHZ, BELL_GHZ):
             cs = builtin_constraints(name)
-            again = ConstraintSet.from_json(cs.to_json())
+            again = ConstraintSet.from_json(json.dumps(document(cs)))
             assert again == cs
-        doc = json.loads(builtin_constraints(PM).to_json())
+        doc = document(builtin_constraints(PM))
         assert doc["lines"][0]["terms"] == ["x1*x2", "x1", "x2"]
 
 
@@ -187,7 +188,7 @@ class TestDocumentSchema:
             cs = ConstraintSet.from_json(json.dumps(doc))
         except ValueError:
             return
-        assert ConstraintSet.from_json(cs.to_json()) == cs
+        assert ConstraintSet.from_json(json.dumps(document(cs))) == cs
 
 
 @st.composite
@@ -359,16 +360,15 @@ class TestVectorModel:
         for signs in itertools.product((1, -1), repeat=6):
             assignment = VectorAssignment(dict(zip(symbols, signs)))
             values = [ev.value for ev in evaluate_vector_model(cs, assignment)]
-            if assignment.orientation_preserving(2):
+            if _product(signs[:3]) == _product(signs[3:]) == 1:
                 assert values == [1, 1, 1, 1, 1, -1]
-        lone = VectorAssignment.all_positive(2).flipped(PauliSymbol(1, "x"))
-        assert not lone.orientation_preserving(2)
+        lone = VectorAssignment({**VectorAssignment.all_positive(2).signs, PauliSymbol(1, "x"): -1})
         assert [ev.value for ev in evaluate_vector_model(cs, lone)][4] == -1
 
     def test_pm_even_flip_within_each_system(self):
         cs = builtin_constraints(PM)
-        base = VectorAssignment.all_positive(2)
-        flipped = base.flipped(PauliSymbol(1, "x"), PauliSymbol(1, "y"))
+        base = VectorAssignment.all_positive(2).signs
+        flipped = VectorAssignment({**base, PauliSymbol(1, "x"): -1, PauliSymbol(1, "y"): -1})
         assert [ev.value for ev in evaluate_vector_model(cs, flipped)] == [
             1,
             1,
@@ -377,7 +377,7 @@ class TestVectorModel:
             1,
             -1,
         ]
-        both = base.flipped(PauliSymbol(1, "x"), PauliSymbol(2, "x"))
+        both = VectorAssignment({**base, PauliSymbol(1, "x"): -1, PauliSymbol(2, "x"): -1})
         assert [ev.value for ev in evaluate_vector_model(cs, both)] == [
             1,
             1,
@@ -481,9 +481,8 @@ class TestAudit:
 
     def test_audit_with_flipped_signs_still_single_valued(self):
         cs = builtin_constraints(PM)
-        assignment = VectorAssignment.all_positive(2).flipped(
-            PauliSymbol(1, "x"), PauliSymbol(2, "y")
-        )
+        flips = {PauliSymbol(1, "x"): -1, PauliSymbol(2, "y"): -1}
+        assignment = VectorAssignment({**VectorAssignment.all_positive(2).signs, **flips})
         report = non_contextuality_audit(cs, assignment)
         assert report.all_single_valued
         by_label = {entry.observable.label: entry for entry in report.entries}

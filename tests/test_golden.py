@@ -22,6 +22,7 @@ import pytest
 
 from contextuality_lab.cli import main
 from contextuality_lab.constraints import BELL_GHZ, builtin_constraints
+from constraint_documents import document
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -33,7 +34,7 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 #: three subsystems and on two, the latter also under ``ghz``.
 DOCUMENTS = {
     "verify-bell-ghz-constraints-renamed": {
-        **json.loads(builtin_constraints(BELL_GHZ).to_json()),
+        **document(builtin_constraints(BELL_GHZ)),
         "name": "mine",
     },
     "verify-pm-constraints-words": {

@@ -20,9 +20,8 @@ from contextuality_lab.identities import (
     check_a3_incompatibility,
     find_identity_maps,
     orientation_reading,
-    substitute_and_reduce,
 )
-from identities_oracle import dense_bell_ghz_column, dense_substitute_and_reduce
+from identities_oracle import dense_bell_ghz_column, dense_substitute_and_reduce, handedness
 
 E1 = basis_vector(1)
 E2 = basis_vector(2)
@@ -80,26 +79,26 @@ class TestIdentityMap:
         }
 
     def test_handedness_flag(self):
-        assert NEGATED_F1_MAP.handedness(2) == -1
-        assert NEGATED_F1_MAP.handedness(3) == 1
-        assert UNIFORM_MAP.handedness(2) == 1
-        assert SWAPPED_MAP.handedness(2) == -1
+        assert handedness(NEGATED_F1_MAP, 2) == -1
+        assert handedness(NEGATED_F1_MAP, 3) == 1
+        assert handedness(UNIFORM_MAP, 2) == 1
+        assert handedness(SWAPPED_MAP, 2) == -1
 
 
 class TestSubstitution:
+    # column entries in COLUMN_LINES order: x1*y2*y3, y1*x2*y3, y1*y2*x3, x1*x2*x3
     def test_negated_f1_map_lines(self):
-        line_xxx = ObservableProduct.parse("x1*x2*x3")
-        assert substitute_and_reduce(NEGATED_F1_MAP, line_xxx) == -E1
-        line_yxy = ObservableProduct.parse("y1*x2*y3")
-        assert substitute_and_reduce(NEGATED_F1_MAP, line_yxy) == E1
+        column = bell_ghz_column(NEGATED_F1_MAP)
+        assert column.entries[3] == -E1
+        assert column.entries[1] == E1
 
     def test_uniform_map_line(self):
-        line_yxy = ObservableProduct.parse("y1*x2*y3")
-        assert substitute_and_reduce(UNIFORM_MAP, line_yxy) == -E1
+        assert bell_ghz_column(UNIFORM_MAP).entries[1] == -E1
 
     def test_z_axis_rejected(self):
-        with pytest.raises(ValueError):
-            substitute_and_reduce(NEGATED_F1_MAP, ObservableProduct.parse("x1*z2*y3"))
+        # axis z has no image: the identification covers only the plane
+        with pytest.raises(ValueError, match="axis 3 outside the identified plane"):
+            identities._reduce_line(NEGATED_F1_MAP, ObservableProduct.parse("x1*z2*y3"))
 
 
 class TestColumns:
@@ -125,7 +124,6 @@ class TestColumns:
     def test_entries_are_unit_plane_vectors(self):
         for imap in all_identity_maps():
             for entry in bell_ghz_column(imap).entries:
-                assert entry.grades() == {1}
                 assert entry.coeffs[4] == 0
                 assert entry in (E1, -E1, E2, -E2)
 
@@ -144,20 +142,20 @@ class TestDenseOracle:
 
     def test_lines_equal_dense_product(self):
         for imap in all_identity_maps():
-            for line in COLUMN_LINES:
-                expected = dense_substitute_and_reduce(imap, line)
-                assert substitute_and_reduce(imap, line) == expected
+            entries = bell_ghz_column(imap).entries
+            for k, line in enumerate(COLUMN_LINES):
+                assert entries[k] == dense_substitute_and_reduce(imap, line)
 
     def test_columns_equal_dense_product(self):
         for imap in all_identity_maps():
             assert bell_ghz_column(imap) == dense_bell_ghz_column(imap)
 
-    @pytest.mark.parametrize("reduce", [substitute_and_reduce, dense_substitute_and_reduce])
+    @pytest.mark.parametrize("reduce", [identities._reduce_line, dense_substitute_and_reduce])
     def test_z_axis_rejected(self, reduce):
-        with pytest.raises(ValueError, match="axis z"):
+        with pytest.raises(ValueError, match="axis 3 outside the identified plane"):
             reduce(UNIFORM_MAP, ObservableProduct.parse("x1*y2*z3"))
 
-    @pytest.mark.parametrize("reduce", [substitute_and_reduce, dense_substitute_and_reduce])
+    @pytest.mark.parametrize("reduce", [identities._reduce_line, dense_substitute_and_reduce])
     def test_out_of_range_system_rejected(self, reduce):
         # PauliSymbol refuses system 4, so a stand-in factor carries it
         line = ObservableProduct((PauliSymbol(1, "x"), SimpleNamespace(system=4, axis="y")))
@@ -242,14 +240,18 @@ class TestOrientationReading:
     def test_negated_f1_map_aligns_all_three(self):
         reading = orientation_reading(NEGATED_F1_MAP)
         assert reading.orientations == (E12, E12, E12)
-        assert reading.verdicts() == {"1-2": True, "1-3": True, "2-3": True}
+        assert [reading.identical(1, 2), reading.identical(1, 3), reading.identical(2, 3)] == [
+            True, True, True
+        ]
 
     def test_uniform_map_flips_the_middle(self):
         reading = orientation_reading(UNIFORM_MAP)
         assert reading.orientations[0] == E12
         assert reading.orientations[1] == -E12
         assert reading.orientations[2] == E12
-        assert reading.verdicts() == {"1-2": False, "1-3": True, "2-3": False}
+        assert [reading.identical(1, 2), reading.identical(1, 3), reading.identical(2, 3)] == [
+            False, True, False
+        ]
 
     def test_second_system_reads_f2_f1_image(self):
         for imap in all_identity_maps():
@@ -264,5 +266,5 @@ class TestOrientationReading:
         # order so it follows the handedness directly
         for imap in all_identity_maps():
             reading = orientation_reading(imap)
-            assert reading.identical(1, 2) == (imap.handedness(2) == -1)
-            assert reading.identical(1, 3) == (imap.handedness(3) == 1)
+            assert reading.identical(1, 2) == (handedness(imap, 2) == -1)
+            assert reading.identical(1, 3) == (handedness(imap, 3) == 1)

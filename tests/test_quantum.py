@@ -19,6 +19,7 @@ from contextuality_lab.constraints import (
     PauliSymbol,
     builtin_constraints,
 )
+from contextuality_lab import quantum
 from contextuality_lab.ga import Multivector, basis_vector
 from contextuality_lab.quantum import (
     I,
@@ -33,7 +34,6 @@ from contextuality_lab.quantum import (
     is_eigenstate,
     pauli,
     pauli_word,
-    singlet_chsh,
     singlet_correlation,
     verify_operator_identities,
     word_product,
@@ -389,11 +389,14 @@ class TestSingletCorrelation:
 
     @pytest.mark.parametrize("slot", range(4))
     def test_nan_direction_in_the_combination_is_named(self, slot):
-        directions = [(1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.0, 1.0, 0.0), (-1.0, 0.0, 0.0)]
-        directions[slot] = (0.0, 0.0, math.nan)
-        name = ("a", "a_prime", "b", "b_prime")[slot]
-        with pytest.raises(ValueError, match=rf"direction {name} is not a unit vector"):
-            singlet_chsh(*directions)
+        # the sweep's kernel over checked one-entry columns; a non-unit
+        # direction is named the same way
+        names = ("a", "a_prime", "b", "b_prime")
+        for bad in ((0.0, 0.0, math.nan), (0.5, 0.5, 0.0)):
+            directions = [(1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.0, 1.0, 0.0), (-1.0, 0.0, 0.0)]
+            directions[slot] = bad
+            with pytest.raises(ValueError, match=rf"direction {names[slot]} is not a unit vector"):
+                quantum._chsh_terms(*map(quantum._unit, directions, names))
 
     def test_exact_components_match_the_kronecker_oracle(self):
         a, b = (Fraction(3, 5), 0, Fraction(4, 5)), (1, 0, 0)

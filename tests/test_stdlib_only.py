@@ -18,6 +18,7 @@ import pytest
 
 import contextuality_lab
 from contextuality_lab.constraints import builtin_constraints
+from constraint_documents import document
 
 PACKAGE = "contextuality_lab"
 SRC = Path(contextuality_lab.__file__).parent.parent
@@ -127,7 +128,7 @@ COMMANDS = [
 @pytest.mark.parametrize("argv,code", [c[1:] for c in COMMANDS], ids=[c[0] for c in COMMANDS])
 def test_commands_load_no_unused_module(argv, code, tmp_path):
     doc = tmp_path / "pm.json"
-    doc.write_text(builtin_constraints("pm").to_json(), encoding="utf-8")
+    doc.write_text(json.dumps(document(builtin_constraints("pm"))), encoding="utf-8")
     places = {"{doc}": str(doc), "{out}": str(tmp_path / "out")}
     argv = [places.get(arg, arg) for arg in argv]
     last = run_fresh(COMMAND_CODE, ",".join(UNUSED_MODULES), *argv).splitlines()[-1]
