@@ -370,12 +370,11 @@ def _lines(name: str, ctx):
     on the built-in lines, the vector model and its value table."""
     cs = ctx.document if ctx.document is not None else builtin_constraints(name)
     words = quantum.verify_operator_identities(cs)
-    for k, (line, ok) in enumerate(zip(cs.lines, words), start=1):
-        labels = [t.label for t in line.terms]
+    for k, ((labels, required), ok) in enumerate(zip(cs.label_rows, words), start=1):
         yield (
             f"{name}.word.{k}",
-            f"operator word {' '.join(labels)} equals {line.required:+d} times the identity",
-            _given(ok, {"terms": labels, "required": line.required}),
+            f"operator word {' '.join(labels)} equals {required:+d} times the identity",
+            _given(ok, {"terms": list(labels), "required": required}),
         )
     yield (f"{name}.enumeration", "no assignment of scalar signs satisfies every line at once",
            partial(_enumeration, cs))

@@ -7,7 +7,13 @@ Three built-in systems are provided:
 * ``bell_ghz`` - six single-particle values in four lines.
 
 Each line demands that the product of its observables' values equals +1 or
--1.  Two evaluators operate on a system.  The scalar evaluator counts, among
+-1.  An observable is written as its factors joined by ``*``, such as
+``x1*y2``, in any order: factors on distinct subsystems commute, so
+``y2*x1`` and ``x1*y2`` are one observable.  A set keys each observable once
+by its factors in subsystem order, and every evaluator and operator check
+reads that one index; labels are kept as written.
+
+Two evaluators operate on a system.  The scalar evaluator counts, among
 all 2^n maps from the n observables to {+1, -1}, the maps satisfying every
 line at once.  Writing each value as (-1)^b makes each line one linear
 equation over GF(2), so Gaussian elimination decides the count exactly
@@ -57,9 +63,12 @@ class PauliSymbol(_Record):
 
 
 class ObservableProduct(_Record):
-    """An ordered product of elementary symbols, one per distinct subsystem."""
+    """An ordered product of elementary symbols, one per distinct subsystem.
 
-    __slots__ = ("factors",)
+    The label joins the factor labels in written order; ``parse`` keeps the
+    one it reads, and any other product forms its own on first use."""
+
+    __slots__ = ("factors", "_label")
 
     def __init__(self, factors: tuple):
         seen = set()
@@ -71,20 +80,27 @@ class ObservableProduct(_Record):
         if not factors:
             raise ValueError("an observable needs at least one factor")
         object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "_label", None)
 
     @classmethod
     def parse(cls, label: str) -> "ObservableProduct":
+        parts = [part.strip() for part in label.split("*")]
         factors = []
-        for part in label.split("*"):
-            part = part.strip()
+        for part in parts:
             if len(part) != 2 or part[0] not in AXES or part[1] not in "123":
                 raise ValueError(f"cannot parse observable factor {part!r}")
             factors.append(PauliSymbol(int(part[1]), part[0]))
-        return cls(tuple(factors))
+        product = cls(tuple(factors))
+        object.__setattr__(product, "_label", "*".join(parts))
+        return product
 
     @property
     def label(self) -> str:
-        return "*".join(factor.label for factor in self.factors)
+        label = self._label
+        if label is None:
+            label = "*".join(factor.label for factor in self.factors)
+            object.__setattr__(self, "_label", label)
+        return label
 
     def __str__(self) -> str:
         return self.label
@@ -105,26 +121,66 @@ class ConstraintLine(_Record):
 
 
 class ConstraintSet(_Record):
-    __slots__ = ("name", "lines")
+    """Named lines.  Terms with the same factors in any order are one
+    observable: factors on distinct subsystems commute, so ``y2*x1`` and
+    ``x1*y2`` are one observable, one variable of the scalar evaluator and
+    one operator word."""
+
+    __slots__ = ("name", "lines", "_table")
 
     def __init__(self, name: str, lines: tuple):
         if not lines:
             raise ValueError("a constraint set needs at least one line")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "lines", lines)
+        object.__setattr__(self, "_table", None)
+
+    def _index(self) -> tuple:
+        """``(observables, term_indices, label_rows)``, formed on first use.
+
+        Each distinct written label is keyed once by its factors in
+        subsystem order, packed as the axis index of subsystem s in bits 2s
+        and 2s + 1."""
+        table = self._table
+        if table is None:
+            observables, by_label, by_factors, indices, label_rows = [], {}, {}, [], []
+            for line in self.lines:
+                labels = tuple(term.label for term in line.terms)
+                row = []
+                for term, label in zip(line.terms, labels):
+                    k = by_label.get(label)
+                    if k is None:
+                        key = 0
+                        for f in term.factors:
+                            key |= AXIS_INDEX[f.axis] << 2 * f.system
+                        k = by_label[label] = by_factors.setdefault(key, len(observables))
+                        if k == len(observables):
+                            observables.append(term)
+                    row.append(k)
+                indices.append(tuple(row))
+                label_rows.append((labels, line.required))
+            table = (tuple(observables), tuple(indices), tuple(label_rows))
+            object.__setattr__(self, "_table", table)
+        return table
 
     @property
     def observables(self) -> tuple:
-        """Distinct observables in first-appearance order."""
-        seen: dict[str, ObservableProduct] = {}
-        for line in self.lines:
-            for term in line.terms:
-                seen.setdefault(term.label, term)
-        return tuple(seen.values())
+        """Distinct observables, each as first written, in first-appearance order."""
+        return self._index()[0]
+
+    @property
+    def term_indices(self) -> tuple:
+        """Per line, the position in :attr:`observables` of each term."""
+        return self._index()[1]
+
+    @property
+    def label_rows(self) -> tuple:
+        """Per line, the term labels as written and the required sign."""
+        return self._index()[2]
 
     @property
     def n_systems(self) -> int:
-        return max(f.system for line in self.lines for t in line.terms for f in t.factors)
+        return max(f.system for term in self.observables for f in term.factors)
 
     @classmethod
     def from_json(cls, text: str) -> "ConstraintSet":
@@ -171,13 +227,16 @@ def _unique_keys(pairs: list) -> dict:
 
 
 def _lines(name: str, rows: Iterable[tuple]) -> ConstraintSet:
-    return ConstraintSet(
-        name,
-        tuple(
-            ConstraintLine(tuple(ObservableProduct.parse(t) for t in terms), required)
-            for terms, required in rows
-        ),
-    )
+    """The set of (term texts, required sign) rows; each distinct text is
+    parsed once and its observable shared by every line that writes it."""
+    parsed: dict[str, ObservableProduct] = {}
+    lines = []
+    for terms, required in rows:
+        for text in terms:
+            if text not in parsed:
+                parsed[text] = ObservableProduct.parse(text)
+        lines.append(ConstraintLine(tuple(parsed[text] for text in terms), required))
+    return ConstraintSet(name, tuple(lines))
 
 
 #: The built-in line systems as (term labels, required sign) rows; they are
@@ -215,12 +274,12 @@ def builtin_constraints(name: str) -> ConstraintSet:
 
 
 def has_builtin_lines(cs: ConstraintSet, name: str) -> bool:
-    """True when the lines are those of the built-in system ``name``: the same
-    terms in the same order with the same required signs, whatever the set's
-    name.  Labels are canonical, so the lines are compared by their term
-    labels and nothing is parsed."""
-    rows = tuple((tuple(t.label for t in line.terms), line.required) for line in cs.lines)
-    return rows == _BUILTIN_ROWS[name]
+    """True when the lines are those of the built-in system ``name``, whatever
+    the set's name: the set's :attr:`~ConstraintSet.label_rows`, the term
+    labels as written in order with each line's required sign, equal the
+    built-in rows.  Nothing is parsed; a term written in another factor
+    order than the built-in one makes other lines."""
+    return cs.label_rows == _BUILTIN_ROWS[name]
 
 
 # -- scalar evaluator -----------------------------------------------------
@@ -243,14 +302,14 @@ class EnumerationResult(_Record):
 
 
 def parity_witness(cs: ConstraintSet) -> ParityWitness:
-    counts: dict[str, int] = {}
-    rhs = 1
-    for line in cs.lines:
+    """The lines' parity witness; bit k of ``odd`` is set while observable k
+    has occurred an odd number of times."""
+    odd, rhs = 0, 1
+    for line, indices in zip(cs.lines, cs.term_indices):
         rhs *= line.required
-        for term in line.terms:
-            counts[term.label] = counts.get(term.label, 0) + 1
-    lhs = 1 if all(c % 2 == 0 for c in counts.values()) else None
-    return ParityWitness(lhs, rhs)
+        for k in indices:
+            odd ^= 1 << k
+    return ParityWitness(None if odd else 1, rhs)
 
 
 def enumerate_scalar_assignments(cs: ConstraintSet) -> EnumerationResult:
@@ -264,14 +323,14 @@ def enumerate_scalar_assignments(cs: ConstraintSet) -> EnumerationResult:
     otherwise the n observables take 2^(n - rank) satisfying assignments out
     of the 2^n counted in ``total``.
     """
-    index = {obs.label: k for k, obs in enumerate(cs.observables)}
-    total = 2 ** len(index)
+    n = len(cs.observables)
+    total = 2 ** n
     witness = parity_witness(cs)
     pivots: dict[int, tuple[int, int]] = {}
-    for line in cs.lines:
+    for line, indices in zip(cs.lines, cs.term_indices):
         row, rhs = 0, int(line.required == -1)
-        for term in line.terms:
-            row ^= 1 << index[term.label]
+        for k in indices:
+            row ^= 1 << k
         while row and row.bit_length() - 1 in pivots:
             pivot_row, pivot_rhs = pivots[row.bit_length() - 1]
             row ^= pivot_row
@@ -280,7 +339,7 @@ def enumerate_scalar_assignments(cs: ConstraintSet) -> EnumerationResult:
             pivots[row.bit_length() - 1] = (row, rhs)
         elif rhs:
             return EnumerationResult(total, 0, witness)
-    return EnumerationResult(total, 2 ** (len(index) - len(pivots)), witness)
+    return EnumerationResult(total, 2 ** (n - len(pivots)), witness)
 
 
 # -- vector evaluator -------------------------------------------------------
@@ -387,19 +446,15 @@ def non_contextuality_audit(cs: ConstraintSet, assignment: VectorAssignment) -> 
     observable an explicit checked fact rather than an assumption.
     """
     n = cs.n_systems
-    occurrences: dict[str, list] = {}
-    values: dict[str, list] = {}
-    order: dict[str, ObservableProduct] = {}
-    for line_index, line in enumerate(cs.lines):
-        for position, term in enumerate(line.terms):
-            order.setdefault(term.label, term)
-            occurrences.setdefault(term.label, []).append((line_index, position))
-            values.setdefault(term.label, []).append(assignment.term_value(term, n))
+    observables = cs.observables
+    occurrences = [[] for _ in observables]
+    values = [[] for _ in observables]
+    for line_index, (line, indices) in enumerate(zip(cs.lines, cs.term_indices)):
+        for position, (term, k) in enumerate(zip(line.terms, indices)):
+            occurrences[k].append((line_index, position))
+            values[k].append(assignment.term_value(term, n))
     entries = []
-    for label, term in order.items():
-        seen = values[label]
+    for term, places, seen in zip(observables, occurrences, values):
         single = all(v == seen[0] for v in seen[1:])
-        entries.append(
-            ObservableAudit(term, str(seen[0]), tuple(occurrences[label]), single)
-        )
+        entries.append(ObservableAudit(term, str(seen[0]), tuple(places), single))
     return AuditReport(tuple(entries))

@@ -117,27 +117,31 @@ def _coerce(value, mode: str) -> Coefficient:
 class _Record:
     """Base of the package's immutable value records.
 
-    A subclass lists its fields in ``__slots__``.  From the slots the base
-    derives a constructor taking the fields by position or by keyword,
-    equality (with records of the same class only), a hash over the fields, a
+    A subclass lists its fields in ``__slots__``.  From the fields the base
+    derives a constructor taking them by position or by keyword, equality
+    (with records of the same class only), a hash over the fields, a
     ``Name(field=value, ...)`` repr and pickling; assigning or deleting a
     field raises ``AttributeError``.  A subclass writes its own ``__init__``,
     setting the fields with ``object.__setattr__``, only to check an argument
-    or to supply a default.
+    or to supply a default.  A slot named with a leading underscore is no
+    field but a private cache of a value derived from the fields: the
+    subclass's own ``__init__`` sets it, and equality, hash, repr, pickling
+    and the derived constructor leave it out.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        get = attrgetter(*cls.__slots__)
+        cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")
+        get = attrgetter(*cls._fields)
         # the field values as a tuple, for one field as for several
-        cls._values = staticmethod(get if len(cls.__slots__) > 1 else lambda r: (get(r),))
+        cls._values = staticmethod(get if len(cls._fields) > 1 else lambda r: (get(r),))
 
     def __init__(self, *args, **kwargs):
-        if kwargs or len(args) != len(self.__slots__):
+        if kwargs or len(args) != len(self._fields):
             args = self._bind(args, kwargs)
-        for field, value in zip(self.__slots__, args):
+        for field, value in zip(self._fields, args):
             object.__setattr__(self, field, value)
 
     @classmethod
@@ -145,7 +149,7 @@ class _Record:
         """The field values in slot order from positional and keyword
         arguments; a missing, extra, unknown or repeated field raises
         ``TypeError``."""
-        names, name = cls.__slots__, cls.__qualname__
+        names, name = cls._fields, cls.__qualname__
         if len(args) > len(names):
             raise TypeError(f"{name}() takes {len(names)} fields, got {len(args)} positional")
         values = dict(zip(names, args))
@@ -169,7 +173,7 @@ class _Record:
         return hash(self._values(self))
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
 
     def __reduce__(self):

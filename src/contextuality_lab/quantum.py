@@ -172,11 +172,11 @@ def pauli_word(product: ObservableProduct, n: int) -> tuple:
     and y both bits plus one to k, since Y = iXZ.  Factors sit on distinct
     subsystems, so their order does not matter.
     """
-    highest = max(f.system for f in product.factors)
-    if highest > n:
-        raise ValueError(f"observable {product.label} needs {highest} systems, have {n}")
     k = x = z = 0
     for factor in product.factors:
+        if factor.system > n:
+            highest = max(f.system for f in product.factors)
+            raise ValueError(f"observable {product.label} needs {highest} systems, have {n}")
         bit = 1 << (n - factor.system)
         if factor.axis != "z":
             x |= bit
@@ -211,13 +211,15 @@ def apply_word(word: tuple, ket: int) -> tuple:
 
 def verify_operator_identities(cs) -> tuple:
     """Check, per line, that the product of the member operators is the
-    required sign times the identity.  Returns one boolean per line."""
+    required sign times the identity.  Returns one boolean per line.  Each
+    distinct observable's word is formed once, however often it occurs."""
     n = cs.n_systems
+    words = [pauli_word(term, n) for term in cs.observables]
     results = []
-    for line in cs.lines:
+    for line, indices in zip(cs.lines, cs.term_indices):
         word = IDENTITY_WORD
-        for term in line.terms:
-            word = word_product(word, pauli_word(term, n))
+        for k in indices:
+            word = word_product(word, words[k])
         results.append(word == (0 if line.required == 1 else 2, 0, 0))
     return tuple(results)
 

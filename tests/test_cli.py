@@ -22,7 +22,7 @@ from constraint_documents import document
 from contextuality_lab import checks, chsh, cli, ga, identities, quantum
 from contextuality_lab.checks import OPERATORS, STATES, Context, Words, run
 from contextuality_lab.cli import DEFAULT_SEED, build_report, main
-from contextuality_lab.constraints import BELL_GHZ, GHZ, PM, builtin_constraints
+from contextuality_lab.constraints import BELL_GHZ, GHZ, PM, ObservableProduct, builtin_constraints
 from contextuality_lab.ga import APPROX, EXACT, Multivector
 from sweep_oracle import dense_F, dense_quantum_lhs
 
@@ -283,6 +283,24 @@ class TestVerify:
         assert "repeated subsystem in observable x1*y1" in err
         assert "PauliSymbol(" not in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("written", ["y2*x1", " y2 * x1 ", "x1*y2", " x1 * y2"])
+    def test_factor_order_and_spaces_leave_the_pm_verdict(self, written, tmp_path, capsys):
+        doc = document(builtin_constraints(PM))
+        assert doc["lines"][4]["terms"][0] == "x1*y2"
+        doc["lines"][4]["terms"][0] = written
+        path = tmp_path / "pm.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(["verify", "pm", "--constraints", str(path)], capsys)
+        assert code == 0
+        checks = {c["id"]: c for c in json.loads(out)["checks"]}
+        assert checks["pm.enumeration"]["witness"] == {
+            "assignments": 512, "satisfying": 0, "lhs_parity": 1, "rhs_parity": -1
+        }
+        assert all(checks[f"pm.word.{k}"]["status"] == "pass" for k in range(1, 7))
+        shown = written.replace(" ", "")
+        assert checks["pm.word.5"]["witness"]["terms"] == [shown, "y1*x2", "z1*z2"]
+        assert checks["pm.word.5"]["claim"].startswith(f"operator word {shown} y1*x2 ")
+
     def test_deeply_nested_constraints_exit_2_without_traceback(self, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 200000 + "]" * 200000)
@@ -378,6 +396,61 @@ class TestOperatorsSuiteWork:
                 for pair in itertools.combinations(line.terms, 2):
                     expected.update((term.label, cs.n_systems) for term in pair)
         assert Counter(built) == expected
+
+
+class TestConstraintDocumentWork:
+    """A document's work is done once per distinct observable, not once per
+    mention of it."""
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        parsed, words = [], []
+        parse, pauli_word = ObservableProduct.parse, quantum.pauli_word
+
+        def counted_parse(label):
+            parsed.append(label)
+            return parse(label)
+
+        def counted_word(product, n):
+            words.append(product.label)
+            return pauli_word(product, n)
+
+        monkeypatch.setattr(ObservableProduct, "parse", staticmethod(counted_parse))
+        monkeypatch.setattr(quantum, "pauli_word", counted_word)
+        return parsed, words
+
+    @pytest.mark.parametrize("target", [PM, GHZ])
+    def test_each_observable_is_parsed_and_worded_once(self, target, monkeypatch, tmp_path, capsys):
+        doc = document(builtin_constraints(target))
+        # every built-in line system repeats terms across its lines
+        mentions = [t for line in doc["lines"] for t in line["terms"]]
+        distinct = list(dict.fromkeys(mentions))
+        assert len(mentions) > len(distinct)
+        doc["name"] = "mine"
+        path = tmp_path / "lines.json"
+        path.write_text(json.dumps(doc))
+        parsed, words = self.count_calls(monkeypatch)
+        code, _, _ = run_cli(["verify", target, "--constraints", str(path)], capsys)
+        assert code == 0
+        assert parsed == distinct
+        assert words == distinct
+
+    def test_a_reordered_observable_is_parsed_per_text_and_worded_once(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        doc = {"name": "mine", "lines": [
+            {"terms": ["x1*y2", "y2*x1"], "required": 1},
+            {"terms": ["x1*y2", "z1"], "required": 1},
+        ]}
+        path = tmp_path / "lines.json"
+        path.write_text(json.dumps(doc))
+        parsed, words = self.count_calls(monkeypatch)
+        code, out, _ = run_cli(["verify", PM, "--constraints", str(path)], capsys)
+        assert code == 1
+        assert parsed == ["x1*y2", "y2*x1", "z1"]
+        assert words == ["x1*y2", "z1"]
+        enum = next(c for c in json.loads(out)["checks"] if c["id"] == "pm.enumeration")
+        assert enum["witness"]["assignments"] == 4
 
 
 class TestAxiomRows:
@@ -846,18 +919,43 @@ def table_parse(argv):
     return {"command": usage.command, **vars(args)}
 
 
+#: The flags that take a value, every flag but ``--help``.
+VALUE_FLAGS = ORACLE_FLAGS[1:]
+
+
 def differs_on_purpose(argv) -> bool:
     """Argv the two parsers read differently by design: a single-dash token
     other than ``-h`` before any ``--`` is an unknown option to argparse and
-    a positional here; and argparse strips a second ``--``, read as a
-    positional, to an empty list, which ``chsh`` met with a traceback."""
+    a positional here; argparse strips a second ``--``, read as a
+    positional, to an empty list, which ``chsh`` met with a traceback; and
+    argparse strips the value of a value-taking flag given as ``--flag=--``
+    the same way, storing ``[]`` where the table keeps ``--`` as the value
+    (see ``test_attached_dash_dash_is_the_flag_value``)."""
     before = argv[: argv.index("--")] if "--" in argv else argv
     single_dash = any(
         t[:1] == "-" and t[:2] != "--" and t not in ("-", "-h")
         and (t[:2] == "-h" or " " not in t and not cli._is_negative_number(t))
         for t in before
     )
-    return single_dash or argv.count("--") > 1
+    attached_dash_dash = any(
+        value == "--" and len(flag) > 2 and any(f.startswith(flag) for f in VALUE_FLAGS)
+        for flag, _, value in (t.partition("=") for t in before)
+    )
+    return single_dash or attached_dash_dash or argv.count("--") > 1
+
+
+def test_attached_dash_dash_is_the_flag_value(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert_usage_error(
+        ["verify", "all", "--mode=--"], capsys, "argument --mode: invalid choice: '--'"
+    )
+    code, out, _ = run_cli(["verify", "a3", "--out=--"], capsys)
+    assert code == 0 and out == ""
+    assert json.loads((tmp_path / "--").read_text())["all_pass"] is True
+    (tmp_path / "--").unlink()
+    code, out, _ = run_cli(["chsh", "0", "1", "3", "--csv=--"], capsys)
+    assert code == 0
+    assert (tmp_path / "--").read_text().splitlines()[0] == ",".join(chsh.CSV_HEADER)
 
 
 def error_line(stderr):

@@ -3,6 +3,8 @@
 import itertools
 import json
 import numbers
+import pickle
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
@@ -25,17 +27,24 @@ from contextuality_lab.constraints import (
     non_contextuality_audit,
     parity_witness,
 )
+from contextuality_lab.quantum import verify_operator_identities
 from constraint_documents import document
+
+
+def _factor_set(term):
+    """The oracle's observable key: the set of ``(system, axis)`` factors,
+    whatever order they are written in."""
+    return frozenset((f.system, f.axis) for f in term.factors)
 
 
 def brute_force_count(cs):
     """Independent enumeration used as the oracle for the library counts."""
-    observables = sorted({t.label for line in cs.lines for t in line.terms})
+    observables = {_factor_set(t) for line in cs.lines for t in line.terms}
     count = 0
     for values in itertools.product((1, -1), repeat=len(observables)):
         table = dict(zip(observables, values))
         if all(
-            _product(table[t.label] for t in line.terms) == line.required
+            _product(table[_factor_set(t)] for t in line.terms) == line.required
             for line in cs.lines
         ):
             count += 1
@@ -84,6 +93,21 @@ class TestBuiltinShapes:
             if any(t.label == "x1*y2" for t in line.terms)
         ]
         assert x1y2_lines == [2, 4]
+
+    def test_a_term_keeps_its_written_label_and_names_one_observable(self):
+        written = ObservableProduct.parse(" y2 * x1 ")
+        assert written.label == str(written) == "y2*x1"
+        assert written != ObservableProduct.parse("x1*y2")
+        assert pickle.loads(pickle.dumps(written)).label == "y2*x1"
+        doc = {"name": "mine", "lines": [
+            {"terms": ["y2*x1", " x1 * y2", "z1"], "required": 1},
+            {"terms": ["z1", "x1*y2"], "required": -1},
+        ]}
+        cs = ConstraintSet.from_json(json.dumps(doc))
+        assert [t.label for t in cs.observables] == ["y2*x1", "z1"]
+        assert cs.term_indices == ((0, 0, 1), (1, 0))
+        assert cs.label_rows == ((("y2*x1", "x1*y2", "z1"), 1), (("z1", "x1*y2"), -1))
+        assert cs.lines[0].terms[2] is cs.lines[1].terms[0]
 
     def test_observable_rejects_repeated_system(self):
         with pytest.raises(ValueError):
@@ -192,33 +216,51 @@ class TestDocumentSchema:
 
 
 @st.composite
+def written_term(draw, factors):
+    """One mention of the observable with these factor labels: the factors
+    in a drawn order, with up to two spaces drawn around each."""
+    spaces = st.integers(0, 2).map(" ".__mul__)
+    return "*".join(
+        draw(spaces) + factor + draw(spaces) for factor in draw(st.permutations(factors))
+    )
+
+
+@st.composite
 def line_systems(draw):
     """1-8 lines of 1-4 terms drawn with replacement from a pool of at most
-    12 observables over 1-3 subsystems, so a line may repeat a term."""
+    12 observables over 1-3 subsystems, so a line may repeat an observable,
+    each mention written by :func:`written_term`, and read as a document."""
     n_systems = draw(st.integers(1, 3))
-    labels = [
-        "*".join(f"{axis}{slot}" for slot, axis in enumerate(string, start=1) if axis != "i")
+    observables = [
+        tuple(f"{axis}{slot}" for slot, axis in enumerate(string, start=1) if axis != "i")
         for string in itertools.product("ixyz", repeat=n_systems)
         if set(string) != {"i"}
     ]
-    pool = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=12, unique=True))
+    pool = draw(st.lists(st.sampled_from(observables), min_size=1, max_size=12, unique=True))
+    term = st.sampled_from(pool).flatmap(written_term)
     lines = draw(
         st.lists(
-            st.tuples(
-                st.lists(st.sampled_from(pool), min_size=1, max_size=4),
-                st.sampled_from((1, -1)),
-            ),
+            st.fixed_dictionaries({
+                "terms": st.lists(term, min_size=1, max_size=4),
+                "required": st.sampled_from((1, -1)),
+            }),
             min_size=1,
             max_size=8,
         )
     )
-    return ConstraintSet(
-        "random",
-        tuple(
-            ConstraintLine(tuple(ObservableProduct.parse(t) for t in terms), required)
-            for terms, required in lines
-        ),
-    )
+    return ConstraintSet.from_json(json.dumps({"name": "random", "lines": lines}))
+
+
+def in_subsystem_order(cs):
+    """The set with each term rebuilt from its factors in subsystem order."""
+    return ConstraintSet(cs.name, tuple(
+        ConstraintLine(
+            tuple(ObservableProduct(tuple(sorted(t.factors, key=attrgetter("system"))))
+                  for t in line.terms),
+            line.required,
+        )
+        for line in cs.lines
+    ))
 
 
 class TestScalarEnumeration:
@@ -304,8 +346,17 @@ class TestScalarEnumeration:
     @given(line_systems())
     def test_count_matches_brute_force(self, cs):
         result = enumerate_scalar_assignments(cs)
-        assert result.total == 2 ** len(cs.observables)
+        distinct = {_factor_set(t) for line in cs.lines for t in line.terms}
+        assert result.total == 2 ** len(cs.observables) == 2 ** len(distinct)
         assert result.satisfying_count == brute_force_count(cs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(line_systems())
+    def test_verdicts_ignore_factor_order_and_spaces(self, cs):
+        ordered = in_subsystem_order(cs)
+        assert enumerate_scalar_assignments(cs) == enumerate_scalar_assignments(ordered)
+        assert parity_witness(cs) == parity_witness(ordered)
+        assert verify_operator_identities(cs) == verify_operator_identities(ordered)
 
 
 class TestVectorModel:

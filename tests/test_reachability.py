@@ -5,10 +5,11 @@ imports the package, so the calls made while the modules load count too,
 and this test process imports none of its modules a second time.  It then
 drives ``cli.main`` over the golden cases of ``tests/test_golden.py`` and
 over :data:`ARGV`: every ``verify`` target in both modes, ``chsh`` with and
-without ``--csv``, a negative ``--seed``, each command's help and one usage
-error per command.  The functions and methods found in the package's source
-by ``ast`` must all have been entered, except the names in :data:`ALLOWED`,
-each kept for the reason it gives.
+without ``--csv``, a negative ``--seed``, each command's help, one usage
+error per command and a refused ``--constraints`` document.  The functions
+and methods found in the package's source by ``ast`` must all have been
+entered, except the names in :data:`ALLOWED`, each kept for the reason it
+gives.
 """
 
 import ast
@@ -52,8 +53,12 @@ ALLOWED = {
     "ga._is_fraction": "how a caller's Fraction is still accepted; no command forms one",
 }
 
+#: A constraint document refused for naming subsystem 1 twice in one term.
+REPEATED_SUBSYSTEM = {"name": "mine", "lines": [{"terms": ["x1*y1"], "required": 1}]}
+
 #: (argv, exit code) run besides the golden cases; ``{out}`` stands for a
-#: file path in the test's directory.
+#: file path in the test's directory and ``{repeated}`` for a file holding
+#: :data:`REPEATED_SUBSYSTEM`.
 ARGV = [
     *((["verify", target, "--mode", mode, "--out", "{out}"], 0)
       for target in VERIFY_TARGETS for mode in ("exact", "approx")),
@@ -67,6 +72,7 @@ ARGV = [
     (["verify", "everything"], 2),
     (["chsh", "1.0", "0.5", "10"], 2),
     (["search-identities", "e3"], 2),
+    (["verify", "pm", "--constraints", "{repeated}"], 2),
 ]
 
 CHILD = """\
@@ -130,8 +136,10 @@ def entered_functions(functions: dict, tmp_path) -> set:
             "{constraints}": str(tmp_path / f"{name}.json"),
         }
         runs.append(([places.get(arg, arg) for arg in argv], code))
-    out = str(tmp_path / "out")
-    runs += [([out if arg == "{out}" else arg for arg in argv], code) for argv, code in ARGV]
+    repeated = tmp_path / "repeated.json"
+    repeated.write_text(json.dumps(REPEATED_SUBSYSTEM), encoding="utf-8")
+    files = {"{out}": str(tmp_path / "out"), "{repeated}": str(repeated)}
+    runs += [([files.get(arg, arg) for arg in argv], code) for argv, code in ARGV]
     done = subprocess.run(
         [sys.executable, "-I", "-c", CHILD, str(PACKAGE_DIR.parent)],
         input=json.dumps([argv for argv, _ in runs]),
