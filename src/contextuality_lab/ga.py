@@ -8,30 +8,19 @@ linear combination of the canonical blades
 
     1, e1, e2, e3, e12, e13, e23, e123.
 
-Coefficients are either exact rationals or floats.  Exact rationals are held
-as ``int``; a non-integer one is a ``fractions.Fraction``, which only a caller
-hands in.  ``Fraction`` is accepted, never imported: no command forms a
-non-integer coefficient, so the package never loads :mod:`fractions` (nor
-:mod:`decimal` and :mod:`numbers` with it), and :func:`_is_fraction` looks
-the class up in ``sys.modules``, where it is as soon as any ``Fraction``
-exists.  An integral ``Fraction`` handed in is stored as ``int``; one left by
-a product that cancels a denominator compares, hashes and renders exactly
-like that ``int``.  Float coefficients are taken from non-bool ``int`` and
-``float`` values only.  A multivector is homogeneous in
-one of the two modes and the mode never mixes inside an operation: the exact
-mode makes identity checking decidable, the float mode serves ``verify
---mode approx`` and the dense sweep oracle of the tests.  Multivectors are
-immutable values and every operation is a pure function.
+Coefficients are exact ``int``, taken from non-bool ``int`` values, or
+floats, taken from non-bool ``int`` and ``float`` values.  A multivector is
+homogeneous in one of the two modes and the mode never mixes inside an
+operation: the exact mode makes identity checking decidable, the float mode
+serves ``verify --mode approx`` and the dense sweep oracle of the tests.
+Multivectors are immutable values and every operation is a pure function.
 """
 
 from __future__ import annotations
 
-import sys
 from operator import attrgetter
 
-#: The coefficient types every command holds: ``int`` (exact) and ``float``
-#: (approx).  An exact coefficient handed in by a caller may also be a
-#: ``fractions.Fraction``, which this alias leaves out so as not to import it.
+#: The coefficient types: ``int`` (exact) and ``float`` (approx).
 Coefficient = int | float
 
 EXACT = "exact"
@@ -82,16 +71,9 @@ def _zero(mode: str) -> Coefficient:
     return 0 if mode == EXACT else 0.0
 
 
-def _is_fraction(value) -> bool:
-    """True for a ``fractions.Fraction``, without importing :mod:`fractions`:
-    no ``Fraction`` exists before its module is loaded."""
-    fractions = sys.modules.get("fractions")
-    return fractions is not None and isinstance(value, fractions.Fraction)
-
-
 def _is_scalar(value) -> bool:
     """True for the scalar factors a product dispatches to ``scale``."""
-    return isinstance(value, (int, float)) or _is_fraction(value)
+    return isinstance(value, (int, float))
 
 
 def _coerce(value, mode: str) -> Coefficient:
@@ -100,17 +82,13 @@ def _coerce(value, mode: str) -> Coefficient:
     if mode == EXACT:
         if kind is int:
             return value
-        if _is_fraction(value):
-            return value.numerator if value.denominator == 1 else value
         if kind is not bool and isinstance(value, int):
             return int(value)
-        raise ValueError(f"exact mode needs int or Fraction coefficients, got {value!r}")
+        raise ValueError(f"exact mode needs int coefficients, got {value!r}")
     if kind is float:
         return value
     if kind is not bool and isinstance(value, (int, float)):
         return float(value)
-    if _is_fraction(value):
-        raise ValueError("approx mode does not accept Fraction coefficients")
     raise ValueError(f"approx mode needs int or float coefficients, got {value!r}")
 
 

@@ -1,12 +1,9 @@
 """Exact finite-dimensional quantum mechanics, used as an independent oracle.
 
-Single-site spin matrices are evaluated over the Gaussian rationals (complex
-numbers with rational real and imaginary parts), so the relations tying the
-spin algebra to matrix mechanics are decided exactly, with no floating point
-in the loop.  The parts are exact rationals held as ``int``; a non-integer
-part is a ``fractions.Fraction`` handed in by a caller, the same
-normalisation as the coefficients of :mod:`contextuality_lab.ga`.
-``Fraction`` is accepted, never imported.
+Single-site spin matrices are evaluated over the Gaussian integers (complex
+numbers with integer real and imaginary parts, held as ``int``), so the
+relations tying the spin algebra to matrix mechanics are decided exactly,
+with no floating point in the loop.
 
 An n-site spin word is never built as a 2^n x 2^n matrix.  It is a Pauli
 word ``(k, x, z)`` meaning i^k X^x Z^z: a phase exponent mod 4 and one x bit
@@ -34,11 +31,11 @@ from __future__ import annotations
 from operator import add, mul, neg
 
 from .constraints import ObservableProduct
-from .ga import EXACT, _coerce, _is_fraction, _Record
+from .ga import EXACT, _coerce, _Record
 
 
 class GaussianRational(_Record):
-    """A complex number with exact rational real and imaginary parts."""
+    """A complex number with integer real and imaginary parts."""
 
     __slots__ = ("real", "imag")
 
@@ -58,8 +55,9 @@ class GaussianRational(_Record):
                 self.real * other.real - self.imag * other.imag,
                 self.real * other.imag + self.imag * other.real,
             )
-        if isinstance(other, int) or _is_fraction(other):
-            return GaussianRational(self.real * other, self.imag * other)
+        if isinstance(other, int):
+            factor = _coerce(other, EXACT)  # a bool is refused, as by ``of``
+            return GaussianRational(self.real * factor, self.imag * factor)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -80,7 +78,7 @@ I = GaussianRational.of(0, 1)
 
 
 class ComplexMatrix(_Record):
-    """A square matrix over the Gaussian rationals."""
+    """A square matrix over the Gaussian integers."""
 
     __slots__ = ("entries",)
 

@@ -8,12 +8,8 @@ keys through :func:`contextuality_lab.ga.blade_product`: no sign is exchanged
 across slots, so generators living in different subsystems commute while
 generators inside one slot keep their anticommutation rules.
 
-Coefficients are exact: ``int``, or a ``fractions.Fraction`` for a
-non-integer value a caller hands in.  As in :mod:`contextuality_lab.ga`,
-``Fraction`` is accepted, never imported.  :func:`embed` rejects a float
-multivector.  Rendering names the subsystem
-bases e, f and g: the embedded basis vector of axis 2 in subsystem 3 prints
-as ``g2``.
+Coefficients are exact ``int``.  Rendering names the subsystem bases e, f
+and g: the embedded basis vector of axis 2 in subsystem 3 prints as ``g2``.
 
 The joint algebra treats the subsystem bases as fully independent.  The one
 cross-subsystem identification this module knows about is handedness:
@@ -33,7 +29,6 @@ from .ga import (
     BLADE_NAMES,
     EXACT,
     Coefficient,
-    Multivector,
     _Record,
     _coerce,
     _is_scalar,
@@ -151,26 +146,16 @@ def identity(n: int) -> TensorMultivector:
     return TensorMultivector.scalar(1, n)
 
 
-def embed(system: int, mv: Multivector, n: int) -> TensorMultivector:
-    """Place a single-copy multivector into one slot, identity elsewhere.
-
-    The joint algebra is exact: a float coefficient raises ``ValueError``.
-    """
-    if not 1 <= system <= n:
-        raise ValueError(f"system index {system} out of range 1..{n}")
-    shift = 3 * (system - 1)
-    return TensorMultivector(
-        n, {mask << shift: _coerce(value, EXACT) for mask, value in enumerate(mv.coeffs)}
-    )
-
-
 def generator(system: int, axis: int, n: int, sign: int = 1) -> TensorMultivector:
     """The embedded signed basis vector of one subsystem."""
     if axis not in (1, 2, 3):
         raise ValueError(f"axis index {axis} out of range 1..3")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    return embed(system, Multivector.from_blades({1 << (axis - 1): sign}), n)
+    sign = _coerce(sign, EXACT)  # a bool or float sign is refused, as a coefficient
+    if not 1 <= system <= n:
+        raise ValueError(f"system index {system} out of range 1..{n}")
+    return TensorMultivector(n, {1 << (axis - 1) << 3 * (system - 1): sign})
 
 
 def word(factors, n: int) -> TensorMultivector:

@@ -1,27 +1,31 @@
 """The exact kernel against Fraction-only reference arithmetic.
 
-Exact coefficients are held as ``int`` and promoted to ``Fraction`` only for
-non-integer values.  The references below convert every coefficient to
-``Fraction`` and multiply densely, as the kernel did before that
-normalisation; the kernel must agree with them on inputs that mix ``int``
-and non-integer ``Fraction`` coefficients.
+Exact coefficients are ``int``.  The references below convert every
+coefficient to ``Fraction`` and multiply densely, an arithmetic the kernel
+shares no code with; the kernel must agree with them on small coefficients
+and on ones beyond 2**64 in magnitude, where a fixed-width kernel would
+overflow, and must keep every coefficient an ``int``.  Any other coefficient
+type, ``Fraction`` included, is refused.
 """
 
 from fractions import Fraction
 from random import Random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blade_keys import pack, unpack
-from contextuality_lab.ga import CAYLEY, Multivector
+from contextuality_lab.ga import APPROX, CAYLEY, Multivector, basis_vector
 from contextuality_lab.quantum import ComplexMatrix, GaussianRational
 from contextuality_lab.systems import TensorMultivector, identify_pseudoscalars, word
 from random_multivectors import random_multivector
 
 integers = st.integers(min_value=-4, max_value=4)
-fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
-coefficients = st.one_of(integers, integers, fractions)
+big_integers = st.integers(min_value=2**64, max_value=2**80) | st.integers(
+    min_value=-(2**80), max_value=-(2**64)
+)
+coefficients = st.one_of(integers, integers, big_integers)
 blade_coefficients = st.lists(coefficients, min_size=8, max_size=8)
 
 
@@ -42,7 +46,9 @@ def reference_product(a: tuple, b: tuple) -> tuple:
 @settings(max_examples=80, deadline=None)
 @given(blade_coefficients, blade_coefficients)
 def test_product_matches_fraction_reference(a, b):
-    assert (from_values(a) * from_values(b)).coeffs == reference_product(a, b)
+    product = (from_values(a) * from_values(b)).coeffs
+    assert product == reference_product(a, b)
+    assert all(type(c) is int for c in product)
 
 
 @settings(max_examples=40, deadline=None)
@@ -55,20 +61,41 @@ def test_integer_words_stay_integer(rows):
     assert all(type(c) is int for c in product.coeffs)
 
 
+class Count(int):
+    """An ``int`` subclass, as a caller's ``enum.IntEnum`` member is."""
+
+
 def test_coefficients_are_normalised_to_int():
-    assert type(Multivector.from_blades({3: Fraction(4, 2)}).coeffs[3]) is int
-    assert type(Multivector.from_blades({1: Fraction(1, 2)}).coeffs[1]) is Fraction
+    assert type(Multivector.from_blades({3: Count(2)}).coeffs[3]) is int
+    assert type(basis_vector(1).scale(Count(2)).coeffs[1]) is int
+    assert type(TensorMultivector.scalar(Count(3), 2).coeffs[0]) is int
     assert all(type(c) is int for c in random_multivector(Random(3)).coeffs)
-    assert type(GaussianRational.of(Fraction(6, 3), -1).real) is int
+    assert type(GaussianRational.of(Count(6), -1).real) is int
 
 
-def test_promotion_cancels_to_the_integer_value():
-    half_e1 = Multivector.from_blades({1: Fraction(1, 2)})
-    product = half_e1 * Multivector.from_blades({1: 2})
-    one = Multivector.scalar(1)
-    assert product == one
-    assert hash(product) == hash(one)
-    assert str(product) == "1"
+def test_fraction_coefficients_are_refused():
+    """A ``Fraction`` is no coefficient, integral or not: every constructor
+    and ``scale`` refuse it, and no product takes it as a scalar."""
+    for value in (Fraction(1, 2), Fraction(4, 2)):
+        exact = f"exact mode needs int coefficients, got {value!r}"
+        approx = f"approx mode needs int or float coefficients, got {value!r}"
+        for build, message in [
+            (lambda: Multivector.from_blades({1: value}), exact),
+            (lambda: basis_vector(1).scale(value), exact),
+            (lambda: basis_vector(1, APPROX).scale(value), approx),
+            (lambda: TensorMultivector.scalar(value, 2), exact),
+            (lambda: TensorMultivector.scalar(1, 2).scale(value), exact),
+            (lambda: GaussianRational.of(value), exact),
+            (lambda: GaussianRational.of(0, value), exact),
+        ]:
+            with pytest.raises(ValueError) as raised:
+                build()
+            assert str(raised.value) == message
+        for scalable in (basis_vector(1), TensorMultivector.scalar(1, 2), GaussianRational.of(1)):
+            with pytest.raises(TypeError):
+                scalable * value
+            with pytest.raises(TypeError):
+                value * scalable
 
 
 # -- joint algebra -------------------------------------------------------------

@@ -426,12 +426,15 @@ def _unit(rng):
 
 class TestGaussianRational:
     def test_arithmetic(self):
-        a = GaussianRational.of(Fraction(1, 2), 1)
+        a = GaussianRational.of(3, 1)
         b = GaussianRational.of(2, -1)
-        assert a + b == GaussianRational.of(Fraction(5, 2), 0)
-        assert a * b == GaussianRational.of(2, Fraction(3, 2))
-        assert (-a) == GaussianRational.of(Fraction(-1, 2), -1)
-        assert a.conjugate() == GaussianRational.of(Fraction(1, 2), -1)
+        assert a + b == GaussianRational.of(5, 0)
+        assert a * b == GaussianRational.of(7, -1)
+        assert a * 2 == 2 * a == GaussianRational.of(6, 2)
+        with pytest.raises(ValueError, match="exact mode needs int coefficients, got True"):
+            a * True
+        assert (-a) == GaussianRational.of(-3, -1)
+        assert a.conjugate() == GaussianRational.of(3, -1)
 
     def test_i_squares_to_minus_one(self):
         assert I * I == GaussianRational.of(-1)

@@ -50,7 +50,6 @@ ALLOWED = {
     "systems.TensorMultivector.__add__": ALGEBRA,
     "systems.TensorMultivector.__sub__": ALGEBRA,
     "ga.Multivector.__rmul__": ALGEBRA,
-    "ga._is_fraction": "how a caller's Fraction is still accepted; no command forms one",
 }
 
 #: A constraint document refused for naming subsystem 1 twice in one term.

@@ -23,10 +23,10 @@ from constraint_documents import document
 PACKAGE = "contextuality_lab"
 SRC = Path(contextuality_lab.__file__).parent.parent
 MODULES = sorted(Path(contextuality_lab.__file__).parent.glob("*.py"))
-#: Modules no command needs: ``Fraction`` is accepted but never imported
-#: (``fractions`` brings ``decimal`` and ``numbers``), nothing is typed at
-#: run time, and argv is read from ``cli.COMMANDS``, not by ``argparse``
-#: (which brings ``gettext``), help included.
+#: Modules no command needs: exact coefficients are ``int``, so nothing
+#: forms a ``Fraction`` (``fractions`` brings ``decimal`` and ``numbers``),
+#: nothing is typed at run time, and argv is read from ``cli.COMMANDS``, not
+#: by ``argparse`` (which brings ``gettext``), help included.
 UNUSED_MODULES = ("fractions", "decimal", "numbers", "typing", "argparse", "gettext")
 ENVIRONMENT_READS = {"environ", "environb", "getenv"}
 INPUT_READERS = {"cli", "constraints"}
@@ -134,48 +134,3 @@ def test_commands_load_no_unused_module(argv, code, tmp_path):
     last = run_fresh(COMMAND_CODE, ",".join(UNUSED_MODULES), *argv).splitlines()[-1]
     assert last.split() == [str(code)]
 
-
-FRACTION_CODE = """\
-import json, sys
-sys.path.insert(0, sys.argv[1])
-from contextuality_lab.ga import APPROX, Multivector, basis_vector
-from contextuality_lab.quantum import GaussianRational
-from contextuality_lab.systems import TensorMultivector
-loaded_by_package = "fractions" in sys.modules
-from fractions import Fraction
-
-def error(build):
-    try:
-        build()
-    except ValueError as exc:
-        return str(exc)
-
-half = Fraction(1, 2)
-e1 = basis_vector(1)
-print(json.dumps({
-    "loaded_by_package": loaded_by_package,
-    "render": str(Multivector.from_blades({6: Fraction(3, 2)})),
-    "integral_type": type(Multivector.from_blades({3: Fraction(4, 2)}).coeffs[3]).__name__,
-    "multivector": [str(e1 * half), str(half * e1), str(e1.scale(half))],
-    "tensor": [str(TensorMultivector.scalar(3, 2) * half), str(half * TensorMultivector.scalar(3, 2))],
-    "gaussian": [str(GaussianRational.of(1, 3) * half), str(half * GaussianRational.of(1, 3))],
-    "approx_fraction": error(lambda: basis_vector(1, APPROX).scale(half)),
-    "exact_bool": error(lambda: Multivector.from_blades({0: True})),
-}))
-"""
-
-
-def test_fraction_imported_after_the_package_is_accepted():
-    """A ``Fraction`` made after the package was imported is recognised,
-    normalised and rejected exactly as one made before."""
-    seen = json.loads(run_fresh(FRACTION_CODE))
-    assert seen == {
-        "loaded_by_package": False,
-        "render": "3/2*e23",
-        "integral_type": "int",
-        "multivector": ["1/2*e1"] * 3,
-        "tensor": ["3/2"] * 2,
-        "gaussian": ["1/2+3/2i"] * 2,
-        "approx_fraction": "approx mode does not accept Fraction coefficients",
-        "exact_bool": "exact mode needs int or Fraction coefficients, got True",
-    }

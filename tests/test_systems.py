@@ -1,17 +1,15 @@
 """Joint algebra of commuting subsystem copies."""
 
 import itertools
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blade_keys import pack
-from contextuality_lab.ga import APPROX, CAYLEY, Multivector, basis_vector, blade_product
+from contextuality_lab.ga import CAYLEY, blade_product
 from contextuality_lab.systems import (
     TensorMultivector,
-    embed,
     generator,
     identify_pseudoscalars,
     identity,
@@ -26,24 +24,35 @@ def gens(system, n=2):
 
 class TestEmbedding:
     def test_embed_places_slot(self):
-        f1 = embed(2, basis_vector(1), 2)
-        assert f1.coeffs == {pack((0, 1)): 1}
-        assert f1 == generator(2, 1, 2)
-
-    def test_embed_scalar_is_identity(self):
-        assert embed(1, Multivector.scalar(1), 3) == identity(3)
+        # the generator is one packed key: the axis bit in its subsystem's
+        # slot, no bit in the others, the sign as its coefficient
+        for n in (1, 2, 3):
+            for system, axis, sign in itertools.product(range(1, n + 1), (1, 2, 3), (1, -1)):
+                masks = [0] * n
+                masks[system - 1] = 1 << (axis - 1)
+                assert generator(system, axis, n, sign).coeffs == {pack(tuple(masks)): sign}
 
     def test_embed_range_check(self):
-        with pytest.raises(ValueError):
-            embed(3, basis_vector(2), 2)
-        with pytest.raises(ValueError):
-            generator(0, 1, 2)
+        # axis, then sign, then subsystem, each with its own message
+        for args, message in [
+            ((0, 4, 2, 2), "axis index 4 out of range 1..3"),
+            ((0, 1, 2, 2), "sign must be +1 or -1"),
+            ((3, 2, 2), "system index 3 out of range 1..2"),
+            ((0, 1, 2), "system index 0 out of range 1..2"),
+        ]:
+            with pytest.raises(ValueError) as raised:
+                generator(*args)
+            assert str(raised.value) == message
 
     def test_generator_rejects_bad_axis_or_sign(self):
         with pytest.raises(ValueError):
             generator(1, 4, 2)
         with pytest.raises(ValueError):
             generator(1, 1, 2, sign=2)
+        # the sign is an exact coefficient: a bool or a float is refused
+        for sign in (True, 1.0, -1.0):
+            with pytest.raises(ValueError, match="exact mode needs int coefficients"):
+                generator(1, 1, 2, sign=sign)
 
 
 class TestProduct:
@@ -75,11 +84,13 @@ class TestProduct:
             assert trivector * trivector == -one
 
     def test_mismatched_systems_or_mode_rejected(self):
-        # the joint algebra is exact: a float multivector is refused at embed
+        # the joint algebra is exact: a float coefficient is refused
         with pytest.raises(ValueError):
             _ = generator(1, 1, 2) * generator(1, 1, 3)
         with pytest.raises(ValueError):
-            embed(1, basis_vector(1, APPROX), 2)
+            TensorMultivector.scalar(0.5, 2)
+        with pytest.raises(ValueError):
+            generator(1, 1, 2).scale(2.0)
 
     def test_packed_sign_rule_matches_per_slot_table(self):
         # all 4096 pairs of two-slot keys: the packed rule multiplies each
@@ -190,7 +201,7 @@ class TestThreeSystemWords:
 
 _keys = st.tuples(st.integers(0, 7), st.integers(0, 7)).map(pack)
 tensor_strategy = st.builds(
-    lambda entries: TensorMultivector(2, {k: Fraction(v) for k, v in entries.items()}),
+    lambda entries: TensorMultivector(2, entries),
     st.dictionaries(_keys, st.integers(-3, 3), max_size=4),
 )
 
