@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from random import Random
 
 from . import constraints, identities, quantum, systems
@@ -103,12 +103,13 @@ def _ga(witness, build):
     return Words(cases, witness)
 
 
+@cache
 def _blade_table(mode: str) -> tuple:
     """The eight basis blades ``e[a]`` of the mode and the table
     ``p[a][b] = e[a] * e[b]`` of their 64 products, formed by the dense
-    product."""
-    e = [Multivector.from_blades({a: 1}, mode) for a in range(BLADE_COUNT)]
-    return e, [[x * y for y in e] for x in e]
+    product once per process and mode."""
+    e = tuple(Multivector.from_blades({a: 1}, mode) for a in range(BLADE_COUNT))
+    return e, tuple(tuple(x * y for y in e) for x in e)
 
 
 def _associativity(ctx):
@@ -171,10 +172,16 @@ def _two_basis_words(ctx):
     return [[(opposite, one), (aligned, -one)]]
 
 
+def _signed(xs) -> list:
+    """``{1: x, -1: -1 * x}`` per generator x, each sign applied once."""
+    return [{s: s * x for s in (1, -1)} for x in xs]
+
+
 def _even_flips(ctx):
     opposite, _, one = _two_systems()
+    signed, value = _signed(opposite), {1: one, -1: -one}
     return [
-        [(tuple(s * x for s, x in zip(signs, opposite)), one.scale(math.prod(signs)))]
+        [(tuple(x[s] for x, s in zip(signed, signs)), value[math.prod(signs)])]
         for signs in itertools.product((1, -1), repeat=6)
     ]
 
@@ -188,11 +195,12 @@ def _three_system_word(ctx):
 
 
 def _free_flips(ctx):
-    g, minus_one = _generators(3), -systems.identity(3)
+    signed = _signed(x for xs in _generators(3) for x in xs[:2])
+    minus_one = -systems.identity(3)
     cases = []
     for signs in itertools.product((1, -1), repeat=6):
-        pairs = [(signs[2 * s] * xs[0], signs[2 * s + 1] * xs[1]) for s, xs in enumerate(g)]
-        cases.append([(tuple(x for a, b in pairs for x in (a, b, a, b)), minus_one)])
+        a, b, c, d, e, f = (x[s] for x, s in zip(signed, signs))
+        cases.append([((a, b, a, b, c, d, c, d, e, f, e, f), minus_one)])
     return cases
 
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
 from . import __version__, checks, chsh, constraints, identities
@@ -65,6 +66,30 @@ def build_report(target: str, mode: str = EXACT, seed: int = DEFAULT_SEED, custo
         "failed": failed,
         "all_pass": failed == 0,
     }
+
+
+def render_json(value, newline: str = "\n") -> str:
+    """The text of ``json.dumps(value, indent=2)`` for str-keyed dicts,
+    lists and tuples of strings, numbers, bools and ``None``.
+
+    ``json.dumps`` takes its pure-Python encoder whenever ``indent`` is set;
+    here strings go through the C ``encode_basestring_ascii`` and every
+    scalar but an ``int`` through ``json.dumps`` without ``indent``.
+    ``newline`` is the line break plus the indent of the value's own line.
+    """
+    if isinstance(value, dict):
+        inner = newline + "  "
+        items = [f"{encode_basestring_ascii(k)}: {render_json(v, inner)}" for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        inner = newline + "  "
+        items = [render_json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    return json.dumps(value)
 
 
 def _check_out(path: str, parser) -> None:
@@ -100,7 +125,7 @@ def _cmd_verify(args, parser) -> int:
         except (OSError, ValueError) as exc:
             parser.error(f"cannot load constraint set: {exc}")
     report = build_report(args.target, args.mode, args.seed, custom)
-    text = json.dumps(report, indent=2)
+    text = render_json(report)
     if args.out is not None:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:
@@ -138,7 +163,7 @@ def _cmd_search_identities(args, parser) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     maps = identities.find_identity_maps(target)
-    print(json.dumps([m.as_dict() for m in maps], indent=2))
+    print(render_json([m.as_dict() for m in maps]))
     return 0
 
 

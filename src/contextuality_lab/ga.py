@@ -18,7 +18,7 @@ Multivectors are immutable values and every operation is a pure function.
 
 from __future__ import annotations
 
-from operator import attrgetter
+from operator import add, attrgetter, neg
 
 #: The coefficient types: ``int`` (exact) and ``float`` (approx).
 Coefficient = int | float
@@ -105,6 +105,15 @@ class _Record:
     field but a private cache of a value derived from the fields: the
     subclass's own ``__init__`` sets it, and equality, hash, repr, pickling
     and the derived constructor leave it out.
+
+    The constructor is the checked path: every value built from outside
+    input passes through it.  An algebra record (``Multivector``,
+    ``TensorMultivector``, ``GaussianRational``, ``ComplexMatrix``) also
+    has a result path, one private module-level function next to its class
+    that takes ``object.__new__`` and sets each field once.  Only the type's
+    own operations call it, on fields formed from operands that the checked
+    path or an earlier operation built, so no check is repeated there: the
+    mode is the operands', the shape is theirs, and so are the key ranges.
     """
 
     __slots__ = ()
@@ -174,7 +183,7 @@ class Multivector(_Record):
             raise ValueError(f"unknown coefficient mode {mode!r}")
         if len(coeffs) != BLADE_COUNT:
             raise ValueError("a multivector carries exactly 8 blade coefficients")
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "coeffs", tuple(_coerce(c, mode) for c in coeffs))
         object.__setattr__(self, "mode", mode)
 
     # -- constructors -------------------------------------------------
@@ -204,10 +213,9 @@ class Multivector(_Record):
     def __add__(self, other: "Multivector") -> "Multivector":
         if not isinstance(other, Multivector):
             return NotImplemented
-        self._require_same_mode(other)
-        return Multivector(
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)), self.mode
-        )
+        if self.mode != other.mode:
+            self._require_same_mode(other)
+        return _multivector(tuple(map(add, self.coeffs, other.coeffs)), self.mode)
 
     def __sub__(self, other: "Multivector") -> "Multivector":
         if not isinstance(other, Multivector):
@@ -215,27 +223,27 @@ class Multivector(_Record):
         return self + (-other)
 
     def __neg__(self) -> "Multivector":
-        return Multivector(tuple(-a for a in self.coeffs), self.mode)
+        return _multivector(tuple(map(neg, self.coeffs)), self.mode)
 
     def scale(self, factor) -> "Multivector":
         c = _coerce(factor, self.mode)
-        return Multivector(tuple(a * c for a in self.coeffs), self.mode)
+        return _multivector(tuple([a * c for a in self.coeffs]), self.mode)
 
     # -- geometric product ----------------------------------------------
 
     def __mul__(self, other):
         if isinstance(other, Multivector):
-            self._require_same_mode(other)
-            right = [(j, b) for j, b in enumerate(other.coeffs) if b]
-            acc = [_zero(self.mode)] * BLADE_COUNT
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                row = CAYLEY[i]
-                for j, b in right:
-                    sign, mask = row[j]
-                    acc[mask] = acc[mask] + a * b * sign
-            return Multivector(tuple(acc), self.mode)
+            mode = self.mode
+            if mode != other.mode:
+                self._require_same_mode(other)
+            acc = [_zero(mode)] * BLADE_COUNT
+            right = other.coeffs
+            for a, row in zip(self.coeffs, CAYLEY):
+                if a:
+                    for b, (sign, mask) in zip(right, row):
+                        if b:
+                            acc[mask] += a * b * sign
+            return _multivector(tuple(acc), mode)
         if _is_scalar(other):
             return self.scale(other)
         return NotImplemented
@@ -268,6 +276,14 @@ class Multivector(_Record):
 
     def __repr__(self) -> str:
         return f"Multivector({render_multivector(self)!r}, mode={self.mode!r})"
+
+
+def _multivector(coeffs: tuple, mode: str) -> Multivector:
+    """The result path of ``Multivector`` (see ``_Record``)."""
+    mv = object.__new__(Multivector)
+    object.__setattr__(mv, "coeffs", coeffs)
+    object.__setattr__(mv, "mode", mode)
+    return mv
 
 
 def basis_vector(axis: int, mode: str = EXACT) -> Multivector:

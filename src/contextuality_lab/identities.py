@@ -28,7 +28,7 @@ import functools
 import itertools
 
 from .constraints import AXIS_INDEX, BELL_GHZ, ObservableProduct, builtin_constraints
-from .ga import BLADE_COUNT, CAYLEY, EXACT, Multivector, _Record, basis_vector
+from .ga import BLADE_COUNT, CAYLEY, EXACT, Multivector, _multivector, _Record, basis_vector
 
 IN_PLANE_AXES = (1, 2)
 
@@ -158,9 +158,11 @@ COLUMN_LINES = tuple(
 
 
 def _signed_blade(sign: int, mask: int) -> Multivector:
+    """Sign times one blade; the sign and mask come from ``CAYLEY`` and the
+    map's signs, so the result path builds it."""
     coeffs = [0] * BLADE_COUNT
     coeffs[mask] = sign
-    return Multivector(tuple(coeffs), EXACT)
+    return _multivector(tuple(coeffs), EXACT)
 
 
 def _reduce_line(imap: IdentityMap, line: ObservableProduct) -> tuple[int, int]:

@@ -39,37 +39,49 @@ class GaussianRational(_Record):
 
     __slots__ = ("real", "imag")
 
+    def __init__(self, real, imag):
+        object.__setattr__(self, "real", _coerce(real, EXACT))
+        object.__setattr__(self, "imag", _coerce(imag, EXACT))
+
     @classmethod
     def of(cls, real=0, imag=0) -> "GaussianRational":
-        return cls(_coerce(real, EXACT), _coerce(imag, EXACT))
+        return cls(real, imag)
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.real + other.real, self.imag + other.imag)
+        return _gaussian(self.real + other.real, self.imag + other.imag)
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.real, -self.imag)
+        return _gaussian(-self.real, -self.imag)
 
     def __mul__(self, other):
         if isinstance(other, GaussianRational):
-            return GaussianRational(
+            return _gaussian(
                 self.real * other.real - self.imag * other.imag,
                 self.real * other.imag + self.imag * other.real,
             )
         if isinstance(other, int):
             factor = _coerce(other, EXACT)  # a bool is refused, as by ``of``
-            return GaussianRational(self.real * factor, self.imag * factor)
+            return _gaussian(self.real * factor, self.imag * factor)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.real, -self.imag)
+        return _gaussian(self.real, -self.imag)
 
     def __bool__(self) -> bool:
         return bool(self.real or self.imag)
 
     def __str__(self) -> str:
         return f"{self.real}{'+' if self.imag >= 0 else ''}{self.imag}i"
+
+
+def _gaussian(real: int, imag: int) -> GaussianRational:
+    """The result path of ``GaussianRational`` (see ``ga._Record``)."""
+    z = object.__new__(GaussianRational)
+    object.__setattr__(z, "real", real)
+    object.__setattr__(z, "imag", imag)
+    return z
 
 
 ZERO = GaussianRational.of(0)
@@ -113,31 +125,33 @@ class ComplexMatrix(_Record):
                         if b:
                             acc[c] = acc[c] + a * b
             rows.append(tuple(acc))
-        return ComplexMatrix(tuple(rows))
+        return _matrix(tuple(rows))
 
     def __add__(self, other: "ComplexMatrix") -> "ComplexMatrix":
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return ComplexMatrix(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            )
+        return _matrix(
+            tuple(tuple(map(add, ra, rb)) for ra, rb in zip(self.entries, other.entries))
         )
 
     def scale(self, factor) -> "ComplexMatrix":
         if not isinstance(factor, GaussianRational):
             factor = GaussianRational.of(factor)
-        return ComplexMatrix(
-            tuple(tuple(factor * v for v in row) for row in self.entries)
-        )
+        return _matrix(tuple(tuple([factor * v for v in row]) for row in self.entries))
 
     def kron(self, other: "ComplexMatrix") -> "ComplexMatrix":
         rows = []
         for ra in self.entries:
             for rb in other.entries:
                 rows.append(tuple(a * b for a in ra for b in rb))
-        return ComplexMatrix(tuple(rows))
+        return _matrix(tuple(rows))
+
+
+def _matrix(entries: tuple) -> ComplexMatrix:
+    """The result path of ``ComplexMatrix`` (see ``ga._Record``)."""
+    m = object.__new__(ComplexMatrix)
+    object.__setattr__(m, "entries", entries)
+    return m
 
 
 def pauli(axis: str) -> ComplexMatrix:

@@ -58,6 +58,7 @@ class TensorMultivector(_Record):
         for key, value in coeffs.items():
             if type(key) is not int or not 0 <= key < limit:
                 raise ValueError(f"bad blade key {key!r} for {n} systems")
+            value = _coerce(value, EXACT)
             if value:
                 cleaned[key] = value
         object.__setattr__(self, "n", n)
@@ -82,10 +83,10 @@ class TensorMultivector(_Record):
         acc = dict(self.coeffs)
         for key, value in other.coeffs.items():
             acc[key] = acc.get(key, 0) + value
-        return TensorMultivector(self.n, acc)
+        return _tensor(self.n, acc)
 
     def __neg__(self) -> "TensorMultivector":
-        return TensorMultivector(self.n, {k: -v for k, v in self.coeffs.items()})
+        return _tensor(self.n, {k: -v for k, v in self.coeffs.items()})
 
     def __sub__(self, other: "TensorMultivector") -> "TensorMultivector":
         if not isinstance(other, TensorMultivector):
@@ -94,14 +95,15 @@ class TensorMultivector(_Record):
 
     def scale(self, factor) -> "TensorMultivector":
         c = _coerce(factor, EXACT)
-        return TensorMultivector(self.n, {k: v * c for k, v in self.coeffs.items()})
+        return _tensor(self.n, {k: v * c for k, v in self.coeffs.items()})
 
     # -- product -----------------------------------------------------------
 
     def __mul__(self, other):
         if not isinstance(other, TensorMultivector):
             return self.scale(other) if _is_scalar(other) else NotImplemented
-        self._require_compatible(other)
+        if self.n != other.n:
+            self._require_compatible(other)
         acc: dict[int, Coefficient] = {}
         get = acc.get
         right = other.coeffs.items()
@@ -109,7 +111,7 @@ class TensorMultivector(_Record):
             for key_b, b in right:
                 sign, key = blade_product(key_a, key_b)
                 acc[key] = get(key, 0) + a * b * sign
-        return TensorMultivector(self.n, acc)
+        return _tensor(self.n, acc)
 
     def __rmul__(self, other):
         if _is_scalar(other):
@@ -142,6 +144,15 @@ class TensorMultivector(_Record):
         return f"TensorMultivector({render_tensor(self)!r}, n={self.n})"
 
 
+def _tensor(n: int, coeffs: dict) -> TensorMultivector:
+    """The result path of ``TensorMultivector`` (see ``_Record``); it still
+    drops the zero coefficients."""
+    tm = object.__new__(TensorMultivector)
+    object.__setattr__(tm, "n", n)
+    object.__setattr__(tm, "coeffs", {key: value for key, value in coeffs.items() if value})
+    return tm
+
+
 def identity(n: int) -> TensorMultivector:
     return TensorMultivector.scalar(1, n)
 
@@ -152,7 +163,6 @@ def generator(system: int, axis: int, n: int, sign: int = 1) -> TensorMultivecto
         raise ValueError(f"axis index {axis} out of range 1..3")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    sign = _coerce(sign, EXACT)  # a bool or float sign is refused, as a coefficient
     if not 1 <= system <= n:
         raise ValueError(f"system index {system} out of range 1..{n}")
     return TensorMultivector(n, {1 << (axis - 1) << 3 * (system - 1): sign})
@@ -187,7 +197,7 @@ def identify_pseudoscalars(tm: TensorMultivector) -> TensorMultivector:
         if pairs & 1:
             value = -value
         acc[key] = acc.get(key, 0) + value
-    return TensorMultivector(tm.n, acc)
+    return _tensor(tm.n, acc)
 
 
 def render_tensor(tm: TensorMultivector) -> str:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import cli_oracle
 from constraint_documents import document
-from contextuality_lab import checks, chsh, cli, ga, identities, quantum
+from contextuality_lab import checks, chsh, cli, ga, identities, quantum, systems
 from contextuality_lab.checks import OPERATORS, STATES, Context, Words, run
 from contextuality_lab.cli import DEFAULT_SEED, build_report, main
 from contextuality_lab.constraints import BELL_GHZ, GHZ, PM, ObservableProduct, builtin_constraints
@@ -396,6 +396,25 @@ class TestOperatorsSuiteWork:
                 for pair in itertools.combinations(line.terms, 2):
                     expected.update((term.label, cs.n_systems) for term in pair)
         assert Counter(built) == expected
+
+    def test_shared_operands_are_formed_once(self, monkeypatch):
+        """The 64-product blade table is formed once per mode, however many
+        rows read it, and the flip rows sign each of their 24 generators
+        once instead of scaling per sign choice."""
+        scaled = Counter()
+        for cls in (Multivector, systems.TensorMultivector):
+
+            def counted(self, factor, scale=cls.scale, name=cls.__name__):
+                scaled[name] += 1
+                return scale(self, factor)
+
+            monkeypatch.setattr(cls, "scale", counted)
+        checks._blade_table.cache_clear()
+        for mode in (EXACT, APPROX, EXACT):
+            entries = run(OPERATORS, Context(mode, DEFAULT_SEED))
+            assert all(entry["status"] == "pass" for entry in entries)
+        assert checks._blade_table.cache_info().misses == 2
+        assert scaled == {"TensorMultivector": 3 * 24}
 
 
 class TestConstraintDocumentWork:
@@ -784,6 +803,36 @@ class TestChsh:
         assert excinfo.value.code == 2
         assert fragment in capsys.readouterr().err
         assert not csv_path.exists()
+
+
+class TestRenderJson:
+    """``cli.render_json`` writes the bytes of ``json.dumps(value, indent=2)``."""
+
+    scalars = (
+        st.text()
+        | st.integers()
+        | st.integers(min_value=2**64, max_value=2**200)
+        | st.floats()
+        | st.sampled_from([-0.0, math.nan, math.inf, -math.inf, True, False, None])
+    )
+    values = st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=4)
+        | st.tuples(inner, inner)
+        | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+        max_leaves=30,
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(values)
+    @example({'a"\\\n\té☃\U0001f600': [[], {}, [{}], (), -0.0, -(10**30)]})
+    def test_matches_json_dumps_with_indent(self, value):
+        assert cli.render_json(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("mode", [EXACT, APPROX])
+    def test_matches_json_dumps_on_the_verify_all_report(self, mode):
+        report = build_report("all", mode)
+        assert cli.render_json(report) == json.dumps(report, indent=2)
 
 
 class TestSearchIdentities:

@@ -71,6 +71,28 @@ def test_coefficients_are_normalised_to_int():
     assert type(TensorMultivector.scalar(Count(3), 2).coeffs[0]) is int
     assert all(type(c) is int for c in random_multivector(Random(3)).coeffs)
     assert type(GaussianRational.of(Count(6), -1).real) is int
+    assert type(Multivector((Count(1),) * 8, "exact").coeffs[7]) is int
+    assert type(Multivector((Count(1),) * 8, APPROX).coeffs[7]) is float
+    assert type(TensorMultivector(2, {9: Count(3)}).coeffs[9]) is int
+    assert type(GaussianRational(0, Count(6)).imag) is int
+
+
+def test_bare_constructors_refuse_what_is_no_coefficient():
+    """The field constructors check coefficients as ``from_blades``,
+    ``scalar`` and ``of`` do: no float or bool in exact mode."""
+    for build, value in [
+        (lambda: Multivector((1, 0, 0, 0, 0, 0, 0, 0.5), "exact"), 0.5),
+        (lambda: Multivector((True, 0, 0, 0, 0, 0, 0, 0), APPROX), True),
+        (lambda: TensorMultivector(1, {1: 0.5}), 0.5),
+        (lambda: TensorMultivector(3, {0: True}), True),
+        (lambda: TensorMultivector(2, {5: 0.0}), 0.0),
+        (lambda: TensorMultivector(2, {5: False}), False),
+        (lambda: GaussianRational(0.5, True), 0.5),
+        (lambda: GaussianRational(1, True), True),
+    ]:
+        with pytest.raises(ValueError, match="mode needs int") as raised:
+            build()
+        assert str(raised.value).endswith(f"got {value!r}")
 
 
 def test_fraction_coefficients_are_refused():
@@ -80,6 +102,11 @@ def test_fraction_coefficients_are_refused():
         exact = f"exact mode needs int coefficients, got {value!r}"
         approx = f"approx mode needs int or float coefficients, got {value!r}"
         for build, message in [
+            (lambda: Multivector((value, 0, 0, 0, 0, 0, 0, 0), "exact"), exact),
+            (lambda: Multivector((0, 0, 0, 0, 0, 0, 0, value), APPROX), approx),
+            (lambda: TensorMultivector(1, {1: value}), exact),
+            (lambda: GaussianRational(value, 0), exact),
+            (lambda: GaussianRational(0, value), exact),
             (lambda: Multivector.from_blades({1: value}), exact),
             (lambda: basis_vector(1).scale(value), exact),
             (lambda: basis_vector(1, APPROX).scale(value), approx),

@@ -1,0 +1,116 @@
+"""Operation results equal the values the checked constructors build.
+
+``Multivector``, ``TensorMultivector``, ``GaussianRational`` and
+``ComplexMatrix`` operations build their results on a path that repeats no
+check of the constructor (see ``ga._Record``).  For operands drawn in both
+modes, every operation's result must equal the same value rebuilt through
+the public constructor, field by field and with the same coefficient types;
+joint-algebra keys must stay below 8^n with no zero coefficient; and approx
+products must equal the dense oracle bit for bit.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from contextuality_lab.ga import APPROX, BLADE_COUNT, EXACT, Multivector
+from contextuality_lab.quantum import ComplexMatrix, GaussianRational
+from contextuality_lab.systems import TensorMultivector, identify_pseudoscalars
+from random_multivectors import dense_product
+
+ints = st.integers(min_value=-3, max_value=3) | st.integers(min_value=-(2**70), max_value=2**70)
+floats = st.floats(min_value=-1e6, max_value=1e6, allow_subnormal=False) | st.sampled_from(
+    [0.0, -0.0, 1e-300, 0.1, 1.0 / 3.0]
+)
+modes = st.sampled_from([EXACT, APPROX])
+
+
+def coefficients(mode: str):
+    return ints if mode == EXACT else floats | ints
+
+
+def multivectors(mode: str):
+    return st.lists(coefficients(mode), min_size=BLADE_COUNT, max_size=BLADE_COUNT).map(
+        lambda values: Multivector.from_blades(dict(enumerate(values)), mode)
+    )
+
+
+def assert_rebuilt(mv: Multivector, mode: str) -> None:
+    rebuilt = Multivector(mv.coeffs, mv.mode)
+    assert type(mv) is Multivector and mv.mode == mode
+    assert type(mv.coeffs) is tuple and mv == rebuilt
+    assert [type(c) for c in mv.coeffs] == [type(c) for c in rebuilt.coeffs]
+
+
+def bits(coeffs: tuple) -> list:
+    return [c.hex() if type(c) is float else c for c in coeffs]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), modes)
+def test_multivector_results(data, mode):
+    a, b = data.draw(multivectors(mode)), data.draw(multivectors(mode))
+    factor = data.draw(coefficients(mode))
+    product = a * b
+    for result in (product, a + b, a - b, -a, a.scale(factor), a * factor, factor * a):
+        assert_rebuilt(result, mode)
+    assert bits(product.coeffs) == bits(dense_product(a, b))
+
+
+def tensors(n: int):
+    keys = st.integers(min_value=0, max_value=8**n - 1)
+    return st.dictionaries(keys, ints, max_size=6).map(lambda c: TensorMultivector(n, c))
+
+
+def assert_tensor_rebuilt(tm: TensorMultivector, n: int) -> None:
+    assert type(tm) is TensorMultivector and tm.n == n
+    assert all(type(key) is int and 0 <= key < 8**n for key in tm.coeffs)
+    assert all(type(value) is int and value for value in tm.coeffs.values())
+    assert tm == TensorMultivector(n, tm.coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(min_value=1, max_value=3))
+def test_tensor_results(data, n):
+    a, b = data.draw(tensors(n)), data.draw(tensors(n))
+    factor = data.draw(ints | st.just(0))
+    for result in (
+        a * b, a + b, a - b, a - a, -a, a.scale(factor), a * factor, factor * a,
+        identify_pseudoscalars(a), identify_pseudoscalars(a * b),
+    ):
+        assert_tensor_rebuilt(result, n)
+
+
+gaussians = st.builds(GaussianRational.of, ints, ints)
+
+
+def assert_gaussian_rebuilt(z: GaussianRational) -> None:
+    assert type(z) is GaussianRational
+    assert type(z.real) is int and type(z.imag) is int
+    assert z == GaussianRational(z.real, z.imag)
+
+
+@settings(max_examples=100, deadline=None)
+@given(gaussians, gaussians, ints)
+def test_gaussian_results(a, b, k):
+    for result in (a + b, -a, a * b, a * k, k * a, a.conjugate()):
+        assert_gaussian_rebuilt(result)
+
+
+def matrices(dim: int):
+    row = st.tuples(*[gaussians] * dim)
+    return st.tuples(*[row] * dim).map(ComplexMatrix)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(min_value=1, max_value=3))
+def test_matrix_results(data, dim):
+    a, b = data.draw(matrices(dim)), data.draw(matrices(dim))
+    factor = data.draw(gaussians | ints)
+    for result, size in ((a @ b, dim), (a + b, dim), (a.scale(factor), dim), (a.kron(b), dim * dim)):
+        assert type(result) is ComplexMatrix and type(result.entries) is tuple
+        assert len(result.entries) == size
+        assert all(type(row) is tuple and len(row) == size for row in result.entries)
+        for row in result.entries:
+            for entry in row:
+                assert_gaussian_rebuilt(entry)
+        assert result == ComplexMatrix(result.entries)
