@@ -18,9 +18,9 @@ c1*c2 + s1*s2.  The F column sums those scalar parts straight from the
 cosines and sines, in the same order and from the same ``math.cos``/
 ``math.sin`` values as the dense 8-blade float product of the four
 directions, so each value is bit-identical to it.  The qm_lhs column sums
-the singlet correlations of :mod:`.quantum` over the same cosines and
-sines, in real arithmetic and bit-identical to the complex
-Kronecker-product matrix mechanics; b is a.
+the four singlet correlations of :mod:`.quantum` over the same cosines and
+sines in one pass per batch, in real arithmetic and bit-identical to the
+complex Kronecker-product matrix mechanics; b is a.
 
 The grid is evaluated in batches of :data:`BATCH_SIZE` angles: one pass of
 ``math.cos``/``math.sin`` per batch gives both columns, and a long sweep
@@ -29,15 +29,16 @@ angle; b' = (cos 0, 0, sin 0) is the same floats at every angle, so one
 check per sweep is the same check.  :func:`F` and :func:`quantum_lhs` are
 the one-angle case of this kernel; :func:`scan_F` takes the first strict
 maximum over the batches and, given a writer, writes each batch's
-:data:`CSV_ROW` rows (the bytes ``csv.writer`` would give) in one write;
-:func:`csv_rows` yields the same rows one by one.  The dense multivectors
-and the complex matrices are kept only as the test oracle for the sweep
-(``tests/sweep_oracle.py``).
+:data:`CSV_ROW` rows (the bytes ``csv.writer`` would give), formatted
+with one ``%`` and written in one call; :func:`csv_rows` yields the same
+rows one by one.  The dense multivectors and the complex matrices are kept
+only as the test oracle for the sweep (``tests/sweep_oracle.py``).
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 from .ga import _Record
 from .quantum import _check_units, _chsh_terms, _unit
@@ -148,14 +149,14 @@ def scan_F(steps: int, start: float = 0.0, end: float = math.pi, write=None) -> 
     """Maximum of F over an inclusive grid of ``steps`` points; the first
     strict maximum wins.  Given ``write``, the grid is also rendered as CSV
     with its qm_lhs column: ``write`` gets the header, then one string of
-    :data:`CSV_ROW` rows per batch."""
+    :data:`CSV_ROW` rows per batch, formatted by one ``%``."""
     batches = sweep(start, end, steps, singlet=write is not None)
     if write is not None:
         write(",".join(CSV_HEADER) + "\r\n")
     best_phi, best_value = start, -math.inf
     for phis, values, qm_lhs in batches:
         if write is not None:
-            write("".join(map(CSV_ROW.__mod__, zip(phis, values, qm_lhs))))
+            write((CSV_ROW * len(phis)) % tuple(chain.from_iterable(zip(phis, values, qm_lhs))))
         top = max(values)
         if top > best_value:
             best_phi, best_value = phis[values.index(top)], top

@@ -190,17 +190,19 @@ class Multivector(_Record):
 
     @classmethod
     def scalar(cls, value, mode: str = EXACT) -> "Multivector":
-        return cls.from_blades({0: value}, mode)
+        return cls((value, *(_zero(mode),) * (BLADE_COUNT - 1)), mode)
 
     @classmethod
     def from_blades(cls, blade_coeffs: dict, mode: str = EXACT) -> "Multivector":
         """Build a multivector from a mask -> coefficient mapping."""
+        if mode not in MODES:
+            raise ValueError(f"unknown coefficient mode {mode!r}")
         out = [_zero(mode)] * BLADE_COUNT
         for mask, value in blade_coeffs.items():
             if not 0 <= mask < BLADE_COUNT:
                 raise ValueError(f"blade mask {mask} out of range 0..7")
             out[mask] = out[mask] + _coerce(value, mode)
-        return cls(tuple(out), mode)
+        return _multivector(tuple(out), mode)
 
     # -- mode plumbing ------------------------------------------------
 

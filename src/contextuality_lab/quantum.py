@@ -18,17 +18,19 @@ never need the irrational factor itself.
 
 The floating-point path is the singlet correlation: :func:`singlet_correlation`
 behind the sampled ``states.singlet`` check, and the four-term combination
-that the sweep in :mod:`.chsh` sums.  The correlation formula, the four-term
-sum and the unit-norm rule are each written once, over columns of direction
-components; a single direction is a column of one entry, and the sweep
-hands in whole batches.  The formula is the real-arithmetic reduction,
-equal bit for bit, of the complex 4 x 4 Kronecker product kept as the test
-oracle in ``tests/sweep_oracle.py``.
+that the sweep in :mod:`.chsh` sums.  The unit-norm rule is written once,
+over columns of direction components; a single direction is a column of one
+entry.  The correlation of one pair is :func:`singlet_correlation`; the
+sweep's kernel forms the same float operations, in the same order, four
+times per entry and sums them in one pass over a batch's twelve component
+columns.  The formula is the real-arithmetic reduction, equal bit for bit,
+of the complex 4 x 4 Kronecker product kept as the test oracle in
+``tests/sweep_oracle.py``.
 """
 
 from __future__ import annotations
 
-from operator import add, mul, neg
+from operator import add
 
 from .constraints import ObservableProduct
 from .ga import EXACT, _coerce, _Record
@@ -39,13 +41,9 @@ class GaussianRational(_Record):
 
     __slots__ = ("real", "imag")
 
-    def __init__(self, real, imag):
+    def __init__(self, real=0, imag=0):
         object.__setattr__(self, "real", _coerce(real, EXACT))
         object.__setattr__(self, "imag", _coerce(imag, EXACT))
-
-    @classmethod
-    def of(cls, real=0, imag=0) -> "GaussianRational":
-        return cls(real, imag)
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
         return _gaussian(self.real + other.real, self.imag + other.imag)
@@ -60,7 +58,7 @@ class GaussianRational(_Record):
                 self.real * other.imag + self.imag * other.real,
             )
         if isinstance(other, int):
-            factor = _coerce(other, EXACT)  # a bool is refused, as by ``of``
+            factor = _coerce(other, EXACT)  # a bool is refused, as by the constructor
             return _gaussian(self.real * factor, self.imag * factor)
         return NotImplemented
 
@@ -84,9 +82,9 @@ def _gaussian(real: int, imag: int) -> GaussianRational:
     return z
 
 
-ZERO = GaussianRational.of(0)
-ONE = GaussianRational.of(1)
-I = GaussianRational.of(0, 1)
+ZERO = GaussianRational(0)
+ONE = GaussianRational(1)
+I = GaussianRational(0, 1)
 
 
 class ComplexMatrix(_Record):
@@ -136,7 +134,7 @@ class ComplexMatrix(_Record):
 
     def scale(self, factor) -> "ComplexMatrix":
         if not isinstance(factor, GaussianRational):
-            factor = GaussianRational.of(factor)
+            factor = GaussianRational(factor)
         return _matrix(tuple(tuple([factor * v for v in row]) for row in self.entries))
 
     def kron(self, other: "ComplexMatrix") -> "ComplexMatrix":
@@ -249,7 +247,7 @@ class StateVector(_Record):
         total = sum(
             (a * a.conjugate() for a in amplitudes), ZERO
         )
-        if total != GaussianRational.of(norm2):
+        if total != GaussianRational(norm2):
             raise ValueError("squared amplitude sum does not match norm2")
         object.__setattr__(self, "amplitudes", amplitudes)
         object.__setattr__(self, "norm2", norm2)
@@ -272,7 +270,7 @@ def ket_combination(terms: dict, norm2: int, dim: int) -> StateVector:
     """Build a state from pattern -> integer amplitude entries."""
     amps = [ZERO] * dim
     for pattern, value in terms.items():
-        amps[_basis_state(pattern)] = GaussianRational.of(value)
+        amps[_basis_state(pattern)] = GaussianRational(value)
     return StateVector(tuple(amps), norm2)
 
 
@@ -333,29 +331,17 @@ def _unit(v, name: str) -> tuple:
     return [x], [y], [z]
 
 
-def _correlations(a: tuple, b: tuple) -> list:
-    """The singlet correlation of each pair of entries of the checked
-    direction columns a = (xs, ys, zs) and b; see :func:`singlet_correlation`.
-    Per entry, zz is az * -bz and xy is ax*bx + ay*by."""
-    ax, ay, az = a
-    bx, by, bz = b
-    return [
-        (zz - xy - xy + zz + 0.0) / 2.0
-        for zz, xy in zip(map(mul, az, map(neg, bz)), map(add, map(mul, ax, bx), map(mul, ay, by)))
-    ]
-
-
 def _chsh_terms(a: tuple, a_prime: tuple, b: tuple, b_prime: tuple) -> list:
     """E(a,b) + E(a,b') + E(a',b) - E(a',b') per entry of four checked
-    direction columns, summed in that order."""
+    direction columns (xs, ys, zs), summed in that order, in one pass over
+    the twelve component columns; each E is formed as in
+    :func:`singlet_correlation`."""
     return [
-        ab + abp + apb - apbp
-        for ab, abp, apb, apbp in zip(
-            _correlations(a, b),
-            _correlations(a, b_prime),
-            _correlations(a_prime, b),
-            _correlations(a_prime, b_prime),
-        )
+        ((zz := az * -bz) - (xy := ax * bx + ay * by) - xy + zz + 0.0) / 2.0
+        + ((zz := az * -bpz) - (xy := ax * bpx + ay * bpy) - xy + zz + 0.0) / 2.0
+        + ((zz := apz * -bz) - (xy := apx * bx + apy * by) - xy + zz + 0.0) / 2.0
+        - ((zz := apz * -bpz) - (xy := apx * bpx + apy * bpy) - xy + zz + 0.0) / 2.0
+        for ax, ay, az, apx, apy, apz, bx, by, bz, bpx, bpy, bpz in zip(*a, *a_prime, *b, *b_prime)
     ]
 
 
@@ -370,5 +356,8 @@ def singlet_correlation(a, b) -> float:
     ax*bx + ay*by off it, summed in the complex product's order; ``+ 0.0``
     gives an exactly cancelling sum the complex product's sign of zero.
     """
-    return _correlations(_unit(a, "a"), _unit(b, "b"))[0]
+    (ax,), (ay,), (az,) = _unit(a, "a")
+    (bx,), (by,), (bz,) = _unit(b, "b")
+    zz, xy = az * -bz, ax * bx + ay * by
+    return (zz - xy - xy + zz + 0.0) / 2.0
 

@@ -10,7 +10,7 @@ vector.  The kernel must reach exactly the same verdicts.
 from contextuality_lab.quantum import ZERO, ComplexMatrix, GaussianRational, pauli
 
 #: i^k for k = 0, 1, 2, 3.
-POWERS_OF_I = (1, GaussianRational.of(0, 1), -1, GaussianRational.of(0, -1))
+POWERS_OF_I = (1, GaussianRational(0, 1), -1, GaussianRational(0, -1))
 
 
 def observable_matrix(product, n: int) -> ComplexMatrix:

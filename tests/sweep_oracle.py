@@ -84,6 +84,14 @@ def classical_gamma_enumeration():
 #: Singlet amplitudes over the basis ++, +-, -+, --, times sqrt(2).
 SINGLET = (0, 1, -1, 0)
 
+#: The six unit axes with every sign of each zero component, whose exact
+#: cancellations must keep the complex product's sign of zero.
+SIGNED_AXES = tuple(
+    (*zeros[:axis], one, *zeros[axis:])
+    for axis, one in itertools.product(range(3), (1.0, -1.0))
+    for zeros in itertools.product((0.0, -0.0), repeat=2)
+)
+
 
 def components(config, name):
     """The (x, y, z) float components of one direction of a config."""

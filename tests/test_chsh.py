@@ -17,6 +17,7 @@ from contextuality_lab.chsh import (
 )
 from contextuality_lab.ga import APPROX, Multivector
 from sweep_oracle import (
+    SIGNED_AXES,
     CoplanarConfig,
     classical_gamma_enumeration,
     components,
@@ -191,6 +192,14 @@ def unit_vectors(draw):
     return tuple(c / norm for c in raw)
 
 
+directions = unit_vectors() | st.sampled_from(SIGNED_AXES)
+
+
+def direction_columns(vectors):
+    """The (xs, ys, zs) columns of a list of 3-vectors."""
+    return tuple([v[i] for v in vectors] for i in range(3))
+
+
 class TestDenseOracle:
     """The even-subalgebra sweep and the real-arithmetic singlet equal the
     dense paths exactly, not just within a tolerance."""
@@ -237,6 +246,33 @@ class TestDenseOracle:
         va, vap, vbp = (quantum._unit(v, n) for v, n in ((a, "a"), (ap, "a_prime"), (bp, "b_prime")))
         vb = va if b_is_a else quantum._unit(b, "b")
         assert quantum._chsh_terms(va, vap, vb, vbp)[0].hex() == expected.hex()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.tuples(directions, directions, directions), max_size=40),
+        directions,
+        st.booleans(),
+    )
+    @example([(SIGNED_AXES[1], SIGNED_AXES[14], SIGNED_AXES[7])] * 3, SIGNED_AXES[22], False)
+    @example([((0.6, 0.0, 0.8), SIGNED_AXES[2], SIGNED_AXES[13])] * 2, SIGNED_AXES[5], True)
+    def test_singlet_chsh_batches_are_the_four_kronecker_terms(self, entries, bp, b_is_a):
+        # whole batches, so a misaligned component column shows; b' is one
+        # direction repeated and b may be a's own columns, as in the sweep
+        a, ap, b = (direction_columns([entry[k] for entry in entries]) for k in range(3))
+        if b_is_a:
+            b = a
+            entries = [(ea, eap, ea) for ea, eap, _ in entries]
+        b_prime = tuple(column * len(entries) for column in quantum._unit(bp, "b_prime"))
+        expected = [
+            (
+                kron_singlet_correlation(ea, eb)
+                + kron_singlet_correlation(ea, bp)
+                + kron_singlet_correlation(eap, eb)
+                - kron_singlet_correlation(eap, bp)
+            ).hex()
+            for ea, eap, eb in entries
+        ]
+        assert [value.hex() for value in quantum._chsh_terms(a, ap, b, b_prime)] == expected
 
     @settings(max_examples=200, deadline=None)
     @given(angles)
@@ -300,3 +336,15 @@ class TestBatches:
             quantum._unit((bad[0], 0.0, bad[1]), name)
         assert str(batched.value) == str(single.value)
         assert str(batched.value).startswith(f"direction {name} is not a unit vector")
+
+    @pytest.mark.parametrize("tail", [1, 2, chsh.BATCH_SIZE])
+    def test_each_batch_is_written_as_its_rows_one_by_one(self, tail):
+        # a full first batch, then a batch of ``tail`` rows
+        steps = chsh.BATCH_SIZE + tail
+        written = []
+        scan_F(steps, 0.25, 3.0, write=written.append)
+        batches = list(chsh.sweep(0.25, 3.0, steps))
+        assert [len(phis) for phis, _, _ in batches] == [chsh.BATCH_SIZE, tail]
+        assert written[1:] == [
+            "".join(map(chsh.CSV_ROW.__mod__, zip(*batch))) for batch in batches
+        ]

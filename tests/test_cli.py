@@ -45,6 +45,26 @@ def run_quiet(argv):
     return code, out.getvalue()
 
 
+def dense_sweep_csv(start, end, steps):
+    """(the ``chsh --csv`` file bytes, the first maximising angle, the maximum)
+    of the grid, from ``csv.writer`` over the dense sweep oracle."""
+    spacing = (end - start) / (steps - 1)
+    expected_csv = io.StringIO(newline="")
+    writer = csv.writer(expected_csv)
+    writer.writerow(chsh.CSV_HEADER)
+    best_phi, best = start, -math.inf
+    for k in range(steps):
+        phi = start + k * spacing
+        value = dense_F(phi)
+        writer.writerow(
+            [f"{phi:.9f}", f"{value:.9f}", f"{dense_quantum_lhs(phi):.9f}",
+             chsh.CLASSICAL_BOUND, chsh.VECTOR_BOUND]
+        )
+        if value > best:
+            best_phi, best = phi, value
+    return expected_csv.getvalue().encode("utf-8"), best_phi, best
+
+
 def assert_usage_error(argv, capsys, fragment):
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
@@ -753,26 +773,13 @@ class TestChsh:
     @example((0.25, 3.0), 2 * chsh.BATCH_SIZE + 1)
     def test_csv_and_summary_match_the_dense_oracle(self, span, steps):
         start, end = span
-        spacing = (end - start) / (steps - 1)
-        expected_csv = io.StringIO(newline="")
-        writer = csv.writer(expected_csv)
-        writer.writerow(chsh.CSV_HEADER)
-        best_phi, best = start, -math.inf
-        for k in range(steps):
-            phi = start + k * spacing
-            value = dense_F(phi)
-            writer.writerow(
-                [f"{phi:.9f}", f"{value:.9f}", f"{dense_quantum_lhs(phi):.9f}",
-                 chsh.CLASSICAL_BOUND, chsh.VECTOR_BOUND]
-            )
-            if value > best:
-                best_phi, best = phi, value
+        expected_csv, best_phi, best = dense_sweep_csv(start, end, steps)
         grid = ["chsh", repr(start), repr(end), str(steps)]
         with tempfile.TemporaryDirectory() as workdir:
             csv_path = Path(workdir) / "curve.csv"
             code, out = run_quiet([*grid, "--csv", str(csv_path)])
             assert code == 0
-            assert csv_path.read_bytes() == expected_csv.getvalue().encode("utf-8")
+            assert csv_path.read_bytes() == expected_csv
         assert out.splitlines()[0] == f"max={best:.6f} at phi={best_phi:.6f}"
         assert run_quiet(grid) == (0, out)
 
@@ -906,6 +913,71 @@ def test_search_and_sweep_argv_exit_0_or_with_usage(argv):
     else:
         assert code == 2
         assert err.getvalue().startswith("usage:") and out.getvalue() == ""
+
+
+#: (argv with ``{}`` for the output path, the bytes that path must hold).
+PATH_COMMANDS = (
+    (["verify", "pm", "--out", "{}"], (GOLDEN_DIR / "verify-pm.stdout").read_bytes()),
+    (["chsh", "0", "1", "5", "--csv", "{}"], dense_sweep_csv(0.0, 1.0, 5)[0]),
+)
+#: Paths whose outcome does not depend on how they are passed, relative to a
+#: directory that holds one empty directory ``d``.
+REFUSED_PATHS = ("", ".", "..", "d", "d/", "missing/r.out", "new/")
+ACCEPTED_PATHS = ("r.out", "d/r.out", "a b.out", "résumé λ.out", "-1", "- x")
+#: Names that the parser reads as an option, or as the end of options,
+#: unless they are joined to the flag with ``=``.
+FLAG_LIKE_PATHS = ("-e1", "-e2.csv", "--", "-x", "--out")
+path_names = st.one_of(
+    st.sampled_from(REFUSED_PATHS + ACCEPTED_PATHS + FLAG_LIKE_PATHS),
+    st.text(
+        st.characters(exclude_categories=("Cs", "Cc"), exclude_characters="/"),
+        min_size=1,
+        max_size=12,
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(PATH_COMMANDS), path_names, st.booleans())
+@example(PATH_COMMANDS[0], "-e1", False)
+@example(PATH_COMMANDS[1], "-e1", True)
+@example(PATH_COMMANDS[0], "--", True)
+@example(PATH_COMMANDS[1], "missing/r.out", False)
+@example(PATH_COMMANDS[0], "", False)
+@example(PATH_COMMANDS[1], "", True)
+@example(PATH_COMMANDS[1], "-1", False)
+def test_output_paths_get_the_golden_bytes_or_a_usage_error(command, path, joined):
+    """Exit 0 writes exactly the expected bytes to the path; exit 2 is a
+    usage error that leaves the directory as it was; nothing else."""
+    argv_template, expected = command
+    argv = [a.replace("{}", path) for a in argv_template]
+    if joined:
+        argv[-2:] = [f"{argv[-2]}={path}"]
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as workdir, contextlib.chdir(workdir):
+        os.mkdir("d")
+        before = sorted(os.walk("."))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        after = sorted(os.walk("."))
+        if code == 0:
+            assert err.getvalue() == ""
+            with open(path, "rb") as handle:
+                assert handle.read() == expected
+            assert sum(len(files) for *_, files in after) == 1
+        else:
+            assert code == 2, (code, err.getvalue())
+            assert err.getvalue().startswith("usage:") and "Traceback" not in err.getvalue()
+            assert after == before
+    if path in REFUSED_PATHS:
+        assert code == 2
+    elif path in ACCEPTED_PATHS or (joined and path in FLAG_LIKE_PATHS):
+        assert code == 0
+    elif path in FLAG_LIKE_PATHS:
+        assert code == 2
 
 
 @pytest.mark.parametrize("command", [None, *cli.COMMANDS])

@@ -70,7 +70,7 @@ def test_coefficients_are_normalised_to_int():
     assert type(basis_vector(1).scale(Count(2)).coeffs[1]) is int
     assert type(TensorMultivector.scalar(Count(3), 2).coeffs[0]) is int
     assert all(type(c) is int for c in random_multivector(Random(3)).coeffs)
-    assert type(GaussianRational.of(Count(6), -1).real) is int
+    assert type(GaussianRational(Count(6), -1).real) is int
     assert type(Multivector((Count(1),) * 8, "exact").coeffs[7]) is int
     assert type(Multivector((Count(1),) * 8, APPROX).coeffs[7]) is float
     assert type(TensorMultivector(2, {9: Count(3)}).coeffs[9]) is int
@@ -79,7 +79,7 @@ def test_coefficients_are_normalised_to_int():
 
 def test_bare_constructors_refuse_what_is_no_coefficient():
     """The field constructors check coefficients as ``from_blades``,
-    ``scalar`` and ``of`` do: no float or bool in exact mode."""
+    ``scalar`` and ``scale`` do: no float or bool in exact mode."""
     for build, value in [
         (lambda: Multivector((1, 0, 0, 0, 0, 0, 0, 0.5), "exact"), 0.5),
         (lambda: Multivector((True, 0, 0, 0, 0, 0, 0, 0), APPROX), True),
@@ -112,13 +112,12 @@ def test_fraction_coefficients_are_refused():
             (lambda: basis_vector(1, APPROX).scale(value), approx),
             (lambda: TensorMultivector.scalar(value, 2), exact),
             (lambda: TensorMultivector.scalar(1, 2).scale(value), exact),
-            (lambda: GaussianRational.of(value), exact),
-            (lambda: GaussianRational.of(0, value), exact),
+            (lambda: GaussianRational(value), exact),
         ]:
             with pytest.raises(ValueError) as raised:
                 build()
             assert str(raised.value) == message
-        for scalable in (basis_vector(1), TensorMultivector.scalar(1, 2), GaussianRational.of(1)):
+        for scalable in (basis_vector(1), TensorMultivector.scalar(1, 2), GaussianRational(1)):
             with pytest.raises(TypeError):
                 scalable * value
             with pytest.raises(TypeError):
@@ -210,7 +209,7 @@ def as_fraction_pairs(rows) -> list:
 
 def as_matrix(rows) -> ComplexMatrix:
     return ComplexMatrix(
-        tuple(tuple(GaussianRational.of(re, im) for re, im in row) for row in rows)
+        tuple(tuple(GaussianRational(re, im) for re, im in row) for row in rows)
     )
 
 

@@ -212,6 +212,36 @@ class TestModes:
             build()
         assert str(raised.value) == message
 
+    @pytest.mark.parametrize(
+        "blades,mode,message",
+        [
+            ({0: 1}, "fuzzy", "unknown coefficient mode 'fuzzy'"),
+            ({8: 1}, "fuzzy", "unknown coefficient mode 'fuzzy'"),
+            ({0: 0.5}, "fuzzy", "unknown coefficient mode 'fuzzy'"),
+            ({8: 1}, EXACT, "blade mask 8 out of range 0..7"),
+            ({-1: 1.0}, APPROX, "blade mask -1 out of range 0..7"),
+            ({0: True}, EXACT, "exact mode needs int coefficients, got True"),
+            ({3: 0.5}, EXACT, "exact mode needs int coefficients, got 0.5"),
+            ({7: False}, APPROX, "approx mode needs int or float coefficients, got False"),
+        ],
+        ids=["mode", "mode-before-mask", "mode-before-value", "mask", "negative-mask",
+             "exact-bool", "exact-float", "approx-bool"],
+    )
+    def test_from_blades_checks_mode_then_masks_and_values(self, blades, mode, message):
+        with pytest.raises(ValueError) as raised:
+            Multivector.from_blades(blades, mode)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("mode", [EXACT, APPROX])
+    def test_from_blades_is_the_checked_constructor(self, mode):
+        blades = {0: 2, 3: -1, 7: 1}
+        coeffs = tuple(blades.get(mask, 0) for mask in range(8))
+        built = Multivector.from_blades(blades, mode)
+        assert built == Multivector(coeffs, mode)
+        assert all(type(c) is (int if mode == EXACT else float) for c in built.coeffs)
+        with pytest.raises(ValueError, match="unknown coefficient mode 'fuzzy'"):
+            Multivector.scalar(1, "fuzzy")
+
     def test_approx_equals_tolerance(self):
         x = basis_vector(1, APPROX)
         nudged = x + basis_vector(1, APPROX).scale(1e-15)

@@ -48,7 +48,7 @@ from quantum_oracle import (
     word_matrix,
 )
 from random_multivectors import random_multivector
-from sweep_oracle import kron_singlet_correlation
+from sweep_oracle import SIGNED_AXES, kron_singlet_correlation
 
 
 class TestPauliAlgebra:
@@ -162,11 +162,11 @@ constraint_sets = st.integers(1, 3).flatmap(
     )
 )
 
-gaussian_integers = st.builds(GaussianRational.of, st.integers(-2, 2), st.integers(-2, 2))
+gaussian_integers = st.builds(GaussianRational, st.integers(-2, 2), st.integers(-2, 2))
 
 
 def state_from(amplitudes):
-    total = sum((a * a.conjugate() for a in amplitudes), GaussianRational.of(0))
+    total = sum((a * a.conjugate() for a in amplitudes), GaussianRational(0))
     return StateVector(tuple(amplitudes), total.real)
 
 
@@ -193,8 +193,8 @@ class TestPauliWordOracle:
         for ket in range(2**n):
             k, image = apply_word(word, ket)
             column = [row[ket] for row in matrix.entries]
-            expected = [GaussianRational.of(0)] * 2**n
-            expected[image] = (GaussianRational.of(1), I, GaussianRational.of(-1), -I)[k]
+            expected = [GaussianRational(0)] * 2**n
+            expected[image] = (GaussianRational(1), I, GaussianRational(-1), -I)[k]
             assert column == expected
 
     @settings(max_examples=200, deadline=None)
@@ -321,7 +321,7 @@ class TestStructuralIsomorphism:
 class TestStates:
     def test_state_norm_guard(self):
         with pytest.raises(ValueError):
-            StateVector((GaussianRational.of(1),) * 2, 1)
+            StateVector((GaussianRational(1),) * 2, 1)
 
     def test_ghz_state_eigenvalues(self):
         state = ghz_state()
@@ -405,11 +405,7 @@ class TestSingletCorrelation:
     def test_signed_axis_pairs_match_the_oracle_bit_for_bit(self):
         # every sign of every zero component: the exact cancellations of
         # orthogonal axes must come out +0.0, as from the complex product
-        axes = []
-        for axis, one in itertools.product(range(3), (1.0, -1.0)):
-            for zeros in itertools.product((0.0, -0.0), repeat=2):
-                axes.append((*zeros[:axis], one, *zeros[axis:]))
-        for a, b in itertools.product(axes, repeat=2):
+        for a, b in itertools.product(SIGNED_AXES, repeat=2):
             got = singlet_correlation(a, b)
             assert got.hex() == kron_singlet_correlation(a, b).hex()
             if got == 0.0:
@@ -426,15 +422,15 @@ def _unit(rng):
 
 class TestGaussianRational:
     def test_arithmetic(self):
-        a = GaussianRational.of(3, 1)
-        b = GaussianRational.of(2, -1)
-        assert a + b == GaussianRational.of(5, 0)
-        assert a * b == GaussianRational.of(7, -1)
-        assert a * 2 == 2 * a == GaussianRational.of(6, 2)
+        a = GaussianRational(3, 1)
+        b = GaussianRational(2, -1)
+        assert a + b == GaussianRational(5, 0)
+        assert a * b == GaussianRational(7, -1)
+        assert a * 2 == 2 * a == GaussianRational(6, 2)
         with pytest.raises(ValueError, match="exact mode needs int coefficients, got True"):
             a * True
-        assert (-a) == GaussianRational.of(-3, -1)
-        assert a.conjugate() == GaussianRational.of(3, -1)
+        assert (-a) == GaussianRational(-3, -1)
+        assert a.conjugate() == GaussianRational(3, -1)
 
     def test_i_squares_to_minus_one(self):
-        assert I * I == GaussianRational.of(-1)
+        assert I * I == GaussianRational(-1)

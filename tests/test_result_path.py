@@ -80,7 +80,7 @@ def test_tensor_results(data, n):
         assert_tensor_rebuilt(result, n)
 
 
-gaussians = st.builds(GaussianRational.of, ints, ints)
+gaussians = st.builds(GaussianRational, ints, ints)
 
 
 def assert_gaussian_rebuilt(z: GaussianRational) -> None:
