@@ -24,15 +24,18 @@ the help (built from the same table) and exits 0.  Two rules differ: once
 a valid command name is read, every usage error shows that command's usage
 line; and a single-dash token other than ``-h`` (``-e2``, ``-1e5``) is a
 positional.  Every usage error goes through :meth:`Usage.error` (exit 2).
-Reports are deterministic byte for byte for fixed flags: the one sampled
-check, ``states.singlet``, draws from a generator seeded by ``--seed`` and
-no timestamps are embedded.
+Every output, help included, goes through :meth:`Usage.output`, which opens
+an ``--out`` or ``--csv`` file before any check runs or angle is evaluated
+and makes a failed open or write, stdout's too, a usage error.  Reports
+are deterministic byte for byte for fixed flags: the one sampled check,
+``states.singlet``, draws from a generator seeded by ``--seed`` and no
+timestamps are embedded.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
-import os
 import sys
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
@@ -92,78 +95,54 @@ def render_json(value, newline: str = "\n") -> str:
     return json.dumps(value)
 
 
-def _check_out(path: str, parser) -> None:
-    """Reject an ``--out`` path that cannot take the report before any check
-    runs; the file itself is neither opened nor truncated here."""
-    if not path:
-        parser.error("cannot write report: empty path")
-    if os.path.isdir(path):
-        parser.error(f"cannot write report: {path!r} is a directory")
-    parent = os.path.dirname(path) or os.curdir
-    if not os.path.isdir(parent):
-        parser.error(f"cannot write report: no directory {parent!r}")
-    if not os.access(parent, os.W_OK):
-        parser.error(f"cannot write report: directory {parent!r} is not writable")
-    if os.path.exists(path) and not os.access(path, os.W_OK):
-        parser.error(f"cannot write report: {path!r} is not writable")
-
-
 # -- subcommand handlers ------------------------------------------------------------------
 
 
-def _cmd_verify(args, parser) -> int:
-    if args.out is not None:
-        _check_out(args.out, parser)
+def _cmd_verify(args, usage) -> int:
     custom = None
     if args.constraints is not None:
         if args.target not in checks.DOCUMENT_TARGETS:
             targets = ", ".join(checks.DOCUMENT_TARGETS)
-            parser.error(f"--constraints applies only to the targets {targets}")
+            usage.error(f"--constraints applies only to the targets {targets}")
         try:
             with open(args.constraints, "r", encoding="utf-8") as handle:
                 custom = constraints.ConstraintSet.from_json(handle.read())
         except (OSError, ValueError) as exc:
-            parser.error(f"cannot load constraint set: {exc}")
-    report = build_report(args.target, args.mode, args.seed, custom)
-    text = render_json(report)
-    if args.out is not None:
-        try:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text + "\n")
-        except OSError as exc:
-            parser.error(f"cannot write report: {exc}")
-    else:
-        print(text)
+            usage.error(f"cannot load constraint set: {exc}")
+    with usage.output("report", args.out) as write:
+        report = build_report(args.target, args.mode, args.seed, custom)
+        write(render_json(report) + "\n")
     return 0 if report["all_pass"] else 1
 
 
-def _cmd_chsh(args, parser) -> int:
+def _cmd_chsh(args, usage) -> int:
     try:
         chsh.check_grid(args.start, args.end, args.steps)
     except ValueError as exc:
-        parser.error(str(exc))
+        usage.error(str(exc))
     if args.csv is not None:
         # One pass over the sweep's batches: scan_F writes the header, then
         # each batch's rows with one write, while it takes the maximum.
-        try:
-            with open(args.csv, "w", encoding="utf-8", newline="") as handle:
-                result = chsh.scan_F(args.steps, args.start, args.end, handle.write)
-        except OSError as exc:
-            parser.error(f"cannot write CSV: {exc}")
+        with usage.output("CSV", args.csv, newline="") as write:
+            result = chsh.scan_F(args.steps, args.start, args.end, write)
     else:
         result = chsh.scan_F(args.steps, args.start, args.end)
-    print(f"max={result.maximum:.6f} at phi={result.argmax:.6f}")
-    print(f"classical_bound={chsh.CLASSICAL_BOUND} vector_bound={chsh.VECTOR_BOUND}")
+    with usage.output("summary") as write:
+        write(
+            f"max={result.maximum:.6f} at phi={result.argmax:.6f}\n"
+            f"classical_bound={chsh.CLASSICAL_BOUND} vector_bound={chsh.VECTOR_BOUND}\n"
+        )
     return 0
 
 
-def _cmd_search_identities(args, parser) -> int:
+def _cmd_search_identities(args, usage) -> int:
     try:
         target = SignedAxisVector.parse(args.target)
     except ValueError as exc:
-        parser.error(str(exc))
+        usage.error(str(exc))
     maps = identities.find_identity_maps(target)
-    print(render_json([m.as_dict() for m in maps]))
+    with usage.output("identity maps") as write:
+        write(render_json([m.as_dict() for m in maps]) + "\n")
     return 0
 
 
@@ -263,8 +242,25 @@ class Usage:
         lines = [f"usage: {self.line()}", "", about]
         for title, rows in sections:
             lines += ["", f"{title}:"] + [f"  {left:<{width}}{text}" for left, text in rows]
-        sys.stdout.write("\n".join(lines) + "\n")
+        with self.output("help") as write:
+            write("\n".join(lines) + "\n")
         sys.exit(0)
+
+    @contextlib.contextmanager
+    def output(self, what: str, path=None, newline=None):
+        """Yield the write function of ``path``, opened for writing before
+        the caller's work starts, or of stdout when ``path`` is None.  An
+        ``OSError`` while opening, writing, flushing or closing it is a usage
+        error; a path that cannot be opened is left as it was."""
+        try:
+            if path is None:
+                yield sys.stdout.write
+                sys.stdout.flush()
+            else:
+                with open(path, "w", encoding="utf-8", newline=newline) as handle:
+                    yield handle.write
+        except OSError as exc:
+            self.error(f"cannot write {what}: {exc}")
 
 
 def _convert(usage: Usage, name: str, converter, text: str):

@@ -52,8 +52,8 @@ class PauliSymbol(_Record):
     def __init__(self, system: int, axis: str):
         if axis not in AXES:
             raise ValueError(f"axis {axis!r} not one of x, y, z")
-        if not 1 <= system <= systems.MAX_SYSTEMS:
-            raise ValueError(f"system index {system} out of range")
+        if type(system) is not int or not 1 <= system <= systems.MAX_SYSTEMS:
+            raise ValueError(f"system index {system!r} out of range")
         object.__setattr__(self, "system", system)
         object.__setattr__(self, "axis", axis)
 

@@ -27,7 +27,7 @@ EXACT = "exact"
 APPROX = "approx"
 MODES = (EXACT, APPROX)
 
-DEFAULT_TOLERANCE = 1e-12
+TOLERANCE = 1e-12
 
 BLADE_COUNT = 8
 
@@ -199,8 +199,8 @@ class Multivector(_Record):
             raise ValueError(f"unknown coefficient mode {mode!r}")
         out = [_zero(mode)] * BLADE_COUNT
         for mask, value in blade_coeffs.items():
-            if not 0 <= mask < BLADE_COUNT:
-                raise ValueError(f"blade mask {mask} out of range 0..7")
+            if type(mask) is not int or not 0 <= mask < BLADE_COUNT:
+                raise ValueError(f"blade mask {mask!r} out of range 0..7")
             out[mask] = out[mask] + _coerce(value, mode)
         return _multivector(tuple(out), mode)
 
@@ -257,19 +257,18 @@ class Multivector(_Record):
 
     # -- comparison -----------------------------------------------------
 
-    def is_zero(self, tolerance: float | None = None) -> bool:
+    def is_zero(self) -> bool:
         if self.mode == EXACT:
             return not any(self.coeffs)
-        tol = DEFAULT_TOLERANCE if tolerance is None else tolerance
-        return all(abs(a) <= tol for a in self.coeffs)
+        return all(abs(a) <= TOLERANCE for a in self.coeffs)
 
-    def equals(self, other: "Multivector", tolerance: float | None = None) -> bool:
-        """Coefficientwise equality; approx mode compares within a tolerance."""
+    def equals(self, other: "Multivector") -> bool:
+        """Coefficientwise equality; approx mode compares within
+        :data:`TOLERANCE`."""
         self._require_same_mode(other)
         if self.mode == EXACT:
             return self.coeffs == other.coeffs
-        tol = DEFAULT_TOLERANCE if tolerance is None else tolerance
-        return all(abs(a - b) <= tol for a, b in zip(self.coeffs, other.coeffs))
+        return all(abs(a - b) <= TOLERANCE for a, b in zip(self.coeffs, other.coeffs))
 
     # -- rendering --------------------------------------------------------
 

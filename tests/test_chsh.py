@@ -87,16 +87,14 @@ class TestGammaVector:
     def test_matches_closed_form_on_grid(self):
         for k in range(1001):
             phi = math.pi * k / 1000
-            assert gamma_vector(CoplanarConfig.at(phi)).equals(
-                closed_form_gamma(phi), tolerance=TOL
-            )
+            assert gamma_vector(CoplanarConfig.at(phi)).equals(closed_form_gamma(phi))
 
     def test_even_multivector_on_grid(self):
         for k in range(1001):
             phi = math.pi * k / 1000
             gamma = gamma_vector(CoplanarConfig.at(phi))
-            assert grade_projection(gamma, 1).is_zero(TOL)
-            assert grade_projection(gamma, 3).is_zero(TOL)
+            assert grade_projection(gamma, 1).is_zero()
+            assert grade_projection(gamma, 3).is_zero()
 
     def test_value_at_sixty_degrees(self):
         gamma = gamma_vector(CoplanarConfig.at(math.pi / 3))

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import errno
 import io
 import itertools
 import json
@@ -12,6 +13,7 @@ import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -341,30 +343,41 @@ class TestVerify:
         assert excinfo.value.code == 2
 
     @pytest.mark.parametrize(
-        "case", ["missing-directory", "directory", "unwritable-directory", "unwritable-file"]
+        "case",
+        ["missing-directory", "directory", "unwritable-directory", "unwritable-file", "long-name"],
     )
     def test_out_is_refused_before_any_check_runs(self, case, tmp_path, monkeypatch, capsys):
         existing = tmp_path / "r.json"
         existing.write_bytes(b"an earlier report\n")
-        out = {"missing-directory": tmp_path / "missing" / "r.json", "directory": tmp_path}
-        if case == "unwritable-directory":
-            # a test may run as a user who can write anywhere
-            monkeypatch.setattr(os, "access", lambda path, mode: False)
-        if case == "unwritable-file":
-            # refuse the file only; its directory stays writable
-            access = os.access
-            monkeypatch.setattr(
-                os, "access", lambda path, mode: path != str(existing) and access(path, mode)
-            )
+        out = {
+            "missing-directory": tmp_path / "missing" / "r.json",
+            "directory": tmp_path,
+            "unwritable-directory": tmp_path / "new.json",
+            "unwritable-file": existing,
+            "long-name": tmp_path / ("r" * 300),
+        }[case]
+        if case.startswith("unwritable"):
+            # a test may run as a user who can write anywhere, so cli's open
+            # refuses every file in tmp_path, or the existing file only
+            def refusing_open(path, *args, **kwargs):
+                if Path(path) == existing or (
+                    case == "unwritable-directory" and Path(path).parent == tmp_path
+                ):
+                    raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+                return open(path, *args, **kwargs)
+
+            monkeypatch.setattr(cli, "open", refusing_open, raising=False)
         runs = []
         monkeypatch.setattr(checks, "run", lambda rows, ctx: runs.append(ctx) or [])
         with pytest.raises(SystemExit) as excinfo:
-            main(["verify", "all", "--out", str(out.get(case, existing))])
+            main(["verify", "all", "--out", str(out)])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage:") and "Traceback" not in err
+        assert "cannot write report: " in err
         assert runs == []
         assert existing.read_bytes() == b"an earlier report\n"
+        assert list(tmp_path.iterdir()) == [existing]
 
     def test_unwritable_csv_path_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
@@ -978,6 +991,90 @@ def test_output_paths_get_the_golden_bytes_or_a_usage_error(command, path, joine
         assert code == 0
     elif path in FLAG_LIKE_PATHS:
         assert code == 2
+
+
+def no_space():
+    return OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class FullDevice(io.StringIO):
+    """A text stream on a full device: write number ``fail_at`` (counting
+    from 0) raises ENOSPC, and so do flush and close."""
+
+    def __init__(self, fail_at):
+        super().__init__()
+        self.writes_left = fail_at
+
+    def write(self, text):
+        if self.writes_left == 0:
+            raise no_space()
+        self.writes_left -= 1
+        return super().write(text)
+
+    def flush(self):
+        if not self.closed:
+            raise no_space()
+
+    def close(self):
+        if not self.closed:
+            super().close()
+            raise no_space()
+
+
+#: Argv that write to stdout, or to the file ``r.out`` when they name it.
+OUTPUT_COMMANDS = (
+    ["verify", "pm"],
+    ["verify", "pm", "--out", "r.out"],
+    ["chsh", "0", "1", "5"],
+    ["chsh", "0", "1", "5", "--csv", "r.out"],
+    ["search-identities", "e1"],
+    ["-h"],
+    ["verify", "-h"],
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(OUTPUT_COMMANDS), st.integers(0, 3))
+def test_a_failed_write_is_a_usage_error(argv, fail_at):
+    """stdout, or the output file, fails at write ``fail_at`` or, after
+    fewer writes, at flush or close: exit 2 with a usage error."""
+    device = FullDevice(fail_at)
+
+    def full_open(path, mode="r", **kwargs):
+        assert (path, mode) == ("r.out", "w")
+        return device
+
+    stdout = io.StringIO() if "r.out" in argv else device
+    err = io.StringIO()
+    with mock.patch.object(cli, "open", full_open, create=True), \
+            contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+    io.StringIO.close(device)  # so that collecting it raises nothing more
+    assert excinfo.value.code == 2
+    usage, message = err.getvalue().splitlines()
+    assert usage.startswith("usage: contextuality-lab ")
+    assert message.split(": error: ")[1].startswith("cannot write ")
+    assert message.endswith(": [Errno 28] No space left on device")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "all"], ["chsh", "0", "3.14159265", "100"], ["search-identities", "e1"], ["-h"]],
+    ids=["verify", "chsh", "search-identities", "help"],
+)
+def test_stdout_on_a_full_device_is_a_usage_error(argv):
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "contextuality_lab.cli", *argv],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    assert result.returncode == 2
+    assert result.stderr.startswith("usage: ") and ": error: cannot write " in result.stderr
+    assert "Traceback" not in result.stderr and "Exception ignored" not in result.stderr
 
 
 @pytest.mark.parametrize("command", [None, *cli.COMMANDS])

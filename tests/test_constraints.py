@@ -126,6 +126,15 @@ def _document(name="mine", lines=({"terms": ["x1", "y2"], "required": 1},)):
     return json.dumps({"name": name, "lines": lines})
 
 
+@pytest.mark.parametrize(
+    "system,shown", [(True, "True"), (1.0, "1.0"), ("1", "'1'"), (0, "0"), (99, "99")]
+)
+def test_pauli_symbol_takes_an_int_system_index_only(system, shown):
+    with pytest.raises(ValueError) as raised:
+        PauliSymbol(system, "x")
+    assert str(raised.value) == f"system index {shown} out of range"
+
+
 class TestDocumentSchema:
     """``from_json`` honours a document in full or raises ``ValueError``."""
 

@@ -223,9 +223,12 @@ class TestModes:
             ({0: True}, EXACT, "exact mode needs int coefficients, got True"),
             ({3: 0.5}, EXACT, "exact mode needs int coefficients, got 0.5"),
             ({7: False}, APPROX, "approx mode needs int or float coefficients, got False"),
+            ({True: 1}, EXACT, "blade mask True out of range 0..7"),
+            ({1.5: 1}, APPROX, "blade mask 1.5 out of range 0..7"),
+            ({"1": 1}, EXACT, "blade mask '1' out of range 0..7"),
         ],
         ids=["mode", "mode-before-mask", "mode-before-value", "mask", "negative-mask",
-             "exact-bool", "exact-float", "approx-bool"],
+             "exact-bool", "exact-float", "approx-bool", "bool-mask", "float-mask", "str-mask"],
     )
     def test_from_blades_checks_mode_then_masks_and_values(self, blades, mode, message):
         with pytest.raises(ValueError) as raised:
@@ -245,8 +248,8 @@ class TestModes:
     def test_approx_equals_tolerance(self):
         x = basis_vector(1, APPROX)
         nudged = x + basis_vector(1, APPROX).scale(1e-15)
-        assert x.equals(nudged, tolerance=1e-12)
-        assert not x.equals(x.scale(1.001), tolerance=1e-12)
+        assert x.equals(nudged)
+        assert not x.equals(x.scale(1.001))
 
     def test_approx_mirror_of_axioms(self):
         e1 = basis_vector(1, APPROX)
