@@ -173,8 +173,8 @@ def _two_basis_words(ctx):
 
 
 def _signed(xs) -> list:
-    """``{1: x, -1: -1 * x}`` per generator x, each sign applied once."""
-    return [{s: s * x for s in (1, -1)} for x in xs]
+    """``{1: x, -1: -x}`` per generator x, each generator negated once."""
+    return [{1: x, -1: -x} for x in xs]
 
 
 def _even_flips(ctx):

@@ -389,10 +389,15 @@ class VectorAssignment(_Record):
 
 
 class LineEvaluation(_Record):
+    """A line's reduced word and its value: the scalar ``int`` of a word
+    that reduced to one, else the word itself."""
+
     __slots__ = ("line", "word", "value")
 
     @property
     def matches_required(self) -> bool:
+        """True when the word reduced to the scalar the line requires; a
+        word that is no scalar equals no ``int``."""
         return self.value == self.line.required
 
 
@@ -406,9 +411,11 @@ def evaluate_vector_model(cs: ConstraintSet, assignment: VectorAssignment) -> tu
 
     Line words multiply the term values in written order; trivector factors
     met in two slots collapse through the shared-handedness rule before the
-    scalar is read off.  Only the pm and ghz lines have a vector model here
-    (see :func:`has_vector_model`); the four-line system instead runs
-    through the substitution model of :mod:`contextuality_lab.identities`.
+    scalar is read off.  A word that does not reduce to a scalar is kept as
+    the line's value, so its line fails.  Only the pm and ghz lines have a
+    vector model here (see :func:`has_vector_model`); the four-line system
+    instead runs through the substitution model of
+    :mod:`contextuality_lab.identities`.
     """
     if not has_vector_model(cs):
         raise ValueError(f"no vector model for constraint system {cs.name!r}")
@@ -417,9 +424,8 @@ def evaluate_vector_model(cs: ConstraintSet, assignment: VectorAssignment) -> tu
     for line in cs.lines:
         raw = systems.word((assignment.term_value(t, n) for t in line.terms), n)
         reduced = identify_pseudoscalars(raw)
-        if not reduced.is_scalar():
-            raise ValueError(f"line word did not reduce to a scalar: {reduced}")
-        results.append(LineEvaluation(line, reduced, reduced.scalar_part()))
+        value = reduced.scalar_part() if reduced.is_scalar() else reduced
+        results.append(LineEvaluation(line, reduced, value))
     return tuple(results)
 
 

@@ -71,11 +71,6 @@ def _zero(mode: str) -> Coefficient:
     return 0 if mode == EXACT else 0.0
 
 
-def _is_scalar(value) -> bool:
-    """True for the scalar factors a product dispatches to ``scale``."""
-    return isinstance(value, (int, float))
-
-
 def _coerce(value, mode: str) -> Coefficient:
     """Check and normalize a raw coefficient for the given mode."""
     kind = type(value)
@@ -113,7 +108,8 @@ class _Record:
     that takes ``object.__new__`` and sets each field once.  Only the type's
     own operations call it, on fields formed from operands that the checked
     path or an earlier operation built, so no check is repeated there: the
-    mode is the operands', the shape is theirs, and so are the key ranges.
+    mode is the operands', the shape is theirs, and so are the key ranges
+    and the +1 or -1 signs of the joint algebra's signed blades.
     """
 
     __slots__ = ()
@@ -246,12 +242,12 @@ class Multivector(_Record):
                         if b:
                             acc[mask] += a * b * sign
             return _multivector(tuple(acc), mode)
-        if _is_scalar(other):
+        if isinstance(other, (int, float)):
             return self.scale(other)
         return NotImplemented
 
     def __rmul__(self, other):
-        if _is_scalar(other):
+        if isinstance(other, (int, float)):
             return self.scale(other)
         return NotImplemented
 

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from operator import add
 
-from .constraints import ObservableProduct
 from .ga import EXACT, _coerce, _Record
 
 

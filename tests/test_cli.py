@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import cli_oracle
 from constraint_documents import document
-from contextuality_lab import checks, chsh, cli, ga, identities, quantum, systems
+from contextuality_lab import checks, chsh, cli, constraints, ga, identities, quantum, systems
 from contextuality_lab.checks import OPERATORS, STATES, Context, Words, run
 from contextuality_lab.cli import DEFAULT_SEED, build_report, main
 from contextuality_lab.constraints import BELL_GHZ, GHZ, PM, ObservableProduct, builtin_constraints
@@ -105,6 +105,20 @@ class TestVerify:
         assert column["witness"]["product"] == "-1"
         search = next(c for c in report["checks"] if c["id"] == "bellghz.search.e1")
         assert search["witness"]["includes_negated_f1"] is True
+
+    def test_a_line_word_that_is_no_scalar_fails_its_row(self, monkeypatch, capsys):
+        """With the trivector identification switched off, the pm lines 5 and
+        6, whose words hold a trivector in both slots, reduce to no scalar:
+        their rows fail with the word as the witness and nothing raises.
+        Lines 1-4 hold no trivector and pass."""
+        monkeypatch.setattr(constraints, "identify_pseudoscalars", lambda tm: tm)
+        code, out, err = run_cli(["verify", "pm"], capsys)
+        assert code == 1 and err == ""
+        rows = {c["id"]: c for c in json.loads(out)["checks"]}
+        lines = [rows[f"pm.vector-line.{k}"] for k in range(1, 7)]
+        assert [(row["status"], row["witness"]["value"]) for row in lines] == [
+            *[("pass", "1")] * 4, ("fail", "-e123*f123"), ("fail", "e123*f123")
+        ]
 
     def test_unknown_target_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -432,22 +446,34 @@ class TestOperatorsSuiteWork:
 
     def test_shared_operands_are_formed_once(self, monkeypatch):
         """The 64-product blade table is formed once per mode, however many
-        rows read it, and the flip rows sign each of their 24 generators
-        once instead of scaling per sign choice."""
-        scaled = Counter()
-        for cls in (Multivector, systems.TensorMultivector):
+        rows read it, no dense multivector is scaled, and the flip rows
+        negate each of their 12 generators once instead of once per sign
+        choice."""
+        scaled, negated = Counter(), Counter()
+        scale, neg = Multivector.scale, systems.TensorMultivector.__neg__
 
-            def counted(self, factor, scale=cls.scale, name=cls.__name__):
-                scaled[name] += 1
-                return scale(self, factor)
+        def counted_scale(self, factor):
+            scaled[str(self)] += 1
+            return scale(self, factor)
 
-            monkeypatch.setattr(cls, "scale", counted)
+        def counted_neg(self):
+            if self.key.bit_count() == 1:
+                negated[self.n, self.key] += 1
+            return neg(self)
+
+        monkeypatch.setattr(Multivector, "scale", counted_scale)
+        monkeypatch.setattr(systems.TensorMultivector, "__neg__", counted_neg)
         checks._blade_table.cache_clear()
         for mode in (EXACT, APPROX, EXACT):
             entries = run(OPERATORS, Context(mode, DEFAULT_SEED))
             assert all(entry["status"] == "pass" for entry in entries)
         assert checks._blade_table.cache_info().misses == 2
-        assert scaled == {"TensorMultivector": 3 * 24}
+        assert scaled == {}
+        # even-flips: the six generators of two subsystems; free-flips: the
+        # axis 1 and 2 generators of three
+        flipped = [(2, 1 << 3 * s << a) for s in range(2) for a in range(3)]
+        flipped += [(3, 1 << 3 * s << a) for s in range(3) for a in range(2)]
+        assert negated == Counter({generator: 3 for generator in flipped})
 
 
 class TestConstraintDocumentWork:
@@ -503,6 +529,29 @@ class TestConstraintDocumentWork:
         assert words == ["x1*y2", "z1"]
         enum = next(c for c in json.loads(out)["checks"] if c["id"] == "pm.enumeration")
         assert enum["witness"]["assignments"] == 4
+
+
+def _cross_slot_product(key_a, key_b):
+    """``ga.blade_product`` that also counts the swaps of factors from
+    distinct slots, as if the subsystems anticommuted."""
+    swaps = sum(
+        (key_b & (1 << bit) - 1).bit_count() for bit in range(key_a.bit_length()) if key_a >> bit & 1
+    )
+    return (-1) ** swaps, key_a ^ key_b
+
+
+#: name -> (attribute of ``systems``, its faulty replacement, the rows of
+#: ``OPERATORS`` that fail under it).
+JOINT_ALGEBRA_FAULTS = {
+    "unsigned": ("blade_product", lambda key_a, key_b: (1, key_a ^ key_b), {
+        "systems.embedded-relations", "systems.two-basis-words", "systems.even-flips",
+        "systems.three-system-word", "systems.free-flips",
+    }),
+    "cross-slot": ("blade_product", _cross_slot_product, {"systems.cross-commutation"}),
+    "no-identification": ("identify_pseudoscalars", lambda tm: tm, {
+        "systems.two-basis-words", "systems.even-flips",
+    }),
+}
 
 
 class TestAxiomRows:
@@ -564,6 +613,17 @@ class TestAxiomRows:
                 if words(Context(mode, DEFAULT_SEED))[0]:
                     missed.append((a, b, mode))
         assert missed == []
+
+    @pytest.mark.parametrize("fault", JOINT_ALGEBRA_FAULTS)
+    def test_a_joint_algebra_fault_fails_the_systems_words(self, monkeypatch, fault):
+        attribute, replacement, failing = JOINT_ALGEBRA_FAULTS[fault]
+        monkeypatch.setattr(systems, attribute, replacement)
+        entries = run(OPERATORS, Context(EXACT, DEFAULT_SEED))
+        assert {c["id"] for c in entries if c["status"] == "fail"} == failing
+
+    def test_every_systems_word_fails_under_some_fault(self):
+        failing = set().union(*(faulted for _, _, faulted in JOINT_ALGEBRA_FAULTS.values()))
+        assert failing == {row[0] for row in self.ROWS if row[0].startswith("systems.")}
 
     def test_ga_proofs_do_not_read_the_seed(self):
         ids = ("ga.associativity", "ga.distributivity")

@@ -15,11 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tensor_oracle as oracle
 from blade_keys import pack, unpack
 from contextuality_lab.ga import APPROX, CAYLEY, Multivector, basis_vector
 from contextuality_lab.quantum import ComplexMatrix, GaussianRational
-from contextuality_lab.systems import TensorMultivector, identify_pseudoscalars, word
+from contextuality_lab.systems import TensorMultivector, identity
 from random_multivectors import random_multivector
+from tensor_oracle import SparseTensor
 
 integers = st.integers(min_value=-4, max_value=4)
 big_integers = st.integers(min_value=2**64, max_value=2**80) | st.integers(
@@ -68,12 +70,13 @@ class Count(int):
 def test_coefficients_are_normalised_to_int():
     assert type(Multivector.from_blades({3: Count(2)}).coeffs[3]) is int
     assert type(basis_vector(1).scale(Count(2)).coeffs[1]) is int
-    assert type(TensorMultivector.scalar(Count(3), 2).coeffs[0]) is int
+    assert type(TensorMultivector(2, Count(-1), 9).sign) is int
+    assert type(SparseTensor.scalar(Count(3), 2).coeffs[0]) is int
     assert all(type(c) is int for c in random_multivector(Random(3)).coeffs)
     assert type(GaussianRational(Count(6), -1).real) is int
     assert type(Multivector((Count(1),) * 8, "exact").coeffs[7]) is int
     assert type(Multivector((Count(1),) * 8, APPROX).coeffs[7]) is float
-    assert type(TensorMultivector(2, {9: Count(3)}).coeffs[9]) is int
+    assert type(SparseTensor(2, {9: Count(3)}).coeffs[9]) is int
     assert type(GaussianRational(0, Count(6)).imag) is int
 
 
@@ -83,10 +86,12 @@ def test_bare_constructors_refuse_what_is_no_coefficient():
     for build, value in [
         (lambda: Multivector((1, 0, 0, 0, 0, 0, 0, 0.5), "exact"), 0.5),
         (lambda: Multivector((True, 0, 0, 0, 0, 0, 0, 0), APPROX), True),
-        (lambda: TensorMultivector(1, {1: 0.5}), 0.5),
-        (lambda: TensorMultivector(3, {0: True}), True),
-        (lambda: TensorMultivector(2, {5: 0.0}), 0.0),
-        (lambda: TensorMultivector(2, {5: False}), False),
+        (lambda: TensorMultivector(1, -1.0, 1), -1.0),
+        (lambda: TensorMultivector(3, True, 0), True),
+        (lambda: SparseTensor(1, {1: 0.5}), 0.5),
+        (lambda: SparseTensor(3, {0: True}), True),
+        (lambda: SparseTensor(2, {5: 0.0}), 0.0),
+        (lambda: SparseTensor(2, {5: False}), False),
         (lambda: GaussianRational(0.5, True), 0.5),
         (lambda: GaussianRational(1, True), True),
     ]:
@@ -104,20 +109,23 @@ def test_fraction_coefficients_are_refused():
         for build, message in [
             (lambda: Multivector((value, 0, 0, 0, 0, 0, 0, 0), "exact"), exact),
             (lambda: Multivector((0, 0, 0, 0, 0, 0, 0, value), APPROX), approx),
-            (lambda: TensorMultivector(1, {1: value}), exact),
+            (lambda: TensorMultivector(1, value, 1), exact),
+            (lambda: SparseTensor(1, {1: value}), exact),
             (lambda: GaussianRational(value, 0), exact),
             (lambda: GaussianRational(0, value), exact),
             (lambda: Multivector.from_blades({1: value}), exact),
             (lambda: basis_vector(1).scale(value), exact),
             (lambda: basis_vector(1, APPROX).scale(value), approx),
-            (lambda: TensorMultivector.scalar(value, 2), exact),
-            (lambda: TensorMultivector.scalar(1, 2).scale(value), exact),
+            (lambda: SparseTensor.scalar(value, 2), exact),
+            (lambda: SparseTensor.scalar(1, 2).scale(value), exact),
             (lambda: GaussianRational(value), exact),
         ]:
             with pytest.raises(ValueError) as raised:
                 build()
             assert str(raised.value) == message
-        for scalable in (basis_vector(1), TensorMultivector.scalar(1, 2), GaussianRational(1)):
+        for scalable in (
+            basis_vector(1), identity(2), SparseTensor.scalar(1, 2), GaussianRational(1)
+        ):
             with pytest.raises(TypeError):
                 scalable * value
             with pytest.raises(TypeError):
@@ -126,8 +134,10 @@ def test_fraction_coefficients_are_refused():
 
 # -- joint algebra -------------------------------------------------------------
 #
-# The references keep the per-subsystem tuple keys and the per-slot table
-# product; the kernel's packed int keys are converted with ``unpack``.
+# ``systems.TensorMultivector`` is tested against the sparse oracle of
+# ``tensor_oracle``, and the oracle against these references, which keep the
+# per-subsystem tuple keys and Fraction coefficients; the oracle's packed int
+# keys are converted with ``unpack``.
 
 
 def blade_tuples(n: int):
@@ -136,7 +146,7 @@ def blade_tuples(n: int):
 
 def tensors(n: int):
     return st.dictionaries(blade_tuples(n), coefficients, max_size=5).map(
-        lambda coeffs: TensorMultivector(n, {pack(k): v for k, v in coeffs.items()})
+        lambda coeffs: SparseTensor(n, {pack(k): v for k, v in coeffs.items()})
     )
 
 
@@ -187,9 +197,9 @@ def test_tensor_word_matches_fraction_reference(factors):
     expected = {(0,) * n: Fraction(1)}
     for factor in factors:
         expected = reference_tensor_product(expected, tuple_keyed(factor))
-    result = word(factors, n)
+    result = oracle.word(factors, n)
     assert tuple_keyed(result) == expected
-    assert tuple_keyed(identify_pseudoscalars(result)) == reference_identify(expected)
+    assert tuple_keyed(oracle.identify_pseudoscalars(result)) == reference_identify(expected)
 
 
 # -- Gaussian-rational matrices -------------------------------------------------

@@ -42,13 +42,13 @@ ALLOWED = {
     "ga._Record.__delattr__": PROTOCOL,
     "ga._Record.__repr__": PROTOCOL,
     "ga.Multivector.__repr__": PROTOCOL,
-    "systems.TensorMultivector.__repr__": PROTOCOL,
-    "systems.TensorMultivector.__hash__": PROTOCOL,
+    "systems.TensorMultivector.coeffs": (
+        "bench/tracing._tensor_pairs reads it for the systems.mul.term_pairs counter; "
+        "no command calls it"
+    ),
     "constraints.ObservableProduct.__str__": PROTOCOL,
     "identities.SignedAxisVector.__str__": PROTOCOL,
     "quantum.GaussianRational.__str__": PROTOCOL,
-    "systems.TensorMultivector.__add__": ALGEBRA,
-    "systems.TensorMultivector.__sub__": ALGEBRA,
     "ga.Multivector.__rmul__": ALGEBRA,
 }
 

@@ -5,17 +5,21 @@
 check of the constructor (see ``ga._Record``).  For operands drawn in both
 modes, every operation's result must equal the same value rebuilt through
 the public constructor, field by field and with the same coefficient types;
-joint-algebra keys must stay below 8^n with no zero coefficient; and approx
-products must equal the dense oracle bit for bit.
+joint-algebra keys must stay below 8^n with an ``int`` sign of +1 or -1; and
+approx products must equal the dense oracle bit for bit.  The sparse
+joint-algebra oracle of ``tests/tensor_oracle.py`` keeps a result path of its
+own, checked here the same way: no zero coefficient is left.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tensor_oracle as oracle
 from contextuality_lab.ga import APPROX, BLADE_COUNT, EXACT, Multivector
 from contextuality_lab.quantum import ComplexMatrix, GaussianRational
 from contextuality_lab.systems import TensorMultivector, identify_pseudoscalars
 from random_multivectors import dense_product
+from tensor_oracle import SparseTensor
 
 ints = st.integers(min_value=-3, max_value=3) | st.integers(min_value=-(2**70), max_value=2**70)
 floats = st.floats(min_value=-1e6, max_value=1e6, allow_subnormal=False) | st.sampled_from(
@@ -56,28 +60,50 @@ def test_multivector_results(data, mode):
     assert bits(product.coeffs) == bits(dense_product(a, b))
 
 
-def tensors(n: int):
-    keys = st.integers(min_value=0, max_value=8**n - 1)
-    return st.dictionaries(keys, ints, max_size=6).map(lambda c: TensorMultivector(n, c))
+def keys(n: int):
+    return st.integers(min_value=0, max_value=8**n - 1)
 
 
-def assert_tensor_rebuilt(tm: TensorMultivector, n: int) -> None:
+def blades(n: int):
+    return st.builds(TensorMultivector, st.just(n), st.sampled_from((1, -1)), keys(n))
+
+
+def assert_blade_rebuilt(tm: TensorMultivector, n: int) -> None:
     assert type(tm) is TensorMultivector and tm.n == n
-    assert all(type(key) is int and 0 <= key < 8**n for key in tm.coeffs)
-    assert all(type(value) is int and value for value in tm.coeffs.values())
-    assert tm == TensorMultivector(n, tm.coeffs)
+    assert type(tm.key) is int and 0 <= tm.key < 8**n
+    assert type(tm.sign) is int and tm.sign in (1, -1)
+    assert tm == TensorMultivector(n, tm.sign, tm.key)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data(), st.integers(min_value=1, max_value=3))
 def test_tensor_results(data, n):
-    a, b = data.draw(tensors(n)), data.draw(tensors(n))
+    a, b = data.draw(blades(n)), data.draw(blades(n))
+    for result in (a * b, -a, identify_pseudoscalars(a), identify_pseudoscalars(a * b)):
+        assert_blade_rebuilt(result, n)
+
+
+def sparse_tensors(n: int):
+    return st.dictionaries(keys(n), ints, max_size=6).map(lambda c: SparseTensor(n, c))
+
+
+def assert_sparse_rebuilt(tm: SparseTensor, n: int) -> None:
+    assert type(tm) is SparseTensor and tm.n == n
+    assert all(type(key) is int and 0 <= key < 8**n for key in tm.coeffs)
+    assert all(type(value) is int and value for value in tm.coeffs.values())
+    assert tm == SparseTensor(n, tm.coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(min_value=1, max_value=3))
+def test_sparse_oracle_results(data, n):
+    a, b = data.draw(sparse_tensors(n)), data.draw(sparse_tensors(n))
     factor = data.draw(ints | st.just(0))
     for result in (
         a * b, a + b, a - b, a - a, -a, a.scale(factor), a * factor, factor * a,
-        identify_pseudoscalars(a), identify_pseudoscalars(a * b),
+        oracle.identify_pseudoscalars(a), oracle.identify_pseudoscalars(a * b),
     ):
-        assert_tensor_rebuilt(result, n)
+        assert_sparse_rebuilt(result, n)
 
 
 gaussians = st.builds(GaussianRational, ints, ints)

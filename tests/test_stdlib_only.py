@@ -134,3 +134,17 @@ def test_commands_load_no_unused_module(argv, code, tmp_path):
     last = run_fresh(COMMAND_CODE, ",".join(UNUSED_MODULES), *argv).splitlines()[-1]
     assert last.split() == [str(code)]
 
+
+
+def test_chsh_loads_no_constraint_module():
+    """``chsh`` reaches ``quantum``, which names ``constraints`` types in its
+    annotations only, so importing it loads neither the constraint layer nor
+    the joint algebra nor ``json``."""
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import contextuality_lab.chsh\n"
+        "print(*sorted(set(sys.argv[2:]) & set(sys.modules)))\n"
+    )
+    unused = ("contextuality_lab.constraints", "contextuality_lab.systems", "json")
+    assert run_fresh(code, *unused).split() == []

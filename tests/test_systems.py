@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tensor_oracle as oracle
 from blade_keys import pack
 from contextuality_lab.ga import CAYLEY, blade_product
 from contextuality_lab.systems import (
@@ -16,6 +17,7 @@ from contextuality_lab.systems import (
     render_tensor,
     word,
 )
+from tensor_oracle import SparseTensor
 
 
 def gens(system, n=2):
@@ -25,12 +27,14 @@ def gens(system, n=2):
 class TestEmbedding:
     def test_embed_places_slot(self):
         # the generator is one packed key: the axis bit in its subsystem's
-        # slot, no bit in the others, the sign as its coefficient
+        # slot, no bit in the others, and its sign
         for n in (1, 2, 3):
             for system, axis, sign in itertools.product(range(1, n + 1), (1, 2, 3), (1, -1)):
                 masks = [0] * n
                 masks[system - 1] = 1 << (axis - 1)
-                assert generator(system, axis, n, sign).coeffs == {pack(tuple(masks)): sign}
+                assert generator(system, axis, n, sign) == TensorMultivector(
+                    n, sign, pack(tuple(masks))
+                )
 
     def test_embed_range_check(self):
         # axis, then sign, then subsystem, each with its own message
@@ -84,13 +88,32 @@ class TestProduct:
             assert trivector * trivector == -one
 
     def test_mismatched_systems_or_mode_rejected(self):
-        # the joint algebra is exact: a float coefficient is refused
-        with pytest.raises(ValueError):
+        # the joint algebra is exact: a float sign is refused
+        with pytest.raises(ValueError, match="mismatched system counts: 2 vs 3"):
             _ = generator(1, 1, 2) * generator(1, 1, 3)
+        for sign in (0.5, 1.0, True):
+            with pytest.raises(ValueError, match="exact mode needs int coefficients"):
+                TensorMultivector(2, sign, 0)
+        with pytest.raises(ValueError, match="mismatched system counts: 2 vs 3"):
+            _ = oracle.generator(1, 1, 2) * oracle.generator(1, 1, 3)
         with pytest.raises(ValueError):
-            TensorMultivector.scalar(0.5, 2)
+            SparseTensor.scalar(0.5, 2)
         with pytest.raises(ValueError):
-            generator(1, 1, 2).scale(2.0)
+            oracle.generator(1, 1, 2).scale(2.0)
+
+    def test_checked_constructor_refuses_what_is_no_signed_blade(self):
+        for args, message in [
+            ((0, 1, 0), "system count 0 out of range 1..3"),
+            ((4, 1, 0), "system count 4 out of range 1..3"),
+            ((2, 0, 0), "sign must be +1 or -1"),
+            ((2, 2, 0), "sign must be +1 or -1"),
+            ((2, 1, 64), "bad blade key 64 for 2 systems"),
+            ((2, 1, -1), "bad blade key -1 for 2 systems"),
+            ((2, 1, True), "bad blade key True for 2 systems"),
+        ]:
+            with pytest.raises(ValueError) as raised:
+                TensorMultivector(*args)
+            assert str(raised.value) == message
 
     def test_packed_sign_rule_matches_per_slot_table(self):
         # all 4096 pairs of two-slot keys: the packed rule multiplies each
@@ -136,16 +159,12 @@ class TestTwoBasisWords:
             parity = signs[0] * signs[1] * signs[2] * signs[3] * signs[4] * signs[5]
             flipped = word(
                 [
-                    signs[0] * e[0],
-                    signs[1] * e[1],
-                    signs[2] * e[2],
-                    signs[3] * f[1],
-                    signs[4] * f[0],
-                    signs[5] * f[2],
+                    x if sign == 1 else -x
+                    for x, sign in zip((e[0], e[1], e[2], f[1], f[0], f[2]), signs)
                 ],
                 2,
             )
-            assert identify_pseudoscalars(flipped) == base.scale(parity)
+            assert identify_pseudoscalars(flipped) == (base if parity == 1 else -base)
 
     def test_interleaved_orders_match(self):
         # commuting the f factors through the e factors leaves words intact
@@ -183,15 +202,11 @@ class TestThreeSystemWords:
     def test_free_flips_over_all_sign_choices(self):
         # every generator occurs twice per subsystem block, so all 64 sign
         # assignments leave the value -1
-        e = gens(1, 3)
-        f = gens(2, 3)
-        g = gens(3, 3)
         minus_one = -identity(3)
         for signs in itertools.product((1, -1), repeat=6):
             blocks = [
-                (signs[0] * e[0], signs[1] * e[1]),
-                (signs[2] * f[0], signs[3] * f[1]),
-                (signs[4] * g[0], signs[5] * g[1]),
+                (generator(s, 1, 3, signs[2 * s - 2]), generator(s, 2, 3, signs[2 * s - 1]))
+                for s in (1, 2, 3)
             ]
             value = identity(3)
             for first, second in blocks:
@@ -199,9 +214,11 @@ class TestThreeSystemWords:
             assert value == minus_one
 
 
+# The sparse oracle that the one-blade kernel is checked against below: its
+# product on sums is associative and distributive.
 _keys = st.tuples(st.integers(0, 7), st.integers(0, 7)).map(pack)
 tensor_strategy = st.builds(
-    lambda entries: TensorMultivector(2, entries),
+    lambda entries: SparseTensor(2, entries),
     st.dictionaries(_keys, st.integers(-3, 3), max_size=4),
 )
 
@@ -220,20 +237,21 @@ def test_tensor_product_distributive(a, b, c):
 
 class TestIdentifyPseudoscalars:
     def test_pairs_collapse(self):
-        tm = TensorMultivector(2, {pack((7, 7)): 1})
+        tm = TensorMultivector(2, 1, pack((7, 7)))
         assert identify_pseudoscalars(tm) == -identity(2)
 
     def test_lone_trivector_slot_is_kept(self):
-        tm = TensorMultivector(3, {pack((7, 0, 0)): 1})
+        tm = TensorMultivector(3, 1, pack((7, 0, 0)))
         assert identify_pseudoscalars(tm) == tm
 
     def test_triple_keeps_one(self):
-        tm = TensorMultivector(3, {pack((7, 7, 7)): 1})
-        assert identify_pseudoscalars(tm) == TensorMultivector(3, {pack((0, 0, 7)): -1})
+        tm = TensorMultivector(3, 1, pack((7, 7, 7)))
+        assert identify_pseudoscalars(tm) == TensorMultivector(3, -1, pack((0, 0, 7)))
 
     def test_linear_over_terms(self):
-        tm = TensorMultivector(2, {pack((7, 7)): 2, pack((1, 0)): 3})
-        reduced = identify_pseudoscalars(tm)
+        # the sparse oracle, whose elements are sums
+        tm = SparseTensor(2, {pack((7, 7)): 2, pack((1, 0)): 3})
+        reduced = oracle.identify_pseudoscalars(tm)
         assert reduced.coeffs == {pack((0, 0)): -2, pack((1, 0)): 3}
 
 
@@ -253,4 +271,61 @@ class TestRendering:
         assert str(e[0] * e[1] * f[2]) == "e12*f3"
         assert str(-(e[0] * f[0])) == "-e1*f1"
         assert str(identity(2)) == "1"
-        assert str(identity(2) - identity(2)) == "0"
+        assert str(-identity(2)) == "-1"
+
+    def test_oracle_renders_sums(self):
+        assert str(oracle.identity(2) - oracle.identity(2)) == "0"
+        tm = SparseTensor(3, {pack((1, 2, 2)): 1, pack((3, 0, 4)): -2, 0: 3})
+        assert str(tm) == "3 + e1*f2*g2 - 2*e12*g3"
+
+
+# -- the one-blade kernel against the sparse oracle ------------------------------
+
+
+def signed_generator_words(n: int):
+    """Words of 0-8 signed generators ``(system, axis, sign)`` over n slots."""
+    factor = st.tuples(st.integers(1, n), st.integers(1, 3), st.sampled_from((1, -1)))
+    return st.lists(factor, max_size=8)
+
+
+def kernel_and_oracle_words(n: int, factors) -> tuple:
+    return (
+        word([generator(s, a, n, sign) for s, a, sign in factors], n),
+        oracle.word([oracle.generator(s, a, n, sign) for s, a, sign in factors], n),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.tuples(st.just(n), signed_generator_words(n), signed_generator_words(n))
+    )
+)
+def test_kernel_agrees_with_sparse_oracle(case):
+    n, left_factors, right_factors = case
+    left, left_expected = kernel_and_oracle_words(n, left_factors)
+    right, right_expected = kernel_and_oracle_words(n, right_factors)
+    # a product of two words, each blade of each slot, not only of a word and
+    # a generator
+    value, expected = left * right, left_expected * right_expected
+    assert expected == oracle.word([left_expected, right_expected], n)
+    assert oracle.of(-value) == -expected
+    for kernel, reference in (
+        (left, left_expected),
+        (value, expected),
+        (identify_pseudoscalars(value), oracle.identify_pseudoscalars(expected)),
+    ):
+        assert oracle.of(kernel) == reference
+        assert kernel.is_scalar() == reference.is_scalar()
+        assert kernel.scalar_part() == reference.scalar_part()
+        assert str(kernel) == str(reference)
+
+
+def test_kernel_product_agrees_with_sparse_oracle_on_every_blade_pair():
+    # every pair of one- and two-slot blades, so each entry of the oracle's
+    # table is read in either slot; the words above reach most but not
+    # always all of them
+    for n in (1, 2):
+        for key_a, key_b in itertools.product(range(8**n), repeat=2):
+            a, b = TensorMultivector(n, -1, key_a), TensorMultivector(n, 1, key_b)
+            assert oracle.of(a * b) == oracle.of(a) * oracle.of(b)
