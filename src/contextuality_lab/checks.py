@@ -25,7 +25,9 @@ AXES = (1, 2, 3)
 #: Ordered pairs and permutations of distinct axes, in lexicographic order.
 PAIRS = tuple(itertools.permutations(AXES, 2))
 PERMUTATIONS = tuple(itertools.permutations(AXES))
-MINUS_ONE = Multivector.scalar(-1)
+#: The Bell-GHZ values are one-slot signed blades of the joint algebra.
+MINUS_ONE = -systems.identity(1)
+E12 = systems.generator(1, 1, 1) * systems.generator(1, 2, 1)
 
 
 class Context(_Record):
@@ -405,7 +407,7 @@ def _lines(name: str, ctx):
 
 def _named_column(imap, expected: tuple, ctx):
     column = dict(identities.columns())[imap]
-    ok = column.labels() == expected and str(column.product) == "-1"
+    ok = column.labels() == expected and column.product == MINUS_ONE
     return ok, {
         "map": imap.as_dict(), "column": list(column.labels()), "product": str(column.product)
     }
@@ -413,8 +415,10 @@ def _named_column(imap, expected: tuple, ctx):
 
 def _all_maps(ctx):
     table = identities.columns()
-    ok = all(column.product == MINUS_ONE for _, column in table)
-    return ok, {"maps": len(table), "product": "-1"}
+    for imap, column in table:
+        if column.product != MINUS_ONE:
+            return False, {"maps": len(table), "map": imap.as_dict(), "product": str(column.product)}
+    return True, {"maps": len(table), "product": "-1"}
 
 
 def _search(label: str, ctx):
@@ -428,8 +432,7 @@ def _search(label: str, ctx):
 
 def _orientation(imap, rule, ctx):
     reading = identities.orientation_reading(imap)
-    e12 = basis_vector(1) * basis_vector(2)
-    return rule(reading, e12), {"orientations": [str(o) for o in reading.orientations]}
+    return rule(reading), {"orientations": [str(o) for o in reading.orientations]}
 
 
 BELL_GHZ_COLUMNS = (
@@ -452,11 +455,11 @@ BELL_GHZ_COLUMNS = (
     ),
     ("bellghz.orientation.negated-f1",
      "under the negated-f1 map all three subsystems share the orientation e12",
-     partial(_orientation, NEGATED_F1_MAP, lambda r, e12: all(o == e12 for o in r.orientations))),
+     partial(_orientation, NEGATED_F1_MAP, lambda r: all(o == E12 for o in r.orientations))),
     ("bellghz.orientation.uniform",
      "under the uniform map subsystems 1 and 3 agree and subsystem 2 is opposite",
-     partial(_orientation, UNIFORM_MAP, lambda r, e12: (
-         r.identical(1, 3) and not r.identical(1, 2) and r.orientations[1] == -e12
+     partial(_orientation, UNIFORM_MAP, lambda r: (
+         r.identical(1, 3) and not r.identical(1, 2) and r.orientations[1] == -E12
      ))),
 )
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
@@ -251,15 +252,22 @@ class Usage:
         """Yield the write function of ``path``, opened for writing before
         the caller's work starts, or of stdout when ``path`` is None.  An
         ``OSError`` while opening, writing, flushing or closing it is a usage
-        error; a path that cannot be opened is left as it was."""
+        error; a path that cannot be opened is left as it was, and an opened
+        regular file is removed, so that no partial output is left.  A device
+        such as ``/dev/full`` is never removed."""
+        opened = False
         try:
             if path is None:
                 yield sys.stdout.write
                 sys.stdout.flush()
             else:
                 with open(path, "w", encoding="utf-8", newline=newline) as handle:
+                    opened = True
                     yield handle.write
         except OSError as exc:
+            if opened and os.path.isfile(path):
+                with contextlib.suppress(OSError):
+                    os.remove(path)
             self.error(f"cannot write {what}: {exc}")
 
 

@@ -15,10 +15,11 @@ line to a signed basis vector, the four reduced values always multiply to
 identified bases cannot commute, and the orientation reading that compares
 the three subsystems' plane orientations induced by a map.
 
-Every factor image is a signed basis vector, so a reduced line is a sign
-times one blade: lines and columns are reduced as ``(sign, mask)`` pairs
-through the blade product table ``ga.CAYLEY``, and a ``Multivector`` is built
-only for the returned values.  The dense 8-blade product gives the same
+Every factor image is a signed basis vector, held as a one-slot signed blade
+of :mod:`contextuality_lab.systems`, so a reduced line, a column product and a
+plane orientation are each a sign times one blade: lines and columns are
+reduced by :func:`contextuality_lab.systems.word`, the one kernel that
+multiplies words of signed blades.  The dense 8-blade product gives the same
 values and is kept as the test oracle (``tests/identities_oracle.py``).
 """
 
@@ -27,16 +28,19 @@ from __future__ import annotations
 import functools
 import itertools
 
+from . import systems
 from .constraints import AXIS_INDEX, BELL_GHZ, ObservableProduct, builtin_constraints
-from .ga import BLADE_COUNT, CAYLEY, EXACT, Multivector, _multivector, _Record, basis_vector
+from .ga import Multivector, _Record, basis_vector
+from .systems import TensorMultivector
 
 IN_PLANE_AXES = (1, 2)
 
 
 class SignedAxisVector(_Record):
-    """A signed in-plane basis vector of the shared copy, e.g. ``-e1``."""
+    """A signed in-plane basis vector of the shared copy, e.g. ``-e1``; its
+    one-slot signed blade is formed once, as the private ``_blade``."""
 
-    __slots__ = ("sign", "axis")
+    __slots__ = ("sign", "axis", "_blade")
 
     def __init__(self, sign: int, axis: int):
         if sign not in (1, -1):
@@ -45,6 +49,7 @@ class SignedAxisVector(_Record):
             raise ValueError(f"axis {axis} outside the identified plane")
         object.__setattr__(self, "sign", sign)
         object.__setattr__(self, "axis", axis)
+        object.__setattr__(self, "_blade", systems.generator(1, axis, 1, sign))
 
     @classmethod
     def parse(cls, label: str) -> "SignedAxisVector":
@@ -60,12 +65,6 @@ class SignedAxisVector(_Record):
     @property
     def label(self) -> str:
         return f"{'-' if self.sign < 0 else ''}e{self.axis}"
-
-    def to_multivector(self) -> Multivector:
-        return basis_vector(self.axis).scale(self.sign)
-
-    def __neg__(self) -> "SignedAxisVector":
-        return SignedAxisVector(-self.sign, self.axis)
 
     def __str__(self) -> str:
         return self.label
@@ -101,7 +100,7 @@ class IdentityMap(_Record):
         if axis not in IN_PLANE_AXES:
             raise ValueError(f"axis {axis} outside the identified plane")
         if system == 1:
-            return SignedAxisVector(1, axis)
+            return _OWN_BASIS[axis - 1]
         if system == 2:
             return self.f1 if axis == 1 else self.f2
         if system == 3:
@@ -117,6 +116,10 @@ class IdentityMap(_Record):
         }
 
 
+#: Subsystem 1's own in-plane generators, the images of e1 and e2.
+_OWN_BASIS = (SignedAxisVector(1, 1), SignedAxisVector(1, 2))
+
+
 def _signed_permutations():
     for axes in ((1, 2), (2, 1)):
         for s1, s2 in itertools.product((1, -1), repeat=2):
@@ -125,28 +128,15 @@ def _signed_permutations():
 
 def all_identity_maps() -> tuple:
     """All 64 valid maps, in a fixed lexicographic order."""
-    return tuple(
-        IdentityMap(f1, f2, g1, g2)
-        for f1, f2 in _signed_permutations()
-        for g1, g2 in _signed_permutations()
-    )
+    pairs = tuple(_signed_permutations())
+    return tuple(IdentityMap(*f, *g) for f in pairs for g in pairs)
 
 
 #: f = g = e verbatim; the column pattern has its sign on the second line.
-UNIFORM_MAP = IdentityMap(
-    SignedAxisVector(1, 1),
-    SignedAxisVector(1, 2),
-    SignedAxisVector(1, 1),
-    SignedAxisVector(1, 2),
-)
+UNIFORM_MAP = IdentityMap(*_OWN_BASIS, *_OWN_BASIS)
 
 #: f1 negated, everything else aligned; gives the column (e1, e1, e1, -e1).
-NEGATED_F1_MAP = IdentityMap(
-    SignedAxisVector(-1, 1),
-    SignedAxisVector(1, 2),
-    SignedAxisVector(1, 1),
-    SignedAxisVector(1, 2),
-)
+NEGATED_F1_MAP = IdentityMap(SignedAxisVector(-1, 1), _OWN_BASIS[1], *_OWN_BASIS)
 
 
 #: The four built-in Bell-GHZ lines as products, in the fixed (xyy, yxy, yyx,
@@ -157,22 +147,11 @@ COLUMN_LINES = tuple(
 )
 
 
-def _signed_blade(sign: int, mask: int) -> Multivector:
-    """Sign times one blade; the sign and mask come from ``CAYLEY`` and the
-    map's signs, so the result path builds it."""
-    coeffs = [0] * BLADE_COUNT
-    coeffs[mask] = sign
-    return _multivector(tuple(coeffs), EXACT)
-
-
-def _reduce_line(imap: IdentityMap, line: ObservableProduct) -> tuple[int, int]:
-    """The reduced word of one line as ``(sign, blade mask)``."""
-    sign, mask = 1, 0
-    for factor in line.factors:
-        image = imap.image(factor.system, AXIS_INDEX[factor.axis])
-        step, mask = CAYLEY[mask][1 << (image.axis - 1)]
-        sign *= step * image.sign
-    return sign, mask
+def _reduce_line(imap: IdentityMap, line: ObservableProduct) -> TensorMultivector:
+    """The reduced word of one line: the product of its factors' images."""
+    return systems.word(
+        (imap.image(factor.system, AXIS_INDEX[factor.axis])._blade for factor in line.factors), 1
+    )
 
 
 class ColumnResult(_Record):
@@ -185,14 +164,8 @@ class ColumnResult(_Record):
 
 
 def bell_ghz_column(imap: IdentityMap) -> ColumnResult:
-    reduced = [_reduce_line(imap, line) for line in COLUMN_LINES]
-    sign, mask = 1, 0
-    for entry_sign, entry_mask in reduced:
-        step, mask = CAYLEY[mask][entry_mask]
-        sign *= step * entry_sign
-    return ColumnResult(
-        tuple(_signed_blade(s, m) for s, m in reduced), _signed_blade(sign, mask)
-    )
+    entries = tuple(_reduce_line(imap, line) for line in COLUMN_LINES)
+    return ColumnResult(entries, systems.word(entries, 1))
 
 
 @functools.cache
@@ -208,8 +181,8 @@ def find_identity_maps(target: SignedAxisVector) -> tuple:
     Filters the 64 signed-permutation maps of :func:`columns`; the result is
     nonempty for every signed in-plane target.
     """
-    x, minus_x = target.to_multivector(), (-target).to_multivector()
-    wanted = (x, x, x, minus_x)
+    x = target._blade
+    wanted = (x, x, x, -x)
     return tuple(imap for imap, column in columns() if column.entries == wanted)
 
 
@@ -249,12 +222,11 @@ class OrientationReading(_Record):
         return self.orientations[a - 1] == self.orientations[b - 1]
 
 
+def _orientation(imap: IdentityMap, system: int, first: int, second: int) -> TensorMultivector:
+    return imap.image(system, first)._blade * imap.image(system, second)._blade
+
+
 def orientation_reading(imap: IdentityMap) -> OrientationReading:
-    base = basis_vector(1) * basis_vector(2)
-    second = (
-        imap.image(2, 2).to_multivector() * imap.image(2, 1).to_multivector()
+    return OrientationReading(
+        (_orientation(imap, 1, 1, 2), _orientation(imap, 2, 2, 1), _orientation(imap, 3, 1, 2))
     )
-    third = (
-        imap.image(3, 1).to_multivector() * imap.image(3, 2).to_multivector()
-    )
-    return OrientationReading((base, second, third))

@@ -106,11 +106,17 @@ def generator(system: int, axis: int, n: int, sign: int = 1) -> TensorMultivecto
 
 
 def word(factors, n: int) -> TensorMultivector:
-    """Multiply a sequence of joint-algebra elements left to right."""
-    result = identity(n)
+    """Multiply a sequence of joint-algebra elements left to right, as one
+    ``(sign, key)`` pair reduced through :func:`blade_product`."""
+    if not 1 <= n <= MAX_SYSTEMS:
+        raise ValueError(f"system count {n} out of range 1..{MAX_SYSTEMS}")
+    sign, key = 1, 0
     for factor in factors:
-        result = result * factor
-    return result
+        if factor.n != n:
+            raise ValueError(f"mismatched system counts: {n} vs {factor.n}")
+        step, key = blade_product(key, factor.key)
+        sign *= step * factor.sign
+    return _blade(n, sign, key)
 
 
 def identify_pseudoscalars(tm: TensorMultivector) -> TensorMultivector:

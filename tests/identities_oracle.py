@@ -1,23 +1,41 @@
 """Dense reference for the Bell-GHZ column reduction.
 
-``contextuality_lab.identities`` reduces every line on signed blades: each
-factor image is one signed basis vector, so a line word is a sign times one
-blade.  The functions here compute the same values the long way, multiplying
-full 8-blade multivectors through ``Multivector.__mul__``, and serve as the
-oracle that the blade reduction must equal exactly.  :func:`handedness` is
-the closed form of the orientation a map induces on a subsystem's plane.
+``contextuality_lab.identities`` holds every factor image as a one-slot
+signed blade of ``contextuality_lab.systems`` and reduces lines, columns and
+plane orientations through ``systems.word`` and the signed-blade product.
+The functions here compute the same values the long way: each image is
+rebuilt from its sign and axis as a full 8-blade multivector, and words
+multiply through ``Multivector.__mul__``.  :func:`dense` turns a one-slot
+signed blade into the same dense form, so the kernel's values are compared
+with the oracle's exactly.  :func:`handedness` is the closed form of the
+orientation a map induces on a subsystem's plane.
 """
 
 from contextuality_lab.constraints import AXIS_INDEX
-from contextuality_lab.ga import EXACT, Multivector
+from contextuality_lab.ga import EXACT, Multivector, basis_vector
 from contextuality_lab.identities import COLUMN_LINES, ColumnResult
+
+
+def dense(blade) -> Multivector:
+    """A one-slot signed blade as a dense multivector."""
+    assert blade.n == 1, blade
+    return Multivector.from_blades({blade.key: blade.sign})
+
+
+def dense_column(column: ColumnResult) -> ColumnResult:
+    """A column of signed blades with each value made dense."""
+    return ColumnResult(tuple(map(dense, column.entries)), dense(column.product))
+
+
+def dense_image(image) -> Multivector:
+    """A signed in-plane vector from its sign and axis alone."""
+    return basis_vector(image.axis).scale(image.sign)
 
 
 def dense_substitute_and_reduce(imap, line) -> Multivector:
     result = Multivector.scalar(1, EXACT)
     for factor in line.factors:
-        image = imap.image(factor.system, AXIS_INDEX[factor.axis])
-        result = result * image.to_multivector()
+        result = result * dense_image(imap.image(factor.system, AXIS_INDEX[factor.axis]))
     return result
 
 

@@ -658,6 +658,28 @@ class TestBellGhzColumnWork:
         assert out.encode("utf-8") == (GOLDEN_DIR / "search-identities-e1.stdout").read_bytes()
         assert len(column_calls) == 64
 
+    def test_a_kernel_fault_fails_every_column_row(self, monkeypatch):
+        # the columns, searches and orientations multiply through systems'
+        # one signed-blade kernel, so an unsigned product fails all nine rows
+        attribute, replacement, _ = JOINT_ALGEBRA_FAULTS["unsigned"]
+        monkeypatch.setattr(systems, attribute, replacement)
+        identities.columns.cache_clear()
+        try:
+            entries = build_report("bell-ghz")["checks"]
+        finally:
+            identities.columns.cache_clear()
+        rows = {
+            c["id"]: c for c in entries
+            if c["id"].startswith(("bellghz.column.", "bellghz.search.", "bellghz.orientation."))
+        }
+        assert len(rows) == 9
+        assert [i for i, c in rows.items() if c["status"] != "fail"] == []
+        # the all-maps row names its counterexample: the first map and its product
+        first = identities.all_identity_maps()[0]
+        assert rows["bellghz.column.all-maps"]["witness"] == {
+            "maps": 64, "map": first.as_dict(), "product": "1"
+        }
+
 
 class TestNoDenseWords:
     """n-site claims are decided on Pauli words, never on Kronecker matrices."""
@@ -1059,16 +1081,21 @@ def no_space():
 
 class FullDevice(io.StringIO):
     """A text stream on a full device: write number ``fail_at`` (counting
-    from 0) raises ENOSPC, and so do flush and close."""
+    from 0) raises ENOSPC, and so do flush and close.  With a ``path``, each
+    write that succeeds is also appended to that file."""
 
-    def __init__(self, fail_at):
+    def __init__(self, fail_at, path=None):
         super().__init__()
         self.writes_left = fail_at
+        self.path = path
 
     def write(self, text):
         if self.writes_left == 0:
             raise no_space()
         self.writes_left -= 1
+        if self.path is not None:
+            with open(self.path, "a", encoding="utf-8") as handle:
+                handle.write(text)
         return super().write(text)
 
     def flush(self):
@@ -1097,25 +1124,44 @@ OUTPUT_COMMANDS = (
 @given(st.sampled_from(OUTPUT_COMMANDS), st.integers(0, 3))
 def test_a_failed_write_is_a_usage_error(argv, fail_at):
     """stdout, or the output file, fails at write ``fail_at`` or, after
-    fewer writes, at flush or close: exit 2 with a usage error."""
-    device = FullDevice(fail_at)
+    fewer writes, at flush or close: exit 2 with a usage error, and no
+    partial output file is left."""
+    to_file = "r.out" in argv
+    device = FullDevice(fail_at, "r.out" if to_file else None)
 
     def full_open(path, mode="r", **kwargs):
         assert (path, mode) == ("r.out", "w")
+        Path(path).write_text("")  # opening creates the file
         return device
 
-    stdout = io.StringIO() if "r.out" in argv else device
+    stdout = io.StringIO() if to_file else device
     err = io.StringIO()
-    with mock.patch.object(cli, "open", full_open, create=True), \
-            contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
-        with pytest.raises(SystemExit) as excinfo:
-            main(argv)
-    io.StringIO.close(device)  # so that collecting it raises nothing more
+    with tempfile.TemporaryDirectory() as scratch, contextlib.chdir(scratch):
+        with mock.patch.object(cli, "open", full_open, create=True), \
+                contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+        io.StringIO.close(device)  # so that collecting it raises nothing more
+        assert os.listdir() == []
     assert excinfo.value.code == 2
     usage, message = err.getvalue().splitlines()
     assert usage.startswith("usage: contextuality-lab ")
     assert message.split(": error: ")[1].startswith("cannot write ")
     assert message.endswith(": [Errno 28] No space left on device")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "pm", "--out", "/dev/full"], ["chsh", "0", "1", "5", "--csv", "/dev/full"]],
+    ids=["verify-out", "chsh-csv"],
+)
+def test_a_full_output_device_is_a_usage_error_and_stays(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert ": error: cannot write " in capsys.readouterr().err
+    assert os.path.exists("/dev/full") and not os.path.isfile("/dev/full")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")

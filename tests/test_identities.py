@@ -2,11 +2,12 @@
 
 import itertools
 import json
+import pickle
 from types import SimpleNamespace
 
 import pytest
 
-from contextuality_lab import identities
+from contextuality_lab import identities, systems
 from contextuality_lab.constraints import ObservableProduct, PauliSymbol
 from contextuality_lab.ga import Multivector, basis_vector
 from contextuality_lab.identities import (
@@ -21,7 +22,14 @@ from contextuality_lab.identities import (
     find_identity_maps,
     orientation_reading,
 )
-from identities_oracle import dense_bell_ghz_column, dense_substitute_and_reduce, handedness
+from identities_oracle import (
+    dense,
+    dense_bell_ghz_column,
+    dense_column,
+    dense_image,
+    dense_substitute_and_reduce,
+    handedness,
+)
 
 E1 = basis_vector(1)
 E2 = basis_vector(2)
@@ -42,6 +50,17 @@ class TestSignedAxisVector:
         assert SignedAxisVector.parse("-e2").label == "-e2"
         assert SignedAxisVector.parse("+f1") == SignedAxisVector(1, 1)
         assert SignedAxisVector.parse("g2") == SignedAxisVector(1, 2)
+
+    def test_blade_is_the_signed_generator(self):
+        # the private blade is formed once and is no field of the record
+        for sign in (1, -1):
+            for axis in (1, 2):
+                vector = SignedAxisVector(sign, axis)
+                assert vector._blade == systems.generator(1, axis, 1, sign)
+                assert dense(vector._blade) == dense_image(vector)
+                assert repr(vector) == f"SignedAxisVector(sign={sign}, axis={axis})"
+                copy = pickle.loads(pickle.dumps(vector))
+                assert copy == vector and copy._blade == vector._blade
 
     def test_parse_rejects_out_of_plane(self):
         with pytest.raises(ValueError):
@@ -89,11 +108,11 @@ class TestSubstitution:
     # column entries in COLUMN_LINES order: x1*y2*y3, y1*x2*y3, y1*y2*x3, x1*x2*x3
     def test_negated_f1_map_lines(self):
         column = bell_ghz_column(NEGATED_F1_MAP)
-        assert column.entries[3] == -E1
-        assert column.entries[1] == E1
+        assert dense(column.entries[3]) == -E1
+        assert dense(column.entries[1]) == E1
 
     def test_uniform_map_line(self):
-        assert bell_ghz_column(UNIFORM_MAP).entries[1] == -E1
+        assert dense(bell_ghz_column(UNIFORM_MAP).entries[1]) == -E1
 
     def test_z_axis_rejected(self):
         # axis z has no image: the identification covers only the plane
@@ -105,27 +124,30 @@ class TestColumns:
     def test_negated_f1_column(self):
         column = bell_ghz_column(NEGATED_F1_MAP)
         assert column.labels() == ("e1", "e1", "e1", "-e1")
-        assert column.product == MINUS_ONE
+        assert dense(column.product) == MINUS_ONE
 
     def test_uniform_column(self):
         column = bell_ghz_column(UNIFORM_MAP)
         assert column.labels() == ("e1", "-e1", "e1", "e1")
-        assert column.product == MINUS_ONE
+        assert dense(column.product) == MINUS_ONE
 
     def test_swapped_map_column(self):
         column = bell_ghz_column(SWAPPED_MAP)
         assert column.labels() == ("e2", "e2", "e2", "-e2")
-        assert column.product == MINUS_ONE
+        assert dense(column.product) == MINUS_ONE
 
     def test_all_maps_multiply_to_minus_one(self):
         for imap in all_identity_maps():
-            assert bell_ghz_column(imap).product == MINUS_ONE
+            assert dense(bell_ghz_column(imap).product) == MINUS_ONE
 
     def test_entries_are_unit_plane_vectors(self):
         for imap in all_identity_maps():
-            for entry in bell_ghz_column(imap).entries:
-                assert entry.coeffs[4] == 0
-                assert entry in (E1, -E1, E2, -E2)
+            column = bell_ghz_column(imap)
+            for value in (*column.entries, column.product):
+                assert isinstance(value, systems.TensorMultivector) and value.n == 1
+            for entry in column.entries:
+                assert dense(entry).coeffs[4] == 0
+                assert dense(entry) in (E1, -E1, E2, -E2)
 
     def test_column_line_order(self):
         assert [line.label for line in COLUMN_LINES] == [
@@ -144,11 +166,11 @@ class TestDenseOracle:
         for imap in all_identity_maps():
             entries = bell_ghz_column(imap).entries
             for k, line in enumerate(COLUMN_LINES):
-                assert entries[k] == dense_substitute_and_reduce(imap, line)
+                assert dense(entries[k]) == dense_substitute_and_reduce(imap, line)
 
     def test_columns_equal_dense_product(self):
         for imap in all_identity_maps():
-            assert bell_ghz_column(imap) == dense_bell_ghz_column(imap)
+            assert dense_column(bell_ghz_column(imap)) == dense_bell_ghz_column(imap)
 
     @pytest.mark.parametrize("reduce", [identities._reduce_line, dense_substitute_and_reduce])
     def test_z_axis_rejected(self, reduce):
@@ -203,9 +225,9 @@ class TestSearch:
         assert found
         for imap in found:
             column = bell_ghz_column(imap)
-            assert column.entries[0] == target.to_multivector()
-            assert column.entries[3] == (-target).to_multivector()
-            assert column.product == MINUS_ONE
+            assert dense(column.entries[0]) == dense_image(target)
+            assert dense(column.entries[3]) == -dense_image(target)
+            assert dense(column.product) == MINUS_ONE
 
     def test_swapped_map_found_for_e2(self):
         assert SWAPPED_MAP in find_identity_maps(E2_VEC)
@@ -239,26 +261,24 @@ class TestA3Witness:
 class TestOrientationReading:
     def test_negated_f1_map_aligns_all_three(self):
         reading = orientation_reading(NEGATED_F1_MAP)
-        assert reading.orientations == (E12, E12, E12)
+        assert tuple(map(dense, reading.orientations)) == (E12, E12, E12)
         assert [reading.identical(1, 2), reading.identical(1, 3), reading.identical(2, 3)] == [
             True, True, True
         ]
 
     def test_uniform_map_flips_the_middle(self):
         reading = orientation_reading(UNIFORM_MAP)
-        assert reading.orientations[0] == E12
-        assert reading.orientations[1] == -E12
-        assert reading.orientations[2] == E12
+        assert dense(reading.orientations[0]) == E12
+        assert dense(reading.orientations[1]) == -E12
+        assert dense(reading.orientations[2]) == E12
         assert [reading.identical(1, 2), reading.identical(1, 3), reading.identical(2, 3)] == [
             False, True, False
         ]
 
     def test_second_system_reads_f2_f1_image(self):
         for imap in all_identity_maps():
-            expected = (
-                imap.image(2, 2).to_multivector() * imap.image(2, 1).to_multivector()
-            )
-            assert orientation_reading(imap).orientations[1] == expected
+            expected = dense_image(imap.image(2, 2)) * dense_image(imap.image(2, 1))
+            assert dense(orientation_reading(imap).orientations[1]) == expected
 
     def test_verdicts_match_handedness_closed_form(self):
         # the f-side orientation flips against e12 exactly when the signed

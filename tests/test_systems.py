@@ -101,6 +101,19 @@ class TestProduct:
         with pytest.raises(ValueError):
             oracle.generator(1, 1, 2).scale(2.0)
 
+    def test_word_keeps_every_refusal(self):
+        # the one-pass word refuses what the chained product refused, also
+        # for an empty word, and the empty word is the identity
+        for n in (0, 4):
+            with pytest.raises(ValueError, match=f"system count {n} out of range 1..3"):
+                word([], n)
+        with pytest.raises(ValueError, match="mismatched system counts: 2 vs 3"):
+            word([generator(1, 1, 2), generator(1, 1, 3)], 2)
+        with pytest.raises(ValueError, match="mismatched system counts: 3 vs 2"):
+            word([generator(1, 1, 2)], 3)
+        for n in (1, 2, 3):
+            assert word([], n) == identity(n)
+
     def test_checked_constructor_refuses_what_is_no_signed_blade(self):
         for args, message in [
             ((0, 1, 0), "system count 0 out of range 1..3"),
