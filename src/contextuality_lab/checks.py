@@ -19,7 +19,7 @@ from random import Random
 from . import constraints, identities, quantum, systems
 from .constraints import BELL_GHZ, GHZ, PM, ObservableProduct, builtin_constraints
 from .ga import BLADE_COUNT, EXACT, Multivector, _Record, basis_vector, pseudoscalar
-from .identities import NEGATED_F1_MAP, UNIFORM_MAP, SignedAxisVector
+from .identities import NEGATED_F1_MAP, UNIFORM_MAP
 
 AXES = (1, 2, 3)
 #: Ordered pairs and permutations of distinct axes, in lexicographic order.
@@ -377,7 +377,8 @@ def _value_table(cs, assignment, ctx):
 
 def _lines(name: str, ctx):
     """The pm or ghz rows: one operator word per line, the scalar no-go and,
-    on the built-in lines, the vector model and its value table."""
+    when the lines are the built-in pm or ghz lines, the vector model and
+    its value table."""
     cs = ctx.document if ctx.document is not None else builtin_constraints(name)
     words = quantum.verify_operator_identities(cs)
     for k, ((labels, required), ok) in enumerate(zip(cs.label_rows, words), start=1):
@@ -388,7 +389,7 @@ def _lines(name: str, ctx):
         )
     yield (f"{name}.enumeration", "no assignment of scalar signs satisfies every line at once",
            partial(_enumeration, cs))
-    if not constraints.has_vector_model(cs):
+    if not (constraints.has_builtin_lines(cs, PM) or constraints.has_builtin_lines(cs, GHZ)):
         return
     assignment = constraints.VectorAssignment.all_positive(cs.n_systems)
     for k, evaluation in enumerate(constraints.evaluate_vector_model(cs, assignment), start=1):
@@ -422,7 +423,7 @@ def _all_maps(ctx):
 
 
 def _search(label: str, ctx):
-    found = identities.find_identity_maps(SignedAxisVector.parse(label))
+    found = identities.find_identity_maps(identities.in_plane_vector(label))
     table = dict(identities.columns())
     witness = {"target": label, "maps_found": len(found)}
     if label == "e1":
@@ -528,9 +529,14 @@ STATES = (
 
 
 def _a3(i: int, j: int, ctx):
-    commutator = identities.check_a3_incompatibility(i, j)
-    ok = commutator == basis_vector(j).scale(2) and not commutator.is_zero()
-    return ok, {"commutator": str(commutator)}
+    """Commutator witness for identified bases: with the second basis
+    identified with the first, the commutator of e_i with the bivector
+    e_i e_j is 2 e_j, never zero, so a generator cannot commute with the
+    identified pair it now overlaps."""
+    ei = basis_vector(i)
+    bivector = ei * basis_vector(j)
+    commutator = ei * bivector - bivector * ei
+    return commutator == basis_vector(j).scale(2), {"commutator": str(commutator)}
 
 
 A3 = tuple(

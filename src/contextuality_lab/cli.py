@@ -43,7 +43,6 @@ from types import SimpleNamespace
 
 from . import __version__, checks, chsh, constraints, identities
 from .ga import APPROX, EXACT
-from .identities import SignedAxisVector
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 1729
@@ -138,7 +137,7 @@ def _cmd_chsh(args, usage) -> int:
 
 def _cmd_search_identities(args, usage) -> int:
     try:
-        target = SignedAxisVector.parse(args.target)
+        target = identities.in_plane_vector(args.target)
     except ValueError as exc:
         usage.error(str(exc))
     maps = identities.find_identity_maps(target)

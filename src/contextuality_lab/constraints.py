@@ -401,24 +401,16 @@ class LineEvaluation(_Record):
         return self.value == self.line.required
 
 
-def has_vector_model(cs: ConstraintSet) -> bool:
-    """True when the lines are the built-in pm or ghz lines."""
-    return has_builtin_lines(cs, PM) or has_builtin_lines(cs, GHZ)
-
-
 def evaluate_vector_model(cs: ConstraintSet, assignment: VectorAssignment) -> tuple:
     """Evaluate each line's word in the joint algebra.
 
     Line words multiply the term values in written order; trivector factors
     met in two slots collapse through the shared-handedness rule before the
     scalar is read off.  A word that does not reduce to a scalar is kept as
-    the line's value, so its line fails.  Only the pm and ghz lines have a
-    vector model here (see :func:`has_vector_model`); the four-line system
-    instead runs through the substitution model of
-    :mod:`contextuality_lab.identities`.
+    the line's value, so its line fails.  ``verify`` applies the model to
+    the built-in pm and ghz lines only; the four-line system instead runs
+    through the substitution model of :mod:`contextuality_lab.identities`.
     """
-    if not has_vector_model(cs):
-        raise ValueError(f"no vector model for constraint system {cs.name!r}")
     n = cs.n_systems
     results = []
     for line in cs.lines:

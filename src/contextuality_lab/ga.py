@@ -253,11 +253,6 @@ class Multivector(_Record):
 
     # -- comparison -----------------------------------------------------
 
-    def is_zero(self) -> bool:
-        if self.mode == EXACT:
-            return not any(self.coeffs)
-        return all(abs(a) <= TOLERANCE for a in self.coeffs)
-
     def equals(self, other: "Multivector") -> bool:
         """Coefficientwise equality; approx mode compares within
         :data:`TOLERANCE`."""

@@ -11,16 +11,16 @@ basis.
 Under any such map, the four-line single-particle system reduces line by
 line to a signed basis vector, the four reduced values always multiply to
 -1, and for every signed in-plane target x some map produces the column
-(x, x, x, -x).  The module also provides the commutator witness showing why
-identified bases cannot commute, and the orientation reading that compares
-the three subsystems' plane orientations induced by a map.
+(x, x, x, -x).  The module also provides the orientation reading that
+compares the three subsystems' plane orientations induced by a map.
 
-Every factor image is a signed basis vector, held as a one-slot signed blade
-of :mod:`contextuality_lab.systems`, so a reduced line, a column product and a
-plane orientation are each a sign times one blade: lines and columns are
-reduced by :func:`contextuality_lab.systems.word`, the one kernel that
-multiplies words of signed blades.  The dense 8-blade product gives the same
-values and is kept as the test oracle (``tests/identities_oracle.py``).
+Every factor image is a signed in-plane basis vector, and it is held as what
+it is: a one-slot signed blade of :mod:`contextuality_lab.systems`, ``+-e1``
+or ``+-e2``.  So a reduced line, a column product and a plane orientation are
+each a sign times one blade: lines and columns are reduced by
+:func:`contextuality_lab.systems.word`, the one kernel that multiplies words
+of signed blades.  The dense 8-blade product gives the same values and is
+kept as the test oracle (``tests/identities_oracle.py``).
 """
 
 from __future__ import annotations
@@ -30,72 +30,55 @@ import itertools
 
 from . import systems
 from .constraints import AXIS_INDEX, BELL_GHZ, ObservableProduct, builtin_constraints
-from .ga import Multivector, _Record, basis_vector
+from .ga import _Record
 from .systems import TensorMultivector
 
 IN_PLANE_AXES = (1, 2)
 
 
-class SignedAxisVector(_Record):
-    """A signed in-plane basis vector of the shared copy, e.g. ``-e1``; its
-    one-slot signed blade is formed once, as the private ``_blade``."""
-
-    __slots__ = ("sign", "axis", "_blade")
-
-    def __init__(self, sign: int, axis: int):
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        if axis not in IN_PLANE_AXES:
-            raise ValueError(f"axis {axis} outside the identified plane")
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "axis", axis)
-        object.__setattr__(self, "_blade", systems.generator(1, axis, 1, sign))
-
-    @classmethod
-    def parse(cls, label: str) -> "SignedAxisVector":
-        text = label.replace("−", "-").strip()
-        sign = 1
-        if text.startswith(("-", "+")):
-            sign = -1 if text[0] == "-" else 1
-            text = text[1:]
-        if len(text) == 2 and text[0] in "efg" and text[1] in "12":
-            return cls(sign, int(text[1]))
-        raise ValueError(f"cannot parse signed in-plane vector {label!r}")
-
-    @property
-    def label(self) -> str:
-        return f"{'-' if self.sign < 0 else ''}e{self.axis}"
-
-    def __str__(self) -> str:
-        return self.label
+def in_plane_vector(label: str) -> TensorMultivector:
+    """The one-slot signed blade a label such as ``e1``, ``+f1``, ``-g2`` or
+    ``−e1`` names; the letters e, f and g all name the shared plane."""
+    text = label.replace("−", "-").strip()
+    sign = 1
+    if text.startswith(("-", "+")):
+        sign = -1 if text[0] == "-" else 1
+        text = text[1:]
+    if len(text) == 2 and text[0] in "efg" and text[1] in "12":
+        return systems.generator(1, int(text[1]), 1, sign)
+    raise ValueError(f"cannot parse signed in-plane vector {label!r}")
 
 
 class IdentityMap(_Record):
     """Signed-permutation images of the f and g in-plane generators.
 
-    Per subsystem the two images use distinct axes, so each substitution is
-    an orthonormality-preserving signed permutation of the plane.
+    Each image is ``+-e1`` or ``+-e2`` of one slot.  Per subsystem the two
+    images use distinct axes, so each substitution is an
+    orthonormality-preserving signed permutation of the plane.
     """
 
     __slots__ = ("f1", "f2", "g1", "g2")
 
     def __init__(
         self,
-        f1: SignedAxisVector,
-        f2: SignedAxisVector,
-        g1: SignedAxisVector,
-        g2: SignedAxisVector,
+        f1: TensorMultivector,
+        f2: TensorMultivector,
+        g1: TensorMultivector,
+        g2: TensorMultivector,
     ):
-        if f1.axis == f2.axis:
+        for image in (f1, f2, g1, g2):
+            if image not in _IN_PLANE:
+                raise ValueError(f"image {image!r} is not +-e1 or +-e2 of one slot")
+        if f1.key == f2.key:
             raise ValueError("f images must use distinct axes")
-        if g1.axis == g2.axis:
+        if g1.key == g2.key:
             raise ValueError("g images must use distinct axes")
         object.__setattr__(self, "f1", f1)
         object.__setattr__(self, "f2", f2)
         object.__setattr__(self, "g1", g1)
         object.__setattr__(self, "g2", g2)
 
-    def image(self, system: int, axis: int) -> SignedAxisVector:
+    def image(self, system: int, axis: int) -> TensorMultivector:
         """Where the in-plane generator of a subsystem lands in the shared copy."""
         if axis not in IN_PLANE_AXES:
             raise ValueError(f"axis {axis} outside the identified plane")
@@ -108,22 +91,19 @@ class IdentityMap(_Record):
         raise ValueError(f"system index {system} out of range 1..3")
 
     def as_dict(self) -> dict:
-        return {
-            "f1": self.f1.label,
-            "f2": self.f2.label,
-            "g1": self.g1.label,
-            "g2": self.g2.label,
-        }
+        return {"f1": str(self.f1), "f2": str(self.f2), "g1": str(self.g1), "g2": str(self.g2)}
 
 
 #: Subsystem 1's own in-plane generators, the images of e1 and e2.
-_OWN_BASIS = (SignedAxisVector(1, 1), SignedAxisVector(1, 2))
+_OWN_BASIS = tuple(systems.generator(1, axis, 1) for axis in IN_PLANE_AXES)
+#: Every image a map may use: +-e1 and +-e2 of one slot.
+_IN_PLANE = (*_OWN_BASIS, *(-x for x in _OWN_BASIS))
 
 
 def _signed_permutations():
-    for axes in ((1, 2), (2, 1)):
+    for first, second in ((1, 2), (2, 1)):
         for s1, s2 in itertools.product((1, -1), repeat=2):
-            yield SignedAxisVector(s1, axes[0]), SignedAxisVector(s2, axes[1])
+            yield systems.generator(1, first, 1, s1), systems.generator(1, second, 1, s2)
 
 
 def all_identity_maps() -> tuple:
@@ -136,7 +116,7 @@ def all_identity_maps() -> tuple:
 UNIFORM_MAP = IdentityMap(*_OWN_BASIS, *_OWN_BASIS)
 
 #: f1 negated, everything else aligned; gives the column (e1, e1, e1, -e1).
-NEGATED_F1_MAP = IdentityMap(SignedAxisVector(-1, 1), _OWN_BASIS[1], *_OWN_BASIS)
+NEGATED_F1_MAP = IdentityMap(-_OWN_BASIS[0], _OWN_BASIS[1], *_OWN_BASIS)
 
 
 #: The four built-in Bell-GHZ lines as products, in the fixed (xyy, yxy, yyx,
@@ -150,7 +130,7 @@ COLUMN_LINES = tuple(
 def _reduce_line(imap: IdentityMap, line: ObservableProduct) -> TensorMultivector:
     """The reduced word of one line: the product of its factors' images."""
     return systems.word(
-        (imap.image(factor.system, AXIS_INDEX[factor.axis])._blade for factor in line.factors), 1
+        (imap.image(factor.system, AXIS_INDEX[factor.axis]) for factor in line.factors), 1
     )
 
 
@@ -175,31 +155,15 @@ def columns() -> tuple:
     return tuple((imap, bell_ghz_column(imap)) for imap in all_identity_maps())
 
 
-def find_identity_maps(target: SignedAxisVector) -> tuple:
-    """All maps whose column is (x, x, x, -x) for the given target x.
+def find_identity_maps(x: TensorMultivector) -> tuple:
+    """All maps whose column is (x, x, x, -x) for the given target x, a
+    signed in-plane vector (see :func:`in_plane_vector`).
 
     Filters the 64 signed-permutation maps of :func:`columns`; the result is
     nonempty for every signed in-plane target.
     """
-    x = target._blade
     wanted = (x, x, x, -x)
     return tuple(imap for imap, column in columns() if column.entries == wanted)
-
-
-def check_a3_incompatibility(i: int, j: int) -> Multivector:
-    """Commutator witness for identified bases.
-
-    With the second basis identified with the first, the commutator of e_i
-    with the bivector e_i e_j is 2 e_j, never zero, so a generator cannot
-    commute with the identified pair it now overlaps.
-    """
-    if i == j:
-        raise ValueError("axes must be distinct")
-    if i not in (1, 2, 3) or j not in (1, 2, 3):
-        raise ValueError("axes must lie in 1..3")
-    ei = basis_vector(i)
-    bivector = ei * basis_vector(j)
-    return ei * bivector - bivector * ei
 
 
 # -- orientation reading ----------------------------------------------------
@@ -223,7 +187,7 @@ class OrientationReading(_Record):
 
 
 def _orientation(imap: IdentityMap, system: int, first: int, second: int) -> TensorMultivector:
-    return imap.image(system, first)._blade * imap.image(system, second)._blade
+    return imap.image(system, first) * imap.image(system, second)
 
 
 def orientation_reading(imap: IdentityMap) -> OrientationReading:

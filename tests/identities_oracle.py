@@ -4,7 +4,7 @@
 signed blade of ``contextuality_lab.systems`` and reduces lines, columns and
 plane orientations through ``systems.word`` and the signed-blade product.
 The functions here compute the same values the long way: each image is
-rebuilt from its sign and axis as a full 8-blade multivector, and words
+rebuilt from its sign and key as a full 8-blade multivector, and words
 multiply through ``Multivector.__mul__``.  :func:`dense` turns a one-slot
 signed blade into the same dense form, so the kernel's values are compared
 with the oracle's exactly.  :func:`handedness` is the closed form of the
@@ -28,8 +28,9 @@ def dense_column(column: ColumnResult) -> ColumnResult:
 
 
 def dense_image(image) -> Multivector:
-    """A signed in-plane vector from its sign and axis alone."""
-    return basis_vector(image.axis).scale(image.sign)
+    """A signed in-plane vector rebuilt from its sign and key alone: the key
+    of ``e_axis`` is the bit ``1 << axis - 1``."""
+    return basis_vector(image.key.bit_length()).scale(image.sign)
 
 
 def dense_substitute_and_reduce(imap, line) -> Multivector:
@@ -53,5 +54,5 @@ def handedness(imap, system) -> int:
     substituted axis-order bivector equals +e12, -1 means it equals -e12."""
     first = imap.image(system, 1)
     second = imap.image(system, 2)
-    permutation = 1 if first.axis == 1 else -1
+    permutation = 1 if first.key == 1 else -1
     return permutation * first.sign * second.sign

@@ -11,7 +11,7 @@ import subprocess
 import sys
 from random import Random
 
-from contextuality_lab import chsh, identities, quantum
+from contextuality_lab import checks, chsh, identities, quantum
 from contextuality_lab.constraints import (
     BELL_GHZ,
     GHZ,
@@ -23,7 +23,7 @@ from contextuality_lab.constraints import (
     evaluate_vector_model,
     non_contextuality_audit,
 )
-from contextuality_lab.ga import Multivector, basis_vector
+from contextuality_lab.ga import EXACT, Multivector, basis_vector
 from identities_oracle import dense
 from random_multivectors import random_multivector
 from sweep_oracle import CoplanarConfig, classical_gamma_enumeration, gamma_vector
@@ -100,16 +100,20 @@ def test_criterion_5_bell_ghz_proxy():
     for imap in identities.all_identity_maps():
         assert dense(identities.bell_ghz_column(imap).product) == minus_one
     for label in ("e1", "-e1", "e2", "-e2"):
-        target = identities.SignedAxisVector.parse(label)
+        target = identities.in_plane_vector(label)
         assert identities.find_identity_maps(target)
     report("criterion 5: featured columns as stated, 64/64 map products -1, all targets reachable")
 
 
 def test_criterion_6_a3_witness():
+    rows = {check_id: compute for check_id, _, compute in checks.A3}
     for i, j in itertools.permutations((1, 2, 3), 2):
-        witness = identities.check_a3_incompatibility(i, j)
+        ei, bivector = basis_vector(i), basis_vector(i) * basis_vector(j)
+        witness = ei * bivector - bivector * ei
         assert witness == basis_vector(j).scale(2)
-        assert not witness.is_zero()
+        assert witness != Multivector.scalar(0)
+        ok, row_witness = rows[f"a3.commutator.{i}{j}"](checks.Context(EXACT, SEED))
+        assert ok and row_witness == {"commutator": str(witness)}
     report("criterion 6: commutator witness 2*e_j nonzero on all 6 ordered pairs")
 
 

@@ -23,10 +23,11 @@ from contextuality_lab.constraints import (
     enumerate_scalar_assignments,
     evaluate_vector_model,
     has_builtin_lines,
-    has_vector_model,
     non_contextuality_audit,
     parity_witness,
 )
+from contextuality_lab import checks
+from contextuality_lab.ga import EXACT
 from contextuality_lab.quantum import verify_operator_identities
 from constraint_documents import document
 
@@ -38,15 +39,17 @@ def _factor_set(term):
 
 
 def brute_force_count(cs):
-    """Independent enumeration used as the oracle for the library counts."""
-    observables = {_factor_set(t) for line in cs.lines for t in line.terms}
+    """Independent enumeration used as the oracle for the library counts:
+    every +-1 assignment of the distinct observables, each keyed once by its
+    factor set to the index its value takes in the assignment."""
+    index = {}
+    lines = [
+        ([index.setdefault(_factor_set(t), len(index)) for t in line.terms], line.required)
+        for line in cs.lines
+    ]
     count = 0
-    for values in itertools.product((1, -1), repeat=len(observables)):
-        table = dict(zip(observables, values))
-        if all(
-            _product(table[_factor_set(t)] for t in line.terms) == line.required
-            for line in cs.lines
-        ):
+    for values in itertools.product((1, -1), repeat=len(index)):
+        if all(_product(values[k] for k in terms) == required for terms, required in lines):
             count += 1
     return count
 
@@ -463,17 +466,23 @@ class TestVectorModel:
             assert isinstance(ev.value, numbers.Rational)
 
     def test_bell_ghz_has_no_vector_model(self):
-        with pytest.raises(ValueError):
-            evaluate_vector_model(
-                builtin_constraints(BELL_GHZ), VectorAssignment.all_positive(3)
-            )
+        # the evaluator refuses no line system (verify decides which lines
+        # get the model); each Bell-GHZ line multiplies three generators of
+        # distinct subsystems, so no line reduces to a scalar and none holds
+        evaluations = evaluate_vector_model(
+            builtin_constraints(BELL_GHZ), VectorAssignment.all_positive(3)
+        )
+        assert [str(ev.value) for ev in evaluations] == [
+            "e1*f2*g2", "e2*f1*g2", "e2*f2*g1", "e1*f1*g1"
+        ]
+        assert not any(ev.matches_required for ev in evaluations)
 
     @pytest.mark.parametrize("name,n", [(PM, 2), (GHZ, 3)])
     def test_vector_model_follows_the_lines_not_the_name(self, name, n):
         cs = builtin_constraints(name)
         renamed = ConstraintSet("mine", cs.lines)
-        assert has_vector_model(renamed)
         assignment = VectorAssignment.all_positive(n)
+        values = [ev.value for ev in evaluate_vector_model(cs, assignment)]
         assert evaluate_vector_model(renamed, assignment) == evaluate_vector_model(
             cs, assignment
         )
@@ -481,10 +490,20 @@ class TestVectorModel:
             name, cs.lines[:-1] + (ConstraintLine(cs.lines[-1].terms, 1),)
         )
         reordered = ConstraintSet(name, cs.lines[::-1])
+        # the model evaluates any lines ...
+        assert [ev.value for ev in evaluate_vector_model(flipped, assignment)] == values
+        assert [ev.value for ev in evaluate_vector_model(reordered, assignment)] == values[::-1]
+
+        # ... and verify gives it rows on the built-in lines only
+        def model_rows(document):
+            rows = checks.SUITES[name](checks.Context(EXACT, 0, document))
+            model_ids = (f"{name}.vector-line.", f"{name}.value-table")
+            return [check_id for check_id, _, _ in rows if check_id.startswith(model_ids)]
+
+        expected = [f"{name}.vector-line.{k}" for k in range(1, len(cs.lines) + 1)]
+        assert model_rows(None) == model_rows(renamed) == [*expected, f"{name}.value-table"]
         for other in (flipped, reordered):
-            assert not has_vector_model(other)
-            with pytest.raises(ValueError):
-                evaluate_vector_model(other, assignment)
+            assert model_rows(other) == []
 
     def test_builtin_label_rows_decide_like_line_records(self):
         documents = []
@@ -498,6 +517,7 @@ class TestVectorModel:
                 assert has_builtin_lines(cs, name) is expected
 
     def test_vector_model_check_parses_nothing(self, monkeypatch):
+        # the test that checks._lines applies before it emits model rows
         documents = [builtin_constraints(name) for name in (PM, GHZ, BELL_GHZ)]
         documents.append(ConstraintSet("mine", documents[0].lines))
         parsed = []
@@ -508,7 +528,8 @@ class TestVectorModel:
             return parse(label)
 
         monkeypatch.setattr(ObservableProduct, "parse", staticmethod(counted))
-        assert [has_vector_model(cs) for cs in documents] == [True, True, False, True]
+        has_model = [has_builtin_lines(cs, PM) or has_builtin_lines(cs, GHZ) for cs in documents]
+        assert has_model == [True, True, False, True]
         assert parsed == []
 
     def test_unassigned_symbol_rejected(self):

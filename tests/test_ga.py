@@ -126,7 +126,7 @@ class TestSignFlips:
 
 class TestLinearStructure:
     def test_additive_inverse(self):
-        assert (E[1] + (-E[1])).is_zero()
+        assert E[1] + (-E[1]) == Multivector.scalar(0)
 
     def test_mixed_grade_sum(self):
         mixed = Multivector.scalar(1) + E[3] * E[1]

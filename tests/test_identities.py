@@ -7,19 +7,18 @@ from types import SimpleNamespace
 
 import pytest
 
-from contextuality_lab import identities, systems
+from contextuality_lab import checks, identities, systems
 from contextuality_lab.constraints import ObservableProduct, PauliSymbol
-from contextuality_lab.ga import Multivector, basis_vector
+from contextuality_lab.ga import EXACT, Multivector, basis_vector
 from contextuality_lab.identities import (
     COLUMN_LINES,
     NEGATED_F1_MAP,
     UNIFORM_MAP,
     IdentityMap,
-    SignedAxisVector,
     all_identity_maps,
     bell_ghz_column,
-    check_a3_incompatibility,
     find_identity_maps,
+    in_plane_vector,
     orientation_reading,
 )
 from identities_oracle import (
@@ -36,48 +35,67 @@ E2 = basis_vector(2)
 E12 = E1 * E2
 MINUS_ONE = Multivector.scalar(-1)
 
-SWAPPED_MAP = IdentityMap(
-    SignedAxisVector(1, 2),
-    SignedAxisVector(1, 1),
-    SignedAxisVector(1, 1),
-    SignedAxisVector(1, 2),
-)
+
+def vector(sign, axis):
+    """The signed in-plane vector ``sign * e_axis`` as a one-slot blade."""
+    return systems.generator(1, axis, 1, sign)
+
+
+SWAPPED_MAP = IdentityMap(vector(1, 2), vector(1, 1), vector(1, 1), vector(1, 2))
 
 
 class TestSignedAxisVector:
+    """A signed in-plane vector is the one-slot signed blade itself."""
+
     def test_parse_and_render(self):
-        assert SignedAxisVector.parse("e1").label == "e1"
-        assert SignedAxisVector.parse("-e2").label == "-e2"
-        assert SignedAxisVector.parse("+f1") == SignedAxisVector(1, 1)
-        assert SignedAxisVector.parse("g2") == SignedAxisVector(1, 2)
+        assert str(in_plane_vector("e1")) == "e1"
+        assert str(in_plane_vector("-e2")) == "-e2"
+        assert in_plane_vector("+f1") == vector(1, 1)
+        assert in_plane_vector("g2") == vector(1, 2)
+        assert in_plane_vector(" −e1 ") == vector(-1, 1)
 
     def test_blade_is_the_signed_generator(self):
-        # the private blade is formed once and is no field of the record
         for sign in (1, -1):
             for axis in (1, 2):
-                vector = SignedAxisVector(sign, axis)
-                assert vector._blade == systems.generator(1, axis, 1, sign)
-                assert dense(vector._blade) == dense_image(vector)
-                assert repr(vector) == f"SignedAxisVector(sign={sign}, axis={axis})"
-                copy = pickle.loads(pickle.dumps(vector))
-                assert copy == vector and copy._blade == vector._blade
+                blade = in_plane_vector(f"{'-' if sign < 0 else ''}e{axis}")
+                assert blade == systems.generator(1, axis, 1, sign)
+                assert dense(blade) == dense_image(blade)
+                assert repr(blade) == f"TensorMultivector(n=1, sign={sign}, key={1 << axis - 1})"
+                assert pickle.loads(pickle.dumps(blade)) == blade
 
     def test_parse_rejects_out_of_plane(self):
-        with pytest.raises(ValueError):
-            SignedAxisVector.parse("e3")
-        with pytest.raises(ValueError):
-            SignedAxisVector.parse("x1")
+        for label in ("e3", "x1", "e12", "--e1", ""):
+            with pytest.raises(ValueError, match="cannot parse signed in-plane vector"):
+                in_plane_vector(label)
 
 
 class TestIdentityMap:
     def test_distinct_axes_enforced(self):
-        with pytest.raises(ValueError):
-            IdentityMap(
-                SignedAxisVector(1, 1),
-                SignedAxisVector(1, 1),
-                SignedAxisVector(1, 1),
-                SignedAxisVector(1, 2),
-            )
+        with pytest.raises(ValueError, match="f images must use distinct axes"):
+            IdentityMap(vector(1, 1), vector(-1, 1), vector(1, 1), vector(1, 2))
+        with pytest.raises(ValueError, match="g images must use distinct axes"):
+            IdentityMap(vector(1, 1), vector(1, 2), vector(1, 2), vector(-1, 2))
+
+    @pytest.mark.parametrize(
+        "image",
+        [
+            systems.generator(1, 3, 1),
+            systems.generator(1, 1, 2),
+            systems.generator(2, 2, 2),
+            systems.identity(1),
+            -systems.identity(1),
+            vector(1, 1) * vector(1, 2),
+            basis_vector(1),
+            "e1",
+        ],
+        ids=["e3", "two-slot-e1", "f2", "one", "minus-one", "e12", "dense-e1", "label"],
+    )
+    def test_images_are_signed_in_plane_blades(self, image):
+        for k in range(4):
+            images = [vector(1, 1), vector(1, 2), vector(1, 1), vector(1, 2)]
+            images[k] = image
+            with pytest.raises(ValueError, match="is not \\+-e1 or \\+-e2 of one slot"):
+                IdentityMap(*images)
 
     def test_all_maps_count_and_uniqueness(self):
         maps = all_identity_maps()
@@ -88,7 +106,7 @@ class TestIdentityMap:
         # the labels that search-identities prints parse back to the same map
         for imap in all_identity_maps():
             labels = json.loads(json.dumps(imap.as_dict()))
-            images = (SignedAxisVector.parse(labels[k]) for k in ("f1", "f2", "g1", "g2"))
+            images = (in_plane_vector(labels[k]) for k in ("f1", "f2", "g1", "g2"))
             assert IdentityMap(*images) == imap
         assert NEGATED_F1_MAP.as_dict() == {
             "f1": "-e1",
@@ -204,23 +222,23 @@ class TestSearchWork:
 
         monkeypatch.setattr(identities, "bell_ghz_column", counted_column)
         identities.columns.cache_clear()
-        found = find_identity_maps(SignedAxisVector.parse("e1"))
+        found = find_identity_maps(in_plane_vector("e1"))
         assert NEGATED_F1_MAP in found
         assert products == []
         assert columns == list(all_identity_maps())
 
 
-E2_VEC = SignedAxisVector(1, 2)
+E2_VEC = vector(1, 2)
 
 
 class TestSearch:
     def test_target_e1_includes_negated_f1_map(self):
-        found = find_identity_maps(SignedAxisVector.parse("e1"))
+        found = find_identity_maps(in_plane_vector("e1"))
         assert NEGATED_F1_MAP in found
 
     @pytest.mark.parametrize("label", ["e1", "-e1", "e2", "-e2"])
     def test_every_target_is_reachable(self, label):
-        target = SignedAxisVector.parse(label)
+        target = in_plane_vector(label)
         found = find_identity_maps(target)
         assert found
         for imap in found:
@@ -235,7 +253,7 @@ class TestSearch:
     def test_search_partitions_all_maps(self):
         # every map lands on exactly one target pattern or on none
         hits = sum(
-            len(find_identity_maps(SignedAxisVector(s, a)))
+            len(find_identity_maps(vector(s, a)))
             for s in (1, -1)
             for a in (1, 2)
         )
@@ -243,19 +261,19 @@ class TestSearch:
 
 
 class TestA3Witness:
+    """The ``a3.commutator.ij`` rows: with the bases identified, e_i fails to
+    commute with e_i e_j, their commutator being 2 e_j."""
+
     def test_all_ordered_pairs(self):
+        rows = {check_id: compute for check_id, _, compute in checks.A3}
         for i, j in itertools.permutations((1, 2, 3), 2):
-            witness = check_a3_incompatibility(i, j)
+            ei, bivector = basis_vector(i), basis_vector(i) * basis_vector(j)
+            witness = ei * bivector - bivector * ei
             assert witness == basis_vector(j).scale(2)
-            assert not witness.is_zero()
-
-    def test_equal_axes_rejected(self):
-        with pytest.raises(ValueError):
-            check_a3_incompatibility(1, 1)
-
-    def test_out_of_range_axes_rejected(self):
-        with pytest.raises(ValueError):
-            check_a3_incompatibility(0, 2)
+            assert witness != Multivector.scalar(0)
+            ok, row_witness = rows.pop(f"a3.commutator.{i}{j}")(checks.Context(EXACT, 0))
+            assert ok and row_witness == {"commutator": str(witness)}
+        assert rows == {}
 
 
 class TestOrientationReading:

@@ -6,7 +6,8 @@ signed blades through ``blade_product``.  Every other module forms its
 values through those two.  ``ast`` reads each module of
 ``src/contextuality_lab`` and collects the names it binds, imports, loads or
 reads as attributes; the kernel names may appear only in the two kernel
-modules.
+modules.  ``identities`` holds its values as ``systems`` signed blades, so
+it takes nothing from ``ga`` but the record base ``_Record``.
 """
 
 import ast
@@ -48,3 +49,16 @@ def test_only_ga_and_systems_name_the_blade_kernel():
 def test_the_walk_sees_every_way_of_naming():
     source = "from .ga import CAYLEY as table\nimport x\nx.blade_product(1, 2)\n_multivector = 1\n"
     assert KERNEL_NAMES <= names(ast.parse(source))
+
+
+def test_identities_takes_only_the_record_base_from_ga():
+    tree = ast.parse((PACKAGE_DIR / "identities.py").read_text(encoding="utf-8"))
+    from_ga = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").rpartition(".")[2] == "ga"
+        for alias in node.names
+    ]
+    assert from_ga == ["_Record"]
+    # no ``from . import ga``, ``import ...ga`` or ``ga.name`` either
+    assert "ga" not in names(tree)

@@ -47,7 +47,6 @@ ALLOWED = {
         "no command calls it"
     ),
     "constraints.ObservableProduct.__str__": PROTOCOL,
-    "identities.SignedAxisVector.__str__": PROTOCOL,
     "quantum.GaussianRational.__str__": PROTOCOL,
     "ga.Multivector.__rmul__": ALGEBRA,
 }

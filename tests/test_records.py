@@ -20,14 +20,9 @@ from contextuality_lab.constraints import (
     VectorAssignment,
 )
 from contextuality_lab.ga import EXACT, Multivector, _Record, basis_vector, pseudoscalar
-from contextuality_lab.identities import (
-    ColumnResult,
-    IdentityMap,
-    OrientationReading,
-    SignedAxisVector,
-)
+from contextuality_lab.identities import ColumnResult, IdentityMap, OrientationReading
 from contextuality_lab.quantum import ONE, ZERO, ComplexMatrix, GaussianRational, StateVector
-from contextuality_lab.systems import TensorMultivector, identity
+from contextuality_lab.systems import TensorMultivector, generator, identity
 from tensor_oracle import SparseTensor
 
 
@@ -70,15 +65,11 @@ RECORDS = [
     (GaussianRational, ("real", "imag"), lambda: (1, -2)),
     (ComplexMatrix, ("entries",), lambda: (((ONE, ZERO), (ZERO, ONE)),)),
     (StateVector, ("amplitudes", "norm2"), lambda: ((ONE, ZERO), 1)),
-    (SignedAxisVector, ("sign", "axis"), lambda: (-1, 2)),
     (
         IdentityMap,
         ("f1", "f2", "g1", "g2"),
         lambda: (
-            SignedAxisVector(1, 1),
-            SignedAxisVector(1, 2),
-            SignedAxisVector(-1, 2),
-            SignedAxisVector(1, 1),
+            generator(1, 1, 1), generator(1, 2, 1), generator(1, 2, 1, -1), generator(1, 1, 1)
         ),
     ),
     (ColumnResult, ("entries", "product"), lambda: ((basis_vector(1),) * 4, pseudoscalar())),
