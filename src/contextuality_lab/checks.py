@@ -407,7 +407,7 @@ def _lines(name: str, ctx):
 
 
 def _named_column(imap, expected: tuple, ctx):
-    column = dict(identities.columns())[imap]
+    column = identities.columns()[imap]
     ok = column.labels() == expected and column.product == MINUS_ONE
     return ok, {
         "map": imap.as_dict(), "column": list(column.labels()), "product": str(column.product)
@@ -416,7 +416,7 @@ def _named_column(imap, expected: tuple, ctx):
 
 def _all_maps(ctx):
     table = identities.columns()
-    for imap, column in table:
+    for imap, column in table.items():
         if column.product != MINUS_ONE:
             return False, {"maps": len(table), "map": imap.as_dict(), "product": str(column.product)}
     return True, {"maps": len(table), "product": "-1"}
@@ -424,7 +424,7 @@ def _all_maps(ctx):
 
 def _search(label: str, ctx):
     found = identities.find_identity_maps(identities.in_plane_vector(label))
-    table = dict(identities.columns())
+    table = identities.columns()
     witness = {"target": label, "maps_found": len(found)}
     if label == "e1":
         witness["includes_negated_f1"] = NEGATED_F1_MAP in found

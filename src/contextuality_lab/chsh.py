@@ -18,9 +18,10 @@ c1*c2 + s1*s2.  The F column sums those scalar parts straight from the
 cosines and sines, in the same order and from the same ``math.cos``/
 ``math.sin`` values as the dense 8-blade float product of the four
 directions, so each value is bit-identical to it.  The qm_lhs column sums
-the four singlet correlations of :mod:`.quantum` over the same cosines and
-sines in one pass per batch, in real arithmetic and bit-identical to the
-complex Kronecker-product matrix mechanics; b is a.
+the four singlet correlations over the same four plane columns in one pass
+per batch, b' given as its two checked components; with every y component
+0 the y products drop out, and each value is bit-identical to the complex
+Kronecker-product matrix mechanics; b is a.
 
 The grid is evaluated in batches of :data:`BATCH_SIZE` angles: one pass of
 ``math.cos``/``math.sin`` per batch gives both columns, and a long sweep
@@ -38,10 +39,10 @@ only as the test oracle for the sweep (``tests/sweep_oracle.py``).
 from __future__ import annotations
 
 import math
-from itertools import chain
+from itertools import chain, repeat
 
 from .ga import _Record
-from .quantum import _check_units, _chsh_terms, _unit
+from .quantum import _check_units, _unit
 from .quantum import singlet_correlation  # noqa: F401  (bench/tracing.py wraps this name)
 
 CLASSICAL_BOUND = 2.0
@@ -83,23 +84,36 @@ def _F_column(cs: list, ss: list, c2s: list, s2s: list) -> list:
     ]
 
 
+def _singlet_column(cs: list, ss: list, c2s: list, s2s: list, bpx: float, bpz: float) -> list:
+    """|E(a,b) + E(a,b') + E(a',b) - E(a',b')| per angle for a = b = (c, 0, s),
+    a' = (c2, 0, s2) and b' = (bpx, 0, bpz), in one pass over the plane
+    columns.  Each E keeps :func:`singlet_correlation`'s float operations in
+    order; its y product is +0.0 and is left out, which could change only
+    the sign of an exact zero that the closing ``+ 0.0`` makes +0.0."""
+    return [
+        abs(
+            ((zz := s * -s) - (xy := c * c) - xy + zz + 0.0) / 2.0
+            + ((zz := s * -bpz) - (xy := c * bpx) - xy + zz + 0.0) / 2.0
+            + ((zz := s2 * -s) - (xy := c2 * c) - xy + zz + 0.0) / 2.0
+            - ((zz := s2 * -bpz) - (xy := c2 * bpx) - xy + zz + 0.0) / 2.0
+        )
+        for c, s, c2, s2 in zip(cs, ss, c2s, s2s)
+    ]
+
+
 def _qm_lhs_column(cs: list, ss: list, c2s: list, s2s: list, b_prime: tuple) -> list:
-    """|E(a,b) + E(a,b') + E(a',b) - E(a',b')| per angle through the singlet
-    correlations of a (= b) = (c, 0, s) and a' = (c2, 0, s2), each checked
-    here at every angle, and of ``b_prime``, the one-entry columns of b'
-    checked once per sweep by the caller."""
-    zeros = [0.0] * len(cs)
-    a = (cs, zeros, ss)
-    a_prime = (c2s, zeros, s2s)
-    _check_units("a", *a)
-    _check_units("a_prime", *a_prime)
-    b_prime = tuple(column * len(cs) for column in b_prime)
-    return list(map(abs, _chsh_terms(a, a_prime, a, b_prime)))
+    """The singlet column with a = (c, 0, s) and a' = (c2, 0, s2) checked
+    here at every angle, and ``b_prime`` the (x, z) of b' checked once per
+    sweep by the caller."""
+    _check_units("a", cs, repeat(0.0), ss)
+    _check_units("a_prime", c2s, repeat(0.0), s2s)
+    return _singlet_column(cs, ss, c2s, s2s, *b_prime)
 
 
 def _checked_b_prime() -> tuple:
-    """b' = (cos 0, 0, sin 0) as checked one-entry columns."""
-    return _unit((_FIRST_AXIS_PAIR[0], 0.0, _FIRST_AXIS_PAIR[1]), "b_prime")
+    """The (x, z) of b' = (cos 0, 0, sin 0), checked."""
+    (x,), _, (z,) = _unit((_FIRST_AXIS_PAIR[0], 0.0, _FIRST_AXIS_PAIR[1]), "b_prime")
+    return x, z
 
 
 def F(phi: float) -> float:

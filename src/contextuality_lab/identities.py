@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from types import MappingProxyType
 
 from . import systems
 from .constraints import AXIS_INDEX, BELL_GHZ, ObservableProduct, builtin_constraints
@@ -149,10 +150,10 @@ def bell_ghz_column(imap: IdentityMap) -> ColumnResult:
 
 
 @functools.cache
-def columns() -> tuple:
-    """The 64 ``(map, column)`` pairs in :func:`all_identity_maps` order,
-    each column reduced once per process."""
-    return tuple((imap, bell_ghz_column(imap)) for imap in all_identity_maps())
+def columns() -> MappingProxyType:
+    """The 64 maps, in :func:`all_identity_maps` order, to their columns: one
+    read-only mapping per process, each column reduced once."""
+    return MappingProxyType({imap: bell_ghz_column(imap) for imap in all_identity_maps()})
 
 
 def find_identity_maps(x: TensorMultivector) -> tuple:
@@ -163,7 +164,7 @@ def find_identity_maps(x: TensorMultivector) -> tuple:
     nonempty for every signed in-plane target.
     """
     wanted = (x, x, x, -x)
-    return tuple(imap for imap, column in columns() if column.entries == wanted)
+    return tuple(imap for imap, column in columns().items() if column.entries == wanted)
 
 
 # -- orientation reading ----------------------------------------------------

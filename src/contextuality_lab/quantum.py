@@ -17,15 +17,13 @@ here hold integer amplitudes scaled by 1/sqrt(2), and eigenvalue equations
 never need the irrational factor itself.
 
 The floating-point path is the singlet correlation: :func:`singlet_correlation`
-behind the sampled ``states.singlet`` check, and the four-term combination
-that the sweep in :mod:`.chsh` sums.  The unit-norm rule is written once,
-over columns of direction components; a single direction is a column of one
-entry.  The correlation of one pair is :func:`singlet_correlation`; the
-sweep's kernel forms the same float operations, in the same order, four
-times per entry and sums them in one pass over a batch's twelve component
-columns.  The formula is the real-arithmetic reduction, equal bit for bit,
-of the complex 4 x 4 Kronecker product kept as the test oracle in
-``tests/sweep_oracle.py``.
+behind the sampled ``states.singlet`` check, and the unit-norm rule that it
+shares with the sweep in :mod:`.chsh`.  The rule is written once, over
+columns of direction components; a single direction is a column of one
+entry.  The sweep's plane kernel forms the float operations of
+:func:`singlet_correlation`, in the same order, four times per angle.  The
+formula is the real-arithmetic reduction, equal bit for bit, of the complex
+4 x 4 Kronecker product kept as the test oracle in ``tests/sweep_oracle.py``.
 """
 
 from __future__ import annotations
@@ -328,20 +326,6 @@ def _unit(v, name: str) -> tuple:
     x, y, z = map(float, v)
     _check_units(name, (x,), (y,), (z,))
     return [x], [y], [z]
-
-
-def _chsh_terms(a: tuple, a_prime: tuple, b: tuple, b_prime: tuple) -> list:
-    """E(a,b) + E(a,b') + E(a',b) - E(a',b') per entry of four checked
-    direction columns (xs, ys, zs), summed in that order, in one pass over
-    the twelve component columns; each E is formed as in
-    :func:`singlet_correlation`."""
-    return [
-        ((zz := az * -bz) - (xy := ax * bx + ay * by) - xy + zz + 0.0) / 2.0
-        + ((zz := az * -bpz) - (xy := ax * bpx + ay * bpy) - xy + zz + 0.0) / 2.0
-        + ((zz := apz * -bz) - (xy := apx * bx + apy * by) - xy + zz + 0.0) / 2.0
-        - ((zz := apz * -bpz) - (xy := apx * bpx + apy * bpy) - xy + zz + 0.0) / 2.0
-        for ax, ay, az, apx, apy, apz, bx, by, bz, bpx, bpy, bpz in zip(*a, *a_prime, *b, *b_prime)
-    ]
 
 
 def singlet_correlation(a, b) -> float:

@@ -1,9 +1,10 @@
 """Coplanar correlation sweep: classical bound, vector curve, matrix cross-check."""
 
+import itertools
 import math
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from contextuality_lab import chsh, quantum
@@ -191,12 +192,34 @@ def unit_vectors(draw):
     return tuple(c / norm for c in raw)
 
 
-directions = unit_vectors() | st.sampled_from(SIGNED_AXES)
+#: Angles of plane directions (cos t, 0, sin t), a' up to twice the sweep's.
+plane_angles = st.floats(min_value=-2.0 * math.pi, max_value=2.0 * math.pi, allow_nan=False)
+
+#: The signed unit axes of the e1-e3 plane with y = +0.0, as the sweep's
+#: directions have it, and every sign of the other zero component.
+PLANE_AXES = tuple(v for v in SIGNED_AXES if (v[1], math.copysign(1.0, v[1])) == (0.0, 1.0))
+
+SEAM_STEPS = (chsh.BATCH_SIZE, chsh.BATCH_SIZE + 1, 2 * chsh.BATCH_SIZE + 1)
 
 
-def direction_columns(vectors):
-    """The (xs, ys, zs) columns of a list of 3-vectors."""
-    return tuple([v[i] for v in vectors] for i in range(3))
+def plane_direction(t):
+    return (math.cos(t), 0.0, math.sin(t))
+
+
+def kron_plane_chsh(a, ap, bp):
+    """|E(a,a) + E(a,b') + E(a',a) - E(a',b')| through the Kronecker oracle."""
+    return abs(
+        kron_singlet_correlation(a, a)
+        + kron_singlet_correlation(a, bp)
+        + kron_singlet_correlation(ap, a)
+        - kron_singlet_correlation(ap, bp)
+    )
+
+
+def plane_kernel(a, ap, bp):
+    """The sweep's plane kernel at one angle: b is a, b' two scalars."""
+    (value,) = chsh._singlet_column([a[0]], [a[2]], [ap[0]], [ap[2]], bp[0], bp[2])
+    return value
 
 
 class TestDenseOracle:
@@ -228,50 +251,32 @@ class TestDenseOracle:
         assert quantum.singlet_correlation(a, b) == kron_singlet_correlation(a, b)
 
     @settings(max_examples=300, deadline=None)
-    @given(unit_vectors(), unit_vectors(), unit_vectors(), unit_vectors(), st.booleans())
-    @example((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), True)
-    @example((-0.0, 1.0, 0.0), (1.0, -0.0, 0.0), (0.0, -0.0, -1.0), (-1.0, 0.0, -0.0), False)
-    def test_singlet_chsh_is_the_four_kronecker_terms(self, a, ap, b, bp, b_is_a):
-        if b_is_a:
-            b = a
-        expected = (
-            kron_singlet_correlation(a, b)
-            + kron_singlet_correlation(a, bp)
-            + kron_singlet_correlation(ap, b)
-            - kron_singlet_correlation(ap, bp)
-        )
-        # the sweep's kernel over one-entry direction columns; when b is a,
-        # a's columns are handed in for b too, as the sweep does
-        va, vap, vbp = (quantum._unit(v, n) for v, n in ((a, "a"), (ap, "a_prime"), (bp, "b_prime")))
-        vb = va if b_is_a else quantum._unit(b, "b")
-        assert quantum._chsh_terms(va, vap, vb, vbp)[0].hex() == expected.hex()
+    @given(plane_angles, plane_angles, plane_angles)
+    @example(-0.0, -0.0, -0.0)
+    @example(0.0, 0.0, 0.0)
+    @example(math.pi, 2.0 * math.pi, 0.0)
+    @example(-0.0, math.pi, -0.0)
+    def test_singlet_chsh_is_the_four_kronecker_terms(self, t, t_prime, t_b_prime):
+        a, ap, bp = map(plane_direction, (t, t_prime, t_b_prime))
+        assert plane_kernel(a, ap, bp).hex() == kron_plane_chsh(a, ap, bp).hex()
 
-    @settings(max_examples=150, deadline=None)
-    @given(
-        st.lists(st.tuples(directions, directions, directions), max_size=40),
-        directions,
-        st.booleans(),
-    )
-    @example([(SIGNED_AXES[1], SIGNED_AXES[14], SIGNED_AXES[7])] * 3, SIGNED_AXES[22], False)
-    @example([((0.6, 0.0, 0.8), SIGNED_AXES[2], SIGNED_AXES[13])] * 2, SIGNED_AXES[5], True)
-    def test_singlet_chsh_batches_are_the_four_kronecker_terms(self, entries, bp, b_is_a):
-        # whole batches, so a misaligned component column shows; b' is one
-        # direction repeated and b may be a's own columns, as in the sweep
-        a, ap, b = (direction_columns([entry[k] for entry in entries]) for k in range(3))
-        if b_is_a:
-            b = a
-            entries = [(ea, eap, ea) for ea, eap, _ in entries]
-        b_prime = tuple(column * len(entries) for column in quantum._unit(bp, "b_prime"))
-        expected = [
-            (
-                kron_singlet_correlation(ea, eb)
-                + kron_singlet_correlation(ea, bp)
-                + kron_singlet_correlation(eap, eb)
-                - kron_singlet_correlation(eap, bp)
-            ).hex()
-            for ea, eap, eb in entries
+    def test_singlet_chsh_on_signed_plane_axes(self):
+        # exact cancellations of every sign: the dropped y products may only
+        # change the sign of a zero that the kernel's + 0.0 makes +0.0
+        for a, ap, bp in itertools.product(PLANE_AXES, repeat=3):
+            assert plane_kernel(a, ap, bp).hex() == kron_plane_chsh(a, ap, bp).hex()
+
+    @settings(max_examples=6, deadline=None)
+    @given(angles, angles, st.sampled_from(SEAM_STEPS))
+    @example(0.0, math.pi, 2 * chsh.BATCH_SIZE + 1)
+    def test_singlet_chsh_batches_are_the_four_kronecker_terms(self, start, end, steps):
+        # whole sweeps of one to three batches, so a misaligned column or a
+        # batch seam shows: every value is the oracle's at its own angle
+        assume(start < end)
+        batches = list(chsh.sweep(start, end, steps))
+        assert [v.hex() for _, _, qm_lhs in batches for v in qm_lhs] == [
+            dense_quantum_lhs(phi).hex() for phis, _, _ in batches for phi in phis
         ]
-        assert [value.hex() for value in quantum._chsh_terms(a, ap, b, b_prime)] == expected
 
     @settings(max_examples=200, deadline=None)
     @given(angles)
@@ -289,9 +294,6 @@ class TestDenseOracle:
     def test_singlet_rejects_non_unit_directions(self, a, b):
         with pytest.raises(ValueError, match="not a unit vector"):
             quantum.singlet_correlation(a, b)
-
-
-SEAM_STEPS = (chsh.BATCH_SIZE, chsh.BATCH_SIZE + 1, 2 * chsh.BATCH_SIZE + 1)
 
 
 class TestBatches:

@@ -799,11 +799,11 @@ class TestChsh:
     def test_summary_without_csv_skips_the_matrix_path(self, monkeypatch, capsys):
         angles = self.record_batches(monkeypatch, "_plane_columns")
         qm_columns = self.record_batches(monkeypatch, "_qm_lhs_column")
-        terms = self.count_singlet_calls(monkeypatch, "_chsh_terms")
+        kernel = self.record_batches(monkeypatch, "_singlet_column")
         steps = self.STEPS_OVER_TWO_SEAMS
         code, _, _ = run_cli(["chsh", "0.5", "2.0", str(steps)], capsys)
         assert code == 0
-        assert qm_columns == [] and terms == []
+        assert qm_columns == [] and kernel == []
         assert [phi for batch in angles for phi in batch] == self.grid(0.5, 2.0, steps)
 
     @staticmethod
@@ -823,12 +823,14 @@ class TestChsh:
 
     def test_csv_makes_one_singlet_call_per_point(self, tmp_path, monkeypatch, capsys):
         qm_columns = self.record_batches(monkeypatch, "_qm_lhs_column")
+        kernel = self.record_batches(monkeypatch, "_singlet_column")
         pair_calls = self.count_singlet_calls(monkeypatch, "singlet_correlation")
         steps = self.STEPS_OVER_TWO_SEAMS
         code, _, _ = run_cli(["chsh", "0.5", "2.0", str(steps), "--csv", str(tmp_path / "c.csv")], capsys)
         assert code == 0
         cosines = [math.cos(phi) for phi in self.grid(0.5, 2.0, steps)]
         assert [c for batch in qm_columns for c in batch] == cosines
+        assert kernel == qm_columns
         assert pair_calls == []
 
     def test_csv_checks_b_prime_once_and_a_a_prime_at_every_angle(

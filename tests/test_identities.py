@@ -158,6 +158,14 @@ class TestColumns:
         for imap in all_identity_maps():
             assert dense(bell_ghz_column(imap).product) == MINUS_ONE
 
+    def test_columns_are_one_read_only_map_in_map_order(self):
+        table = identities.columns()
+        assert table is identities.columns()
+        assert list(table) == list(all_identity_maps())
+        assert all(table[imap] == bell_ghz_column(imap) for imap in table)
+        with pytest.raises(TypeError):
+            table[UNIFORM_MAP] = None
+
     def test_entries_are_unit_plane_vectors(self):
         for imap in all_identity_maps():
             column = bell_ghz_column(imap)

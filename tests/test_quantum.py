@@ -389,14 +389,13 @@ class TestSingletCorrelation:
 
     @pytest.mark.parametrize("slot", range(4))
     def test_nan_direction_in_the_combination_is_named(self, slot):
-        # the sweep's kernel over checked one-entry columns; a non-unit
-        # direction is named the same way
-        names = ("a", "a_prime", "b", "b_prime")
+        # the one unit-norm rule over a column whose last entry is off; each
+        # direction of the combination is named the same way
+        name = ("a", "a_prime", "b", "b_prime")[slot]
         for bad in ((0.0, 0.0, math.nan), (0.5, 0.5, 0.0)):
-            directions = [(1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.0, 1.0, 0.0), (-1.0, 0.0, 0.0)]
-            directions[slot] = bad
-            with pytest.raises(ValueError, match=rf"direction {names[slot]} is not a unit vector"):
-                quantum._chsh_terms(*map(quantum._unit, directions, names))
+            columns = zip((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), bad)
+            with pytest.raises(ValueError, match=rf"direction {name} is not a unit vector"):
+                quantum._check_units(name, *columns)
 
     def test_exact_components_match_the_kronecker_oracle(self):
         a, b = (Fraction(3, 5), 0, Fraction(4, 5)), (1, 0, 0)
