@@ -15,25 +15,22 @@ The sweep runs on the even subalgebra span{1, e13}.  A unit vector of the
 e1-e3 plane is the pair (cos t, sin t), and the product of two of them is
 u(s)u(t) = cos(t - s) + sin(t - s) e13, whose scalar part is
 c1*c2 + s1*s2.  The F column sums those scalar parts straight from the
-cosines and sines, in the same order and from the same ``math.cos``/
-``math.sin`` values as the dense 8-blade float product of the four
-directions, so each value is bit-identical to it.  The qm_lhs column sums
-the four singlet correlations over the same four plane columns in one pass
-per batch, b' given as its two checked components; with every y component
-0 the y products drop out, and each value is bit-identical to the complex
-Kronecker-product matrix mechanics; b is a.
+``math.cos``/``math.sin`` values, in the order of the dense 8-blade float
+product of the four directions; the qm_lhs column sums the four singlet
+correlations (b is a, the y products drop out) in one pass over the same
+columns.  b' = (cos 0, 0, sin 0) is exactly (1, 0, 0) and is folded in:
+a*b' is c, E(a,b') is -c.  What this leaves out could change only the sign
+of a zero, which the closing ``abs`` erases, so each value is bit-identical
+to the dense product and to the complex Kronecker-product matrix mechanics.
 
-The grid is evaluated in batches of :data:`BATCH_SIZE` angles: one pass of
-``math.cos``/``math.sin`` per batch gives both columns, and a long sweep
-holds one batch at a time.  The unit norm of a and a' is checked at every
-angle; b' = (cos 0, 0, sin 0) is the same floats at every angle, so one
-check per sweep is the same check.  :func:`F` and :func:`quantum_lhs` are
-the one-angle case of this kernel; :func:`scan_F` takes the first strict
-maximum over the batches and, given a writer, writes each batch's
-:data:`CSV_ROW` rows (the bytes ``csv.writer`` would give), formatted
-with one ``%`` and written in one call; :func:`csv_rows` yields the same
-rows one by one.  The dense multivectors and the complex matrices are kept
-only as the test oracle for the sweep (``tests/sweep_oracle.py``).
+The grid is evaluated in batches of :data:`BATCH_SIZE` angles, one pass of
+``math.cos``/``math.sin`` each; a long sweep holds one batch at a time.  The
+unit norms of a and a' are decided at every angle, b' once per sweep.
+:func:`F` and :func:`quantum_lhs` are the one-angle case; :func:`scan_F`
+takes the first strict maximum over the batches and, given a writer, writes
+each batch's :data:`CSV_ROW` rows (the bytes ``csv.writer`` would give) with
+one ``%`` and one call; :func:`csv_rows` yields them one by one.  The dense
+multivectors and complex matrices are the test oracle (``tests/sweep_oracle.py``).
 """
 
 from __future__ import annotations
@@ -42,7 +39,7 @@ import math
 from itertools import chain, repeat
 
 from .ga import _Record
-from .quantum import _check_units, _unit
+from .quantum import UNIT_NORM_TOLERANCE, _check_units, _unit
 from .quantum import singlet_correlation  # noqa: F401  (bench/tracing.py wraps this name)
 
 CLASSICAL_BOUND = 2.0
@@ -57,8 +54,6 @@ CSV_ROW = "%.9f,%.9f,%.9f," + f"{CLASSICAL_BOUND!r},{VECTOR_BOUND!r}\r\n"
 #: Angles evaluated together by the sweep kernel; bounds the memory of a
 #: long sweep, whatever its step count.
 BATCH_SIZE = 1024
-
-_FIRST_AXIS_PAIR = (math.cos(0.0), math.sin(0.0))
 
 
 def _plane_columns(phis: list) -> tuple:
@@ -76,43 +71,43 @@ def _plane_columns(phis: list) -> tuple:
 def _F_column(cs: list, ss: list, c2s: list, s2s: list) -> list:
     """|a*b + a*b' + a'*b - a'*b'| per angle from the plane columns: the
     scalar part of u(s)u(t) is c1*c2 + s1*s2, and the four products are
-    summed in the order of the combination."""
-    cp, sp = _FIRST_AXIS_PAIR
-    return [
-        abs((c * c + s * s) + (c * cp + s * sp) + (c2 * c + s2 * s) - (c2 * cp + s2 * sp))
-        for c, s, c2, s2 in zip(cs, ss, c2s, s2s)
-    ]
+    summed in the order of the combination, b' = (1, 0) folded in."""
+    return [abs((c * c + s * s) + c + (c2 * c + s2 * s) - c2)
+            for c, s, c2, s2 in zip(cs, ss, c2s, s2s)]
 
 
-def _singlet_column(cs: list, ss: list, c2s: list, s2s: list, bpx: float, bpz: float) -> list:
+def _singlet_column(cs: list, ss: list, c2s: list, s2s: list) -> list:
     """|E(a,b) + E(a,b') + E(a',b) - E(a',b')| per angle for a = b = (c, 0, s),
-    a' = (c2, 0, s2) and b' = (bpx, 0, bpz), in one pass over the plane
-    columns.  Each E keeps :func:`singlet_correlation`'s float operations in
-    order; its y product is +0.0 and is left out, which could change only
-    the sign of an exact zero that the closing ``+ 0.0`` makes +0.0."""
+    a' = (c2, 0, s2) and b' = (1, 0, 0), in one pass over the plane columns.
+    E(a,b) and E(a',b) keep :func:`singlet_correlation`'s float operations
+    in order, without the y product (+0.0) and the closing ``+ 0.0``;
+    E(a,b') is -c and E(a',b') is -c2."""
     return [
         abs(
-            ((zz := s * -s) - (xy := c * c) - xy + zz + 0.0) / 2.0
-            + ((zz := s * -bpz) - (xy := c * bpx) - xy + zz + 0.0) / 2.0
-            + ((zz := s2 * -s) - (xy := c2 * c) - xy + zz + 0.0) / 2.0
-            - ((zz := s2 * -bpz) - (xy := c2 * bpx) - xy + zz + 0.0) / 2.0
+            ((zz := s * -s) - (xy := c * c) - xy + zz) / 2.0
+            - c
+            + ((zz := s2 * -s) - (xy := c2 * c) - xy + zz) / 2.0
+            + c2
         )
         for c, s, c2, s2 in zip(cs, ss, c2s, s2s)
     ]
 
 
-def _qm_lhs_column(cs: list, ss: list, c2s: list, s2s: list, b_prime: tuple) -> list:
-    """The singlet column with a = (c, 0, s) and a' = (c2, 0, s2) checked
-    here at every angle, and ``b_prime`` the (x, z) of b' checked once per
-    sweep by the caller."""
-    _check_units("a", cs, repeat(0.0), ss)
-    _check_units("a_prime", c2s, repeat(0.0), s2s)
-    return _singlet_column(cs, ss, c2s, s2s, *b_prime)
+def _qm_lhs_column(cs: list, ss: list, c2s: list, s2s: list) -> list:
+    """The singlet column with the unit norms of a = (c, 0, s) and a' = (c2, 0, s2)
+    decided at every angle in one pass by :func:`quantum._check_units`' rule;
+    only a failing batch runs that check, a then a', to name the offender."""
+    if not all([abs(c * c + s * s - 1.0) <= UNIT_NORM_TOLERANCE
+                and abs(c2 * c2 + s2 * s2 - 1.0) <= UNIT_NORM_TOLERANCE
+                for c, s, c2, s2 in zip(cs, ss, c2s, s2s)]):
+        _check_units("a", cs, repeat(0.0), ss)
+        _check_units("a_prime", c2s, repeat(0.0), s2s)
+    return _singlet_column(cs, ss, c2s, s2s)
 
 
 def _checked_b_prime() -> tuple:
-    """The (x, z) of b' = (cos 0, 0, sin 0), checked."""
-    (x,), _, (z,) = _unit((_FIRST_AXIS_PAIR[0], 0.0, _FIRST_AXIS_PAIR[1]), "b_prime")
+    """The (x, z) of b' = (cos 0, 0, sin 0), checked: the (1.0, 0.0) folded in."""
+    (x,), _, (z,) = _unit((math.cos(0.0), 0.0, math.sin(0.0)), "b_prime")
     return x, z
 
 
@@ -126,7 +121,8 @@ def quantum_lhs(phi: float) -> float:
     """The same four-term combination evaluated through the singlet-state
     correlations of the four directions, as (x, 0, z) triples: the one-angle
     case of the sweep's qm_lhs column."""
-    return _qm_lhs_column(*_plane_columns([phi]), _checked_b_prime())[0]
+    _checked_b_prime()
+    return _qm_lhs_column(*_plane_columns([phi]))[0]
 
 
 class ScanResult(_Record):
@@ -152,11 +148,12 @@ def sweep(start: float, end: float, steps: int, singlet: bool = True):
 
 
 def _batches(start: float, spacing: float, steps: int, singlet: bool):
-    b_prime = _checked_b_prime() if singlet else None
+    if singlet:
+        _checked_b_prime()
     for first in range(0, steps, BATCH_SIZE):
         phis = [start + k * spacing for k in range(first, min(first + BATCH_SIZE, steps))]
         plane = _plane_columns(phis)
-        yield phis, _F_column(*plane), _qm_lhs_column(*plane, b_prime) if singlet else None
+        yield phis, _F_column(*plane), _qm_lhs_column(*plane) if singlet else None
 
 
 def scan_F(steps: int, start: float = 0.0, end: float = math.pi, write=None) -> ScanResult:

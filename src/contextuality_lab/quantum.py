@@ -316,7 +316,7 @@ def _check_units(name: str, xs, ys, zs) -> None:
     columns whose squared norm is not within ``UNIT_NORM_TOLERANCE`` of 1
     (a NaN component fails too)."""
     for x, y, z in zip(xs, ys, zs):
-        norm2 = x ** 2 + y ** 2 + z ** 2
+        norm2 = x * x + y * y + z * z
         if not abs(norm2 - 1.0) <= UNIT_NORM_TOLERANCE:
             raise ValueError(f"direction {name} is not a unit vector (|{name}|^2={norm2})")
 

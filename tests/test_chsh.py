@@ -206,7 +206,11 @@ def plane_direction(t):
     return (math.cos(t), 0.0, math.sin(t))
 
 
-def kron_plane_chsh(a, ap, bp):
+#: The sweep's b' = (cos 0, 0, sin 0), which its columns fold in.
+B_PRIME = plane_direction(0.0)
+
+
+def kron_plane_chsh(a, ap, bp=B_PRIME):
     """|E(a,a) + E(a,b') + E(a',a) - E(a',b')| through the Kronecker oracle."""
     return abs(
         kron_singlet_correlation(a, a)
@@ -216,10 +220,34 @@ def kron_plane_chsh(a, ap, bp):
     )
 
 
-def plane_kernel(a, ap, bp):
-    """The sweep's plane kernel at one angle: b is a, b' two scalars."""
-    (value,) = chsh._singlet_column([a[0]], [a[2]], [ap[0]], [ap[2]], bp[0], bp[2])
+def plane_kernel(a, ap):
+    """The sweep's plane kernel at one angle: b is a, b' folded in."""
+    (value,) = chsh._singlet_column([a[0]], [a[2]], [ap[0]], [ap[2]])
     return value
+
+
+def plane_batch(a, a_prime):
+    """The four plane columns (cs, ss, c2s, s2s) of lists of (x, z) pairs."""
+    return ([c for c, _ in a], [s for _, s in a], [c for c, _ in a_prime], [s for _, s in a_prime])
+
+
+def direction_with_norm(norm2):
+    """A plane direction (c, s) whose squared norm c*c + s*s is the float
+    ``norm2`` exactly: the largest c with c*c <= norm2, then s for the rest."""
+    c = math.sqrt(norm2)
+    while c * c > norm2:
+        c = math.nextafter(c, 0.0)
+    s = math.sqrt(norm2 - c * c)
+    assert c * c + s * s == norm2
+    return c, s
+
+
+#: Squared norms at 1 +- UNIT_NORM_TOLERANCE and one float on either side.
+BOUNDARY_NORMS = tuple(
+    math.nextafter(edge, toward)
+    for edge in (1.0 + quantum.UNIT_NORM_TOLERANCE, 1.0 - quantum.UNIT_NORM_TOLERANCE)
+    for toward in (0.0, edge, 2.0)
+)
 
 
 class TestDenseOracle:
@@ -251,20 +279,26 @@ class TestDenseOracle:
         assert quantum.singlet_correlation(a, b) == kron_singlet_correlation(a, b)
 
     @settings(max_examples=300, deadline=None)
-    @given(plane_angles, plane_angles, plane_angles)
-    @example(-0.0, -0.0, -0.0)
-    @example(0.0, 0.0, 0.0)
-    @example(math.pi, 2.0 * math.pi, 0.0)
-    @example(-0.0, math.pi, -0.0)
-    def test_singlet_chsh_is_the_four_kronecker_terms(self, t, t_prime, t_b_prime):
-        a, ap, bp = map(plane_direction, (t, t_prime, t_b_prime))
-        assert plane_kernel(a, ap, bp).hex() == kron_plane_chsh(a, ap, bp).hex()
+    @given(plane_angles, plane_angles)
+    @example(-0.0, -0.0)
+    @example(0.0, 0.0)
+    @example(math.pi, 2.0 * math.pi)
+    @example(-0.0, math.pi)
+    @example(math.pi / 2, -math.pi / 2)
+    def test_singlet_chsh_is_the_four_kronecker_terms(self, t, t_prime):
+        a, ap = plane_direction(t), plane_direction(t_prime)
+        assert plane_kernel(a, ap).hex() == kron_plane_chsh(a, ap).hex()
 
     def test_singlet_chsh_on_signed_plane_axes(self):
-        # exact cancellations of every sign: the dropped y products may only
-        # change the sign of a zero that the kernel's + 0.0 makes +0.0
-        for a, ap, bp in itertools.product(PLANE_AXES, repeat=3):
-            assert plane_kernel(a, ap, bp).hex() == kron_plane_chsh(a, ap, bp).hex()
+        # exact cancellations of every sign: the dropped y products, + 0.0
+        # and folded b' products may only change the sign of a zero, which
+        # abs erases
+        for a, ap in itertools.product(PLANE_AXES, repeat=2):
+            assert plane_kernel(a, ap).hex() == kron_plane_chsh(a, ap).hex()
+
+    def test_checked_b_prime_is_the_folded_first_axis(self):
+        # both columns fold in b' = (1, 0): exact for this b' only
+        assert chsh._checked_b_prime() == (1.0, 0.0)
 
     @settings(max_examples=6, deadline=None)
     @given(angles, angles, st.sampled_from(SEAM_STEPS))
@@ -330,13 +364,69 @@ class TestBatches:
         good = (math.cos(0.3), math.sin(0.3))
         a = [good, bad if name == "a" else good]
         a_prime = [good, bad if name == "a_prime" else good]
-        columns = ([c for c, _ in a], [s for _, s in a], [c for c, _ in a_prime], [s for _, s in a_prime])
         with pytest.raises(ValueError) as batched:
-            chsh._qm_lhs_column(*columns, chsh._checked_b_prime())
+            chsh._qm_lhs_column(*plane_batch(a, a_prime))
         with pytest.raises(ValueError) as single:
             quantum._unit((bad[0], 0.0, bad[1]), name)
         assert str(batched.value) == str(single.value)
         assert str(batched.value).startswith(f"direction {name} is not a unit vector")
+
+    @pytest.mark.parametrize("name", ["a", "a_prime"])
+    def test_batched_unit_check_agrees_with_quantum_unit_at_the_tolerance(self, name):
+        # raises exactly when quantum._unit does, with its message, on both
+        # sides of both edges, with either column holding the large part
+        good = (math.cos(0.3), math.sin(0.3))
+        outcomes = set()
+        for norm2 in BOUNDARY_NORMS:
+            c, s = direction_with_norm(norm2)
+            for bad in ((c, s), (s, c)):
+                try:
+                    quantum._unit((bad[0], 0.0, bad[1]), name)
+                    expected = None
+                except ValueError as exc:
+                    expected = str(exc)
+                a = [good, bad if name == "a" else good]
+                a_prime = [good, bad if name == "a_prime" else good]
+                try:
+                    chsh._qm_lhs_column(*plane_batch(a, a_prime))
+                    got = None
+                except ValueError as exc:
+                    got = str(exc)
+                assert got == expected, (norm2, bad)
+                outcomes.add((norm2 > 1.0, expected is None))
+        assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+    @pytest.mark.parametrize(
+        "planted,message",
+        [
+            # a' is off at angle 0 and a at angle 1: a is checked first
+            (
+                {(2, 0): 0.5, (3, 0): 0.0, (0, 1): 0.0, (1, 1): 2.0},
+                "direction a is not a unit vector (|a|^2=4.0)",
+            ),
+            ({(2, 0): math.nan, (1, 7): math.nan}, "direction a is not a unit vector (|a|^2=nan)"),
+            ({(0, 5): math.nan}, "direction a is not a unit vector (|a|^2=nan)"),
+            ({(1, 5): math.nan}, "direction a is not a unit vector (|a|^2=nan)"),
+            ({(2, 5): math.nan}, "direction a_prime is not a unit vector (|a_prime|^2=nan)"),
+            ({(3, 5): math.nan}, "direction a_prime is not a unit vector (|a_prime|^2=nan)"),
+        ],
+        ids=["a-after-a-prime", "nan-a-after-a-prime", "nan-c", "nan-s", "nan-c2", "nan-s2"],
+    )
+    def test_sweep_names_the_first_offender_a_before_a_prime(self, monkeypatch, planted, message):
+        # planted values (column, angle) -> value in the plane columns
+        # (cs, ss, c2s, s2s) of every batch of a sweep
+        original = chsh._plane_columns
+
+        def plane_columns(phis):
+            plane = original(phis)
+            for (column, k), value in planted.items():
+                plane[column][k] = value
+            return plane
+
+        monkeypatch.setattr(chsh, "_plane_columns", plane_columns)
+        with pytest.raises(ValueError) as raised:
+            list(chsh.sweep(0.25, 3.0, 20))
+        assert str(raised.value) == message
 
     @pytest.mark.parametrize("tail", [1, 2, chsh.BATCH_SIZE])
     def test_each_batch_is_written_as_its_rows_one_by_one(self, tail):

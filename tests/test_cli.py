@@ -837,19 +837,31 @@ class TestChsh:
         self, tmp_path, monkeypatch, capsys
     ):
         units = self.count_singlet_calls(monkeypatch, "_unit")
-        checked = Counter()
-        original = quantum._check_units
-
-        def counted(name, xs, ys, zs):
-            checked[name] += len(xs)
-            return original(name, xs, ys, zs)
-
-        monkeypatch.setattr(chsh, "_check_units", counted)
         steps = self.STEPS_OVER_TWO_SEAMS
         code, _, _ = run_cli(["chsh", "0.5", "2.0", str(steps), "--csv", str(tmp_path / "c.csv")], capsys)
         assert code == 0
         assert [name for _, name in units] == ["b_prime"]
-        assert checked == {"a": steps, "a_prime": steps}
+        # batches of 8, 8 and 3 angles: a NaN planted at any angle of any of
+        # the four plane columns (cs, ss, c2s, s2s) is named as a or a'
+        monkeypatch.setattr(chsh, "BATCH_SIZE", 8)
+        original = chsh._plane_columns
+        argv = ["chsh", "0.5", "2.0", "19", "--csv", str(tmp_path / "planted.csv")]
+        for column, name in enumerate(("a", "a", "a_prime", "a_prime")):
+            for planted in range(19):
+                seen = []
+
+                def plane_columns(phis):
+                    plane = original(phis)
+                    if 0 <= planted - len(seen) < len(phis):
+                        plane[column][planted - len(seen)] = math.nan
+                    seen.extend(phis)
+                    return plane
+
+                monkeypatch.setattr(chsh, "_plane_columns", plane_columns)
+                with pytest.raises(ValueError) as raised:
+                    main(argv)
+                assert str(raised.value) == f"direction {name} is not a unit vector (|{name}|^2=nan)"
+                assert len(seen) == min(8 * (planted // 8 + 1), 19)
 
     def test_verify_states_keeps_its_sampled_singlet_pairs(self, monkeypatch, capsys):
         pair_calls = self.count_singlet_calls(monkeypatch, "singlet_correlation")

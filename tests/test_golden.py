@@ -12,6 +12,7 @@ After an intended change to the output, regenerate the files with::
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import sys
@@ -102,6 +103,15 @@ CASES = (
 )
 
 
+#: SHA-256 of the whole CSV of sweeps longer than the golden nine rows, so a
+#: changed bit anywhere, at a batch seam too, shows; an intended change to
+#: the CSV updates them by hand.
+CSV_DIGESTS = {
+    ("0", "3.14159265", "100000"): "4ade01f692a0e38aa52b24e5cc471cad7c2f075c091cb4d28e42dcb99ef68323",
+    ("0.5", "2.75", "2049"): "ab8c148d987877191cc9a93e080bd3ef383c486f38cb333b2542a57d31b4a722",
+}
+
+
 def run_case(name: str, argv: list, expected_code: int, workdir: Path) -> dict:
     """Run one case; returns golden file name -> produced bytes."""
     csv_path = workdir / f"{name}.csv"
@@ -126,6 +136,14 @@ def test_output_matches_golden(name, argv, code, tmp_path):
     produced = run_case(name, argv, code, tmp_path)
     for filename, data in produced.items():
         assert data == (GOLDEN_DIR / filename).read_bytes(), filename
+
+
+@pytest.mark.parametrize("grid,digest", CSV_DIGESTS.items(), ids=["-".join(g) for g in CSV_DIGESTS])
+def test_whole_sweep_csv_matches_its_digest(grid, digest, tmp_path):
+    csv_path = tmp_path / "sweep.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["chsh", *grid, "--csv", str(csv_path)]) == 0
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == digest
 
 
 def test_every_golden_file_has_a_case():

@@ -397,6 +397,17 @@ class TestSingletCorrelation:
             with pytest.raises(ValueError, match=rf"direction {name} is not a unit vector"):
                 quantum._check_units(name, *columns)
 
+    def test_named_norm_squares_by_multiplying(self):
+        # one rule with chsh's one-pass decision, c*c + s*s: x * x, which is
+        # correctly rounded; x ** 2 can differ by an ulp on some cos/sin values
+        for k in range(4096):
+            for v in (math.cos(k * math.pi / 4095), math.sin(k * math.pi / 4095)):
+                norm2 = v * v + 0.0 * 0.0 + v * v
+                if abs(norm2 - 1.0) > quantum.UNIT_NORM_TOLERANCE:
+                    with pytest.raises(ValueError) as raised:
+                        quantum._check_units("a", [v], [0.0], [v])
+                    assert str(raised.value) == f"direction a is not a unit vector (|a|^2={norm2})"
+
     def test_exact_components_match_the_kronecker_oracle(self):
         a, b = (Fraction(3, 5), 0, Fraction(4, 5)), (1, 0, 0)
         assert singlet_correlation(a, b) == kron_singlet_correlation(a, b) == -0.6
