@@ -2,10 +2,14 @@
 
 ``compute(ctx)`` returns ``(ok, witness)`` for one run's :class:`Context`.  A
 suite maps the context to its rows, and :data:`SUITES` lists them in the order
-``verify all`` runs them.  Each ``ga.*`` and ``systems.*`` axiom check lists
-cases of words ``(factors, expected)``; one loop, :class:`Words`, decides them
-all, and a witness count is the number of cases.  Library functions are looked
-up on their modules at call time, so a wrapper installed there sees each call.
+``verify all`` runs them.  Each ``ga.*`` and ``systems.*`` axiom check but
+``ga.associativity`` lists cases of words ``(factors, expected)``; one loop,
+:class:`Words`, decides them all, and a witness count is the number of cases.
+A row fixes how its words are reduced: a dense ``ga`` word by the product of
+its factors, a joint-algebra word through ``systems.word``.
+``ga.associativity`` decides the table of the 64 signed blade products, formed
+by the dense product, with integer lookups.  Library functions are looked up
+on their modules at call time, so a wrapper installed there sees each call.
 """
 
 from __future__ import annotations
@@ -65,33 +69,45 @@ class Words:
 
     ``cases(ctx)`` lists the cases.  A string ``witness`` names the case count;
     otherwise ``witness(ctx, cases, values)`` builds the witness from the cases
-    and the word values.  With ``identify`` each product is first reduced by
-    ``systems.identify_pseudoscalars``.  Each word is compared with
-    ``equals``: exact coefficients compare exactly, the float ``ga.*`` words
-    of ``--mode approx`` within the default tolerance, and the joint algebra
-    is exact in either mode.
+    and the word values.  ``value(factors)`` reduces one word.  Each word is
+    compared with ``equals``: exact coefficients compare exactly, the float
+    ``ga.*`` words of ``--mode approx`` within the default tolerance, and the
+    joint algebra is exact in either mode.
     """
 
-    __slots__ = ("cases", "witness", "identify")
+    __slots__ = ("cases", "witness", "value")
 
-    def __init__(self, cases, witness, identify: bool = False):
+    def __init__(self, cases, witness, value):
         self.cases = cases
         self.witness = witness
-        self.identify = identify
+        self.value = value
 
     def __call__(self, ctx: Context):
         cases = self.cases(ctx)
         ok, values = True, []
         for case in cases:
             for factors, expected in case:
-                value = reduce(operator.mul, factors)
-                if self.identify:
-                    value = systems.identify_pseudoscalars(value)
+                value = self.value(factors)
                 ok = ok and value.equals(expected)
                 values.append(value)
         if isinstance(self.witness, str):
             return ok, {self.witness: len(cases)}
         return ok, self.witness(ctx, cases, values)
+
+
+def _dense_word(factors):
+    """A dense ``ga`` word: the product of its factors, left to right."""
+    return reduce(operator.mul, factors)
+
+
+def _joint_word(n: int, factors):
+    """A joint-algebra word of ``n`` subsystems, reduced in one pass."""
+    return systems.word(factors, n)
+
+
+def _identified_word(n: int, factors):
+    """A joint-algebra word with its trivector pairs collapsed."""
+    return systems.identify_pseudoscalars(systems.word(factors, n))
 
 
 def _ga(witness, build):
@@ -102,36 +118,61 @@ def _ga(witness, build):
         e = (None, *(basis_vector(i, ctx.mode) for i in AXES))
         return build(e, Multivector.scalar(1, ctx.mode), Multivector.scalar(-1, ctx.mode))
 
-    return Words(cases, witness)
+    return Words(cases, witness, _dense_word)
 
 
 @cache
 def _blade_table(mode: str) -> tuple:
     """The eight basis blades ``e[a]`` of the mode and the table
     ``p[a][b] = e[a] * e[b]`` of their 64 products, formed by the dense
-    product once per process and mode."""
+    product once per process and mode, for ``ga.distributivity`` and
+    ``iso.blade-map``."""
     e = tuple(Multivector.from_blades({a: 1}, mode) for a in range(BLADE_COUNT))
     return e, tuple(tuple(x * y for y in e) for x in e)
 
 
 def _associativity(ctx):
     """``(e_a e_b) e_c == e_a (e_b e_c)`` for every blade triple: the product
-    is linear in each factor, so this decides it for all multivectors."""
-    e, p = _blade_table(ctx.mode)
-    triples = itertools.product(range(BLADE_COUNT), repeat=3)
-    return [[((p[a][b], e[c]), e[a] * p[b][c])] for a, b, c in triples]
+    is linear in each factor, so this decides it for all multivectors.
+
+    The 64 blade products are formed by the dense product on every call, so
+    a fault in it shows whenever the row runs.  Each must be one blade with
+    coefficient +1 or -1; the triples are then decided on the integer table
+    of ``(sign, mask)`` pairs: both bracketings give one mask and one sign.
+    """
+    witness = {"triples": BLADE_COUNT**3}
+    e, _ = _blade_table(ctx.mode)
+    table = []
+    for x in e:
+        for y in e:
+            coeffs = (x * y).coeffs
+            masks = [mask for mask, v in enumerate(coeffs) if v]
+            if len(masks) != 1 or coeffs[masks[0]] not in (1, -1):
+                return False, witness
+            table.append((int(coeffs[masks[0]]), masks[0]))
+    ok = True
+    for a, b, c in itertools.product(range(BLADE_COUNT), repeat=3):
+        s_ab, ab = table[a * BLADE_COUNT + b]
+        s_left, left = table[ab * BLADE_COUNT + c]
+        s_bc, bc = table[b * BLADE_COUNT + c]
+        s_right, right = table[a * BLADE_COUNT + bc]
+        ok = ok and left == right and s_ab * s_left == s_bc * s_right
+    return ok, witness
 
 
 def _distributivity(ctx):
     """A sum of two blades (a doubled blade when they coincide) distributes
     on either side of each blade."""
     e, p = _blade_table(ctx.mode)
-    cases = []
-    for a in range(BLADE_COUNT):
-        for b, c in itertools.combinations_with_replacement(range(BLADE_COUNT), 2):
-            s = e[b] + e[c]
-            cases.append([((e[a], s), p[a][b] + p[a][c]), ((s, e[a]), p[b][a] + p[c][a])])
-    return cases
+    sums = [
+        (b, c, e[b] + e[c])
+        for b, c in itertools.combinations_with_replacement(range(BLADE_COUNT), 2)
+    ]
+    return [
+        [((e[a], s), p[a][b] + p[a][c]), ((s, e[a]), p[b][a] + p[c][a])]
+        for a in range(BLADE_COUNT)
+        for b, c, s in sums
+    ]
 
 
 def _pseudoscalar(e, one, minus_one):
@@ -247,33 +288,33 @@ GA_AXIOMS = (
          for c in (e[k], -e[k])
      ])),
     ("ga.associativity", "the product is associative on all 512 basis-blade triples",
-     Words(_associativity, "triples")),
+     _associativity),
     ("ga.distributivity",
      "the product distributes over sums of two basis blades, on either side",
-     Words(_distributivity, "triples")),
+     Words(_distributivity, "triples", _dense_word)),
 )
 
 SYSTEMS_AXIOMS = (
     ("systems.cross-commutation",
      "embedded generators of distinct subsystems commute (three subsystems)",
-     Words(_cross_commutation, "ordered_pairs")),
+     Words(_cross_commutation, "ordered_pairs", partial(_joint_word, 3))),
     ("systems.embedded-relations",
      "each embedded subsystem copy satisfies the single-copy relations",
-     Words(_embedded_relations, "systems")),
+     Words(_embedded_relations, "systems", partial(_joint_word, 3))),
     ("systems.two-basis-words",
      "the six-generator words reduce to 1 (opposite order) and -1 (same order)",
      Words(_two_basis_words,
            lambda ctx, cases, values: {
                "opposite_order": str(values[0]), "same_order": str(values[1])
            },
-           identify=True)),
+           partial(_identified_word, 2))),
     ("systems.even-flips", "flipping an even number of the six generators keeps the word value",
-     Words(_even_flips, "sign_choices", identify=True)),
+     Words(_even_flips, "sign_choices", partial(_identified_word, 2))),
     ("systems.three-system-word",
      "the squared three-subsystem word equals -1 for all distinct axis pairs",
-     Words(_three_system_word, "axis_pairs")),
+     Words(_three_system_word, "axis_pairs", partial(_joint_word, 3))),
     ("systems.free-flips", "the per-subsystem squared word equals -1 for all 64 sign choices",
-     Words(_free_flips, "sign_choices")),
+     Words(_free_flips, "sign_choices", partial(_joint_word, 3))),
 )
 
 

@@ -7,11 +7,13 @@ import io
 import itertools
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
 import tempfile
 from collections import Counter
+from functools import reduce
 from pathlib import Path
 from unittest import mock
 
@@ -20,6 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cli_oracle
+import tensor_oracle
 from constraint_documents import document
 from contextuality_lab import checks, chsh, cli, constraints, ga, identities, quantum, systems
 from contextuality_lab.checks import OPERATORS, STATES, Context, Words, run
@@ -554,14 +557,40 @@ JOINT_ALGEBRA_FAULTS = {
 }
 
 
+def dense_associativity(mode: str) -> bool:
+    """The oracle of ``ga.associativity``: the 512 dense words
+    ``(e_a e_b) e_c`` and ``e_a (e_b e_c)``, both inner products read from one
+    table of the 64 dense blade products."""
+    e = tuple(Multivector.from_blades({a: 1}, mode) for a in range(ga.BLADE_COUNT))
+    p = [[x * y for y in e] for x in e]
+    return all(
+        (p[a][b] * e[c]).equals(e[a] * p[b][c])
+        for a, b, c in itertools.product(range(ga.BLADE_COUNT), repeat=3)
+    )
+
+
 class TestAxiomRows:
-    """The ga.* and systems.* checks are rows decided by one loop."""
+    """The ga.* and systems.* checks but ga.associativity are rows decided
+    by one loop; ga.associativity decides its table of signed blades."""
 
     ROWS = [row for row in OPERATORS if isinstance(row[2], Words)]
+    ASSOCIATIVITY = staticmethod(next(row[2] for row in OPERATORS if row[0] == "ga.associativity"))
+
+    @pytest.fixture
+    def fresh_blade_table(self):
+        """Empties ``checks._blade_table`` now and after the test, and hands
+        back the call that empties it, to call once each fault is installed:
+        a table is then formed under the fault, as in a faulty build, and
+        never outlives it."""
+        checks._blade_table.cache_clear()
+        yield checks._blade_table.cache_clear
+        checks._blade_table.cache_clear()
 
     def test_every_axiom_check_is_a_row_check(self):
         ids = [c["id"] for c in build_report("operators")["checks"]]
-        assert [row[0] for row in self.ROWS] == [i for i in ids if i.startswith(("ga.", "systems."))]
+        assert [row[0] for row in self.ROWS] == [
+            i for i in ids if i.startswith(("ga.", "systems.")) and i != "ga.associativity"
+        ]
 
     @pytest.mark.parametrize("mode", [EXACT, APPROX])
     def test_every_axiom_check_evaluates_rows(self, mode):
@@ -574,7 +603,7 @@ class TestAxiomRows:
             counts = [v for v in witness.values() if isinstance(v, int) and not isinstance(v, bool)]
             assert counts in ([], [len(cases)]), check_id
 
-    def test_a_wrong_blade_sign_fails_the_ga_words(self, monkeypatch, capsys):
+    def test_a_wrong_blade_sign_fails_the_ga_words(self, monkeypatch, fresh_blade_table, capsys):
         dense = Multivector.__mul__
 
         def blade(mv):
@@ -589,6 +618,7 @@ class TestAxiomRows:
             return product
 
         monkeypatch.setattr(Multivector, "__mul__", wrong)
+        fresh_blade_table()
         for mode in (EXACT, APPROX):
             entries = run(OPERATORS, Context(mode, DEFAULT_SEED))
             failed = {c["id"] for c in entries if c["status"] == "fail"}
@@ -601,18 +631,68 @@ class TestAxiomRows:
         assert code == 1
         assert json.loads(out)["all_pass"] is False
 
-    def test_any_wrong_cayley_sign_fails_associativity(self, monkeypatch):
-        words = next(row[2] for row in self.ROWS if row[0] == "ga.associativity")
-        cayley, missed = ga.CAYLEY, []
+    def test_any_wrong_cayley_sign_fails_associativity(self, monkeypatch, fresh_blade_table):
+        """The row and its dense oracle both fail under each of the 64
+        single sign flips of the blade table."""
+        cayley, passed = ga.CAYLEY, []
         for a, b in itertools.product(range(ga.BLADE_COUNT), repeat=2):
             table = [list(row) for row in cayley]
             sign, mask = table[a][b]
             table[a][b] = (-sign, mask)
             monkeypatch.setattr(ga, "CAYLEY", tuple(map(tuple, table)))
+            fresh_blade_table()
             for mode in (EXACT, APPROX):
-                if words(Context(mode, DEFAULT_SEED))[0]:
-                    missed.append((a, b, mode))
-        assert missed == []
+                verdicts = (self.ASSOCIATIVITY(Context(mode, DEFAULT_SEED))[0],
+                            dense_associativity(mode))
+                if verdicts != (False, False):
+                    passed.append((a, b, mode, verdicts))
+        assert passed == []
+
+    @pytest.mark.parametrize("mode", [EXACT, APPROX])
+    def test_associativity_agrees_with_its_dense_oracle(self, mode):
+        assert self.ASSOCIATIVITY(Context(mode, DEFAULT_SEED)) == (True, {"triples": 512})
+        assert dense_associativity(mode)
+
+    @pytest.mark.parametrize("fault", ["two blades", "doubled", "zero"])
+    @pytest.mark.parametrize("mode", [EXACT, APPROX])
+    def test_a_blade_product_that_is_no_signed_blade_fails_associativity(
+        self, mode, fault, monkeypatch, fresh_blade_table
+    ):
+        dense = Multivector.__mul__
+        e1, e2, e3 = (ga.basis_vector(i, mode) for i in (1, 2, 3))
+        faulty = {
+            "two blades": lambda product: product + e3,
+            "doubled": lambda product: product.scale(2),
+            "zero": lambda product: product.scale(0),
+        }[fault]
+
+        def wrong(self, other):
+            product = dense(self, other)
+            return faulty(product) if (self, other) == (e1, e2) else product
+
+        monkeypatch.setattr(Multivector, "__mul__", wrong)
+        fresh_blade_table()
+        assert self.ASSOCIATIVITY(Context(mode, DEFAULT_SEED)) == (False, {"triples": 512})
+        assert not dense_associativity(mode)
+
+    def test_systems_words_agree_with_the_dense_and_dict_algebras(self):
+        """Each word of each systems.* row: ``systems.word`` gives the
+        product of its factors and the value of ``tests/tensor_oracle.py``."""
+        ctx, words = Context(EXACT, DEFAULT_SEED), 0
+        for check_id, _, compute in self.ROWS:
+            if not check_id.startswith("systems."):
+                continue
+            for case in compute.cases(ctx):
+                for factors, _ in case:
+                    n = factors[0].n
+                    value = systems.word(factors, n)
+                    assert value == reduce(operator.mul, factors), check_id
+                    sparse = tensor_oracle.word([tensor_oracle.of(f) for f in factors], n)
+                    assert tensor_oracle.of(value) == sparse, check_id
+                    words += 1
+        # cross-commutation, embedded-relations, two-basis-words, even-flips,
+        # three-system-word, free-flips
+        assert words == 54 + 3 * 10 + 2 + 64 + 6 + 64
 
     @pytest.mark.parametrize("fault", JOINT_ALGEBRA_FAULTS)
     def test_a_joint_algebra_fault_fails_the_systems_words(self, monkeypatch, fault):
