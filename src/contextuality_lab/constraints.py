@@ -9,9 +9,10 @@ Three built-in systems are provided:
 Each line demands that the product of its observables' values equals +1 or
 -1.  An observable is written as its factors joined by ``*``, such as
 ``x1*y2``, in any order: factors on distinct subsystems commute, so
-``y2*x1`` and ``x1*y2`` are one observable.  A set keys each observable once
-by its factors in subsystem order, and every evaluator and operator check
-reads that one index; labels are kept as written.
+``y2*x1`` and ``x1*y2`` are one observable.  An observable is encoded once,
+when it is built, as its Pauli x and z masks; a set keys each observable by
+them, and every evaluator and operator check reads that one index; labels
+are kept as written.
 
 Two evaluators operate on a system.  The scalar evaluator counts, among
 all 2^n maps from the n observables to {+1, -1}, the maps satisfying every
@@ -68,19 +69,31 @@ class ObservableProduct(_Record):
     The label joins the factor labels in written order; ``parse`` keeps the
     one it reads, and any other product forms its own on first use."""
 
-    __slots__ = ("factors", "_label")
+    __slots__ = ("factors", "_label", "_masks")
 
     def __init__(self, factors: tuple):
-        seen = set()
+        x = z = 0
         for factor in factors:
-            if factor.system in seen:
+            bit = 1 << (factor.system - 1)
+            if (x | z) & bit:
                 label = "*".join(f.label for f in factors)
                 raise ValueError(f"repeated subsystem in observable {label}")
-            seen.add(factor.system)
+            if factor.axis != "z":
+                x |= bit
+            if factor.axis != "x":
+                z |= bit
         if not factors:
             raise ValueError("an observable needs at least one factor")
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "_label", None)
+        object.__setattr__(self, "_masks", (x, z))
+
+    @property
+    def masks(self) -> tuple:
+        """``(x, z)``: subsystem s at bit s - 1 of both masks, whatever the
+        number of subsystems; x sets the x bit, z the z bit and y both.  Two
+        products of one factor set, in any written order, share them."""
+        return self._masks
 
     @classmethod
     def parse(cls, label: str) -> "ObservableProduct":
@@ -138,27 +151,20 @@ class ConstraintSet(_Record):
     def _index(self) -> tuple:
         """``(observables, term_indices, label_rows)``, formed on first use.
 
-        Each distinct written label is keyed once by its factors in
-        subsystem order, packed as the axis index of subsystem s in bits 2s
-        and 2s + 1."""
+        Each term is keyed by its :attr:`ObservableProduct.masks`, so terms
+        of one factor set in any written order are one observable."""
         table = self._table
         if table is None:
-            observables, by_label, by_factors, indices, label_rows = [], {}, {}, [], []
+            observables, by_masks, indices, label_rows = [], {}, [], []
             for line in self.lines:
-                labels = tuple(term.label for term in line.terms)
                 row = []
-                for term, label in zip(line.terms, labels):
-                    k = by_label.get(label)
-                    if k is None:
-                        key = 0
-                        for f in term.factors:
-                            key |= AXIS_INDEX[f.axis] << 2 * f.system
-                        k = by_label[label] = by_factors.setdefault(key, len(observables))
-                        if k == len(observables):
-                            observables.append(term)
+                for term in line.terms:
+                    k = by_masks.setdefault(term.masks, len(observables))
+                    if k == len(observables):
+                        observables.append(term)
                     row.append(k)
                 indices.append(tuple(row))
-                label_rows.append((labels, line.required))
+                label_rows.append((tuple(term.label for term in line.terms), line.required))
             table = (tuple(observables), tuple(indices), tuple(label_rows))
             object.__setattr__(self, "_table", table)
         return table
@@ -180,7 +186,8 @@ class ConstraintSet(_Record):
 
     @property
     def n_systems(self) -> int:
-        return max(f.system for term in self.observables for f in term.factors)
+        """The highest subsystem any observable acts on."""
+        return max(x | z for x, z in (term.masks for term in self.observables)).bit_length()
 
     @classmethod
     def from_json(cls, text: str) -> "ConstraintSet":

@@ -7,8 +7,10 @@ with no floating point in the loop.
 
 An n-site spin word is never built as a 2^n x 2^n matrix.  It is a Pauli
 word ``(k, x, z)`` meaning i^k X^x Z^z: a phase exponent mod 4 and one x bit
-and one z bit per subsystem, subsystem 1 in the most significant bit (the
-order of the basis kets below).  Products, commutation and the action on
+and one z bit per subsystem, subsystem s at bit s - 1 whatever n is.  The
+masks are the ones each observable forms when it is built
+(``ObservableProduct.masks``), and a basis ket keeps subsystem s at the same
+bit (:func:`_basis_state`).  Products, commutation and the action on
 basis kets then take an XOR and a popcount (Aaronson & Gottesman,
 quant-ph/0406196; Dehaene & De Moor, PRA 68, 042318 (2003)), so every line
 identity, commutation and eigenstate claim stays exact.  State vectors carry
@@ -20,10 +22,11 @@ The floating-point path is the singlet correlation: :func:`singlet_correlation`
 behind the sampled ``states.singlet`` check, and the unit-norm rule that it
 shares with the sweep in :mod:`.chsh`.  The rule is written once, over
 columns of direction components; a single direction is a column of one
-entry.  The sweep's plane kernel forms the float operations of
-:func:`singlet_correlation`, in the same order, four times per angle.  The
-formula is the real-arithmetic reduction, equal bit for bit, of the complex
-4 x 4 Kronecker product kept as the test oracle in ``tests/sweep_oracle.py``.
+entry.  Per angle, the sweep's plane kernel forms two correlations with
+the float operations of :func:`singlet_correlation`, in the same order, and
+folds b' = (1, 0, 0) into the other two as -c and -c2.  The formula is the
+real-arithmetic reduction, equal bit for bit, of the complex 4 x 4 Kronecker
+product kept as the test oracle in ``tests/sweep_oracle.py``.
 """
 
 from __future__ import annotations
@@ -175,23 +178,14 @@ IDENTITY_WORD = (0, 0, 0)
 def pauli_word(product: ObservableProduct, n: int) -> tuple:
     """The product's n-site word ``(k, x, z)``, meaning i^k X^x Z^z.
 
-    Subsystem s sets bit n - s of the masks: x sets the x bit, z the z bit,
-    and y both bits plus one to k, since Y = iXZ.  Factors sit on distinct
-    subsystems, so their order does not matter.
+    The masks are the product's own; each y site sets both bits and adds one
+    to k, since Y = iXZ.
     """
-    k = x = z = 0
-    for factor in product.factors:
-        if factor.system > n:
-            highest = max(f.system for f in product.factors)
-            raise ValueError(f"observable {product.label} needs {highest} systems, have {n}")
-        bit = 1 << (n - factor.system)
-        if factor.axis != "z":
-            x |= bit
-        if factor.axis != "x":
-            z |= bit
-        if factor.axis == "y":
-            k += 1
-    return k, x, z
+    x, z = product.masks
+    if (x | z) >> n:
+        highest = (x | z).bit_length()
+        raise ValueError(f"observable {product.label} needs {highest} systems, have {n}")
+    return (x & z).bit_count() % 4, x, z
 
 
 def word_product(a: tuple, b: tuple) -> tuple:
@@ -255,12 +249,9 @@ class StateVector(_Record):
 
 
 def _basis_state(pattern: str) -> int:
-    """Index of a +/- ket string; subsystem 1 is the most significant bit
-    and the minus component maps to bit 1."""
-    index = 0
-    for ch in pattern:
-        index = (index << 1) | (1 if ch == "-" else 0)
-    return index
+    """Index of a +/- ket string: character s (from 1) is subsystem s, at
+    bit s - 1 as in the word masks, and a minus sets that bit."""
+    return sum(1 << s for s, ch in enumerate(pattern) if ch == "-")
 
 
 def ket_combination(terms: dict, norm2: int, dim: int) -> StateVector:

@@ -13,7 +13,7 @@ import subprocess
 import sys
 import tempfile
 from collections import Counter
-from functools import reduce
+from functools import partial, reduce
 from pathlib import Path
 from unittest import mock
 
@@ -29,6 +29,7 @@ from contextuality_lab.checks import OPERATORS, STATES, Context, Words, run
 from contextuality_lab.cli import DEFAULT_SEED, build_report, main
 from contextuality_lab.constraints import BELL_GHZ, GHZ, PM, ObservableProduct, builtin_constraints
 from contextuality_lab.ga import APPROX, EXACT, Multivector
+from quantum_oracle import PAULI_CODES, factor_word
 from sweep_oracle import dense_F, dense_quantum_lhs
 
 
@@ -712,6 +713,41 @@ class TestAxiomRows:
             for seed in (1, 2)
         )
         assert len(first) == 2 and first == second
+
+
+#: name -> per-axis codes of a faulty word encoding, for the factor-loop
+#: reference ``quantum_oracle.factor_word``: (x bit, z bit, phase exponent).
+WORD_ENCODING_FAULTS = {
+    "y-as-x-only": {**PAULI_CODES, "y": (1, 0, 0)},
+    "y-as-z-only": {**PAULI_CODES, "y": (0, 1, 0)},
+    "y-phase-dropped": {**PAULI_CODES, "y": (1, 1, 0)},
+    "x-sets-both-bits": {**PAULI_CODES, "x": (1, 1, 0)},
+}
+
+#: The rows of ``verify all`` that read an observable's word and fail under
+#: some encoding fault.  pm.word.1/.2, ghz.line-commutation and
+#: pauli.cross-commutation pass under every one: they need a fault of
+#: ``word_product`` or ``words_commute``.
+ENCODING_ROWS = {
+    *(f"pm.word.{k}" for k in range(3, 7)),
+    *(f"ghz.word.{k}" for k in range(1, 6)),
+    "pm.line-commutation",
+    "states.ghz.eigenvalues",
+    "states.alternating.eigenvalues",
+}
+
+
+class TestWordEncodingFaults:
+    def test_every_encoding_row_fails_under_some_fault(self, monkeypatch):
+        monkeypatch.setattr(quantum, "pauli_word", factor_word)
+        assert build_report("all")["all_pass"] is True
+        failing = set()
+        for codes in WORD_ENCODING_FAULTS.values():
+            monkeypatch.setattr(quantum, "pauli_word", partial(factor_word, codes=codes))
+            # a faulty word fails rows; it never makes the report raise
+            report = build_report("all")
+            failing.update(c["id"] for c in report["checks"] if c["status"] == "fail")
+        assert ENCODING_ROWS <= failing
 
 
 class TestBellGhzColumnWork:

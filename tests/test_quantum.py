@@ -32,6 +32,7 @@ from contextuality_lab.quantum import (
     eigencheck,
     ghz_state,
     is_eigenstate,
+    ket_combination,
     pauli,
     pauli_word,
     singlet_correlation,
@@ -44,6 +45,7 @@ from quantum_oracle import (
     commutes,
     dense_eigencheck,
     dense_verify_operator_identities,
+    factor_word,
     observable_matrix,
     word_matrix,
 )
@@ -175,6 +177,20 @@ class TestPauliWordOracle:
 
     @settings(max_examples=200, deadline=None)
     @given(sized(observables))
+    def test_word_is_the_factor_loop_reference(self, case):
+        n, product = case
+        assert pauli_word(product, n) == factor_word(product, n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(sized(observables, observables), st.data())
+    def test_masks_are_one_per_factor_set(self, case, data):
+        n, a, b = case
+        reordered = ObservableProduct(data.draw(st.permutations(a.factors)))
+        assert reordered.masks == a.masks
+        assert (a.masks == b.masks) == (set(a.factors) == set(b.factors))
+
+    @settings(max_examples=200, deadline=None)
+    @given(sized(observables))
     def test_word_rebuilds_the_observable_matrix(self, case):
         n, product = case
         assert word_matrix(pauli_word(product, n), n) == observable_matrix(product, n)
@@ -266,7 +282,7 @@ class TestPauliWordOracle:
             assert verify_operator_identities(cs) == (False,)
             assert dense_verify_operator_identities(cs) == (False,)
 
-    @pytest.mark.parametrize("build", [pauli_word, observable_matrix])
+    @pytest.mark.parametrize("build", [pauli_word, factor_word, observable_matrix])
     def test_system_beyond_n_rejected(self, build):
         with pytest.raises(ValueError, match="observable x1\\*z3 needs 3 systems, have 2"):
             build(ObservableProduct.parse("x1*z3"), 2)
@@ -335,6 +351,16 @@ class TestStates:
         expected = [("x1*y2*y3", 1), ("y1*x2*y3", -1), ("y1*y2*x3", 1), ("x1*x2*x3", 1)]
         for label, value in expected:
             assert eigencheck(state, ObservableProduct.parse(label), value, 3)
+
+    def test_subsystem_order_on_a_ket_that_is_no_palindrome(self):
+        # |-++>: a word and a ket that put subsystem 1 at different bits
+        # would read z3 as -1 and z1 as +1
+        state = ket_combination({"-++": 1}, 1, 8)
+        for label, value in (("z1", -1), ("z2", 1), ("z3", 1), ("z1*z3", -1)):
+            term = ObservableProduct.parse(label)
+            assert eigencheck(state, term, value, 3)
+            assert dense_eigencheck(state, term, value, 3)
+        assert not is_eigenstate(state, ObservableProduct.parse("x1"), 3)
 
     def test_single_spin_is_not_determined(self):
         state = ghz_state()
