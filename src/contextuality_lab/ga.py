@@ -71,6 +71,10 @@ def _zero(mode: str) -> Coefficient:
     return 0 if mode == EXACT else 0.0
 
 
+#: The zero coefficient row of each mode, copied to start a product.
+_ZEROS = {mode: (_zero(mode),) * BLADE_COUNT for mode in MODES}
+
+
 def _coerce(value, mode: str) -> Coefficient:
     """Check and normalize a raw coefficient for the given mode."""
     kind = type(value)
@@ -105,11 +109,13 @@ class _Record:
     input passes through it.  An algebra record (``Multivector``,
     ``TensorMultivector``, ``GaussianRational``, ``ComplexMatrix``) also
     has a result path, one private module-level function next to its class
-    that takes ``object.__new__`` and sets each field once.  Only the type's
-    own operations call it, on fields formed from operands that the checked
-    path or an earlier operation built, so no check is repeated there: the
-    mode is the operands', the shape is theirs, and so are the key ranges
-    and the +1 or -1 signs of the joint algebra's signed blades.
+    that takes ``object.__new__`` and stores each field through its slot's
+    bound ``__set__`` (``Multivector.coeffs.__set__``), formed once at
+    import.  Only the type's own operations call it, on fields formed from
+    operands that the checked path or an earlier operation built, so no
+    check is repeated there: the mode is the operands', the shape is theirs,
+    and so are the key ranges and the +1 or -1 signs of the joint algebra's
+    signed blades.
     """
 
     __slots__ = ()
@@ -193,7 +199,7 @@ class Multivector(_Record):
         """Build a multivector from a mask -> coefficient mapping."""
         if mode not in MODES:
             raise ValueError(f"unknown coefficient mode {mode!r}")
-        out = [_zero(mode)] * BLADE_COUNT
+        out = list(_ZEROS[mode])
         for mask, value in blade_coeffs.items():
             if type(mask) is not int or not 0 <= mask < BLADE_COUNT:
                 raise ValueError(f"blade mask {mask!r} out of range 0..7")
@@ -234,7 +240,7 @@ class Multivector(_Record):
             mode = self.mode
             if mode != other.mode:
                 self._require_same_mode(other)
-            acc = [_zero(mode)] * BLADE_COUNT
+            acc = list(_ZEROS[mode])
             right = other.coeffs
             for a, row in zip(self.coeffs, CAYLEY):
                 if a:
@@ -270,11 +276,14 @@ class Multivector(_Record):
         return f"Multivector({render_multivector(self)!r}, mode={self.mode!r})"
 
 
+_set_coeffs, _set_mode = Multivector.coeffs.__set__, Multivector.mode.__set__
+
+
 def _multivector(coeffs: tuple, mode: str) -> Multivector:
     """The result path of ``Multivector`` (see ``_Record``)."""
     mv = object.__new__(Multivector)
-    object.__setattr__(mv, "coeffs", coeffs)
-    object.__setattr__(mv, "mode", mode)
+    _set_coeffs(mv, coeffs)
+    _set_mode(mv, mode)
     return mv
 
 

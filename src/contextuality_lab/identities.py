@@ -16,8 +16,10 @@ compares the three subsystems' plane orientations induced by a map.
 
 Every factor image is a signed in-plane basis vector, and it is held as what
 it is: a one-slot signed blade of :mod:`contextuality_lab.systems`, ``+-e1``
-or ``+-e2``.  So a reduced line, a column product and a plane orientation are
-each a sign times one blade: lines and columns are reduced by
+or ``+-e2``.  A map keeps its six images, subsystem 1's own two first, in one
+table, and the column lines are resolved once to positions in it.  So a
+reduced line, a column product and a plane orientation are each a sign times
+one blade: lines and columns are reduced by
 :func:`contextuality_lab.systems.word`, the one kernel that multiplies words
 of signed blades.  The dense 8-blade product gives the same values and is
 kept as the test oracle (``tests/identities_oracle.py``).
@@ -55,10 +57,12 @@ class IdentityMap(_Record):
 
     Each image is ``+-e1`` or ``+-e2`` of one slot.  Per subsystem the two
     images use distinct axes, so each substitution is an
-    orthonormality-preserving signed permutation of the plane.
+    orthonormality-preserving signed permutation of the plane.  The private
+    slot ``_images`` is the image table (e1, e2, f1, f2, g1, g2), indexed by
+    :func:`_image_index`, that lookups, columns and orientations read.
     """
 
-    __slots__ = ("f1", "f2", "g1", "g2")
+    __slots__ = ("f1", "f2", "g1", "g2", "_images")
 
     def __init__(
         self,
@@ -74,31 +78,30 @@ class IdentityMap(_Record):
             raise ValueError("f images must use distinct axes")
         if g1.key == g2.key:
             raise ValueError("g images must use distinct axes")
-        object.__setattr__(self, "f1", f1)
-        object.__setattr__(self, "f2", f2)
-        object.__setattr__(self, "g1", g1)
-        object.__setattr__(self, "g2", g2)
+        super().__init__(f1, f2, g1, g2)
+        object.__setattr__(self, "_images", (*_OWN_BASIS, f1, f2, g1, g2))
 
     def image(self, system: int, axis: int) -> TensorMultivector:
         """Where the in-plane generator of a subsystem lands in the shared copy."""
-        if axis not in IN_PLANE_AXES:
-            raise ValueError(f"axis {axis} outside the identified plane")
-        if system == 1:
-            return _OWN_BASIS[axis - 1]
-        if system == 2:
-            return self.f1 if axis == 1 else self.f2
-        if system == 3:
-            return self.g1 if axis == 1 else self.g2
-        raise ValueError(f"system index {system} out of range 1..3")
+        return self._images[_image_index(system, axis)]
 
     def as_dict(self) -> dict:
         return {"f1": str(self.f1), "f2": str(self.f2), "g1": str(self.g1), "g2": str(self.g2)}
 
 
+def _image_index(system: int, axis: int) -> int:
+    """The position of a subsystem's in-plane generator in a map's image table."""
+    if axis not in IN_PLANE_AXES:
+        raise ValueError(f"axis {axis} outside the identified plane")
+    if system not in (1, 2, 3):
+        raise ValueError(f"system index {system} out of range 1..3")
+    return 2 * system + axis - 3
+
+
 #: Subsystem 1's own in-plane generators, the images of e1 and e2.
 _OWN_BASIS = tuple(systems.generator(1, axis, 1) for axis in IN_PLANE_AXES)
 #: Every image a map may use: +-e1 and +-e2 of one slot.
-_IN_PLANE = (*_OWN_BASIS, *(-x for x in _OWN_BASIS))
+_IN_PLANE = frozenset((*_OWN_BASIS, *(-x for x in _OWN_BASIS)))
 
 
 def _signed_permutations():
@@ -128,11 +131,13 @@ COLUMN_LINES = tuple(
 )
 
 
-def _reduce_line(imap: IdentityMap, line: ObservableProduct) -> TensorMultivector:
-    """The reduced word of one line: the product of its factors' images."""
-    return systems.word(
-        (imap.image(factor.system, AXIS_INDEX[factor.axis]) for factor in line.factors), 1
-    )
+def _line_indices(line: ObservableProduct) -> tuple:
+    """A line's factors as positions in a map's image table."""
+    return tuple(_image_index(f.system, AXIS_INDEX[f.axis]) for f in line.factors)
+
+
+#: :data:`COLUMN_LINES` resolved once to image-table positions.
+_COLUMN_INDICES = tuple(map(_line_indices, COLUMN_LINES))
 
 
 class ColumnResult(_Record):
@@ -145,7 +150,9 @@ class ColumnResult(_Record):
 
 
 def bell_ghz_column(imap: IdentityMap) -> ColumnResult:
-    entries = tuple(_reduce_line(imap, line) for line in COLUMN_LINES)
+    """Each line reduced over its positions in the map's image table."""
+    image = imap._images.__getitem__
+    entries = tuple(systems.word(map(image, line), 1) for line in _COLUMN_INDICES)
     return ColumnResult(entries, systems.word(entries, 1))
 
 

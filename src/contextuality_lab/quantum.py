@@ -74,11 +74,14 @@ class GaussianRational(_Record):
         return f"{self.real}{'+' if self.imag >= 0 else ''}{self.imag}i"
 
 
+_set_real, _set_imag = GaussianRational.real.__set__, GaussianRational.imag.__set__
+
+
 def _gaussian(real: int, imag: int) -> GaussianRational:
     """The result path of ``GaussianRational`` (see ``ga._Record``)."""
     z = object.__new__(GaussianRational)
-    object.__setattr__(z, "real", real)
-    object.__setattr__(z, "imag", imag)
+    _set_real(z, real)
+    _set_imag(z, imag)
     return z
 
 
@@ -145,10 +148,13 @@ class ComplexMatrix(_Record):
         return _matrix(tuple(rows))
 
 
+_set_entries = ComplexMatrix.entries.__set__
+
+
 def _matrix(entries: tuple) -> ComplexMatrix:
     """The result path of ``ComplexMatrix`` (see ``ga._Record``)."""
     m = object.__new__(ComplexMatrix)
-    object.__setattr__(m, "entries", entries)
+    _set_entries(m, entries)
     return m
 
 

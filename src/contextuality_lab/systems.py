@@ -81,12 +81,17 @@ class TensorMultivector(_Record):
         return render_tensor(self)
 
 
+_set_n = TensorMultivector.n.__set__
+_set_sign = TensorMultivector.sign.__set__
+_set_key = TensorMultivector.key.__set__
+
+
 def _blade(n: int, sign: int, key: int) -> TensorMultivector:
     """The result path of ``TensorMultivector`` (see ``_Record``)."""
     tm = object.__new__(TensorMultivector)
-    object.__setattr__(tm, "n", n)
-    object.__setattr__(tm, "sign", sign)
-    object.__setattr__(tm, "key", key)
+    _set_n(tm, n)
+    _set_sign(tm, sign)
+    _set_key(tm, key)
     return tm
 
 

@@ -164,6 +164,14 @@ class TestVerify:
         assert json.loads(out)["environment"]["seed"] == 3
         assert out == plain
 
+    def test_singlet_witness_is_pinned(self):
+        # the norm and dot product are explicit left-to-right sums: under
+        # Python 3.12's compensated sum() seed 6 read 2.220446049250313e-16
+        rows = {check_id: compute for check_id, _, compute in STATES}
+        assert rows["states.singlet"](Context(EXACT, 6)) == (
+            True, {"samples": 100, "seed": 6, "max_deviation": 1.1102230246251565e-16}
+        )
+
     def test_build_report_all_targets(self):
         report = build_report("all", seed=DEFAULT_SEED)
         assert report["all_pass"] is True
@@ -748,6 +756,95 @@ class TestWordEncodingFaults:
             report = build_report("all")
             failing.update(c["id"] for c in report["checks"] if c["status"] == "fail")
         assert ENCODING_ROWS <= failing
+
+
+def _drops_last_right_term(self, other, product=Multivector.__mul__):
+    """A dense product that loses the last nonzero term of a right operand
+    with two or more terms."""
+    if isinstance(other, Multivector):
+        nonzero = [m for m, v in enumerate(other.coeffs) if v]
+        if len(nonzero) > 1:
+            coeffs = tuple(0 if m == nonzero[-1] else v for m, v in enumerate(other.coeffs))
+            other = Multivector(coeffs, other.mode)
+    return product(self, other)
+
+
+def _i_squared_plus_one(self, other):
+    """A Gaussian product with i * i = +1."""
+    if isinstance(other, quantum.GaussianRational):
+        return quantum.GaussianRational(
+            self.real * other.real + self.imag * other.imag,
+            self.real * other.imag + self.imag * other.real,
+        )
+    return quantum.GaussianRational(self.real * other, self.imag * other)
+
+
+def _f_images_swapped(self, *images, init=identities.IdentityMap.__init__):
+    """A map built with f1 and f2 swapped in its image table."""
+    init(self, *images)
+    e1, e2, f1, f2, g1, g2 = self._images
+    object.__setattr__(self, "_images", (e1, e2, f2, f1, g1, g2))
+
+
+#: name -> (owner, attribute, faulty replacement, the rows of ``verify all``
+#: that fail under it).  Any bilinear table distributes, so only a product
+#: that drops a term fails ga.distributivity.
+KERNEL_FAULTS = {
+    "dense-product-drops-a-term": (
+        Multivector, "__mul__", _drops_last_right_term, {"ga.distributivity"}
+    ),
+    "gaussian-i-squared-plus-one": (
+        quantum.GaussianRational, "__mul__", _i_squared_plus_one,
+        {"iso.blade-map", "pauli.anticommutation"},
+    ),
+    "image-table-f1-f2-swapped": (
+        identities.IdentityMap, "__init__", _f_images_swapped,
+        {"bellghz.column.negated-f1", "bellghz.column.uniform"},
+    ),
+}
+
+
+def _or_masks(a, b, product=quantum.word_product):
+    """A word product that ORs the masks instead of XORing them."""
+    k, _, _ = product(a, b)
+    return k, a[1] | b[1], a[2] | b[2]
+
+
+#: ``quantum`` attribute -> (faulty replacement, rows that must fail under
+#: it): the four word rows that no encoding fault reaches.
+WORD_KERNEL_FAULTS = {
+    "word_product": (_or_masks, {"pm.word.1", "pm.word.2"}),
+    "words_commute": (lambda a, b: False, {"ghz.line-commutation", "pauli.cross-commutation"}),
+}
+
+
+class TestKernelFaults:
+    @pytest.fixture
+    def fresh_tables(self):
+        """The blade table and the 64 columns, formed under the test's fault
+        and emptied after it."""
+        checks._blade_table.cache_clear()
+        identities.columns.cache_clear()
+        yield
+        checks._blade_table.cache_clear()
+        identities.columns.cache_clear()
+
+    @pytest.mark.parametrize("mode", [EXACT, APPROX])
+    @pytest.mark.parametrize("fault", sorted(KERNEL_FAULTS))
+    def test_a_kernel_fault_fails_exactly_its_rows(self, fault, mode, fresh_tables, monkeypatch):
+        owner, attribute, replacement, failing = KERNEL_FAULTS[fault]
+        monkeypatch.setattr(owner, attribute, replacement)
+        # a fault fails rows; it never makes the report raise
+        report = build_report("all", mode)
+        assert {c["id"] for c in report["checks"] if c["status"] == "fail"} == failing
+
+    def test_a_word_kernel_fault_fails_the_rows_no_encoding_fault_reaches(self, monkeypatch):
+        for attribute, (replacement, rows) in WORD_KERNEL_FAULTS.items():
+            with monkeypatch.context() as patched:
+                patched.setattr(quantum, attribute, replacement)
+                report = build_report("all")
+            assert rows <= {c["id"] for c in report["checks"] if c["status"] == "fail"}
+        assert build_report("all")["all_pass"] is True
 
 
 class TestBellGhzColumnWork:

@@ -44,6 +44,11 @@ def vector(sign, axis):
 SWAPPED_MAP = IdentityMap(vector(1, 2), vector(1, 1), vector(1, 1), vector(1, 2))
 
 
+def resolve_line(imap, line):
+    """The kernel's line resolver, which refuses what no map can image."""
+    return identities._line_indices(line)
+
+
 class TestSignedAxisVector:
     """A signed in-plane vector is the one-slot signed blade itself."""
 
@@ -97,6 +102,18 @@ class TestIdentityMap:
             with pytest.raises(ValueError, match="is not \\+-e1 or \\+-e2 of one slot"):
                 IdentityMap(*images)
 
+    def test_one_image_table_per_map(self):
+        own = (vector(1, 1), vector(1, 2))
+        for imap in all_identity_maps():
+            table = (*own, imap.f1, imap.f2, imap.g1, imap.g2)
+            assert imap._images == table
+            assert tuple(imap.image(s, a) for s in (1, 2, 3) for a in (1, 2)) == table
+            # a private cache: repr and pickling leave it out, __init__ rebuilds it
+            assert "_images" not in repr(imap)
+            assert pickle.loads(pickle.dumps(imap))._images == table
+        with pytest.raises(ValueError, match="system index 4 out of range 1..3"):
+            UNIFORM_MAP.image(4, 1)
+
     def test_all_maps_count_and_uniqueness(self):
         maps = all_identity_maps()
         assert len(maps) == 64
@@ -135,7 +152,9 @@ class TestSubstitution:
     def test_z_axis_rejected(self):
         # axis z has no image: the identification covers only the plane
         with pytest.raises(ValueError, match="axis 3 outside the identified plane"):
-            identities._reduce_line(NEGATED_F1_MAP, ObservableProduct.parse("x1*z2*y3"))
+            identities._line_indices(ObservableProduct.parse("x1*z2*y3"))
+        with pytest.raises(ValueError, match="axis 3 outside the identified plane"):
+            NEGATED_F1_MAP.image(2, 3)
 
 
 class TestColumns:
@@ -198,12 +217,12 @@ class TestDenseOracle:
         for imap in all_identity_maps():
             assert dense_column(bell_ghz_column(imap)) == dense_bell_ghz_column(imap)
 
-    @pytest.mark.parametrize("reduce", [identities._reduce_line, dense_substitute_and_reduce])
+    @pytest.mark.parametrize("reduce", [resolve_line, dense_substitute_and_reduce])
     def test_z_axis_rejected(self, reduce):
         with pytest.raises(ValueError, match="axis 3 outside the identified plane"):
             reduce(UNIFORM_MAP, ObservableProduct.parse("x1*y2*z3"))
 
-    @pytest.mark.parametrize("reduce", [identities._reduce_line, dense_substitute_and_reduce])
+    @pytest.mark.parametrize("reduce", [resolve_line, dense_substitute_and_reduce])
     def test_out_of_range_system_rejected(self, reduce):
         # PauliSymbol refuses system 4, so a stand-in factor carries it
         line = ObservableProduct((PauliSymbol(1, "x"), SimpleNamespace(system=4, axis="y")))
