@@ -12,8 +12,6 @@ by the dense product, with integer lookups.  Library functions are looked up
 on their modules at call time, so a wrapper installed there sees each call.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 import operator

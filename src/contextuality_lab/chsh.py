@@ -33,8 +33,6 @@ one ``%`` and one call; :func:`csv_rows` yields them one by one.  The dense
 multivectors and complex matrices are the test oracle (``tests/sweep_oracle.py``).
 """
 
-from __future__ import annotations
-
 import math
 from itertools import chain, repeat
 

@@ -30,15 +30,19 @@ and makes a failed open or write, stdout's too, a usage error.  Reports
 are deterministic byte for byte for fixed flags: the one sampled check,
 ``states.singlet``, draws from a generator seeded by ``--seed`` and no
 timestamps are embedded.
+
+Reports are written by :func:`render_json` as ``json.dumps(report,
+indent=2)`` would write them, without the ``json`` module.  Only a string
+that needs escaping, a NaN or an infinity, or a subclass of ``str``,
+``int`` or ``float`` goes through its ``json.dumps`` fallback, and no
+built-in report holds one, so only a command that reads a ``--constraints``
+document loads ``json``.
 """
 
-from __future__ import annotations
-
 import contextlib
-import json
 import os
 import sys
-from json.encoder import encode_basestring_ascii
+from math import isfinite
 from types import SimpleNamespace
 
 from . import __version__, checks, chsh, constraints, identities
@@ -75,23 +79,54 @@ def render_json(value, newline: str = "\n") -> str:
     """The text of ``json.dumps(value, indent=2)`` for str-keyed dicts,
     lists and tuples of strings, numbers, bools and ``None``.
 
-    ``json.dumps`` takes its pure-Python encoder whenever ``indent`` is set;
-    here strings go through the C ``encode_basestring_ascii`` and every
-    scalar but an ``int`` through ``json.dumps`` without ``indent``.
-    ``newline`` is the line break plus the indent of the value's own line.
+    Written without the ``json`` module, which no built-in report needs: a
+    key or item that is a string of printable ASCII with no ``"`` or ``\\``
+    is quoted as it is, an ``int`` and a finite ``float`` are their reprs,
+    and ``True``, ``False`` and ``None`` are ``true``, ``false`` and
+    ``null``.  Every other scalar goes through ``json.dumps``, imported
+    then: a string that needs escaping, NaN, an infinity, or a subclass of
+    ``str``, ``int`` or ``float``.  A key that is not a ``str`` raises
+    ``TypeError``.  ``newline`` is the line break plus the indent of the
+    value's own line.
     """
+    # A plain string is tested and quoted inside each comprehension: a
+    # helper call per string would add about a tenth to a report's render.
     if isinstance(value, dict):
         inner = newline + "  "
-        items = [f"{encode_basestring_ascii(k)}: {render_json(v, inner)}" for k, v in value.items()]
+        items = [
+            (
+                f'"{k}": '
+                if type(k) is str and k.isascii() and k.isprintable() and '"' not in k and "\\" not in k
+                else render_json(str.__str__(k)) + ": "
+            )
+            + (
+                f'"{v}"'
+                if type(v) is str and v.isascii() and v.isprintable() and '"' not in v and "\\" not in v
+                else render_json(v, inner)
+            )
+            for k, v in value.items()
+        ]
         return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
     if isinstance(value, (list, tuple)):
         inner = newline + "  "
-        items = [render_json(v, inner) for v in value]
+        items = [
+            f'"{v}"'
+            if type(v) is str and v.isascii() and v.isprintable() and '"' not in v and "\\" not in v
+            else render_json(v, inner)
+            for v in value
+        ]
         return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if type(value) is int:
+    kind = type(value)
+    if kind is int:
         return int.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if kind is float and isfinite(value):
+        return float.__repr__(value)
+    import json
+
     return json.dumps(value)
 
 

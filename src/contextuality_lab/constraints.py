@@ -26,11 +26,12 @@ multiplies each line's word in the joint algebra of
 :mod:`contextuality_lab.systems`, and reduces trivector pairs through the
 shared-handedness rule.  It applies to the pm and ghz lines, where every
 line lands exactly on its required sign.
+
+A set can also be read from a JSON document (:meth:`ConstraintSet.from_json`,
+behind ``verify --constraints``); ``json`` loads only when a document is
+read.
 """
 
-from __future__ import annotations
-
-import json
 from collections.abc import Iterable, Mapping
 
 from . import systems
@@ -194,7 +195,10 @@ class ConstraintSet(_Record):
         """Parse ``{"name": str, "lines": [{"terms": [str, ...], "required": 1
         or -1}, ...]}``; a document of any other shape, with a key outside
         that shape or a key repeated in one object, or nested too deeply for
-        the decoder, raises ``ValueError``."""
+        the decoder, raises ``ValueError``.  ``json`` is imported here, so
+        that only a command that reads a document loads it."""
+        import json
+
         try:
             doc = json.loads(text, object_pairs_hook=_unique_keys)
         except RecursionError:

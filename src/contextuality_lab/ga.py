@@ -16,8 +16,6 @@ serves ``verify --mode approx`` and the dense sweep oracle of the tests.
 Multivectors are immutable values and every operation is a pure function.
 """
 
-from __future__ import annotations
-
 from operator import add, attrgetter, neg
 
 #: The coefficient types: ``int`` (exact) and ``float`` (approx).

@@ -25,8 +25,6 @@ of signed blades.  The dense 8-blade product gives the same values and is
 kept as the test oracle (``tests/identities_oracle.py``).
 """
 
-from __future__ import annotations
-
 import functools
 import itertools
 from types import MappingProxyType

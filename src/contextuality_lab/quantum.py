@@ -29,8 +29,6 @@ real-arithmetic reduction, equal bit for bit, of the complex 4 x 4 Kronecker
 product kept as the test oracle in ``tests/sweep_oracle.py``.
 """
 
-from __future__ import annotations
-
 from operator import add
 
 from .ga import EXACT, _coerce, _Record
@@ -181,7 +179,7 @@ PHASES = (ONE, I, -ONE, -I)
 IDENTITY_WORD = (0, 0, 0)
 
 
-def pauli_word(product: ObservableProduct, n: int) -> tuple:
+def pauli_word(product: "ObservableProduct", n: int) -> tuple:
     """The product's n-site word ``(k, x, z)``, meaning i^k X^x Z^z.
 
     The masks are the product's own; each y site sets both bits and adds one
@@ -280,7 +278,7 @@ def alternating_ghz_state() -> StateVector:
     return ket_combination({"+-+": 1, "-+-": 1}, 2, 8)
 
 
-def eigencheck(state: StateVector, product: ObservableProduct, eigenvalue: int, n: int) -> bool:
+def eigencheck(state: StateVector, product: "ObservableProduct", eigenvalue: int, n: int) -> bool:
     """Exact test of M state == eigenvalue state; the hidden 1/sqrt(norm2)
     cancels on both sides.  M permutes the basis kets up to phases, so each
     nonzero amplitude is compared with the one its image ket carries.  The
@@ -298,7 +296,7 @@ def eigencheck(state: StateVector, product: ObservableProduct, eigenvalue: int, 
     return True
 
 
-def is_eigenstate(state: StateVector, product: ObservableProduct, n: int) -> bool:
+def is_eigenstate(state: StateVector, product: "ObservableProduct", n: int) -> bool:
     return any(eigencheck(state, product, value, n) for value in (1, -1))
 
 

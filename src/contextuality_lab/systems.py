@@ -24,8 +24,6 @@ Elements are immutable values and all operations are pure functions; they
 are safe to share between threads.
 """
 
-from __future__ import annotations
-
 from .ga import BLADE_NAMES, EXACT, _SLOT_LOW_ONE, _coerce, _Record, blade_product, render_terms
 
 MAX_SYSTEMS = 3

@@ -1155,6 +1155,12 @@ class TestRenderJson:
     @settings(max_examples=300, deadline=None)
     @given(values)
     @example({'a"\\\n\té☃\U0001f600': [[], {}, [{}], (), -0.0, -(10**30)]})
+    @example("\x7f")
+    @example("\ud800")
+    @example("\U0010ffff")
+    @example([math.nan, math.inf, -math.inf, -0.0, True, False, None])
+    @example({"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "-0": -0.0,
+              "true": True, "false": False, "null": None})
     def test_matches_json_dumps_with_indent(self, value):
         assert cli.render_json(value) == json.dumps(value, indent=2)
 

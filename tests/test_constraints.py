@@ -227,14 +227,28 @@ class TestDocumentSchema:
         assert ConstraintSet.from_json(json.dumps(document(cs))) == cs
 
 
-@st.composite
+#: Per observable length: its factor orders, and the strategy of one mention's
+#: writing, an integer that picks an order and then, in base-3 digits, the
+#: spaces (0-2) before and after each factor.
+WRITINGS = {
+    k: (orders, st.integers(0, len(orders) * 3 ** (2 * k) - 1))
+    for k in (1, 2, 3)
+    for orders in [list(itertools.permutations(range(k)))]
+}
+
+
 def written_term(draw, factors):
     """One mention of the observable with these factor labels: the factors
-    in a drawn order, with up to two spaces drawn around each."""
-    spaces = st.integers(0, 2).map(" ".__mul__)
-    return "*".join(
-        draw(spaces) + factor + draw(spaces) for factor in draw(st.permutations(factors))
-    )
+    in a drawn order, with up to two spaces drawn around each.  It is one
+    draw, from a strategy built once, so a document stays cheap to draw."""
+    orders, writing = WRITINGS[len(factors)]
+    spaces, at = divmod(draw(writing), len(orders))
+    parts = []
+    for k in orders[at]:
+        spaces, before = divmod(spaces, 3)
+        spaces, after = divmod(spaces, 3)
+        parts.append(" " * before + factors[k] + " " * after)
+    return "*".join(parts)
 
 
 @st.composite
@@ -249,17 +263,20 @@ def line_systems(draw):
         if set(string) != {"i"}
     ]
     pool = draw(st.lists(st.sampled_from(observables), min_size=1, max_size=12, unique=True))
-    term = st.sampled_from(pool).flatmap(written_term)
-    lines = draw(
+    shapes = draw(
         st.lists(
-            st.fixed_dictionaries({
-                "terms": st.lists(term, min_size=1, max_size=4),
-                "required": st.sampled_from((1, -1)),
-            }),
+            st.tuples(
+                st.lists(st.sampled_from(pool), min_size=1, max_size=4),
+                st.sampled_from((1, -1)),
+            ),
             min_size=1,
             max_size=8,
         )
     )
+    lines = [
+        {"terms": [written_term(draw, factors) for factors in terms], "required": required}
+        for terms, required in shapes
+    ]
     return ConstraintSet.from_json(json.dumps({"name": "random", "lines": lines}))
 
 

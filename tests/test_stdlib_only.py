@@ -25,9 +25,13 @@ SRC = Path(contextuality_lab.__file__).parent.parent
 MODULES = sorted(Path(contextuality_lab.__file__).parent.glob("*.py"))
 #: Modules no command needs: exact coefficients are ``int``, so nothing
 #: forms a ``Fraction`` (``fractions`` brings ``decimal`` and ``numbers``),
-#: nothing is typed at run time, and argv is read from ``cli.COMMANDS``, not
-#: by ``argparse`` (which brings ``gettext``), help included.
-UNUSED_MODULES = ("fractions", "decimal", "numbers", "typing", "argparse", "gettext")
+#: nothing is typed at run time, annotations are evaluated as written (no
+#: ``__future__``), and argv is read from ``cli.COMMANDS``, not by
+#: ``argparse`` (which brings ``gettext``), help included.
+UNUSED_MODULES = ("fractions", "decimal", "numbers", "typing", "argparse", "gettext", "__future__")
+#: ``json`` and what it brings: reports are written without it, so only a
+#: command that reads a ``--constraints`` document loads it.
+JSON_MODULES = ("json", "json.decoder", "json.encoder", "json.scanner", "_json", "re", "enum")
 ENVIRONMENT_READS = {"environ", "environb", "getenv"}
 INPUT_READERS = {"cli", "constraints"}
 
@@ -111,29 +115,32 @@ except SystemExit as exc:
 print(code, *(name for name in sys.argv[2].split(",") if name in sys.modules))
 """
 
-#: (case name, argv, exit code); ``{doc}`` and ``{out}`` stand for a
-#: constraint document and an output path in the test's directory.
+#: (case name, argv, exit code, whether it loads :data:`JSON_MODULES`);
+#: ``{doc}`` and ``{out}`` stand for a constraint document and an output path
+#: in the test's directory.
 COMMANDS = [
-    ("verify-all-exact", ["verify", "all"], 0),
-    ("verify-all-approx", ["verify", "all", "--mode", "approx"], 0),
-    ("verify-pm-constraints", ["verify", "pm", "--constraints", "{doc}", "--out", "{out}"], 0),
-    ("chsh-csv", ["chsh", "0", "3.14159265", "2049", "--csv", "{out}"], 0),
-    ("search-identities-minus-e1", ["search-identities", "-e1"], 0),
-    ("usage-error", ["verify", "everything"], 2),
-    ("verify-help", ["verify", "-h"], 0),
-    ("unrecognized-option", ["verify", "all", "--bogus"], 2),
+    ("verify-all-exact", ["verify", "all"], 0, False),
+    ("verify-all-approx", ["verify", "all", "--mode", "approx"], 0, False),
+    ("verify-pm-constraints", ["verify", "pm", "--constraints", "{doc}", "--out", "{out}"], 0, True),
+    ("chsh-csv", ["chsh", "0", "3.14159265", "2049", "--csv", "{out}"], 0, False),
+    ("search-identities-minus-e1", ["search-identities", "-e1"], 0, False),
+    ("usage-error", ["verify", "everything"], 2, False),
+    ("verify-help", ["verify", "-h"], 0, False),
+    ("unrecognized-option", ["verify", "all", "--bogus"], 2, False),
 ]
 
 
-@pytest.mark.parametrize("argv,code", [c[1:] for c in COMMANDS], ids=[c[0] for c in COMMANDS])
-def test_commands_load_no_unused_module(argv, code, tmp_path):
+@pytest.mark.parametrize(
+    "argv,code,loads_json", [c[1:] for c in COMMANDS], ids=[c[0] for c in COMMANDS]
+)
+def test_commands_load_no_unused_module(argv, code, loads_json, tmp_path):
     doc = tmp_path / "pm.json"
     doc.write_text(json.dumps(document(builtin_constraints("pm"))), encoding="utf-8")
     places = {"{doc}": str(doc), "{out}": str(tmp_path / "out")}
     argv = [places.get(arg, arg) for arg in argv]
-    last = run_fresh(COMMAND_CODE, ",".join(UNUSED_MODULES), *argv).splitlines()[-1]
-    assert last.split() == [str(code)]
-
+    watched = ",".join(UNUSED_MODULES + JSON_MODULES)
+    last = run_fresh(COMMAND_CODE, watched, *argv).splitlines()[-1]
+    assert last.split() == [str(code), *(JSON_MODULES if loads_json else ())]
 
 
 def test_chsh_loads_no_constraint_module():
