@@ -8,8 +8,9 @@ suite maps the context to its rows, and :data:`SUITES` lists them in the order
 A row fixes how its words are reduced: a dense ``ga`` word by the product of
 its factors, a joint-algebra word through ``systems.word``.
 ``ga.associativity`` decides the table of the 64 signed blade products, formed
-by the dense product, with integer lookups.  Library functions are looked up
-on their modules at call time, so a wrapper installed there sees each call.
+by the dense product, with integer lookups.  The joint-algebra rows hold
+``systems.word`` itself; other library functions are looked up on their
+modules at call time, so a wrapper installed there sees each call.
 """
 
 import itertools
@@ -28,8 +29,8 @@ AXES = (1, 2, 3)
 PAIRS = tuple(itertools.permutations(AXES, 2))
 PERMUTATIONS = tuple(itertools.permutations(AXES))
 #: The Bell-GHZ values are one-slot signed blades of the joint algebra.
-MINUS_ONE = -systems.identity(1)
-E12 = systems.generator(1, 1, 1) * systems.generator(1, 2, 1)
+MINUS_ONE = -systems.ONE
+E12 = systems.generator(1, 1) * systems.generator(1, 2)
 
 
 class Context(_Record):
@@ -98,14 +99,9 @@ def _dense_word(factors):
     return reduce(operator.mul, factors)
 
 
-def _joint_word(n: int, factors):
-    """A joint-algebra word of ``n`` subsystems, reduced in one pass."""
-    return systems.word(factors, n)
-
-
-def _identified_word(n: int, factors):
+def _identified_word(factors):
     """A joint-algebra word with its trivector pairs collapsed."""
-    return systems.identify_pseudoscalars(systems.word(factors, n))
+    return systems.identify_pseudoscalars(systems.word(factors))
 
 
 def _ga(witness, build):
@@ -180,7 +176,7 @@ def _pseudoscalar(e, one, minus_one):
 
 def _generators(n: int) -> list:
     """The embedded basis vectors, ``[system][axis]`` from 0, of n subsystems."""
-    return [[systems.generator(s, a, n) for a in AXES] for s in range(1, n + 1)]
+    return [[systems.generator(s, a) for a in AXES] for s in range(1, n + 1)]
 
 
 def _cross_commutation(ctx):
@@ -189,7 +185,7 @@ def _cross_commutation(ctx):
 
 
 def _embedded_relations(ctx):
-    one = systems.identity(3)
+    one = systems.ONE
     cases = []
     for es in _generators(3):
         word = es[0] * es[1] * es[2]
@@ -205,7 +201,7 @@ def _two_systems():
     """The six generators of two subsystems, the second basis in the order
     (2, 1, 3) and then in axis order, and the identity."""
     (e1, e2, e3), (f1, f2, f3) = _generators(2)
-    return (e1, e2, e3, f2, f1, f3), (e1, e2, e3, f1, f2, f3), systems.identity(2)
+    return (e1, e2, e3, f2, f1, f3), (e1, e2, e3, f1, f2, f3), systems.ONE
 
 
 def _two_basis_words(ctx):
@@ -229,7 +225,7 @@ def _even_flips(ctx):
 
 def _three_system_word(ctx):
     e, f, g = _generators(3)
-    minus_one = -systems.identity(3)
+    minus_one = -systems.ONE
     axis_pairs = itertools.permutations(range(3), 2)
     halves = (e[i] * f[i] * g[i] * e[j] * f[j] * g[j] for i, j in axis_pairs)
     return [[((half, half), minus_one)] for half in halves]
@@ -237,7 +233,7 @@ def _three_system_word(ctx):
 
 def _free_flips(ctx):
     signed = _signed(x for xs in _generators(3) for x in xs[:2])
-    minus_one = -systems.identity(3)
+    minus_one = -systems.ONE
     cases = []
     for signs in itertools.product((1, -1), repeat=6):
         a, b, c, d, e, f = (x[s] for x, s in zip(signed, signs))
@@ -295,24 +291,24 @@ GA_AXIOMS = (
 SYSTEMS_AXIOMS = (
     ("systems.cross-commutation",
      "embedded generators of distinct subsystems commute (three subsystems)",
-     Words(_cross_commutation, "ordered_pairs", partial(_joint_word, 3))),
+     Words(_cross_commutation, "ordered_pairs", systems.word)),
     ("systems.embedded-relations",
      "each embedded subsystem copy satisfies the single-copy relations",
-     Words(_embedded_relations, "systems", partial(_joint_word, 3))),
+     Words(_embedded_relations, "systems", systems.word)),
     ("systems.two-basis-words",
      "the six-generator words reduce to 1 (opposite order) and -1 (same order)",
      Words(_two_basis_words,
            lambda ctx, cases, values: {
                "opposite_order": str(values[0]), "same_order": str(values[1])
            },
-           partial(_identified_word, 2))),
+           _identified_word)),
     ("systems.even-flips", "flipping an even number of the six generators keeps the word value",
-     Words(_even_flips, "sign_choices", partial(_identified_word, 2))),
+     Words(_even_flips, "sign_choices", _identified_word)),
     ("systems.three-system-word",
      "the squared three-subsystem word equals -1 for all distinct axis pairs",
-     Words(_three_system_word, "axis_pairs", partial(_joint_word, 3))),
+     Words(_three_system_word, "axis_pairs", systems.word)),
     ("systems.free-flips", "the per-subsystem squared word equals -1 for all 64 sign choices",
-     Words(_free_flips, "sign_choices", partial(_joint_word, 3))),
+     Words(_free_flips, "sign_choices", systems.word)),
 )
 
 
@@ -333,7 +329,7 @@ def _pauli_cross_commutation(ctx):
     pairs = []
     for n in (2, 3):
         words = [
-            [quantum.pauli_word(ObservableProduct.parse(f"{a}{s}"), n) for a in "xyz"]
+            [quantum.pauli_word(ObservableProduct.parse(f"{a}{s}")) for a in "xyz"]
             for s in range(1, n + 1)
         ]
         pairs += [(u, w) for us, ws in itertools.permutations(words, 2) for u in us for w in ws]
@@ -342,9 +338,8 @@ def _pauli_cross_commutation(ctx):
 
 def _line_commutation(name: str, ctx):
     cs = builtin_constraints(name)
-    n = cs.n_systems
     ok = all(
-        quantum.words_commute(quantum.pauli_word(a, n), quantum.pauli_word(b, n))
+        quantum.words_commute(quantum.pauli_word(a), quantum.pauli_word(b))
         for line in cs.lines
         for a, b in itertools.combinations(line.terms, 2)
     )
@@ -521,7 +516,7 @@ def _bell_ghz(ctx):
 
 def _eigenvalues(state, values: tuple, ctx):
     ok = all(
-        quantum.eigencheck(state(), product, value, 3)
+        quantum.eigencheck(state(), product, value)
         for product, value in zip(identities.COLUMN_LINES, values)
     )
     return ok, {"eigenvalues": list(values)}
@@ -560,7 +555,7 @@ STATES = (
     ("states.ghz.not-eigenstate-x1",
      "the symmetric state is no eigenstate of a single-subsystem spin",
      lambda ctx: (
-         not quantum.is_eigenstate(quantum.ghz_state(), ObservableProduct.parse("x1"), 3),
+         not quantum.is_eigenstate(quantum.ghz_state(), ObservableProduct.parse("x1")),
          {"observable": "x1"},
      )),
     ("states.singlet", "singlet correlations equal minus the dot product on 100 seeded pairs",

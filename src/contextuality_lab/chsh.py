@@ -8,8 +8,8 @@ instead take the direction vectors themselves as values and multiply
 geometrically, the combination becomes an even multivector whose scalar
 magnitude traces the curve F(phi) = |1 + 2 cos(phi) - cos(2 phi)|, peaking
 at 5/2 for phi = pi/3.  The same curve comes out of quantum mechanics
-through the singlet-state correlations, which is the cross-check wired into
-:func:`quantum_lhs`.
+through the singlet-state correlations: the sweep's qm_lhs column is that
+cross-check, computed beside the F column at every angle.
 
 The sweep runs on the even subalgebra span{1, e13}.  A unit vector of the
 e1-e3 plane is the pair (cos t, sin t), and the product of two of them is

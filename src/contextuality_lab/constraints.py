@@ -389,14 +389,12 @@ class VectorAssignment(_Record):
         except KeyError:
             raise ValueError(f"no value assigned to symbol {symbol.label}") from None
 
-    def symbol_value(self, symbol: PauliSymbol, n: int) -> TensorMultivector:
-        return systems.generator(
-            symbol.system, AXIS_INDEX[symbol.axis], n, sign=self.sign(symbol)
-        )
+    def symbol_value(self, symbol: PauliSymbol) -> TensorMultivector:
+        return systems.generator(symbol.system, AXIS_INDEX[symbol.axis], self.sign(symbol))
 
-    def term_value(self, term: ObservableProduct, n: int) -> TensorMultivector:
+    def term_value(self, term: ObservableProduct) -> TensorMultivector:
         """Product-rule expansion: multiply the factors' values in written order."""
-        return systems.word((self.symbol_value(f, n) for f in term.factors), n)
+        return systems.word(map(self.symbol_value, term.factors))
 
 
 class LineEvaluation(_Record):
@@ -422,10 +420,9 @@ def evaluate_vector_model(cs: ConstraintSet, assignment: VectorAssignment) -> tu
     the built-in pm and ghz lines only; the four-line system instead runs
     through the substitution model of :mod:`contextuality_lab.identities`.
     """
-    n = cs.n_systems
     results = []
     for line in cs.lines:
-        raw = systems.word((assignment.term_value(t, n) for t in line.terms), n)
+        raw = systems.word(map(assignment.term_value, line.terms))
         reduced = identify_pseudoscalars(raw)
         value = reduced.scalar_part() if reduced.is_scalar() else reduced
         results.append(LineEvaluation(line, reduced, value))
@@ -454,14 +451,13 @@ def non_contextuality_audit(cs: ConstraintSet, assignment: VectorAssignment) -> 
     assignment table and compared, making the single-valuedness of each
     observable an explicit checked fact rather than an assumption.
     """
-    n = cs.n_systems
     observables = cs.observables
     occurrences = [[] for _ in observables]
     values = [[] for _ in observables]
     for line_index, (line, indices) in enumerate(zip(cs.lines, cs.term_indices)):
         for position, (term, k) in enumerate(zip(line.terms, indices)):
             occurrences[k].append((line_index, position))
-            values[k].append(assignment.term_value(term, n))
+            values[k].append(assignment.term_value(term))
     entries = []
     for term, places, seen in zip(observables, occurrences, values):
         single = all(v == seen[0] for v in seen[1:])

@@ -46,7 +46,7 @@ def in_plane_vector(label: str) -> TensorMultivector:
         sign = -1 if text[0] == "-" else 1
         text = text[1:]
     if len(text) == 2 and text[0] in "efg" and text[1] in "12":
-        return systems.generator(1, int(text[1]), 1, sign)
+        return systems.generator(1, int(text[1]), sign)
     raise ValueError(f"cannot parse signed in-plane vector {label!r}")
 
 
@@ -97,7 +97,7 @@ def _image_index(system: int, axis: int) -> int:
 
 
 #: Subsystem 1's own in-plane generators, the images of e1 and e2.
-_OWN_BASIS = tuple(systems.generator(1, axis, 1) for axis in IN_PLANE_AXES)
+_OWN_BASIS = tuple(systems.generator(1, axis) for axis in IN_PLANE_AXES)
 #: Every image a map may use: +-e1 and +-e2 of one slot.
 _IN_PLANE = frozenset((*_OWN_BASIS, *(-x for x in _OWN_BASIS)))
 
@@ -105,7 +105,7 @@ _IN_PLANE = frozenset((*_OWN_BASIS, *(-x for x in _OWN_BASIS)))
 def _signed_permutations():
     for first, second in ((1, 2), (2, 1)):
         for s1, s2 in itertools.product((1, -1), repeat=2):
-            yield systems.generator(1, first, 1, s1), systems.generator(1, second, 1, s2)
+            yield systems.generator(1, first, s1), systems.generator(1, second, s2)
 
 
 def all_identity_maps() -> tuple:
@@ -150,8 +150,8 @@ class ColumnResult(_Record):
 def bell_ghz_column(imap: IdentityMap) -> ColumnResult:
     """Each line reduced over its positions in the map's image table."""
     image = imap._images.__getitem__
-    entries = tuple(systems.word(map(image, line), 1) for line in _COLUMN_INDICES)
-    return ColumnResult(entries, systems.word(entries, 1))
+    entries = tuple(systems.word(map(image, line)) for line in _COLUMN_INDICES)
+    return ColumnResult(entries, systems.word(entries))
 
 
 @functools.cache

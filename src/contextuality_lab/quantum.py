@@ -7,7 +7,8 @@ with no floating point in the loop.
 
 An n-site spin word is never built as a 2^n x 2^n matrix.  It is a Pauli
 word ``(k, x, z)`` meaning i^k X^x Z^z: a phase exponent mod 4 and one x bit
-and one z bit per subsystem, subsystem s at bit s - 1 whatever n is.  The
+and one z bit per subsystem, subsystem s at bit s - 1 whatever n is, so
+no word takes n: the bits it leaves clear are identity factors.  The
 masks are the ones each observable forms when it is built
 (``ObservableProduct.masks``), and a basis ket keeps subsystem s at the same
 bit (:func:`_basis_state`).  Products, commutation and the action on
@@ -179,16 +180,15 @@ PHASES = (ONE, I, -ONE, -I)
 IDENTITY_WORD = (0, 0, 0)
 
 
-def pauli_word(product: "ObservableProduct", n: int) -> tuple:
-    """The product's n-site word ``(k, x, z)``, meaning i^k X^x Z^z.
+def pauli_word(product: "ObservableProduct") -> tuple:
+    """The product's word ``(k, x, z)``, meaning i^k X^x Z^z on as many
+    subsystems as the masks reach; unset bits are identity factors, so the
+    same word serves any larger number of subsystems.
 
     The masks are the product's own; each y site sets both bits and adds one
     to k, since Y = iXZ.
     """
     x, z = product.masks
-    if (x | z) >> n:
-        highest = (x | z).bit_length()
-        raise ValueError(f"observable {product.label} needs {highest} systems, have {n}")
     return (x & z).bit_count() % 4, x, z
 
 
@@ -218,8 +218,7 @@ def verify_operator_identities(cs) -> tuple:
     """Check, per line, that the product of the member operators is the
     required sign times the identity.  Returns one boolean per line.  Each
     distinct observable's word is formed once, however often it occurs."""
-    n = cs.n_systems
-    words = [pauli_word(term, n) for term in cs.observables]
+    words = [pauli_word(term) for term in cs.observables]
     results = []
     for line, indices in zip(cs.lines, cs.term_indices):
         word = IDENTITY_WORD
@@ -234,11 +233,15 @@ def verify_operator_identities(cs) -> tuple:
 
 class StateVector(_Record):
     """Amplitudes scaled by 1/sqrt(norm2): the stored squared norm of the
-    amplitude tuple must equal ``norm2``, so the physical norm is exactly 1."""
+    amplitude tuple must equal ``norm2``, so the physical norm is exactly 1.
+    There are 2^n amplitudes, one per basis ket of n subsystems."""
 
     __slots__ = ("amplitudes", "norm2")
 
     def __init__(self, amplitudes: tuple, norm2: int):
+        dim = len(amplitudes)
+        if not dim or dim & dim - 1:
+            raise ValueError(f"{dim} amplitudes are no state of subsystems (need a power of two)")
         total = sum(
             (a * a.conjugate() for a in amplitudes), ZERO
         )
@@ -278,15 +281,19 @@ def alternating_ghz_state() -> StateVector:
     return ket_combination({"+-+": 1, "-+-": 1}, 2, 8)
 
 
-def eigencheck(state: StateVector, product: "ObservableProduct", eigenvalue: int, n: int) -> bool:
+def eigencheck(state: StateVector, product: "ObservableProduct", eigenvalue: int) -> bool:
     """Exact test of M state == eigenvalue state; the hidden 1/sqrt(norm2)
-    cancels on both sides.  M permutes the basis kets up to phases, so each
-    nonzero amplitude is compared with the one its image ket carries.  The
-    ket map b -> b ^ x is an involution, so a zero amplitude whose image is
-    nonzero shows up as a nonzero amplitude whose image is zero."""
-    word = pauli_word(product, n)
-    if 2 ** n != state.dim:
-        raise ValueError(f"dimension mismatch: {2 ** n} vs {state.dim}")
+    cancels on both sides.  The state's 2^n amplitudes fix its n subsystems:
+    an observable on a subsystem beyond them is a ``ValueError`` naming it.
+    M permutes the basis kets up to phases, so each nonzero amplitude is
+    compared with the one its image ket carries.  The ket map b -> b ^ x is
+    an involution, so a zero amplitude whose image is nonzero shows up as a
+    nonzero amplitude whose image is zero."""
+    word = pauli_word(product)
+    sites = word[1] | word[2]
+    if sites >= state.dim:
+        need, have = sites.bit_length(), (state.dim - 1).bit_length()
+        raise ValueError(f"observable {product.label} needs {need} systems, have {have}")
     amplitudes = state.amplitudes
     for ket, amp in enumerate(amplitudes):
         if amp:
@@ -296,8 +303,8 @@ def eigencheck(state: StateVector, product: "ObservableProduct", eigenvalue: int
     return True
 
 
-def is_eigenstate(state: StateVector, product: "ObservableProduct", n: int) -> bool:
-    return any(eigencheck(state, product, value, n) for value in (1, -1))
+def is_eigenstate(state: StateVector, product: "ObservableProduct") -> bool:
+    return any(eigencheck(state, product, value) for value in (1, -1))
 
 
 # -- singlet correlation (float path) ------------------------------------------

@@ -8,6 +8,11 @@ keys through :func:`contextuality_lab.ga.blade_product`: no sign is exchanged
 across slots, so generators living in different subsystems commute while
 generators inside one slot keep their anticommutation rules.
 
+No value carries a subsystem count: a slot left at zero is that subsystem's
+identity, so the algebra of n copies sits unchanged inside that of more
+(Doran & Lasenby, *Geometric Algebra for Physicists*, 2003).  Keys are
+bounded only where they are built or checked, by :data:`MAX_SYSTEMS`.
+
 Every value the package forms here is a word of signed generators, which is
 one basis element times the sign +1 or -1, so an element is that signed blade
 and nothing more; sums of blades are left to the dense algebra of ``ga``.
@@ -32,19 +37,17 @@ SYSTEM_LETTERS = ("e", "f", "g")
 
 class TensorMultivector(_Record):
     """One signed basis blade of the joint algebra: ``sign`` (+1 or -1)
-    times the blade of the packed ``key``, over ``n`` subsystems."""
+    times the blade of the packed ``key``.  The key fixes the subsystems the
+    blade lives on, so no subsystem count is kept beside it."""
 
-    __slots__ = ("n", "sign", "key")
+    __slots__ = ("sign", "key")
 
-    def __init__(self, n: int, sign: int, key: int):
-        if not 1 <= n <= MAX_SYSTEMS:
-            raise ValueError(f"system count {n} out of range 1..{MAX_SYSTEMS}")
+    def __init__(self, sign: int, key: int):
         sign = _coerce(sign, EXACT)
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        if type(key) is not int or not 0 <= key < 8**n:
-            raise ValueError(f"bad blade key {key!r} for {n} systems")
-        object.__setattr__(self, "n", n)
+        if type(key) is not int or not 0 <= key < 8**MAX_SYSTEMS:
+            raise ValueError(f"bad blade key {key!r} for {MAX_SYSTEMS} systems")
         object.__setattr__(self, "sign", sign)
         object.__setattr__(self, "key", key)
 
@@ -55,15 +58,13 @@ class TensorMultivector(_Record):
         return {self.key: self.sign}
 
     def __neg__(self) -> "TensorMultivector":
-        return _blade(self.n, -self.sign, self.key)
+        return _blade(-self.sign, self.key)
 
     def __mul__(self, other):
         if not isinstance(other, TensorMultivector):
             return NotImplemented
-        if self.n != other.n:
-            raise ValueError(f"mismatched system counts: {self.n} vs {other.n}")
         sign, key = blade_product(self.key, other.key)
-        return _blade(self.n, sign * self.sign * other.sign, key)
+        return _blade(sign * self.sign * other.sign, key)
 
     def scalar_part(self) -> int:
         return 0 if self.key else self.sign
@@ -79,47 +80,41 @@ class TensorMultivector(_Record):
         return render_tensor(self)
 
 
-_set_n = TensorMultivector.n.__set__
 _set_sign = TensorMultivector.sign.__set__
 _set_key = TensorMultivector.key.__set__
 
 
-def _blade(n: int, sign: int, key: int) -> TensorMultivector:
+def _blade(sign: int, key: int) -> TensorMultivector:
     """The result path of ``TensorMultivector`` (see ``_Record``)."""
     tm = object.__new__(TensorMultivector)
-    _set_n(tm, n)
     _set_sign(tm, sign)
     _set_key(tm, key)
     return tm
 
 
-def identity(n: int) -> TensorMultivector:
-    return TensorMultivector(n, 1, 0)
+#: The unit scalar, the identity of any number of subsystems.
+ONE = TensorMultivector(1, 0)
 
 
-def generator(system: int, axis: int, n: int, sign: int = 1) -> TensorMultivector:
+def generator(system: int, axis: int, sign: int = 1) -> TensorMultivector:
     """The embedded signed basis vector of one subsystem."""
     if axis not in (1, 2, 3):
         raise ValueError(f"axis index {axis} out of range 1..3")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    if not 1 <= system <= n:
-        raise ValueError(f"system index {system} out of range 1..{n}")
-    return TensorMultivector(n, sign, 1 << (axis - 1) << 3 * (system - 1))
+    if not 1 <= system <= MAX_SYSTEMS:
+        raise ValueError(f"system index {system} out of range 1..{MAX_SYSTEMS}")
+    return TensorMultivector(sign, 1 << (axis - 1) << 3 * (system - 1))
 
 
-def word(factors, n: int) -> TensorMultivector:
+def word(factors) -> TensorMultivector:
     """Multiply a sequence of joint-algebra elements left to right, as one
     ``(sign, key)`` pair reduced through :func:`blade_product`."""
-    if not 1 <= n <= MAX_SYSTEMS:
-        raise ValueError(f"system count {n} out of range 1..{MAX_SYSTEMS}")
     sign, key = 1, 0
     for factor in factors:
-        if factor.n != n:
-            raise ValueError(f"mismatched system counts: {n} vs {factor.n}")
         step, key = blade_product(key, factor.key)
         sign *= step * factor.sign
-    return _blade(n, sign, key)
+    return _blade(sign, key)
 
 
 def identify_pseudoscalars(tm: TensorMultivector) -> TensorMultivector:
@@ -137,11 +132,11 @@ def identify_pseudoscalars(tm: TensorMultivector) -> TensorMultivector:
     pairs = full.bit_count() // 2
     if full.bit_count() & 1:
         full ^= 1 << full.bit_length() - 1  # a lone last trivector slot stays
-    return _blade(tm.n, -tm.sign if pairs & 1 else tm.sign, key ^ 7 * full)
+    return _blade(-tm.sign if pairs & 1 else tm.sign, key ^ 7 * full)
 
 
 def render_tensor(tm: TensorMultivector) -> str:
     """Render with per-system letters, e.g. ``e1*f2*g2`` or ``-e12*g3``."""
-    masks = (tm.key >> 3 * slot & 7 for slot in range(tm.n))
+    masks = (tm.key >> 3 * slot & 7 for slot in range(MAX_SYSTEMS))
     names = [letter + BLADE_NAMES[mask][1:] for letter, mask in zip(SYSTEM_LETTERS, masks) if mask]
     return render_terms([(tm.sign, "*".join(names) or "1")])

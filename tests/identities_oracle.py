@@ -17,8 +17,9 @@ from contextuality_lab.identities import COLUMN_LINES, ColumnResult
 
 
 def dense(blade) -> Multivector:
-    """A one-slot signed blade as a dense multivector."""
-    assert blade.n == 1, blade
+    """A one-slot signed blade as a dense multivector; a blade reaching
+    beyond slot 1 is refused."""
+    assert blade.key < 8, blade
     return Multivector.from_blades({blade.key: blade.sign})
 
 

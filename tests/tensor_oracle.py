@@ -124,9 +124,10 @@ def _slot_product(key_a: int, key_b: int, n: int) -> tuple:
     return sign, pack(masks)
 
 
-def of(tm) -> SparseTensor:
-    """The oracle value of a ``systems.TensorMultivector``."""
-    return SparseTensor(tm.n, {tm.key: tm.sign})
+def of(tm, n: int) -> SparseTensor:
+    """The oracle value of a ``systems.TensorMultivector`` in the algebra of
+    n subsystems; a key that reaches beyond slot n is refused."""
+    return SparseTensor(n, {tm.key: tm.sign})
 
 
 def identity(n: int) -> SparseTensor:

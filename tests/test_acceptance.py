@@ -125,7 +125,7 @@ def test_criterion_7_eigenstates():
         ("y1*y2*x3", 1),
         ("x1*x2*x3", -1),
     ):
-        assert quantum.eigencheck(state, ObservableProduct.parse(label), value, 3)
+        assert quantum.eigencheck(state, ObservableProduct.parse(label), value)
     state = quantum.alternating_ghz_state()
     for label, value in (
         ("x1*y2*y3", 1),
@@ -133,7 +133,7 @@ def test_criterion_7_eigenstates():
         ("y1*y2*x3", 1),
         ("x1*x2*x3", 1),
     ):
-        assert quantum.eigencheck(state, ObservableProduct.parse(label), value, 3)
+        assert quantum.eigencheck(state, ObservableProduct.parse(label), value)
     report("criterion 7: eigenvalues (1,1,1,-1) and (1,-1,1,1) exact under the recorded basis")
 
 

@@ -439,21 +439,21 @@ class TestOperatorsSuiteWork:
         built = []
         pauli_word = quantum.pauli_word
 
-        def counted(product, n):
-            built.append((product.label, n))
-            return pauli_word(product, n)
+        def counted(product):
+            built.append(product.label)
+            return pauli_word(product)
 
         monkeypatch.setattr(quantum, "pauli_word", counted)
         ids = [c["id"] for c in run(OPERATORS, Context(EXACT, DEFAULT_SEED))]
         assert "pauli.cross-commutation" in ids
         # pauli.cross-commutation: the 15 single-site words, once per n
-        expected = Counter((f"{a}{s}", n) for n in (2, 3) for s in range(1, n + 1) for a in "xyz")
+        expected = Counter(f"{a}{s}" for n in (2, 3) for s in range(1, n + 1) for a in "xyz")
         # the pm and ghz line-commutation checks build both members of each pair
         for name in (PM, GHZ):
             cs = builtin_constraints(name)
             for line in cs.lines:
                 for pair in itertools.combinations(line.terms, 2):
-                    expected.update((term.label, cs.n_systems) for term in pair)
+                    expected.update(term.label for term in pair)
         assert Counter(built) == expected
 
     def test_shared_operands_are_formed_once(self, monkeypatch):
@@ -470,7 +470,7 @@ class TestOperatorsSuiteWork:
 
         def counted_neg(self):
             if self.key.bit_count() == 1:
-                negated[self.n, self.key] += 1
+                negated[self.key] += 1
             return neg(self)
 
         monkeypatch.setattr(Multivector, "scale", counted_scale)
@@ -482,10 +482,11 @@ class TestOperatorsSuiteWork:
         assert checks._blade_table.cache_info().misses == 2
         assert scaled == {}
         # even-flips: the six generators of two subsystems; free-flips: the
-        # axis 1 and 2 generators of three
-        flipped = [(2, 1 << 3 * s << a) for s in range(2) for a in range(3)]
-        flipped += [(3, 1 << 3 * s << a) for s in range(3) for a in range(2)]
-        assert negated == Counter({generator: 3 for generator in flipped})
+        # axis 1 and 2 generators of three; each row negates its own, once
+        # per run
+        flipped = [1 << 3 * s << a for s in range(2) for a in range(3)]
+        flipped += [1 << 3 * s << a for s in range(3) for a in range(2)]
+        assert negated == Counter(flipped * 3)
 
 
 class TestConstraintDocumentWork:
@@ -501,9 +502,9 @@ class TestConstraintDocumentWork:
             parsed.append(label)
             return parse(label)
 
-        def counted_word(product, n):
+        def counted_word(product):
             words.append(product.label)
-            return pauli_word(product, n)
+            return pauli_word(product)
 
         monkeypatch.setattr(ObservableProduct, "parse", staticmethod(counted_parse))
         monkeypatch.setattr(quantum, "pauli_word", counted_word)
@@ -688,16 +689,17 @@ class TestAxiomRows:
         """Each word of each systems.* row: ``systems.word`` gives the
         product of its factors and the value of ``tests/tensor_oracle.py``."""
         ctx, words = Context(EXACT, DEFAULT_SEED), 0
+        # every row's words live in the algebra of three subsystems
+        n = systems.MAX_SYSTEMS
         for check_id, _, compute in self.ROWS:
             if not check_id.startswith("systems."):
                 continue
             for case in compute.cases(ctx):
                 for factors, _ in case:
-                    n = factors[0].n
-                    value = systems.word(factors, n)
+                    value = systems.word(factors)
                     assert value == reduce(operator.mul, factors), check_id
-                    sparse = tensor_oracle.word([tensor_oracle.of(f) for f in factors], n)
-                    assert tensor_oracle.of(value) == sparse, check_id
+                    sparse = tensor_oracle.word([tensor_oracle.of(f, n) for f in factors], n)
+                    assert tensor_oracle.of(value, n) == sparse, check_id
                     words += 1
         # cross-commutation, embedded-relations, two-basis-words, even-flips,
         # three-system-word, free-flips
@@ -747,11 +749,13 @@ ENCODING_ROWS = {
 
 class TestWordEncodingFaults:
     def test_every_encoding_row_fails_under_some_fault(self, monkeypatch):
-        monkeypatch.setattr(quantum, "pauli_word", factor_word)
+        # the reference, at the subsystem limit, stands in for the one-argument kernel
+        n = systems.MAX_SYSTEMS
+        monkeypatch.setattr(quantum, "pauli_word", partial(factor_word, n=n))
         assert build_report("all")["all_pass"] is True
         failing = set()
         for codes in WORD_ENCODING_FAULTS.values():
-            monkeypatch.setattr(quantum, "pauli_word", partial(factor_word, codes=codes))
+            monkeypatch.setattr(quantum, "pauli_word", partial(factor_word, n=n, codes=codes))
             # a faulty word fails rows; it never makes the report raise
             report = build_report("all")
             failing.update(c["id"] for c in report["checks"] if c["status"] == "fail")

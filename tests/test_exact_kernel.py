@@ -19,7 +19,7 @@ import tensor_oracle as oracle
 from blade_keys import pack, unpack
 from contextuality_lab.ga import APPROX, CAYLEY, Multivector, basis_vector
 from contextuality_lab.quantum import ComplexMatrix, GaussianRational
-from contextuality_lab.systems import TensorMultivector, identity
+from contextuality_lab.systems import ONE, TensorMultivector
 from random_multivectors import random_multivector
 from tensor_oracle import SparseTensor
 
@@ -70,7 +70,7 @@ class Count(int):
 def test_coefficients_are_normalised_to_int():
     assert type(Multivector.from_blades({3: Count(2)}).coeffs[3]) is int
     assert type(basis_vector(1).scale(Count(2)).coeffs[1]) is int
-    assert type(TensorMultivector(2, Count(-1), 9).sign) is int
+    assert type(TensorMultivector(Count(-1), 9).sign) is int
     assert type(SparseTensor.scalar(Count(3), 2).coeffs[0]) is int
     assert all(type(c) is int for c in random_multivector(Random(3)).coeffs)
     assert type(GaussianRational(Count(6), -1).real) is int
@@ -86,8 +86,8 @@ def test_bare_constructors_refuse_what_is_no_coefficient():
     for build, value in [
         (lambda: Multivector((1, 0, 0, 0, 0, 0, 0, 0.5), "exact"), 0.5),
         (lambda: Multivector((True, 0, 0, 0, 0, 0, 0, 0), APPROX), True),
-        (lambda: TensorMultivector(1, -1.0, 1), -1.0),
-        (lambda: TensorMultivector(3, True, 0), True),
+        (lambda: TensorMultivector(-1.0, 1), -1.0),
+        (lambda: TensorMultivector(True, 0), True),
         (lambda: SparseTensor(1, {1: 0.5}), 0.5),
         (lambda: SparseTensor(3, {0: True}), True),
         (lambda: SparseTensor(2, {5: 0.0}), 0.0),
@@ -109,7 +109,7 @@ def test_fraction_coefficients_are_refused():
         for build, message in [
             (lambda: Multivector((value, 0, 0, 0, 0, 0, 0, 0), "exact"), exact),
             (lambda: Multivector((0, 0, 0, 0, 0, 0, 0, value), APPROX), approx),
-            (lambda: TensorMultivector(1, value, 1), exact),
+            (lambda: TensorMultivector(value, 1), exact),
             (lambda: SparseTensor(1, {1: value}), exact),
             (lambda: GaussianRational(value, 0), exact),
             (lambda: GaussianRational(0, value), exact),
@@ -124,7 +124,7 @@ def test_fraction_coefficients_are_refused():
                 build()
             assert str(raised.value) == message
         for scalable in (
-            basis_vector(1), identity(2), SparseTensor.scalar(1, 2), GaussianRational(1)
+            basis_vector(1), ONE, SparseTensor.scalar(1, 2), GaussianRational(1)
         ):
             with pytest.raises(TypeError):
                 scalable * value

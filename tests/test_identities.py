@@ -38,7 +38,7 @@ MINUS_ONE = Multivector.scalar(-1)
 
 def vector(sign, axis):
     """The signed in-plane vector ``sign * e_axis`` as a one-slot blade."""
-    return systems.generator(1, axis, 1, sign)
+    return systems.generator(1, axis, sign)
 
 
 SWAPPED_MAP = IdentityMap(vector(1, 2), vector(1, 1), vector(1, 1), vector(1, 2))
@@ -47,7 +47,7 @@ SWAPPED_MAP = IdentityMap(vector(1, 2), vector(1, 1), vector(1, 1), vector(1, 2)
 def _reduce_line(imap, line):
     """A line reduced the kernel's way: its factors resolved to image-table
     positions, which refuses what no map can image, then multiplied."""
-    return systems.word(map(imap._images.__getitem__, identities._line_indices(line)), 1)
+    return systems.word(map(imap._images.__getitem__, identities._line_indices(line)))
 
 
 class TestSignedAxisVector:
@@ -64,9 +64,9 @@ class TestSignedAxisVector:
         for sign in (1, -1):
             for axis in (1, 2):
                 blade = in_plane_vector(f"{'-' if sign < 0 else ''}e{axis}")
-                assert blade == systems.generator(1, axis, 1, sign)
+                assert blade == systems.generator(1, axis, sign)
                 assert dense(blade) == dense_image(blade)
-                assert repr(blade) == f"TensorMultivector(n=1, sign={sign}, key={1 << axis - 1})"
+                assert repr(blade) == f"TensorMultivector(sign={sign}, key={1 << axis - 1})"
                 assert pickle.loads(pickle.dumps(blade)) == blade
 
     def test_parse_rejects_out_of_plane(self):
@@ -85,11 +85,11 @@ class TestIdentityMap:
     @pytest.mark.parametrize(
         "image",
         [
-            systems.generator(1, 3, 1),
-            systems.generator(1, 1, 2),
-            systems.generator(2, 2, 2),
-            systems.identity(1),
-            -systems.identity(1),
+            systems.generator(1, 3),
+            systems.generator(1, 1) * systems.generator(2, 1),
+            systems.generator(2, 2),
+            systems.ONE,
+            -systems.ONE,
             vector(1, 1) * vector(1, 2),
             basis_vector(1),
             "e1",
@@ -190,7 +190,7 @@ class TestColumns:
         for imap in all_identity_maps():
             column = bell_ghz_column(imap)
             for value in (*column.entries, column.product):
-                assert isinstance(value, systems.TensorMultivector) and value.n == 1
+                assert isinstance(value, systems.TensorMultivector) and value.key < 8
             for entry in column.entries:
                 assert dense(entry).coeffs[4] == 0
                 assert dense(entry) in (E1, -E1, E2, -E2)

@@ -178,8 +178,12 @@ class TestPauliWordOracle:
     @settings(max_examples=200, deadline=None)
     @given(sized(observables))
     def test_word_is_the_factor_loop_reference(self, case):
-        n, product = case
-        assert pauli_word(product, n) == factor_word(product, n)
+        # the word takes no subsystem count: it is the reference's word for
+        # every n from the highest site up to the limit
+        _, product = case
+        highest = max(f.system for f in product.factors)
+        for n in range(highest, 4):
+            assert pauli_word(product) == factor_word(product, n)
 
     @settings(max_examples=200, deadline=None)
     @given(sized(observables, observables), st.data())
@@ -193,7 +197,7 @@ class TestPauliWordOracle:
     @given(sized(observables))
     def test_word_rebuilds_the_observable_matrix(self, case):
         n, product = case
-        assert word_matrix(pauli_word(product, n), n) == observable_matrix(product, n)
+        assert word_matrix(pauli_word(product), n) == observable_matrix(product, n)
 
     @settings(max_examples=200, deadline=None)
     @given(sized(words, words))
@@ -222,7 +226,7 @@ class TestPauliWordOracle:
     @given(sized(observables, observables))
     def test_commutation_agrees(self, case):
         n, a, b = case
-        assert words_commute(pauli_word(a, n), pauli_word(b, n)) == commutes(
+        assert words_commute(pauli_word(a), pauli_word(b)) == commutes(
             observable_matrix(a, n), observable_matrix(b, n)
         )
 
@@ -236,7 +240,7 @@ class TestPauliWordOracle:
                 continue
             term = ObservableProduct.parse(label)
             for value in (1, -1):
-                assert eigencheck(state, term, value, 3) == dense_eigencheck(state, term, value, 3)
+                assert eigencheck(state, term, value) == dense_eigencheck(state, term, value, 3)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -257,11 +261,11 @@ class TestPauliWordOracle:
             return
         state = state_from(amplitudes)
         for eigenvalue in (1, -1):
-            assert eigencheck(state, product, eigenvalue, n) == (
+            assert eigencheck(state, product, eigenvalue) == (
                 dense_eigencheck(state, product, eigenvalue, n)
             )
         if project:
-            assert eigencheck(state, product, value, n)
+            assert eigencheck(state, product, value)
 
     @pytest.mark.parametrize("name", [PM, GHZ, BELL_GHZ])
     def test_builtin_lines_agree(self, name):
@@ -270,19 +274,19 @@ class TestPauliWordOracle:
         assert verify_operator_identities(cs) == dense_verify_operator_identities(cs)
         for line in cs.lines:
             for ta, tb in itertools.combinations(line.terms, 2):
-                assert words_commute(pauli_word(ta, n), pauli_word(tb, n)) == commutes(
+                assert words_commute(pauli_word(ta), pauli_word(tb)) == commutes(
                     observable_matrix(ta, n), observable_matrix(tb, n)
                 )
 
     def test_shared_subsystem_line_leaves_i_z(self):
         line = [ObservableProduct.parse("x1"), ObservableProduct.parse("y1")]
-        assert word_product(pauli_word(line[0], 1), pauli_word(line[1], 1)) == (1, 0, 1)
+        assert word_product(pauli_word(line[0]), pauli_word(line[1])) == (1, 0, 1)
         for required in (1, -1):
             cs = ConstraintSet("xy", (ConstraintLine(tuple(line), required),))
             assert verify_operator_identities(cs) == (False,)
             assert dense_verify_operator_identities(cs) == (False,)
 
-    @pytest.mark.parametrize("build", [pauli_word, factor_word, observable_matrix])
+    @pytest.mark.parametrize("build", [factor_word, observable_matrix])
     def test_system_beyond_n_rejected(self, build):
         with pytest.raises(ValueError, match="observable x1\\*z3 needs 3 systems, have 2"):
             build(ObservableProduct.parse("x1*z3"), 2)
@@ -338,19 +342,23 @@ class TestStates:
     def test_state_norm_guard(self):
         with pytest.raises(ValueError):
             StateVector((GaussianRational(1),) * 2, 1)
+        # 2^n amplitudes, so eigencheck can read n from the state
+        for dim in (0, 3, 6):
+            with pytest.raises(ValueError, match=f"{dim} amplitudes are no state of subsystems"):
+                StateVector((GaussianRational(1),) * dim, dim)
 
     def test_ghz_state_eigenvalues(self):
         state = ghz_state()
         expected = [("x1*y2*y3", 1), ("y1*x2*y3", 1), ("y1*y2*x3", 1), ("x1*x2*x3", -1)]
         for label, value in expected:
-            assert eigencheck(state, ObservableProduct.parse(label), value, 3)
-            assert not eigencheck(state, ObservableProduct.parse(label), -value, 3)
+            assert eigencheck(state, ObservableProduct.parse(label), value)
+            assert not eigencheck(state, ObservableProduct.parse(label), -value)
 
     def test_alternating_state_eigenvalues(self):
         state = alternating_ghz_state()
         expected = [("x1*y2*y3", 1), ("y1*x2*y3", -1), ("y1*y2*x3", 1), ("x1*x2*x3", 1)]
         for label, value in expected:
-            assert eigencheck(state, ObservableProduct.parse(label), value, 3)
+            assert eigencheck(state, ObservableProduct.parse(label), value)
 
     def test_subsystem_order_on_a_ket_that_is_no_palindrome(self):
         # |-++>: a word and a ket that put subsystem 1 at different bits
@@ -358,18 +366,27 @@ class TestStates:
         state = ket_combination({"-++": 1}, 1, 8)
         for label, value in (("z1", -1), ("z2", 1), ("z3", 1), ("z1*z3", -1)):
             term = ObservableProduct.parse(label)
-            assert eigencheck(state, term, value, 3)
+            assert eigencheck(state, term, value)
             assert dense_eigencheck(state, term, value, 3)
-        assert not is_eigenstate(state, ObservableProduct.parse("x1"), 3)
+        assert not is_eigenstate(state, ObservableProduct.parse("x1"))
 
     def test_single_spin_is_not_determined(self):
         state = ghz_state()
-        assert not is_eigenstate(state, ObservableProduct.parse("x1"), 3)
-        assert not is_eigenstate(state, ObservableProduct.parse("y2"), 3)
+        assert not is_eigenstate(state, ObservableProduct.parse("x1"))
+        assert not is_eigenstate(state, ObservableProduct.parse("y2"))
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            eigencheck(ghz_state(), ObservableProduct.parse("x1"), 1, 2)
+        # the state's size fixes its subsystems: a word on subsystem 3 of a
+        # two-subsystem state is refused by name, never read past the
+        # amplitudes (x3) or silently cut to the state (x1*z3)
+        state = ket_combination({"++": 1}, 1, 4)
+        for label in ("x3", "x1*z3"):
+            product = ObservableProduct.parse(label)
+            message = f"observable {label.replace('*', '[*]')} needs 3 systems, have 2"
+            for check in (lambda: eigencheck(state, product, 1), lambda: is_eigenstate(state, product)):
+                with pytest.raises(ValueError, match=message):
+                    check()
+        assert eigencheck(state, ObservableProduct.parse("z1*z2"), 1)
 
 
 class TestSingletCorrelation:

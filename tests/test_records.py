@@ -22,7 +22,7 @@ from contextuality_lab.constraints import (
 from contextuality_lab.ga import EXACT, Multivector, _Record, basis_vector, pseudoscalar
 from contextuality_lab.identities import ColumnResult, IdentityMap, OrientationReading
 from contextuality_lab.quantum import ONE, ZERO, ComplexMatrix, GaussianRational, StateVector
-from contextuality_lab.systems import TensorMultivector, generator, identity
+from contextuality_lab.systems import TensorMultivector, generator
 from tensor_oracle import SparseTensor
 
 
@@ -34,7 +34,7 @@ def _line():
 #: a factory builds new objects with equal values.
 RECORDS = [
     (Multivector, ("coeffs", "mode"), lambda: ((1, 0, 0, 0, 0, 0, 0, 2), EXACT)),
-    (TensorMultivector, ("n", "sign", "key"), lambda: (2, -1, pack((1, 6)))),
+    (TensorMultivector, ("sign", "key"), lambda: (-1, pack((1, 6)))),
     (SparseTensor, ("n", "coeffs"), lambda: (2, {pack((1, 0)): 1, pack((0, 6)): -1})),
     (PauliSymbol, ("system", "axis"), lambda: (1, "x")),
     (ObservableProduct, ("factors",), lambda: ((PauliSymbol(1, "x"), PauliSymbol(2, "y")),)),
@@ -50,7 +50,7 @@ RECORDS = [
     (
         LineEvaluation,
         ("line", "word", "value"),
-        lambda: (_line(), identity(2), 1),
+        lambda: (_line(), TensorMultivector(1, 0), 1),
     ),
     (
         ObservableAudit,
@@ -69,7 +69,7 @@ RECORDS = [
         IdentityMap,
         ("f1", "f2", "g1", "g2"),
         lambda: (
-            generator(1, 1, 1), generator(1, 2, 1), generator(1, 2, 1, -1), generator(1, 1, 1)
+            generator(1, 1), generator(1, 2), generator(1, 2, -1), generator(1, 1)
         ),
     ),
     (ColumnResult, ("entries", "product"), lambda: ((basis_vector(1),) * 4, pseudoscalar())),

@@ -65,14 +65,15 @@ def keys(n: int):
 
 
 def blades(n: int):
-    return st.builds(TensorMultivector, st.just(n), st.sampled_from((1, -1)), keys(n))
+    return st.builds(TensorMultivector, st.sampled_from((1, -1)), keys(n))
 
 
 def assert_blade_rebuilt(tm: TensorMultivector, n: int) -> None:
-    assert type(tm) is TensorMultivector and tm.n == n
+    """A result of blades on the first n slots is a blade on those slots."""
+    assert type(tm) is TensorMultivector
     assert type(tm.key) is int and 0 <= tm.key < 8**n
     assert type(tm.sign) is int and tm.sign in (1, -1)
-    assert tm == TensorMultivector(n, tm.sign, tm.key)
+    assert tm == TensorMultivector(tm.sign, tm.key)
 
 
 @settings(max_examples=150, deadline=None)

@@ -10,39 +10,37 @@ import tensor_oracle as oracle
 from blade_keys import pack
 from contextuality_lab.ga import CAYLEY, blade_product
 from contextuality_lab.systems import (
+    MAX_SYSTEMS,
+    ONE,
     TensorMultivector,
     generator,
     identify_pseudoscalars,
-    identity,
     render_tensor,
     word,
 )
 from tensor_oracle import SparseTensor
 
 
-def gens(system, n=2):
-    return [generator(system, axis, n) for axis in (1, 2, 3)]
+def gens(system):
+    return [generator(system, axis) for axis in (1, 2, 3)]
 
 
 class TestEmbedding:
     def test_embed_places_slot(self):
         # the generator is one packed key: the axis bit in its subsystem's
         # slot, no bit in the others, and its sign
-        for n in (1, 2, 3):
-            for system, axis, sign in itertools.product(range(1, n + 1), (1, 2, 3), (1, -1)):
-                masks = [0] * n
-                masks[system - 1] = 1 << (axis - 1)
-                assert generator(system, axis, n, sign) == TensorMultivector(
-                    n, sign, pack(tuple(masks))
-                )
+        for system, axis, sign in itertools.product((1, 2, 3), (1, 2, 3), (1, -1)):
+            masks = [0] * system
+            masks[system - 1] = 1 << (axis - 1)
+            assert generator(system, axis, sign) == TensorMultivector(sign, pack(tuple(masks)))
 
     def test_embed_range_check(self):
         # axis, then sign, then subsystem, each with its own message
         for args, message in [
-            ((0, 4, 2, 2), "axis index 4 out of range 1..3"),
-            ((0, 1, 2, 2), "sign must be +1 or -1"),
-            ((3, 2, 2), "system index 3 out of range 1..2"),
-            ((0, 1, 2), "system index 0 out of range 1..2"),
+            ((0, 4, 2), "axis index 4 out of range 1..3"),
+            ((0, 1, 2), "sign must be +1 or -1"),
+            ((4, 2), "system index 4 out of range 1..3"),
+            ((0, 1), "system index 0 out of range 1..3"),
         ]:
             with pytest.raises(ValueError) as raised:
                 generator(*args)
@@ -50,18 +48,18 @@ class TestEmbedding:
 
     def test_generator_rejects_bad_axis_or_sign(self):
         with pytest.raises(ValueError):
-            generator(1, 4, 2)
+            generator(1, 4)
         with pytest.raises(ValueError):
-            generator(1, 1, 2, sign=2)
+            generator(1, 1, sign=2)
         # the sign is an exact coefficient: a bool or a float is refused
         for sign in (True, 1.0, -1.0):
             with pytest.raises(ValueError, match="exact mode needs int coefficients"):
-                generator(1, 1, 2, sign=sign)
+                generator(1, 1, sign=sign)
 
 
 class TestProduct:
     def test_cross_system_commutation_exhaustive(self):
-        all_gens = [generator(s, a, 3) for s in (1, 2, 3) for a in (1, 2, 3)]
+        all_gens = [generator(s, a) for s in (1, 2, 3) for a in (1, 2, 3)]
         systems_of = [s for s in (1, 2, 3) for _ in (1, 2, 3)]
         for (ga_a, sa), (ga_b, sb) in itertools.product(
             zip(all_gens, systems_of), repeat=2
@@ -76,9 +74,9 @@ class TestProduct:
         assert f[0] * f[1] == -(f[1] * f[0])
 
     def test_each_embedded_copy_keeps_single_copy_relations(self):
-        one = identity(3)
+        one = ONE
         for s in (1, 2, 3):
-            es = gens(s, 3)
+            es = gens(s)
             for a in range(3):
                 assert es[a] * es[a] == one
                 for b in range(3):
@@ -88,12 +86,11 @@ class TestProduct:
             assert trivector * trivector == -one
 
     def test_mismatched_systems_or_mode_rejected(self):
-        # the joint algebra is exact: a float sign is refused
-        with pytest.raises(ValueError, match="mismatched system counts: 2 vs 3"):
-            _ = generator(1, 1, 2) * generator(1, 1, 3)
+        # the joint algebra is exact: a float sign is refused; only the
+        # oracle, which holds its subsystem count, refuses mismatched counts
         for sign in (0.5, 1.0, True):
             with pytest.raises(ValueError, match="exact mode needs int coefficients"):
-                TensorMultivector(2, sign, 0)
+                TensorMultivector(sign, 0)
         with pytest.raises(ValueError, match="mismatched system counts: 2 vs 3"):
             _ = oracle.generator(1, 1, 2) * oracle.generator(1, 1, 3)
         with pytest.raises(ValueError):
@@ -102,27 +99,16 @@ class TestProduct:
             oracle.generator(1, 1, 2).scale(2.0)
 
     def test_word_keeps_every_refusal(self):
-        # the one-pass word refuses what the chained product refused, also
-        # for an empty word, and the empty word is the identity
-        for n in (0, 4):
-            with pytest.raises(ValueError, match=f"system count {n} out of range 1..3"):
-                word([], n)
-        with pytest.raises(ValueError, match="mismatched system counts: 2 vs 3"):
-            word([generator(1, 1, 2), generator(1, 1, 3)], 2)
-        with pytest.raises(ValueError, match="mismatched system counts: 3 vs 2"):
-            word([generator(1, 1, 2)], 3)
-        for n in (1, 2, 3):
-            assert word([], n) == identity(n)
+        # the empty word is the identity
+        assert word([]) == ONE
 
     def test_checked_constructor_refuses_what_is_no_signed_blade(self):
         for args, message in [
-            ((0, 1, 0), "system count 0 out of range 1..3"),
-            ((4, 1, 0), "system count 4 out of range 1..3"),
-            ((2, 0, 0), "sign must be +1 or -1"),
-            ((2, 2, 0), "sign must be +1 or -1"),
-            ((2, 1, 64), "bad blade key 64 for 2 systems"),
-            ((2, 1, -1), "bad blade key -1 for 2 systems"),
-            ((2, 1, True), "bad blade key True for 2 systems"),
+            ((0, 0), "sign must be +1 or -1"),
+            ((2, 0), "sign must be +1 or -1"),
+            ((1, 8**3), "bad blade key 512 for 3 systems"),
+            ((1, -1), "bad blade key -1 for 3 systems"),
+            ((1, True), "bad blade key True for 3 systems"),
         ]:
             with pytest.raises(ValueError) as raised:
                 TensorMultivector(*args)
@@ -141,7 +127,7 @@ class TestProduct:
         e = gens(1)
         f = gens(2)
         assert (e[0] * f[0]).scalar_part() == 0
-        assert identity(2).scalar_part() == 1
+        assert ONE.scalar_part() == 1
         assert (e[0] * e[0]).scalar_part() == 1
 
 
@@ -151,31 +137,28 @@ class TestTwoBasisWords:
     def test_opposite_order_reduces_to_one(self):
         e = gens(1)
         f = gens(2)
-        raw = word([e[0], e[1], e[2], f[1], f[0], f[2]], 2)
+        raw = word([e[0], e[1], e[2], f[1], f[0], f[2]])
         assert raw.coeffs == {pack((7, 7)): -1}
-        assert identify_pseudoscalars(raw) == identity(2)
+        assert identify_pseudoscalars(raw) == ONE
 
     def test_same_order_reduces_to_minus_one(self):
         e = gens(1)
         f = gens(2)
-        raw = word([e[0], e[1], e[2], f[0], f[1], f[2]], 2)
+        raw = word([e[0], e[1], e[2], f[0], f[1], f[2]])
         assert raw.coeffs == {pack((7, 7)): 1}
-        assert identify_pseudoscalars(raw) == -identity(2)
+        assert identify_pseudoscalars(raw) == -ONE
 
     def test_flip_parity_governs_word_value(self):
         # an even number of sign flips keeps both words, an odd number
         # negates them
         e = gens(1)
         f = gens(2)
-        base = identity(2)
+        base = ONE
         for signs in itertools.product((1, -1), repeat=6):
             parity = signs[0] * signs[1] * signs[2] * signs[3] * signs[4] * signs[5]
             flipped = word(
-                [
-                    x if sign == 1 else -x
-                    for x, sign in zip((e[0], e[1], e[2], f[1], f[0], f[2]), signs)
-                ],
-                2,
+                x if sign == 1 else -x
+                for x, sign in zip((e[0], e[1], e[2], f[1], f[0], f[2]), signs)
             )
             assert identify_pseudoscalars(flipped) == (base if parity == 1 else -base)
 
@@ -183,11 +166,11 @@ class TestTwoBasisWords:
         # commuting the f factors through the e factors leaves words intact
         e = gens(1)
         f = gens(2)
-        grouped = word([e[0], e[1], e[2], f[1], f[0], f[2]], 2)
-        interleaved = word([e[0], f[1], e[1], f[0], e[2], f[2]], 2)
+        grouped = word([e[0], e[1], e[2], f[1], f[0], f[2]])
+        interleaved = word([e[0], f[1], e[1], f[0], e[2], f[2]])
         assert grouped == interleaved
-        aligned_grouped = word([e[0], e[1], e[2], f[0], f[1], f[2]], 2)
-        aligned_interleaved = word([e[0], f[0], e[1], f[1], e[2], f[2]], 2)
+        aligned_grouped = word([e[0], e[1], e[2], f[0], f[1], f[2]])
+        aligned_interleaved = word([e[0], f[0], e[1], f[1], e[2], f[2]])
         assert aligned_grouped == aligned_interleaved
 
     def test_interleaved_words_for_every_axis_permutation(self):
@@ -195,33 +178,33 @@ class TestTwoBasisWords:
         # no matter which permutation of the axes is chosen
         e = gens(1)
         f = gens(2)
-        one = identity(2)
+        one = ONE
         for i, j, k in itertools.permutations(range(3)):
-            crossed = word([e[i], f[j], e[j], f[i], e[k], f[k]], 2)
-            aligned = word([e[i], f[i], e[j], f[j], e[k], f[k]], 2)
+            crossed = word([e[i], f[j], e[j], f[i], e[k], f[k]])
+            aligned = word([e[i], f[i], e[j], f[j], e[k], f[k]])
             assert identify_pseudoscalars(crossed) == one
             assert identify_pseudoscalars(aligned) == -one
 
 
 class TestThreeSystemWords:
     def test_squared_pair_word_is_minus_one(self):
-        e = gens(1, 3)
-        f = gens(2, 3)
-        g = gens(3, 3)
+        e = gens(1)
+        f = gens(2)
+        g = gens(3)
         for i, j in itertools.permutations(range(3), 2):
             half = e[i] * f[i] * g[i] * e[j] * f[j] * g[j]
-            assert half * half == -identity(3)
+            assert half * half == -ONE
 
     def test_free_flips_over_all_sign_choices(self):
         # every generator occurs twice per subsystem block, so all 64 sign
         # assignments leave the value -1
-        minus_one = -identity(3)
+        minus_one = -ONE
         for signs in itertools.product((1, -1), repeat=6):
             blocks = [
-                (generator(s, 1, 3, signs[2 * s - 2]), generator(s, 2, 3, signs[2 * s - 1]))
+                (generator(s, 1, signs[2 * s - 2]), generator(s, 2, signs[2 * s - 1]))
                 for s in (1, 2, 3)
             ]
-            value = identity(3)
+            value = ONE
             for first, second in blocks:
                 value = value * first * second * first * second
             assert value == minus_one
@@ -250,16 +233,16 @@ def test_tensor_product_distributive(a, b, c):
 
 class TestIdentifyPseudoscalars:
     def test_pairs_collapse(self):
-        tm = TensorMultivector(2, 1, pack((7, 7)))
-        assert identify_pseudoscalars(tm) == -identity(2)
+        tm = TensorMultivector(1, pack((7, 7)))
+        assert identify_pseudoscalars(tm) == -ONE
 
     def test_lone_trivector_slot_is_kept(self):
-        tm = TensorMultivector(3, 1, pack((7, 0, 0)))
+        tm = TensorMultivector(1, pack((7, 0, 0)))
         assert identify_pseudoscalars(tm) == tm
 
     def test_triple_keeps_one(self):
-        tm = TensorMultivector(3, 1, pack((7, 7, 7)))
-        assert identify_pseudoscalars(tm) == TensorMultivector(3, -1, pack((0, 0, 7)))
+        tm = TensorMultivector(1, pack((7, 7, 7)))
+        assert identify_pseudoscalars(tm) == TensorMultivector(-1, pack((0, 0, 7)))
 
     def test_linear_over_terms(self):
         # the sparse oracle, whose elements are sums
@@ -270,21 +253,21 @@ class TestIdentifyPseudoscalars:
 
 class TestRendering:
     def test_generator_letters(self):
-        assert str(generator(1, 1, 3)) == "e1"
-        assert str(generator(2, 2, 3)) == "f2"
-        assert str(generator(3, 2, 3)) == "g2"
+        assert str(generator(1, 1)) == "e1"
+        assert str(generator(2, 2)) == "f2"
+        assert str(generator(3, 2)) == "g2"
 
     def test_word_rendering(self):
-        e1f2g2 = word([generator(1, 1, 3), generator(2, 2, 3), generator(3, 2, 3)], 3)
+        e1f2g2 = word([generator(1, 1), generator(2, 2), generator(3, 2)])
         assert render_tensor(e1f2g2) == "e1*f2*g2"
 
     def test_blade_and_sign_rendering(self):
-        e = gens(1, 2)
-        f = gens(2, 2)
+        e = gens(1)
+        f = gens(2)
         assert str(e[0] * e[1] * f[2]) == "e12*f3"
         assert str(-(e[0] * f[0])) == "-e1*f1"
-        assert str(identity(2)) == "1"
-        assert str(-identity(2)) == "-1"
+        assert str(ONE) == "1"
+        assert str(-ONE) == "-1"
 
     def test_oracle_renders_sums(self):
         assert str(oracle.identity(2) - oracle.identity(2)) == "0"
@@ -301,37 +284,42 @@ def signed_generator_words(n: int):
     return st.lists(factor, max_size=8)
 
 
-def kernel_and_oracle_words(n: int, factors) -> tuple:
-    return (
-        word([generator(s, a, n, sign) for s, a, sign in factors], n),
-        oracle.word([oracle.generator(s, a, n, sign) for s, a, sign in factors], n),
-    )
+def oracle_word(factors, n: int):
+    """The oracle's word of signed generators ``(system, axis, sign)`` in the
+    algebra of n subsystems."""
+    return oracle.word([oracle.generator(s, a, n, sign) for s, a, sign in factors], n)
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(1, 3).flatmap(
-        lambda n: st.tuples(st.just(n), signed_generator_words(n), signed_generator_words(n))
+        lambda n: st.tuples(signed_generator_words(n), signed_generator_words(n))
     )
 )
 def test_kernel_agrees_with_sparse_oracle(case):
-    n, left_factors, right_factors = case
-    left, left_expected = kernel_and_oracle_words(n, left_factors)
-    right, right_expected = kernel_and_oracle_words(n, right_factors)
+    left_factors, right_factors = case
+    left = word([generator(s, a, sign) for s, a, sign in left_factors])
+    right = word([generator(s, a, sign) for s, a, sign in right_factors])
     # a product of two words, each blade of each slot, not only of a word and
     # a generator
-    value, expected = left * right, left_expected * right_expected
-    assert expected == oracle.word([left_expected, right_expected], n)
-    assert oracle.of(-value) == -expected
-    for kernel, reference in (
-        (left, left_expected),
-        (value, expected),
-        (identify_pseudoscalars(value), oracle.identify_pseudoscalars(expected)),
-    ):
-        assert oracle.of(kernel) == reference
-        assert kernel.is_scalar() == reference.is_scalar()
-        assert kernel.scalar_part() == reference.scalar_part()
-        assert str(kernel) == str(reference)
+    value = left * right
+    # the kernel's words hold no subsystem count: they are the oracle's words
+    # in the algebra of every n from the highest slot used up to the limit
+    highest = max((s for s, _, _ in left_factors + right_factors), default=1)
+    for n in range(highest, MAX_SYSTEMS + 1):
+        left_expected, right_expected = oracle_word(left_factors, n), oracle_word(right_factors, n)
+        expected = left_expected * right_expected
+        assert expected == oracle.word([left_expected, right_expected], n)
+        assert oracle.of(-value, n) == -expected
+        for kernel, reference in (
+            (left, left_expected),
+            (value, expected),
+            (identify_pseudoscalars(value), oracle.identify_pseudoscalars(expected)),
+        ):
+            assert oracle.of(kernel, n) == reference
+            assert kernel.is_scalar() == reference.is_scalar()
+            assert kernel.scalar_part() == reference.scalar_part()
+            assert str(kernel) == str(reference)
 
 
 def test_kernel_product_agrees_with_sparse_oracle_on_every_blade_pair():
@@ -340,5 +328,5 @@ def test_kernel_product_agrees_with_sparse_oracle_on_every_blade_pair():
     # always all of them
     for n in (1, 2):
         for key_a, key_b in itertools.product(range(8**n), repeat=2):
-            a, b = TensorMultivector(n, -1, key_a), TensorMultivector(n, 1, key_b)
-            assert oracle.of(a * b) == oracle.of(a) * oracle.of(b)
+            a, b = TensorMultivector(-1, key_a), TensorMultivector(1, key_b)
+            assert oracle.of(a * b, n) == oracle.of(a, n) * oracle.of(b, n)
