@@ -5,12 +5,12 @@ suite maps the context to its rows, and :data:`SUITES` lists them in the order
 ``verify all`` runs them.  Each ``ga.*`` and ``systems.*`` axiom check but
 ``ga.associativity`` lists cases of words ``(factors, expected)``; one loop,
 :class:`Words`, decides them all, and a witness count is the number of cases.
-A row fixes how its words are reduced: a dense ``ga`` word by the product of
-its factors, a joint-algebra word through ``systems.word``.
-``ga.associativity`` decides the table of the 64 signed blade products, formed
-by the dense product, with integer lookups.  The joint-algebra rows hold
-``systems.word`` itself; other library functions are looked up on their
-modules at call time, so a wrapper installed there sees each call.
+A row fixes how its words are reduced: a dense ``ga`` word through
+``ga.word``, a joint-algebra word through ``systems.word``, and the rows hold
+those two functions themselves.  ``ga.associativity`` decides the table of
+the 64 signed blade products, formed by the dense product, with integer
+lookups.  Other library functions are looked up on their modules at call
+time, so a wrapper installed there sees each call.
 """
 
 import itertools
@@ -19,7 +19,7 @@ import operator
 from functools import cache, partial, reduce
 from random import Random
 
-from . import constraints, identities, quantum, systems
+from . import constraints, ga, identities, quantum, systems
 from .constraints import BELL_GHZ, GHZ, PM, ObservableProduct, builtin_constraints
 from .ga import BLADE_COUNT, EXACT, Multivector, _Record, basis_vector, pseudoscalar
 from .identities import NEGATED_F1_MAP, UNIFORM_MAP
@@ -68,7 +68,8 @@ class Words:
 
     ``cases(ctx)`` lists the cases.  A string ``witness`` names the case count;
     otherwise ``witness(ctx, cases, values)`` builds the witness from the cases
-    and the word values.  ``value(factors)`` reduces one word.  Each word is
+    and the word values.  ``value(factors)`` reduces one word: ``ga.word``
+    for a dense word, ``systems.word`` for a joint-algebra one.  Each word is
     compared with ``equals``: exact coefficients compare exactly, the float
     ``ga.*`` words of ``--mode approx`` within the default tolerance, and the
     joint algebra is exact in either mode.
@@ -94,11 +95,6 @@ class Words:
         return ok, self.witness(ctx, cases, values)
 
 
-def _dense_word(factors):
-    """A dense ``ga`` word: the product of its factors, left to right."""
-    return reduce(operator.mul, factors)
-
-
 def _identified_word(factors):
     """A joint-algebra word with its trivector pairs collapsed."""
     return systems.identify_pseudoscalars(systems.word(factors))
@@ -112,7 +108,7 @@ def _ga(witness, build):
         e = (None, *(basis_vector(i, ctx.mode) for i in AXES))
         return build(e, Multivector.scalar(1, ctx.mode), Multivector.scalar(-1, ctx.mode))
 
-    return Words(cases, witness, _dense_word)
+    return Words(cases, witness, ga.word)
 
 
 @cache
@@ -285,7 +281,7 @@ GA_AXIOMS = (
      _associativity),
     ("ga.distributivity",
      "the product distributes over sums of two basis blades, on either side",
-     Words(_distributivity, "triples", _dense_word)),
+     Words(_distributivity, "triples", ga.word)),
 )
 
 SYSTEMS_AXIOMS = (
@@ -326,22 +322,32 @@ def _pauli_anticommutation(ctx):
 
 
 def _pauli_cross_commutation(ctx):
-    pairs = []
-    for n in (2, 3):
-        words = [
-            [quantum.pauli_word(ObservableProduct.parse(f"{a}{s}")) for a in "xyz"]
-            for s in range(1, n + 1)
-        ]
-        pairs += [(u, w) for us, ws in itertools.permutations(words, 2) for u in us for w in ws]
+    """The single-site words of two and of three subsystems; a word leaves
+    the sites its masks do not reach at the identity, so the nine words of
+    three subsystems are formed once and two subsystems take the first six."""
+    words = [
+        [quantum.pauli_word(ObservableProduct.parse(f"{a}{s}")) for a in "xyz"]
+        for s in (1, 2, 3)
+    ]
+    pairs = [
+        (u, w)
+        for n in (2, 3)
+        for us, ws in itertools.permutations(words[:n], 2)
+        for u in us
+        for w in ws
+    ]
     return all(quantum.words_commute(u, w) for u, w in pairs), {"ordered_pairs": len(pairs)}
 
 
 def _line_commutation(name: str, ctx):
+    """Each distinct observable's word is formed once, as in
+    ``quantum.verify_operator_identities``."""
     cs = builtin_constraints(name)
+    words = [quantum.pauli_word(term) for term in cs.observables]
     ok = all(
-        quantum.words_commute(quantum.pauli_word(a), quantum.pauli_word(b))
-        for line in cs.lines
-        for a, b in itertools.combinations(line.terms, 2)
+        quantum.words_commute(words[j], words[k])
+        for indices in cs.term_indices
+        for j, k in itertools.combinations(indices, 2)
     )
     return ok, {"lines": len(cs.lines)}
 

@@ -14,8 +14,16 @@ homogeneous in one of the two modes and the mode never mixes inside an
 operation: the exact mode makes identity checking decidable, the float mode
 serves ``verify --mode approx`` and the dense sweep oracle of the tests.
 Multivectors are immutable values and every operation is a pure function.
+
+One coefficient kernel, ``_product``, forms every geometric product: the
+product ``*`` of two multivectors and :func:`word`, which reduces a sequence
+of factors without building the multivectors between them.  It loops over
+the nonzero terms of each operand only, and adds the terms into each result
+coefficient in ascending mask order, left mask first; the order is fixed, so
+an approx product has the same bits on either path.
 """
 
+from itertools import compress
 from operator import add, attrgetter, neg
 
 #: The coefficient types: ``int`` (exact) and ``float`` (approx).
@@ -71,6 +79,26 @@ def _zero(mode: str) -> Coefficient:
 
 #: The zero coefficient row of each mode, copied to start a product.
 _ZEROS = {mode: (_zero(mode),) * BLADE_COUNT for mode in MODES}
+
+#: The blade masks in ascending order.
+_MASKS = range(BLADE_COUNT)
+
+
+def _product(left: tuple, right: tuple, mode: str) -> tuple:
+    """The coefficients of the geometric product of two coefficient rows.
+
+    Only nonzero terms are visited: ``compress`` skips the falsy
+    coefficients (0, 0.0 and -0.0) and keeps ascending mask order, so each
+    result coefficient sums its ``a * b * sign`` terms left mask first, then
+    right mask, and approx floats come out the same bits in every caller.
+    """
+    acc = list(_ZEROS[mode])
+    for i in compress(_MASKS, left):
+        a, row = left[i], CAYLEY[i]
+        for j in compress(_MASKS, right):
+            sign, mask = row[j]
+            acc[mask] += a * right[j] * sign
+    return tuple(acc)
 
 
 def _coerce(value, mode: str) -> Coefficient:
@@ -234,18 +262,15 @@ class Multivector(_Record):
     # -- geometric product ----------------------------------------------
 
     def __mul__(self, other):
+        """The geometric product with a multivector of the same mode, or the
+        scaling by an ``int`` or ``float``.  The product's coefficients come
+        from ``_product``, which loops over the nonzero terms of each operand
+        in mask order."""
         if isinstance(other, Multivector):
             mode = self.mode
             if mode != other.mode:
                 self._require_same_mode(other)
-            acc = list(_ZEROS[mode])
-            right = other.coeffs
-            for a, row in zip(self.coeffs, CAYLEY):
-                if a:
-                    for b, (sign, mask) in zip(right, row):
-                        if b:
-                            acc[mask] += a * b * sign
-            return _multivector(tuple(acc), mode)
+            return _multivector(_product(self.coeffs, other.coeffs, mode), mode)
         if isinstance(other, (int, float)):
             return self.scale(other)
         return NotImplemented
@@ -283,6 +308,27 @@ def _multivector(coeffs: tuple, mode: str) -> Multivector:
     _set_coeffs(mv, coeffs)
     _set_mode(mv, mode)
     return mv
+
+
+def word(factors) -> Multivector:
+    """Multiply a nonempty sequence of multivectors left to right.
+
+    Each factor must have the first factor's mode (the ``ValueError`` of
+    ``*`` otherwise).  The coefficient rows are reduced through ``_product``
+    and one ``Multivector`` is built at the end; each step sums its terms in
+    the mask order of ``*``, so the value, approx bits included, is that of
+    the left fold ``((f1 * f2) * f3) ...``.
+    """
+    factors = iter(factors)
+    first = next(factors, None)
+    if first is None:
+        raise ValueError("a dense word needs at least one factor")
+    mode, coeffs = first.mode, first.coeffs
+    for factor in factors:
+        if factor.mode != mode:
+            first._require_same_mode(factor)
+        coeffs = _product(coeffs, factor.coeffs, mode)
+    return _multivector(coeffs, mode)
 
 
 def basis_vector(axis: int, mode: str = EXACT) -> Multivector:

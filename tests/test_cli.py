@@ -435,7 +435,7 @@ class TestVerify:
 
 
 class TestOperatorsSuiteWork:
-    def test_each_single_site_word_is_built_once_per_n(self, monkeypatch):
+    def test_each_pauli_word_is_built_once_per_row(self, monkeypatch):
         built = []
         pauli_word = quantum.pauli_word
 
@@ -446,14 +446,11 @@ class TestOperatorsSuiteWork:
         monkeypatch.setattr(quantum, "pauli_word", counted)
         ids = [c["id"] for c in run(OPERATORS, Context(EXACT, DEFAULT_SEED))]
         assert "pauli.cross-commutation" in ids
-        # pauli.cross-commutation: the 15 single-site words, once per n
-        expected = Counter(f"{a}{s}" for n in (2, 3) for s in range(1, n + 1) for a in "xyz")
-        # the pm and ghz line-commutation checks build both members of each pair
+        # pauli.cross-commutation: the nine single-site words of three subsystems
+        expected = Counter(f"{a}{s}" for s in (1, 2, 3) for a in "xyz")
+        # the pm and ghz line-commutation checks: each distinct observable
         for name in (PM, GHZ):
-            cs = builtin_constraints(name)
-            for line in cs.lines:
-                for pair in itertools.combinations(line.terms, 2):
-                    expected.update(term.label for term in pair)
+            expected.update(term.label for term in builtin_constraints(name).observables)
         assert Counter(built) == expected
 
     def test_shared_operands_are_formed_once(self, monkeypatch):
@@ -614,20 +611,21 @@ class TestAxiomRows:
             assert counts in ([], [len(cases)]), check_id
 
     def test_a_wrong_blade_sign_fails_the_ga_words(self, monkeypatch, fresh_blade_table, capsys):
-        dense = Multivector.__mul__
+        dense = ga._product
 
-        def blade(mv):
-            masks = [m for m, v in enumerate(mv.coeffs) if v]
+        def blade(coeffs):
+            masks = [m for m, v in enumerate(coeffs) if v]
             return masks[0] if len(masks) == 1 else None
 
-        def wrong(self, other):
-            product = dense(self, other)
+        def wrong(left, right, mode):
+            product = dense(left, right, mode)
             # e1 times e2, whatever the signs of the factors, comes out negated
-            if isinstance(other, Multivector) and (blade(self), blade(other)) == (1, 2):
-                return -product
+            if (blade(left), blade(right)) == (1, 2):
+                return tuple(-v for v in product)
             return product
 
-        monkeypatch.setattr(Multivector, "__mul__", wrong)
+        # both ``*`` and ``ga.word`` reduce through the coefficient kernel
+        monkeypatch.setattr(ga, "_product", wrong)
         fresh_blade_table()
         for mode in (EXACT, APPROX):
             entries = run(OPERATORS, Context(mode, DEFAULT_SEED))
@@ -762,15 +760,14 @@ class TestWordEncodingFaults:
         assert ENCODING_ROWS <= failing
 
 
-def _drops_last_right_term(self, other, product=Multivector.__mul__):
-    """A dense product that loses the last nonzero term of a right operand
-    with two or more terms."""
-    if isinstance(other, Multivector):
-        nonzero = [m for m, v in enumerate(other.coeffs) if v]
-        if len(nonzero) > 1:
-            coeffs = tuple(0 if m == nonzero[-1] else v for m, v in enumerate(other.coeffs))
-            other = Multivector(coeffs, other.mode)
-    return product(self, other)
+def _drops_last_right_term(left, right, mode, product=ga._product):
+    """A dense product kernel that loses the last nonzero term of a right
+    operand with two or more terms."""
+    nonzero = [m for m, v in enumerate(right) if v]
+    if len(nonzero) > 1:
+        zero = 0 if mode == EXACT else 0.0
+        right = tuple(zero if m == nonzero[-1] else v for m, v in enumerate(right))
+    return product(left, right, mode)
 
 
 def _i_squared_plus_one(self, other):
@@ -795,7 +792,7 @@ def _f_images_swapped(self, *images, init=identities.IdentityMap.__init__):
 #: that drops a term fails ga.distributivity.
 KERNEL_FAULTS = {
     "dense-product-drops-a-term": (
-        Multivector, "__mul__", _drops_last_right_term, {"ga.distributivity"}
+        ga, "_product", _drops_last_right_term, {"ga.distributivity"}
     ),
     "gaussian-i-squared-plus-one": (
         quantum.GaussianRational, "__mul__", _i_squared_plus_one,

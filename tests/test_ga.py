@@ -1,7 +1,9 @@
 """Algebra kernel: blade products, axioms, modes, rendering."""
 
 import itertools
+import operator
 from fractions import Fraction
+from functools import partial, reduce
 from random import Random
 
 import pytest
@@ -17,6 +19,7 @@ from contextuality_lab.ga import (
     blade_product,
     pseudoscalar,
     render_multivector,
+    word,
 )
 from random_multivectors import random_multivector
 from sweep_oracle import grade_projection
@@ -186,6 +189,22 @@ class TestModes:
             _ = x + E[1]
         with pytest.raises(ValueError):
             x.equals(E[1])
+
+    def test_word_refuses_what_the_product_refuses(self):
+        x = basis_vector(1, APPROX)
+        for factors, message in [
+            ((x, E[1]), "mixed coefficient modes: approx vs exact"),
+            ((E[1], E[2], x), "mixed coefficient modes: exact vs approx"),
+        ]:
+            for form in (word, partial(reduce, operator.mul)):
+                with pytest.raises(ValueError) as raised:
+                    form(factors)
+                assert str(raised.value) == message
+        with pytest.raises(ValueError, match="a dense word needs at least one factor"):
+            word([])
+        # one factor is its own value; a generator of factors is read once
+        assert word([E[1]]) == E[1]
+        assert word(e for e in (E[1], E[2], E[1], E[2])) == MINUS_ONE
 
     def test_float_coefficient_rejected_in_exact_mode(self):
         with pytest.raises(ValueError):

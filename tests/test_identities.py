@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from contextuality_lab import checks, identities, systems
+from contextuality_lab import checks, ga, identities, systems
 from contextuality_lab.constraints import ObservableProduct, PauliSymbol
 from contextuality_lab.ga import EXACT, Multivector, basis_vector
 from contextuality_lab.identities import (
@@ -235,13 +235,14 @@ class TestDenseOracle:
 class TestSearchWork:
     def test_search_forms_no_dense_product(self, monkeypatch):
         products = []
-        dense_mul = Multivector.__mul__
+        dense = ga._product
 
-        def counted_mul(self, other):
+        def counted(left, right, mode):
             products.append(1)
-            return dense_mul(self, other)
+            return dense(left, right, mode)
 
-        monkeypatch.setattr(Multivector, "__mul__", counted_mul)
+        # every dense product, by ``*`` or ``ga.word``, runs the kernel
+        monkeypatch.setattr(ga, "_product", counted)
         columns = []
         column = identities.bell_ghz_column
 

@@ -1,8 +1,9 @@
 """One blade kernel: only ``ga`` and ``systems`` multiply basis blades.
 
-``ga`` holds the blade product (``blade_product``, its table ``CAYLEY``) and
-the dense result path ``_multivector``; ``systems`` reduces every word of
-signed blades through ``blade_product``.  Every other module forms its
+``ga`` holds the blade product (``blade_product``, its table ``CAYLEY``),
+the dense coefficient kernel ``_product`` that ``*`` and ``ga.word`` share,
+and the dense result path ``_multivector``; ``systems`` reduces every word
+of signed blades through ``blade_product``.  Every other module forms its
 values through those two.  ``ast`` reads each module of
 ``src/contextuality_lab`` and collects the names it binds, imports, loads or
 reads as attributes; the kernel names may appear only in the two kernel
@@ -16,7 +17,7 @@ from pathlib import Path
 import contextuality_lab
 
 PACKAGE_DIR = Path(contextuality_lab.__file__).resolve().parent
-KERNEL_NAMES = {"CAYLEY", "blade_product", "_multivector"}
+KERNEL_NAMES = {"CAYLEY", "blade_product", "_product", "_multivector"}
 KERNEL_MODULES = {"ga.py", "systems.py"}
 
 
@@ -47,7 +48,10 @@ def test_only_ga_and_systems_name_the_blade_kernel():
 
 
 def test_the_walk_sees_every_way_of_naming():
-    source = "from .ga import CAYLEY as table\nimport x\nx.blade_product(1, 2)\n_multivector = 1\n"
+    source = (
+        "from .ga import CAYLEY as table\nimport x\nx.blade_product(1, 2)\n"
+        "_multivector = 1\ndef _product(): pass\n"
+    )
     assert KERNEL_NAMES <= names(ast.parse(source))
 
 

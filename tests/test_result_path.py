@@ -6,16 +6,19 @@ check of the constructor (see ``ga._Record``).  For operands drawn in both
 modes, every operation's result must equal the same value rebuilt through
 the public constructor, field by field and with the same coefficient types;
 joint-algebra keys must stay below 8^n with an ``int`` sign of +1 or -1; and
-approx products must equal the dense oracle bit for bit.  The sparse
-joint-algebra oracle of ``tests/tensor_oracle.py`` keeps a result path of its
-own, checked here the same way: no zero coefficient is left.
+approx products, by ``*`` and by ``ga.word``, must equal the dense oracle bit
+for bit.  The sparse joint-algebra oracle of ``tests/tensor_oracle.py`` keeps
+a result path of its own, checked here the same way: no zero coefficient is
+left.
 """
+
+import itertools
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tensor_oracle as oracle
-from contextuality_lab.ga import APPROX, BLADE_COUNT, EXACT, Multivector
+from contextuality_lab.ga import APPROX, BLADE_COUNT, EXACT, MODES, Multivector, word
 from contextuality_lab.quantum import ComplexMatrix, GaussianRational
 from contextuality_lab.systems import TensorMultivector, identify_pseudoscalars
 from random_multivectors import dense_product
@@ -49,15 +52,47 @@ def bits(coeffs: tuple) -> list:
     return [c.hex() if type(c) is float else c for c in coeffs]
 
 
+def folded_oracle(factors) -> tuple:
+    """The coefficients of a word by the left fold of ``dense_product``."""
+    value = factors[0]
+    for factor in factors[1:]:
+        value = Multivector(dense_product(value, factor), factor.mode)
+    return value.coeffs
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data(), modes)
 def test_multivector_results(data, mode):
     a, b = data.draw(multivectors(mode)), data.draw(multivectors(mode))
     factor = data.draw(coefficients(mode))
-    product = a * b
-    for result in (product, a + b, a - b, -a, a.scale(factor), a * factor, factor * a):
+    factors = data.draw(st.lists(multivectors(mode), min_size=2, max_size=4))
+    product, dense_word = a * b, word(factors)
+    for result in (product, a + b, a - b, -a, a.scale(factor), a * factor, factor * a, dense_word):
         assert_rebuilt(result, mode)
     assert bits(product.coeffs) == bits(dense_product(a, b))
+    assert bits(dense_word.coeffs) == bits(folded_oracle(factors))
+
+
+def signed_blade_sums(mode: str) -> list:
+    """The 128 multivectors with one or two nonzero coefficients, each +1 or
+    -1: the operands of every dense product of ``verify all``."""
+    one_term = [{m: s} for m in range(BLADE_COUNT) for s in (1, -1)]
+    two_terms = [
+        {m: s, n: t}
+        for m, n in itertools.combinations(range(BLADE_COUNT), 2)
+        for s, t in itertools.product((1, -1), repeat=2)
+    ]
+    return [Multivector.from_blades(terms, mode) for terms in one_term + two_terms]
+
+
+def test_products_of_signed_blade_sums_equal_the_oracle():
+    for mode in MODES:
+        operands = signed_blade_sums(mode)
+        assert len(operands) == 128
+        for a, b in itertools.product(operands, repeat=2):
+            expected = bits(dense_product(a, b))
+            assert bits((a * b).coeffs) == expected, (mode, a, b)
+            assert bits(word((a, b)).coeffs) == expected, (mode, a, b)
 
 
 def keys(n: int):

@@ -98,8 +98,7 @@ class TestProduct:
         with pytest.raises(ValueError):
             oracle.generator(1, 1, 2).scale(2.0)
 
-    def test_word_keeps_every_refusal(self):
-        # the empty word is the identity
+    def test_empty_word_is_the_identity(self):
         assert word([]) == ONE
 
     def test_checked_constructor_refuses_what_is_no_signed_blade(self):
