@@ -509,9 +509,9 @@ def _bell_ghz(ctx):
     enumeration = ("bellghz.enumeration",
                    "no assignment of scalar signs satisfies the four lines at once",
                    partial(_enumeration, cs))
-    # The column, search and orientation rows are claims about the built-in
-    # lines (identities.COLUMN_LINES); a document with other lines gets the
-    # enumeration only, whatever its name.
+    # The column, search and orientation rows evaluate the vector model on
+    # the built-in lines under each map's table (identities.bell_ghz_column);
+    # a document with other lines gets the enumeration only, whatever its name.
     if constraints.has_builtin_lines(cs, BELL_GHZ):
         return (enumeration, *BELL_GHZ_COLUMNS)
     return (enumeration,)

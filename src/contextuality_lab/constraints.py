@@ -19,20 +19,20 @@ all 2^n maps from the n observables to {+1, -1}, the maps satisfying every
 line at once.  Writing each value as (-1)^b makes each line one linear
 equation over GF(2), so Gaussian elimination decides the count exactly
 without visiting the maps: it is 0 or 2^(n - rank).  For the built-in
-systems it is zero, which is the no-go result.  The vector evaluator instead
-assigns each elementary symbol a signed basis vector of its subsystem's
-algebra copy, expands composite observables through the product rule,
-multiplies each line's word in the joint algebra of
-:mod:`contextuality_lab.systems`, and reduces trivector pairs through the
-shared-handedness rule.  It applies to the pm and ghz lines, where every
-line lands exactly on its required sign.
+systems it is zero, which is the no-go result.  The vector evaluator reads
+each symbol's value, a signed generator of the joint algebra of
+:mod:`contextuality_lab.systems`, from one :class:`VectorAssignment` table,
+and reduces each line's word through the shared-handedness rule.  Under the
+own-slot table every pm and ghz line lands on its required sign; under an
+identification map's table it reduces the Bell-GHZ lines of
+:mod:`contextuality_lab.identities`.
 
 A set can also be read from a JSON document (:meth:`ConstraintSet.from_json`,
 behind ``verify --constraints``); ``json`` loads only when a document is
 read.
 """
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 
 from . import systems
 from .ga import _Record
@@ -47,9 +47,10 @@ BELL_GHZ = "bell_ghz"
 
 
 class PauliSymbol(_Record):
-    """One elementary spin symbol: a subsystem index and a measurement axis."""
+    """One elementary spin symbol: a subsystem index and a measurement axis.
+    It forms its position in a table, its index in :data:`SYMBOLS`, when built."""
 
-    __slots__ = ("system", "axis")
+    __slots__ = ("system", "axis", "_position")
 
     def __init__(self, system: int, axis: str):
         if axis not in AXES:
@@ -58,10 +59,15 @@ class PauliSymbol(_Record):
             raise ValueError(f"system index {system!r} out of range")
         object.__setattr__(self, "system", system)
         object.__setattr__(self, "axis", axis)
+        object.__setattr__(self, "_position", 3 * system + AXES.index(axis) - 3)
 
     @property
     def label(self) -> str:
         return f"{self.axis}{self.system}"
+
+
+#: Every elementary symbol, in the order of a :class:`VectorAssignment` table.
+SYMBOLS = tuple(PauliSymbol(s, a) for s in range(1, systems.MAX_SYSTEMS + 1) for a in AXES)
 
 
 class ObservableProduct(_Record):
@@ -140,7 +146,7 @@ class ConstraintSet(_Record):
     ``x1*y2`` are one observable, one variable of the scalar evaluator and
     one operator word."""
 
-    __slots__ = ("name", "lines", "_table")
+    __slots__ = ("name", "lines", "_table", "_positions")
 
     def __init__(self, name: str, lines: tuple):
         if not lines:
@@ -148,6 +154,7 @@ class ConstraintSet(_Record):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "lines", lines)
         object.__setattr__(self, "_table", None)
+        object.__setattr__(self, "_positions", None)
 
     def _index(self) -> tuple:
         """``(observables, term_indices, label_rows)``, formed on first use.
@@ -184,6 +191,13 @@ class ConstraintSet(_Record):
     def label_rows(self) -> tuple:
         """Per line, the term labels as written and the required sign."""
         return self._index()[2]
+
+    def _factor_positions(self) -> tuple:
+        """Per line, the position of each factor of its terms, formed on first use."""
+        if self._positions is None:
+            lines = ((f._position for t in line.terms for f in t.factors) for line in self.lines)
+            object.__setattr__(self, "_positions", tuple(map(tuple, lines)))
+        return self._positions
 
     @property
     def n_systems(self) -> int:
@@ -357,40 +371,35 @@ def enumerate_scalar_assignments(cs: ConstraintSet) -> EnumerationResult:
 
 
 class VectorAssignment(_Record):
-    """A sign for each elementary symbol's canonical basis vector.
+    """Per symbol of :data:`SYMBOLS`, in that order, the signed generator of
+    the joint algebra it takes, in any slot, or None for no value.  The same
+    entry is used wherever the symbol occurs, so values cannot depend on the
+    line reading them."""
 
-    The symbol of axis a in subsystem s takes the value
-    ``sign * (axis-a basis vector of slot s)``; the same table entry is used
-    wherever the symbol occurs, so values cannot depend on the line reading
-    them.
-    """
+    __slots__ = ("table",)
 
-    __slots__ = ("signs",)
-
-    def __init__(self, signs: Mapping[PauliSymbol, int]):
-        for symbol, sign in signs.items():
-            if sign not in (1, -1):
-                raise ValueError(f"sign for {symbol.label} must be +1 or -1")
-        object.__setattr__(self, "signs", signs)
+    def __init__(self, table: tuple):
+        if len(table) != len(SYMBOLS):
+            raise ValueError(f"a table holds {len(SYMBOLS)} entries, got {len(table)}")
+        for symbol, value in zip(SYMBOLS, table):
+            # one signed generator: a signed blade whose key has one bit
+            if value is not None and not (
+                type(value) is TensorMultivector and value.key and not value.key & value.key - 1
+            ):
+                raise ValueError(f"{symbol.label} takes {value!r}, not one signed generator")
+        object.__setattr__(self, "table", tuple(table))
 
     @classmethod
     def all_positive(cls, n_systems: int) -> "VectorAssignment":
-        return cls(
-            {
-                PauliSymbol(s, a): 1
-                for s in range(1, n_systems + 1)
-                for a in AXES
-            }
-        )
-
-    def sign(self, symbol: PauliSymbol) -> int:
-        try:
-            return self.signs[symbol]
-        except KeyError:
-            raise ValueError(f"no value assigned to symbol {symbol.label}") from None
+        """The own-slot table: each symbol of subsystems 1..n_systems takes its slot's generator."""
+        own = (systems.generator(s.system, AXIS_INDEX[s.axis]) for s in SYMBOLS)
+        return cls(tuple(v if s.system <= n_systems else None for s, v in zip(SYMBOLS, own)))
 
     def symbol_value(self, symbol: PauliSymbol) -> TensorMultivector:
-        return systems.generator(symbol.system, AXIS_INDEX[symbol.axis], self.sign(symbol))
+        value = self.table[symbol._position]
+        if value is None:
+            raise ValueError(f"no value assigned to symbol {symbol.label}")
+        return value
 
     def term_value(self, term: ObservableProduct) -> TensorMultivector:
         """Product-rule expansion: multiply the factors' values in written order."""
@@ -413,16 +422,21 @@ class LineEvaluation(_Record):
 def evaluate_vector_model(cs: ConstraintSet, assignment: VectorAssignment) -> tuple:
     """Evaluate each line's word in the joint algebra.
 
-    Line words multiply the term values in written order; trivector factors
-    met in two slots collapse through the shared-handedness rule before the
-    scalar is read off.  A word that does not reduce to a scalar is kept as
-    the line's value, so its line fails.  ``verify`` applies the model to
-    the built-in pm and ghz lines only; the four-line system instead runs
-    through the substitution model of :mod:`contextuality_lab.identities`.
+    A line's word multiplies its factors' table values in written order (the
+    term values' product, by associativity); trivector factors met in two
+    slots collapse through the shared-handedness rule before the scalar is
+    read off.  A word that does not reduce to a scalar is kept as the line's
+    value, so its line fails.  ``verify`` gives the built-in pm and ghz lines
+    the own-slot table, and the Bell-GHZ lines each identification map's.
     """
+    entry = assignment.table.__getitem__
     results = []
-    for line in cs.lines:
-        raw = systems.word(map(assignment.term_value, line.terms))
+    for line, positions in zip(cs.lines, cs._factor_positions()):
+        try:
+            raw = systems.word(map(entry, positions))
+        except AttributeError:  # a None entry: the checked lookup names its symbol
+            list(map(assignment.term_value, line.terms))
+            raise
         reduced = identify_pseudoscalars(raw)
         value = reduced.scalar_part() if reduced.is_scalar() else reduced
         results.append(LineEvaluation(line, reduced, value))

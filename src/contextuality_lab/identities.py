@@ -14,27 +14,24 @@ line to a signed basis vector, the four reduced values always multiply to
 (x, x, x, -x).  The module also provides the orientation reading that
 compares the three subsystems' plane orientations induced by a map.
 
-Every factor image is a signed in-plane basis vector, and it is held as what
-it is: a one-slot signed blade of :mod:`contextuality_lab.systems`, ``+-e1``
-or ``+-e2``.  A map keeps its six images, subsystem 1's own two first, in one
-table, and the column lines are resolved once to positions in it.  So a
+A map is one table of the paper's vector model: it sends x and y of each
+subsystem to ``+-e1`` or ``+-e2``, one-slot signed blades of
+:mod:`contextuality_lab.systems`.  A column is what
+:func:`contextuality_lab.constraints.evaluate_vector_model`, the model's one
+evaluator, reduces the built-in Bell-GHZ lines to under that table.  So a
 reduced line, a column product and a plane orientation are each a sign times
-one blade: lines and columns are reduced by
-:func:`contextuality_lab.systems.word`, the one kernel that multiplies words
-of signed blades.  The dense 8-blade product gives the same values and is
-kept as the test oracle (``tests/identities_oracle.py``).
+one blade.  The dense 8-blade product gives the same values and is kept as
+the test oracle (``tests/identities_oracle.py``).
 """
 
 import functools
 import itertools
 from types import MappingProxyType
 
-from . import systems
-from .constraints import AXIS_INDEX, BELL_GHZ, ObservableProduct, builtin_constraints
+from . import constraints, systems
+from .constraints import BELL_GHZ, ObservableProduct, PauliSymbol, VectorAssignment
 from .ga import _Record
 from .systems import TensorMultivector
-
-IN_PLANE_AXES = (1, 2)
 
 
 def in_plane_vector(label: str) -> TensorMultivector:
@@ -56,11 +53,12 @@ class IdentityMap(_Record):
     Each image is ``+-e1`` or ``+-e2`` of one slot.  Per subsystem the two
     images use distinct axes, so each substitution is an
     orthonormality-preserving signed permutation of the plane.  The private
-    slot ``_images`` is the image table (e1, e2, f1, f2, g1, g2), indexed by
-    :func:`_image_index`, that lookups, columns and orientations read.
+    slot ``_assignment`` is the map's table, formed once: x and y of
+    subsystems 1, 2 and 3 take e1 and e2, the f images and the g images; no
+    z symbol has a value.  Lookups, columns and orientations read it.
     """
 
-    __slots__ = ("f1", "f2", "g1", "g2", "_images")
+    __slots__ = ("f1", "f2", "g1", "g2", "_assignment")
 
     def __init__(
         self,
@@ -77,27 +75,19 @@ class IdentityMap(_Record):
         if g1.key == g2.key:
             raise ValueError("g images must use distinct axes")
         super().__init__(f1, f2, g1, g2)
-        object.__setattr__(self, "_images", (*_OWN_BASIS, f1, f2, g1, g2))
+        table = (*_OWN_BASIS, None, f1, f2, None, g1, g2, None)
+        object.__setattr__(self, "_assignment", VectorAssignment(table))
 
-    def image(self, system: int, axis: int) -> TensorMultivector:
-        """Where the in-plane generator of a subsystem lands in the shared copy."""
-        return self._images[_image_index(system, axis)]
+    def image(self, system: int, axis: str) -> TensorMultivector:
+        """Where a subsystem's x or y generator lands in the shared copy; z has none."""
+        return self._assignment.symbol_value(PauliSymbol(system, axis))
 
     def as_dict(self) -> dict:
         return {"f1": str(self.f1), "f2": str(self.f2), "g1": str(self.g1), "g2": str(self.g2)}
 
 
-def _image_index(system: int, axis: int) -> int:
-    """The position of a subsystem's in-plane generator in a map's image table."""
-    if axis not in IN_PLANE_AXES:
-        raise ValueError(f"axis {axis} outside the identified plane")
-    if system not in (1, 2, 3):
-        raise ValueError(f"system index {system} out of range 1..3")
-    return 2 * system + axis - 3
-
-
 #: Subsystem 1's own in-plane generators, the images of e1 and e2.
-_OWN_BASIS = tuple(systems.generator(1, axis) for axis in IN_PLANE_AXES)
+_OWN_BASIS = (systems.generator(1, 1), systems.generator(1, 2))
 #: Every image a map may use: +-e1 and +-e2 of one slot.
 _IN_PLANE = frozenset((*_OWN_BASIS, *(-x for x in _OWN_BASIS)))
 
@@ -121,21 +111,13 @@ UNIFORM_MAP = IdentityMap(*_OWN_BASIS, *_OWN_BASIS)
 NEGATED_F1_MAP = IdentityMap(-_OWN_BASIS[0], _OWN_BASIS[1], *_OWN_BASIS)
 
 
-#: The four built-in Bell-GHZ lines as products, in the fixed (xyy, yxy, yyx,
-#: xxx) order: each line's single-factor terms joined into one observable.
+#: The built-in Bell-GHZ lines, in the fixed (xyy, yxy, yyx, xxx) order, and
+#: the same lines as products: each line's terms joined into one observable.
+_LINES = constraints.builtin_constraints(BELL_GHZ)
 COLUMN_LINES = tuple(
     ObservableProduct(tuple(f for term in line.terms for f in term.factors))
-    for line in builtin_constraints(BELL_GHZ).lines
+    for line in _LINES.lines
 )
-
-
-def _line_indices(line: ObservableProduct) -> tuple:
-    """A line's factors as positions in a map's image table."""
-    return tuple(_image_index(f.system, AXIS_INDEX[f.axis]) for f in line.factors)
-
-
-#: :data:`COLUMN_LINES` resolved once to image-table positions.
-_COLUMN_INDICES = tuple(map(_line_indices, COLUMN_LINES))
 
 
 class ColumnResult(_Record):
@@ -148,9 +130,9 @@ class ColumnResult(_Record):
 
 
 def bell_ghz_column(imap: IdentityMap) -> ColumnResult:
-    """Each line reduced over its positions in the map's image table."""
-    image = imap._images.__getitem__
-    entries = tuple(systems.word(map(image, line)) for line in _COLUMN_INDICES)
+    """The Bell-GHZ lines' reduced words under the map's table, and their product."""
+    evaluations = constraints.evaluate_vector_model(_LINES, imap._assignment)
+    entries = tuple(evaluation.word for evaluation in evaluations)
     return ColumnResult(entries, systems.word(entries))
 
 
@@ -192,11 +174,9 @@ class OrientationReading(_Record):
         return self.orientations[a - 1] == self.orientations[b - 1]
 
 
-def _orientation(imap: IdentityMap, system: int, first: int, second: int) -> TensorMultivector:
-    return imap.image(system, first) * imap.image(system, second)
-
-
 def orientation_reading(imap: IdentityMap) -> OrientationReading:
+    image = imap.image
     return OrientationReading(
-        (_orientation(imap, 1, 1, 2), _orientation(imap, 2, 2, 1), _orientation(imap, 3, 1, 2))
+        (image(1, "x") * image(1, "y"), image(2, "y") * image(2, "x"),
+         image(3, "x") * image(3, "y"))
     )

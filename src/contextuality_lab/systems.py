@@ -129,6 +129,8 @@ def identify_pseudoscalars(tm: TensorMultivector) -> TensorMultivector:
     key = tm.key
     # bit 0 of every slot whose mask is 7
     full = key & key >> 1 & key >> 2 & _SLOT_LOW_ONE
+    if not full:
+        return tm
     pairs = full.bit_count() // 2
     if full.bit_count() & 1:
         full ^= 1 << full.bit_length() - 1  # a lone last trivector slot stays

@@ -1,9 +1,9 @@
 """Dense reference for the Bell-GHZ column reduction.
 
 ``contextuality_lab.identities`` holds every factor image as a one-slot
-signed blade of ``contextuality_lab.systems`` and reduces lines, columns and
-plane orientations through ``systems.word`` and the signed-blade product.
-The functions here compute the same values the long way: each image is
+signed blade of ``contextuality_lab.systems``, in one vector-model table per
+map; lines reduce through ``constraints.evaluate_vector_model``, and columns
+and plane orientations through the signed-blade product.  The functions here compute the same values the long way: each image is
 rebuilt from its sign and key as a full 8-blade multivector, and words
 multiply through ``Multivector.__mul__``.  :func:`dense` turns a one-slot
 signed blade into the same dense form, so the kernel's values are compared
@@ -11,7 +11,6 @@ with the oracle's exactly.  :func:`handedness` is the closed form of the
 orientation a map induces on a subsystem's plane.
 """
 
-from contextuality_lab.constraints import AXIS_INDEX
 from contextuality_lab.ga import EXACT, Multivector, basis_vector
 from contextuality_lab.identities import COLUMN_LINES, ColumnResult
 
@@ -37,7 +36,7 @@ def dense_image(image) -> Multivector:
 def dense_substitute_and_reduce(imap, line) -> Multivector:
     result = Multivector.scalar(1, EXACT)
     for factor in line.factors:
-        result = result * dense_image(imap.image(factor.system, AXIS_INDEX[factor.axis]))
+        result = result * dense_image(imap.image(factor.system, factor.axis))
     return result
 
 
@@ -53,7 +52,7 @@ def handedness(imap, system) -> int:
     """Sign of the plane orientation that ``imap`` induces on a subsystem:
     permutation parity times the product of the image signs.  +1 means the
     substituted axis-order bivector equals +e12, -1 means it equals -e12."""
-    first = imap.image(system, 1)
-    second = imap.image(system, 2)
+    first = imap.image(system, "x")
+    second = imap.image(system, "y")
     permutation = 1 if first.key == 1 else -1
     return permutation * first.sign * second.sign

@@ -27,6 +27,7 @@ from contextuality_lab.ga import EXACT, Multivector, basis_vector
 from identities_oracle import dense
 from random_multivectors import random_multivector
 from sweep_oracle import CoplanarConfig, classical_gamma_enumeration, gamma_vector
+from vector_tables import signed_table
 
 SEED = 1729
 
@@ -80,10 +81,12 @@ def test_criterion_3_scalar_no_go():
 def test_criterion_4_vector_model():
     pm = builtin_constraints(PM)
     assignment2 = VectorAssignment.all_positive(2)
+    assert assignment2 == signed_table(2)
     assert [ev.value for ev in evaluate_vector_model(pm, assignment2)] == [1, 1, 1, 1, 1, -1]
     assert non_contextuality_audit(pm, assignment2).all_single_valued
     ghz = builtin_constraints(GHZ)
     assignment3 = VectorAssignment.all_positive(3)
+    assert assignment3 == signed_table(3)
     assert [ev.value for ev in evaluate_vector_model(ghz, assignment3)] == [1, 1, 1, 1, -1]
     assert non_contextuality_audit(ghz, assignment3).all_single_valued
     report("criterion 4: vector model meets every line exactly, values single across lines")

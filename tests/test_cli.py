@@ -781,10 +781,12 @@ def _i_squared_plus_one(self, other):
 
 
 def _f_images_swapped(self, *images, init=identities.IdentityMap.__init__):
-    """A map built with f1 and f2 swapped in its image table."""
+    """A map built with the values of x2 and y2 swapped in its table."""
     init(self, *images)
-    e1, e2, f1, f2, g1, g2 = self._images
-    object.__setattr__(self, "_images", (e1, e2, f2, f1, g1, g2))
+    table = list(self._assignment.table)
+    x2, y2 = constraints.PauliSymbol(2, "x")._position, constraints.PauliSymbol(2, "y")._position
+    table[x2], table[y2] = table[y2], table[x2]
+    object.__setattr__(self, "_assignment", constraints.VectorAssignment(tuple(table)))
 
 
 #: name -> (owner, attribute, faulty replacement, the rows of ``verify all``

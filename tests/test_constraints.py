@@ -14,6 +14,7 @@ from contextuality_lab.constraints import (
     BELL_GHZ,
     GHZ,
     PM,
+    SYMBOLS,
     ConstraintLine,
     ConstraintSet,
     ObservableProduct,
@@ -26,10 +27,11 @@ from contextuality_lab.constraints import (
     non_contextuality_audit,
     parity_witness,
 )
-from contextuality_lab import checks
-from contextuality_lab.ga import EXACT
+from contextuality_lab import checks, systems
+from contextuality_lab.ga import EXACT, basis_vector
 from contextuality_lab.quantum import verify_operator_identities
 from constraint_documents import document
+from vector_tables import LABELS, signed_table
 
 
 def _factor_set(term):
@@ -421,9 +423,8 @@ class TestVectorModel:
         # the first four lines repeat every generator, so they stay at +1;
         # the last two lines soak up the product of all six signs
         cs = builtin_constraints(PM)
-        symbols = [PauliSymbol(s, a) for s in (1, 2) for a in "xyz"]
         for signs in itertools.product((1, -1), repeat=6):
-            assignment = VectorAssignment(dict(zip(symbols, signs)))
+            assignment = signed_table(0, **dict(zip(LABELS, signs)))
             values = [ev.value for ev in evaluate_vector_model(cs, assignment)]
             parity = _product(signs)
             assert values[:4] == [1, 1, 1, 1]
@@ -436,19 +437,16 @@ class TestVectorModel:
         # canonical line signs; a lone flip leaves the model and shows up in
         # the two six-generator lines
         cs = builtin_constraints(PM)
-        symbols = [PauliSymbol(s, a) for s in (1, 2) for a in "xyz"]
         for signs in itertools.product((1, -1), repeat=6):
-            assignment = VectorAssignment(dict(zip(symbols, signs)))
+            assignment = signed_table(0, **dict(zip(LABELS, signs)))
             values = [ev.value for ev in evaluate_vector_model(cs, assignment)]
             if _product(signs[:3]) == _product(signs[3:]) == 1:
                 assert values == [1, 1, 1, 1, 1, -1]
-        lone = VectorAssignment({**VectorAssignment.all_positive(2).signs, PauliSymbol(1, "x"): -1})
-        assert [ev.value for ev in evaluate_vector_model(cs, lone)][4] == -1
+        assert [ev.value for ev in evaluate_vector_model(cs, signed_table(2, x1=-1))][4] == -1
 
     def test_pm_even_flip_within_each_system(self):
         cs = builtin_constraints(PM)
-        base = VectorAssignment.all_positive(2).signs
-        flipped = VectorAssignment({**base, PauliSymbol(1, "x"): -1, PauliSymbol(1, "y"): -1})
+        flipped = signed_table(2, x1=-1, y1=-1)
         assert [ev.value for ev in evaluate_vector_model(cs, flipped)] == [
             1,
             1,
@@ -457,7 +455,7 @@ class TestVectorModel:
             1,
             -1,
         ]
-        both = VectorAssignment({**base, PauliSymbol(1, "x"): -1, PauliSymbol(2, "x"): -1})
+        both = signed_table(2, x1=-1, x2=-1)
         assert [ev.value for ev in evaluate_vector_model(cs, both)] == [
             1,
             1,
@@ -471,9 +469,8 @@ class TestVectorModel:
         # every GHZ line repeats each of its generators, so all 512 sign
         # assignments reproduce (1, 1, 1, 1, -1)
         cs = builtin_constraints(GHZ)
-        symbols = [PauliSymbol(s, a) for s in (1, 2, 3) for a in "xyz"]
         for signs in itertools.product((1, -1), repeat=9):
-            assignment = VectorAssignment(dict(zip(symbols, signs)))
+            assignment = signed_table(0, **dict(zip(LABELS, signs)))
             values = [ev.value for ev in evaluate_vector_model(cs, assignment)]
             assert values == [1, 1, 1, 1, -1]
 
@@ -551,13 +548,35 @@ class TestVectorModel:
 
     def test_unassigned_symbol_rejected(self):
         cs = builtin_constraints(PM)
-        partial = VectorAssignment({PauliSymbol(1, "x"): 1})
-        with pytest.raises(ValueError):
-            evaluate_vector_model(cs, partial)
+        with pytest.raises(ValueError, match="no value assigned to symbol x2"):
+            evaluate_vector_model(cs, signed_table(0, x1=1))
 
-    def test_assignment_validates_signs(self):
-        with pytest.raises(ValueError):
-            VectorAssignment({PauliSymbol(1, "x"): 2})
+    @pytest.mark.parametrize(
+        "value",
+        [
+            2,
+            -1,
+            systems.ONE,
+            -systems.ONE,
+            systems.generator(1, 1) * systems.generator(1, 2),
+            systems.generator(1, 1) * systems.generator(2, 1),
+            basis_vector(1),
+        ],
+        ids=["int-two", "int-sign", "one", "minus-one", "e12", "two-slot-e1", "dense-e1"],
+    )
+    def test_assignment_refuses_all_but_one_signed_generator(self, value):
+        table = signed_table(1).table
+        with pytest.raises(ValueError, match="x1 takes .*, not one signed generator"):
+            VectorAssignment((value, *table[1:]))
+
+    def test_a_table_holds_one_entry_per_symbol_in_symbol_order(self):
+        assert [symbol._position for symbol in SYMBOLS] == list(range(9))
+        assert [symbol.label for symbol in SYMBOLS[:4]] == ["x1", "y1", "z1", "x2"]
+        assert VectorAssignment.all_positive(3).table == tuple(
+            systems.generator(s, axis) for s in (1, 2, 3) for axis in (1, 2, 3)
+        )
+        with pytest.raises(ValueError, match="a table holds 9 entries, got 8"):
+            VectorAssignment(signed_table(3).table[:8])
 
 
 class TestAudit:
@@ -579,8 +598,7 @@ class TestAudit:
 
     def test_audit_with_flipped_signs_still_single_valued(self):
         cs = builtin_constraints(PM)
-        flips = {PauliSymbol(1, "x"): -1, PauliSymbol(2, "y"): -1}
-        assignment = VectorAssignment({**VectorAssignment.all_positive(2).signs, **flips})
+        assignment = signed_table(2, x1=-1, y2=-1)
         report = non_contextuality_audit(cs, assignment)
         assert report.all_single_valued
         by_label = {entry.observable.label: entry for entry in report.entries}

@@ -8,7 +8,13 @@ from types import SimpleNamespace
 import pytest
 
 from contextuality_lab import checks, ga, identities, systems
-from contextuality_lab.constraints import ObservableProduct, PauliSymbol
+from contextuality_lab.constraints import (
+    ConstraintLine,
+    ConstraintSet,
+    ObservableProduct,
+    PauliSymbol,
+    evaluate_vector_model,
+)
 from contextuality_lab.ga import EXACT, Multivector, basis_vector
 from contextuality_lab.identities import (
     COLUMN_LINES,
@@ -45,9 +51,10 @@ SWAPPED_MAP = IdentityMap(vector(1, 2), vector(1, 1), vector(1, 1), vector(1, 2)
 
 
 def _reduce_line(imap, line):
-    """A line reduced the kernel's way: its factors resolved to image-table
-    positions, which refuses what no map can image, then multiplied."""
-    return systems.word(map(imap._images.__getitem__, identities._line_indices(line)))
+    """A line reduced by the one evaluator under the map's table, as a set of
+    that one line; a symbol with no value is refused by name."""
+    cs = ConstraintSet("line", (ConstraintLine((line,), 1),))
+    return evaluate_vector_model(cs, imap._assignment)[0].word
 
 
 class TestSignedAxisVector:
@@ -104,16 +111,18 @@ class TestIdentityMap:
                 IdentityMap(*images)
 
     def test_one_image_table_per_map(self):
-        own = (vector(1, 1), vector(1, 2))
+        e1, e2 = vector(1, 1), vector(1, 2)
         for imap in all_identity_maps():
-            table = (*own, imap.f1, imap.f2, imap.g1, imap.g2)
-            assert imap._images == table
-            assert tuple(imap.image(s, a) for s in (1, 2, 3) for a in (1, 2)) == table
+            # x and y of each subsystem, in symbol order; no z has a value
+            table = (e1, e2, None, imap.f1, imap.f2, None, imap.g1, imap.g2, None)
+            assert imap._assignment.table == table
+            images = tuple(imap.image(s, a) for s in (1, 2, 3) for a in "xy")
+            assert images == (e1, e2, imap.f1, imap.f2, imap.g1, imap.g2)
             # a private cache: repr and pickling leave it out, __init__ rebuilds it
-            assert "_images" not in repr(imap)
-            assert pickle.loads(pickle.dumps(imap))._images == table
-        with pytest.raises(ValueError, match="system index 4 out of range 1..3"):
-            UNIFORM_MAP.image(4, 1)
+            assert "_assignment" not in repr(imap)
+            assert pickle.loads(pickle.dumps(imap))._assignment.table == table
+        with pytest.raises(ValueError, match="system index 4 out of range"):
+            UNIFORM_MAP.image(4, "x")
 
     def test_all_maps_count_and_uniqueness(self):
         maps = all_identity_maps()
@@ -151,11 +160,11 @@ class TestSubstitution:
         assert dense(bell_ghz_column(UNIFORM_MAP).entries[1]) == -E1
 
     def test_z_axis_rejected(self):
-        # axis z has no image: the identification covers only the plane
-        with pytest.raises(ValueError, match="axis 3 outside the identified plane"):
-            identities._line_indices(ObservableProduct.parse("x1*z2*y3"))
-        with pytest.raises(ValueError, match="axis 3 outside the identified plane"):
-            NEGATED_F1_MAP.image(2, 3)
+        # no z symbol has a value: the identification covers only the plane
+        with pytest.raises(ValueError, match="no value assigned to symbol z2"):
+            _reduce_line(NEGATED_F1_MAP, ObservableProduct.parse("x1*z2*y3"))
+        with pytest.raises(ValueError, match="no value assigned to symbol z2"):
+            NEGATED_F1_MAP.image(2, "z")
 
 
 class TestColumns:
@@ -221,10 +230,10 @@ class TestDenseOracle:
 
     @pytest.mark.parametrize("reduce", [_reduce_line, dense_substitute_and_reduce])
     def test_z_axis_rejected(self, reduce):
-        with pytest.raises(ValueError, match="axis 3 outside the identified plane"):
+        with pytest.raises(ValueError, match="no value assigned to symbol z3"):
             reduce(UNIFORM_MAP, ObservableProduct.parse("x1*y2*z3"))
 
-    @pytest.mark.parametrize("reduce", [_reduce_line, dense_substitute_and_reduce])
+    @pytest.mark.parametrize("reduce", [dense_substitute_and_reduce])
     def test_out_of_range_system_rejected(self, reduce):
         # PauliSymbol refuses system 4, so a stand-in factor carries it
         line = ObservableProduct((PauliSymbol(1, "x"), SimpleNamespace(system=4, axis="y")))
@@ -325,7 +334,7 @@ class TestOrientationReading:
 
     def test_second_system_reads_f2_f1_image(self):
         for imap in all_identity_maps():
-            expected = dense_image(imap.image(2, 2)) * dense_image(imap.image(2, 1))
+            expected = dense_image(imap.image(2, "y")) * dense_image(imap.image(2, "x"))
             assert dense(orientation_reading(imap).orientations[1]) == expected
 
     def test_verdicts_match_handedness_closed_form(self):

@@ -8,7 +8,9 @@ values through those two.  ``ast`` reads each module of
 ``src/contextuality_lab`` and collects the names it binds, imports, loads or
 reads as attributes; the kernel names may appear only in the two kernel
 modules.  ``identities`` holds its values as ``systems`` signed blades, so
-it takes nothing from ``ga`` but the record base ``_Record``.
+it takes nothing from ``ga`` but the record base ``_Record``; and it reduces
+no line itself, since ``constraints.evaluate_vector_model`` is the one
+evaluator of the vector model.
 """
 
 import ast
@@ -66,3 +68,10 @@ def test_identities_takes_only_the_record_base_from_ga():
     assert from_ga == ["_Record"]
     # no ``from . import ga``, ``import ...ga`` or ``ga.name`` either
     assert "ga" not in names(tree)
+
+
+def test_identities_reduces_no_line_through_a_rule_of_its_own():
+    found = names(ast.parse((PACKAGE_DIR / "identities.py").read_text(encoding="utf-8")))
+    assert "evaluate_vector_model" in found
+    # neither the axis numbering nor a symbol's table position
+    assert found & {"AXIS_INDEX", "_position", "_factor_positions"} == set()

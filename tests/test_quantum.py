@@ -1,5 +1,6 @@
 """Exact matrix oracle: spin relations, line words, eigenstates, singlet."""
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -199,12 +200,6 @@ class TestPauliWordOracle:
         n, product = case
         assert word_matrix(pauli_word(product), n) == observable_matrix(product, n)
 
-    @settings(max_examples=200, deadline=None)
-    @given(sized(words, words))
-    def test_word_product_is_the_matrix_product(self, case):
-        n, a, b = case
-        assert word_matrix(word_product(a, b), n) == word_matrix(a, n) @ word_matrix(b, n)
-
     @settings(max_examples=100, deadline=None)
     @given(sized(words))
     def test_apply_word_is_the_matrix_column(self, case):
@@ -290,6 +285,97 @@ class TestPauliWordOracle:
     def test_system_beyond_n_rejected(self, build):
         with pytest.raises(ValueError, match="observable x1\\*z3 needs 3 systems, have 2"):
             build(ObservableProduct.parse("x1*z3"), 2)
+
+
+#: Every three-qubit word once per (x, z) mask pair, 64 in all, the phase
+#: exponents cycling through 0..3; the word of (x, z) sits at 8 x + z.
+THREE_QUBIT_WORDS = tuple(
+    (k % 4, x, z) for k, (x, z) in enumerate(itertools.product(range(8), repeat=2))
+)
+
+#: All 63 observables on subsystems 1..3: each subset of sites, each axis per site.
+THREE_QUBIT_OBSERVABLES = tuple(
+    ObservableProduct.parse("*".join(f"{a}{s}" for s, a in enumerate(axes, start=1) if a))
+    for axes in itertools.product(("", "x", "y", "z"), repeat=3)
+    if any(axes)
+)
+
+
+@functools.cache
+def _three_qubit_matrix(word) -> ComplexMatrix:
+    return word_matrix(word, 3)
+
+
+@functools.cache
+def _three_qubit_products() -> dict:
+    """The dense product of every ordered pair of :data:`THREE_QUBIT_WORDS`."""
+    return {
+        (a, b): _three_qubit_matrix(a) @ _three_qubit_matrix(b)
+        for a in THREE_QUBIT_WORDS
+        for b in THREE_QUBIT_WORDS
+    }
+
+
+def word_pair_disagreements(product=word_product, commute=words_commute) -> list:
+    """The ordered word pairs on which a product or commutation rule
+    disagrees with the dense matrices: the pair's product word must give the
+    matrix product, and the pair must commute exactly when both orders give
+    one matrix."""
+    products = _three_qubit_products()
+    return [
+        (a, b)
+        for (a, b), ab in products.items()
+        if _three_qubit_matrix(product(a, b)) != ab or commute(a, b) != (ab == products[b, a])
+    ]
+
+
+def observable_disagreements(word=pauli_word) -> list:
+    """The labels of the observables whose word does not give their matrix."""
+    return [
+        o.label
+        for o in THREE_QUBIT_OBSERVABLES
+        if _three_qubit_matrix(word(o)) != observable_matrix(o, 3)
+    ]
+
+
+def _x1_and_z2(a, b):
+    """A word product that counts x1 & z2 where z1 & x2 belongs."""
+    k1, x1, z1 = a
+    k2, x2, z2 = b
+    return (k1 + k2 + 2 * (x1 & z2).bit_count()) % 4, x1 ^ x2, z1 ^ z2
+
+
+def _y_phase_minus_i(product):
+    """A word with phase -i for each y site, that is Y coded as -Y."""
+    x, z = product.masks
+    return -(x & z).bit_count() % 4, x, z
+
+
+class TestEveryThreeQubitWord:
+    """The word kernel equals the dense matrices on the whole three-qubit
+    world; a word on fewer subsystems is one of these words, since the kernel
+    takes no subsystem count."""
+
+    def test_every_ordered_pair_multiplies_and_commutes_as_its_matrices(self):
+        assert len(THREE_QUBIT_WORDS) == len(set(THREE_QUBIT_WORDS)) == 64
+        assert {k for k, _, _ in THREE_QUBIT_WORDS} == {0, 1, 2, 3}
+        assert word_pair_disagreements() == []
+
+    def test_every_observable_word_is_its_matrix(self):
+        assert len(set(THREE_QUBIT_OBSERVABLES)) == 63
+        assert observable_disagreements() == []
+
+    def test_each_word_fault_fails_a_case(self):
+        # x1 & z2 in place of z1 & x2 agrees on commuting words only; x1 z1
+        # is one of the pairs that anticommute
+        x1, z1 = THREE_QUBIT_WORDS[8], THREE_QUBIT_WORDS[1]
+        assert (x1[1:], z1[1:]) == ((1, 0), (0, 1))
+        assert (x1, z1) in word_pair_disagreements(product=_x1_and_z2)
+        # Y coded as -Y fails exactly the observables with an odd number of
+        # y sites, y1 first among them
+        odd_y = [o.label for o in THREE_QUBIT_OBSERVABLES if o.label.count("y") % 2]
+        assert observable_disagreements(word=_y_phase_minus_i) == odd_y
+        assert "y1" in odd_y
 
 
 def blade_matrix(mask):

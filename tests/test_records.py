@@ -24,6 +24,7 @@ from contextuality_lab.identities import ColumnResult, IdentityMap, OrientationR
 from contextuality_lab.quantum import ONE, ZERO, ComplexMatrix, GaussianRational, StateVector
 from contextuality_lab.systems import TensorMultivector, generator
 from tensor_oracle import SparseTensor
+from vector_tables import signed_table
 
 
 def _line():
@@ -46,7 +47,7 @@ RECORDS = [
         ("total", "satisfying_count", "parity_witness"),
         lambda: (8, 0, ParityWitness(1, -1)),
     ),
-    (VectorAssignment, ("signs",), lambda: ({PauliSymbol(1, "x"): 1, PauliSymbol(2, "z"): -1},)),
+    (VectorAssignment, ("table",), lambda: (signed_table(0, x1=1, z2=-1).table,)),
     (
         LineEvaluation,
         ("line", "word", "value"),
@@ -84,8 +85,6 @@ RECORDS = [
 
 #: Records that render themselves instead of listing their fields.
 OWN_REPR = (Multivector, SparseTensor)
-#: Records holding a dict, which cannot be hashed.
-UNHASHABLE = (VectorAssignment,)
 
 
 @pytest.mark.parametrize("cls,names,values", RECORDS, ids=[r[0].__name__ for r in RECORDS])
@@ -93,11 +92,7 @@ def test_record_contract(cls, names, values):
     record, twin = cls(*values()), cls(*values())
     assert record == twin and not record != twin
     assert cls(**dict(zip(names, values()))) == record
-    if cls in UNHASHABLE:
-        with pytest.raises(TypeError):
-            hash(record)
-    else:
-        assert hash(record) == hash(twin)
+    assert hash(record) == hash(twin)
     fields = tuple(getattr(record, name) for name in names)
     assert record != fields and fields != record
     assert pickle.loads(pickle.dumps(record)) == record

@@ -243,6 +243,16 @@ class TestIdentifyPseudoscalars:
         tm = TensorMultivector(1, pack((7, 7, 7)))
         assert identify_pseudoscalars(tm) == TensorMultivector(-1, pack((0, 0, 7)))
 
+    def test_every_three_slot_key_and_sign_agrees_with_the_sparse_oracle(self):
+        # 512 keys by two signs: no pair, one pair, a lone kept slot, and a
+        # key with no full slot, which comes back unchanged
+        for key, sign in itertools.product(range(8**MAX_SYSTEMS), (1, -1)):
+            tm = TensorMultivector(sign, key)
+            reduced = identify_pseudoscalars(tm)
+            assert oracle.of(reduced, MAX_SYSTEMS) == oracle.identify_pseudoscalars(
+                oracle.of(tm, MAX_SYSTEMS)
+            )
+
     def test_linear_over_terms(self):
         # the sparse oracle, whose elements are sums
         tm = SparseTensor(2, {pack((7, 7)): 2, pack((1, 0)): 3})
