@@ -401,16 +401,16 @@ def _enumeration(cs, ctx):
     return enum.satisfying_count == 0, {
         "assignments": enum.total,
         "satisfying": enum.satisfying_count,
-        "lhs_parity": enum.parity_witness.lhs_product,
-        "rhs_parity": enum.parity_witness.rhs_product,
+        "lhs_parity": enum.lhs_parity,
+        "rhs_parity": enum.rhs_parity,
     }
 
 
 def _value_table(cs, assignment, ctx):
     audit = constraints.non_contextuality_audit(cs, assignment)
-    return audit.all_single_valued, {
+    return all(entry.single_valued for entry in audit), {
         entry.observable.label: {"value": entry.value, "occurrences": len(entry.occurrences)}
-        for entry in audit.entries
+        for entry in audit
     }
 
 
@@ -431,11 +431,12 @@ def _lines(name: str, ctx):
     if not (constraints.has_builtin_lines(cs, PM) or constraints.has_builtin_lines(cs, GHZ)):
         return
     assignment = constraints.VectorAssignment.all_positive(cs.n_systems)
-    for k, evaluation in enumerate(constraints.evaluate_vector_model(cs, assignment), start=1):
+    words = constraints.evaluate_vector_model(cs, assignment)
+    for k, (line, word) in enumerate(zip(cs.lines, words), start=1):
         yield (
             f"{name}.vector-line.{k}",
-            f"vector-valued line {k} reduces to {evaluation.line.required:+d}",
-            _given(evaluation.matches_required, {"value": str(evaluation.value)}),
+            f"vector-valued line {k} reduces to {line.required:+d}",
+            _given(word.is_scalar() and word.sign == line.required, {"value": str(word)}),
         )
     yield (f"{name}.value-table",
            "every observable reads one value from the single assignment table",
@@ -471,8 +472,8 @@ def _search(label: str, ctx):
 
 
 def _orientation(imap, rule, ctx):
-    reading = identities.orientation_reading(imap)
-    return rule(reading), {"orientations": [str(o) for o in reading.orientations]}
+    orientations = identities.orientation_reading(imap)
+    return rule(orientations), {"orientations": [str(o) for o in orientations]}
 
 
 BELL_GHZ_COLUMNS = (
@@ -495,12 +496,10 @@ BELL_GHZ_COLUMNS = (
     ),
     ("bellghz.orientation.negated-f1",
      "under the negated-f1 map all three subsystems share the orientation e12",
-     partial(_orientation, NEGATED_F1_MAP, lambda r: all(o == E12 for o in r.orientations))),
+     partial(_orientation, NEGATED_F1_MAP, lambda o: o[0] == o[1] == o[2] == E12)),
     ("bellghz.orientation.uniform",
      "under the uniform map subsystems 1 and 3 agree and subsystem 2 is opposite",
-     partial(_orientation, UNIFORM_MAP, lambda r: (
-         r.identical(1, 3) and not r.identical(1, 2) and r.orientations[1] == -E12
-     ))),
+     partial(_orientation, UNIFORM_MAP, lambda o: o[0] == o[2] and o[0] != o[1] == -E12)),
 )
 
 

@@ -19,12 +19,16 @@ all 2^n maps from the n observables to {+1, -1}, the maps satisfying every
 line at once.  Writing each value as (-1)^b makes each line one linear
 equation over GF(2), so Gaussian elimination decides the count exactly
 without visiting the maps: it is 0 or 2^(n - rank).  For the built-in
-systems it is zero, which is the no-go result.  The vector evaluator reads
-each symbol's value, a signed generator of the joint algebra of
-:mod:`contextuality_lab.systems`, from one :class:`VectorAssignment` table,
-and reduces each line's word through the shared-handedness rule.  Under the
-own-slot table every pm and ghz line lands on its required sign; under an
-identification map's table it reduces the Bell-GHZ lines of
+systems it is zero, which is the no-go result.  The same pass reads the
+parity witness: in each built-in system every observable occurs an even
+number of times, so the left sides multiply to +1, while the required signs
+multiply to -1.  The vector evaluator reads each symbol's value, a signed
+generator of the joint algebra of :mod:`contextuality_lab.systems`, from
+one :class:`VectorAssignment` table, and reduces each line's word through
+the shared-handedness rule.  A line's value is that reduced word, a signed
+blade, and the evaluator returns it as it is.  Under the own-slot table
+every pm and ghz line lands on its required sign; under an identification
+map's table it reduces the Bell-GHZ lines of
 :mod:`contextuality_lab.identities`.
 
 A set can also be read from a JSON document (:meth:`ConstraintSet.from_json`,
@@ -310,31 +314,14 @@ def has_builtin_lines(cs: ConstraintSet, name: str) -> bool:
 # -- scalar evaluator -----------------------------------------------------
 
 
-class ParityWitness(_Record):
-    """Forced sign of the product of all line left sides vs right sides.
-
-    ``lhs_product`` is +1 when every observable occurs an even number of
-    times across the lines, which forces the product of all left sides to +1
-    for any sign assignment; it is None when occurrences do not all cancel.
-    ``rhs_product`` multiplies the required signs.
-    """
-
-    __slots__ = ("lhs_product", "rhs_product")
-
-
 class EnumerationResult(_Record):
-    __slots__ = ("total", "satisfying_count", "parity_witness")
+    """The scalar evaluator's count, and the parity witness read in the same
+    pass: ``lhs_parity`` is +1 when every observable occurs an even number
+    of times across the lines, which forces the product of all left sides to
+    +1 for any sign map, and None when the occurrences do not all cancel;
+    ``rhs_parity`` multiplies the required signs."""
 
-
-def parity_witness(cs: ConstraintSet) -> ParityWitness:
-    """The lines' parity witness; bit k of ``odd`` is set while observable k
-    has occurred an odd number of times."""
-    odd, rhs = 0, 1
-    for line, indices in zip(cs.lines, cs.term_indices):
-        rhs *= line.required
-        for k in indices:
-            odd ^= 1 << k
-    return ParityWitness(None if odd else 1, rhs)
+    __slots__ = ("total", "satisfying_count", "lhs_parity", "rhs_parity")
 
 
 def enumerate_scalar_assignments(cs: ConstraintSet) -> EnumerationResult:
@@ -346,16 +333,22 @@ def enumerate_scalar_assignments(cs: ConstraintSet) -> EnumerationResult:
     (bit k for observable k) and is reduced against the pivot rows found so
     far, keyed by leading bit.  A row reducing to 0 = 1 leaves no solution;
     otherwise the n observables take 2^(n - rank) satisfying assignments out
-    of the 2^n counted in ``total``.
+    of the 2^n counted in ``total``.  The same pass XORs the unreduced rows,
+    whose bit k stays set while observable k has occurred an odd number of
+    times, and multiplies the required signs; after a contradiction it only
+    accumulates these two.
     """
     n = len(cs.observables)
-    total = 2 ** n
-    witness = parity_witness(cs)
     pivots: dict[int, tuple[int, int]] = {}
+    odd, rhs_parity, contradiction = 0, 1, False
     for line, indices in zip(cs.lines, cs.term_indices):
         row, rhs = 0, int(line.required == -1)
         for k in indices:
             row ^= 1 << k
+        odd ^= row
+        rhs_parity *= line.required
+        if contradiction:
+            continue
         while row and row.bit_length() - 1 in pivots:
             pivot_row, pivot_rhs = pivots[row.bit_length() - 1]
             row ^= pivot_row
@@ -363,8 +356,9 @@ def enumerate_scalar_assignments(cs: ConstraintSet) -> EnumerationResult:
         if row:
             pivots[row.bit_length() - 1] = (row, rhs)
         elif rhs:
-            return EnumerationResult(total, 0, witness)
-    return EnumerationResult(total, 2 ** (n - len(pivots)), witness)
+            contradiction = True
+    satisfying = 0 if contradiction else 2 ** (n - len(pivots))
+    return EnumerationResult(2 ** n, satisfying, None if odd else 1, rhs_parity)
 
 
 # -- vector evaluator -------------------------------------------------------
@@ -406,41 +400,27 @@ class VectorAssignment(_Record):
         return systems.word(map(self.symbol_value, term.factors))
 
 
-class LineEvaluation(_Record):
-    """A line's reduced word and its value: the scalar ``int`` of a word
-    that reduced to one, else the word itself."""
-
-    __slots__ = ("line", "word", "value")
-
-    @property
-    def matches_required(self) -> bool:
-        """True when the word reduced to the scalar the line requires; a
-        word that is no scalar equals no ``int``."""
-        return self.value == self.line.required
-
-
 def evaluate_vector_model(cs: ConstraintSet, assignment: VectorAssignment) -> tuple:
-    """Evaluate each line's word in the joint algebra.
+    """Each line's reduced word in the joint algebra, one signed blade per line.
 
     A line's word multiplies its factors' table values in written order (the
     term values' product, by associativity); trivector factors met in two
-    slots collapse through the shared-handedness rule before the scalar is
-    read off.  A word that does not reduce to a scalar is kept as the line's
-    value, so its line fails.  ``verify`` gives the built-in pm and ghz lines
-    the own-slot table, and the Bell-GHZ lines each identification map's.
+    slots collapse through the shared-handedness rule.  A line holds when its
+    word reduced to the scalar it requires, ``word.is_scalar() and word.sign
+    == line.required``; a word that is no scalar fails it.  ``verify`` gives
+    the built-in pm and ghz lines the own-slot table, and the Bell-GHZ lines
+    each identification map's.
     """
     entry = assignment.table.__getitem__
-    results = []
+    words = []
     for line, positions in zip(cs.lines, cs._factor_positions()):
         try:
             raw = systems.word(map(entry, positions))
         except AttributeError:  # a None entry: the checked lookup names its symbol
             list(map(assignment.term_value, line.terms))
             raise
-        reduced = identify_pseudoscalars(raw)
-        value = reduced.scalar_part() if reduced.is_scalar() else reduced
-        results.append(LineEvaluation(line, reduced, value))
-    return tuple(results)
+        words.append(identify_pseudoscalars(raw))
+    return tuple(words)
 
 
 # -- non-contextuality audit ---------------------------------------------------
@@ -450,16 +430,9 @@ class ObservableAudit(_Record):
     __slots__ = ("observable", "value", "occurrences", "single_valued")
 
 
-class AuditReport(_Record):
-    __slots__ = ("entries",)
-
-    @property
-    def all_single_valued(self) -> bool:
-        return all(entry.single_valued for entry in self.entries)
-
-
-def non_contextuality_audit(cs: ConstraintSet, assignment: VectorAssignment) -> AuditReport:
-    """List where each observable occurs and the one value used everywhere.
+def non_contextuality_audit(cs: ConstraintSet, assignment: VectorAssignment) -> tuple:
+    """Per observable, in :attr:`~ConstraintSet.observables` order, an
+    :class:`ObservableAudit`: where it occurs and the one value used there.
 
     The value at every occurrence is recomputed independently from the
     assignment table and compared, making the single-valuedness of each
@@ -476,4 +449,4 @@ def non_contextuality_audit(cs: ConstraintSet, assignment: VectorAssignment) -> 
     for term, places, seen in zip(observables, occurrences, values):
         single = all(v == seen[0] for v in seen[1:])
         entries.append(ObservableAudit(term, str(seen[0]), tuple(places), single))
-    return AuditReport(tuple(entries))
+    return tuple(entries)

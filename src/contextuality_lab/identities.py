@@ -11,17 +11,17 @@ basis.
 Under any such map, the four-line single-particle system reduces line by
 line to a signed basis vector, the four reduced values always multiply to
 -1, and for every signed in-plane target x some map produces the column
-(x, x, x, -x).  The module also provides the orientation reading that
-compares the three subsystems' plane orientations induced by a map.
+(x, x, x, -x).  The module also provides the orientation reading: the three
+subsystems' plane orientations induced by a map, as a tuple of blades.
 
 A map is one table of the paper's vector model: it sends x and y of each
 subsystem to ``+-e1`` or ``+-e2``, one-slot signed blades of
-:mod:`contextuality_lab.systems`.  A column is what
+:mod:`contextuality_lab.systems`.  A column holds the words that
 :func:`contextuality_lab.constraints.evaluate_vector_model`, the model's one
-evaluator, reduces the built-in Bell-GHZ lines to under that table.  So a
-reduced line, a column product and a plane orientation are each a sign times
-one blade.  The dense 8-blade product gives the same values and is kept as
-the test oracle (``tests/identities_oracle.py``).
+evaluator, returns for the built-in Bell-GHZ lines under that table, as they
+are.  So a reduced line, a column product and a plane orientation are each a
+sign times one blade.  The dense 8-blade product gives the same values and is
+kept as the test oracle (``tests/identities_oracle.py``).
 """
 
 import functools
@@ -131,8 +131,7 @@ class ColumnResult(_Record):
 
 def bell_ghz_column(imap: IdentityMap) -> ColumnResult:
     """The Bell-GHZ lines' reduced words under the map's table, and their product."""
-    evaluations = constraints.evaluate_vector_model(_LINES, imap._assignment)
-    entries = tuple(evaluation.word for evaluation in evaluations)
+    entries = constraints.evaluate_vector_model(_LINES, imap._assignment)
     return ColumnResult(entries, systems.word(entries))
 
 
@@ -157,8 +156,8 @@ def find_identity_maps(x: TensorMultivector) -> tuple:
 # -- orientation reading ----------------------------------------------------
 
 
-class OrientationReading(_Record):
-    """The three subsystems' plane orientations induced by a map.
+def orientation_reading(imap: IdentityMap) -> tuple:
+    """The three subsystems' plane orientations induced by a map, subsystem 1 first.
 
     Reading rule: subsystem 1 is assigned the orientation e1*e2.  Walking
     the column lines top-down, subsystem 2's generators are determined in
@@ -167,16 +166,7 @@ class OrientationReading(_Record):
     generator sits in the first two lines), so its orientation is the image
     of g1*g2 in axis order.
     """
-
-    __slots__ = ("orientations",)
-
-    def identical(self, a: int, b: int) -> bool:
-        return self.orientations[a - 1] == self.orientations[b - 1]
-
-
-def orientation_reading(imap: IdentityMap) -> OrientationReading:
     image = imap.image
-    return OrientationReading(
-        (image(1, "x") * image(1, "y"), image(2, "y") * image(2, "x"),
-         image(3, "x") * image(3, "y"))
+    return (
+        image(1, "x") * image(1, "y"), image(2, "y") * image(2, "x"), image(3, "x") * image(3, "y")
     )

@@ -66,9 +66,6 @@ class TensorMultivector(_Record):
         sign, key = blade_product(self.key, other.key)
         return _blade(sign * self.sign * other.sign, key)
 
-    def scalar_part(self) -> int:
-        return 0 if self.key else self.sign
-
     def is_scalar(self) -> bool:
         return not self.key
 

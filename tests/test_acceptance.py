@@ -24,6 +24,7 @@ from contextuality_lab.constraints import (
     non_contextuality_audit,
 )
 from contextuality_lab.ga import EXACT, Multivector, basis_vector
+from contextuality_lab.systems import ONE
 from identities_oracle import dense
 from random_multivectors import random_multivector
 from sweep_oracle import CoplanarConfig, classical_gamma_enumeration, gamma_vector
@@ -73,8 +74,8 @@ def test_criterion_3_scalar_no_go():
         result = enumerate_scalar_assignments(builtin_constraints(name))
         assert result.total == total
         assert result.satisfying_count == 0
-        assert result.parity_witness.lhs_product == 1
-        assert result.parity_witness.rhs_product == -1
+        assert result.lhs_parity == 1
+        assert result.rhs_parity == -1
     report("criterion 3: 0/512, 0/1024 and 0/64 satisfying assignments, parity (+1, -1)")
 
 
@@ -82,13 +83,13 @@ def test_criterion_4_vector_model():
     pm = builtin_constraints(PM)
     assignment2 = VectorAssignment.all_positive(2)
     assert assignment2 == signed_table(2)
-    assert [ev.value for ev in evaluate_vector_model(pm, assignment2)] == [1, 1, 1, 1, 1, -1]
-    assert non_contextuality_audit(pm, assignment2).all_single_valued
+    assert evaluate_vector_model(pm, assignment2) == (ONE, ONE, ONE, ONE, ONE, -ONE)
+    assert all(entry.single_valued for entry in non_contextuality_audit(pm, assignment2))
     ghz = builtin_constraints(GHZ)
     assignment3 = VectorAssignment.all_positive(3)
     assert assignment3 == signed_table(3)
-    assert [ev.value for ev in evaluate_vector_model(ghz, assignment3)] == [1, 1, 1, 1, -1]
-    assert non_contextuality_audit(ghz, assignment3).all_single_valued
+    assert evaluate_vector_model(ghz, assignment3) == (ONE, ONE, ONE, ONE, -ONE)
+    assert all(entry.single_valued for entry in non_contextuality_audit(ghz, assignment3))
     report("criterion 4: vector model meets every line exactly, values single across lines")
 
 
@@ -143,9 +144,9 @@ def test_criterion_7_eigenstates():
 def test_criterion_8_orientation_readings():
     e12 = basis_vector(1) * basis_vector(2)
     reading = identities.orientation_reading(identities.NEGATED_F1_MAP)
-    assert tuple(map(dense, reading.orientations)) == (e12, e12, e12)
+    assert tuple(map(dense, reading)) == (e12, e12, e12)
     reading = identities.orientation_reading(identities.UNIFORM_MAP)
-    assert tuple(map(dense, reading.orientations)) == (e12, -e12, e12)
+    assert tuple(map(dense, reading)) == (e12, -e12, e12)
     report("criterion 8: orientations all equal for one map, middle opposite for the other")
 
 

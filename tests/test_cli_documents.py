@@ -5,7 +5,8 @@ two kinds of document.  A well-formed one, drawn by
 ``test_constraints.line_systems`` and written by
 ``constraint_documents.document``, is honoured in full: exit 0 or 1 as its
 checks pass, one word row per line with the line's terms and sign, an
-enumeration whose counts are the brute-force oracle's, and word verdicts
+enumeration whose counts are the brute-force oracle's and whose parity
+witness is the two-pass oracle's, and word verdicts
 equal to the dense matrix oracle's.  A malformed one (a value of the wrong
 type, an unknown or repeated key, a bad observable label, deep nesting,
 bytes that are not UTF-8, text cut short) is refused with exit 2 and a usage
@@ -25,7 +26,7 @@ from constraint_documents import document
 from contextuality_lab.cli import main
 from contextuality_lab.constraints import builtin_constraints
 from quantum_oracle import dense_verify_operator_identities
-from test_constraints import _factor_set, brute_force_count, line_systems
+from test_constraints import _factor_set, brute_force_count, line_systems, parity_oracle
 
 #: target -> prefix of its check ids.
 TARGETS = {"pm": "pm", "ghz": "ghz", "bell-ghz": "bellghz"}
@@ -192,4 +193,6 @@ def test_a_document_is_honoured_in_full_or_refused(target, case):
     enumeration = checks[f"{prefix}.enumeration"]
     assert enumeration["witness"]["assignments"] == 2 ** len(observables)
     assert enumeration["witness"]["satisfying"] == satisfying
+    parity = (enumeration["witness"]["lhs_parity"], enumeration["witness"]["rhs_parity"])
+    assert parity == parity_oracle(cs)
     assert enumeration["status"] == ("pass" if satisfying == 0 else "fail")

@@ -7,7 +7,7 @@ import pickle
 from operator import attrgetter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contextuality_lab.constraints import (
@@ -25,7 +25,6 @@ from contextuality_lab.constraints import (
     evaluate_vector_model,
     has_builtin_lines,
     non_contextuality_audit,
-    parity_witness,
 )
 from contextuality_lab import checks, systems
 from contextuality_lab.ga import EXACT, basis_vector
@@ -54,6 +53,25 @@ def brute_force_count(cs):
         if all(_product(values[k] for k in terms) == required for terms, required in lines):
             count += 1
     return count
+
+
+def parity_oracle(cs):
+    """The parity witness read in a pass of its own, as ``(lhs, rhs)``: lhs
+    is 1 when every observable, keyed by its factor set, occurs an even
+    number of times across the lines, else None; rhs multiplies the
+    required signs."""
+    odd, rhs = set(), 1
+    for line in cs.lines:
+        rhs *= line.required
+        for term in line.terms:
+            odd ^= {_factor_set(term)}
+    return (None if odd else 1), rhs
+
+
+def line_values(cs, assignment):
+    """Each line's value in the vector model: the sign of a word that
+    reduced to a scalar, else the word itself."""
+    return [w.sign if w.is_scalar() else w for w in evaluate_vector_model(cs, assignment)]
 
 
 def _product(values):
@@ -294,6 +312,16 @@ def in_subsystem_order(cs):
     ))
 
 
+#: Line 2 contradicts line 1, and the last line holds y2 and z1*z2, which
+#: occur nowhere else: the parity witness over every line is (None, 1),
+#: over lines 1-2 alone it would be (1, -1).
+CONTRADICTED_BEFORE_LAST_LINE = ConstraintSet.from_json(json.dumps({"name": "late", "lines": [
+    {"terms": ["x1"], "required": 1},
+    {"terms": ["x1"], "required": -1},
+    {"terms": ["y2", "z1*z2"], "required": -1},
+]}))
+
+
 class TestScalarEnumeration:
     @pytest.mark.parametrize(
         "name,total",
@@ -308,9 +336,8 @@ class TestScalarEnumeration:
 
     @pytest.mark.parametrize("name", [PM, GHZ, BELL_GHZ])
     def test_parity_witness(self, name):
-        witness = parity_witness(builtin_constraints(name))
-        assert witness.lhs_product == 1
-        assert witness.rhs_product == -1
+        result = enumerate_scalar_assignments(builtin_constraints(name))
+        assert (result.lhs_parity, result.rhs_parity) == (1, -1)
 
     @pytest.mark.parametrize("name", [PM, GHZ, BELL_GHZ])
     def test_minimality_single_line_removal(self, name):
@@ -342,7 +369,7 @@ class TestScalarEnumeration:
         )
         result = enumerate_scalar_assignments(relaxed)
         assert result.satisfying_count > 0
-        assert result.parity_witness.rhs_product == 1
+        assert result.rhs_parity == 1
 
     def test_empty_systems_and_lines_rejected(self):
         with pytest.raises(ValueError):
@@ -375,18 +402,20 @@ class TestScalarEnumeration:
 
     @settings(max_examples=300, deadline=None)
     @given(line_systems())
+    @example(CONTRADICTED_BEFORE_LAST_LINE)
     def test_count_matches_brute_force(self, cs):
         result = enumerate_scalar_assignments(cs)
         distinct = {_factor_set(t) for line in cs.lines for t in line.terms}
         assert result.total == 2 ** len(cs.observables) == 2 ** len(distinct)
         assert result.satisfying_count == brute_force_count(cs)
+        # the parity witness of the same pass, against its own two-pass oracle
+        assert (result.lhs_parity, result.rhs_parity) == parity_oracle(cs)
 
     @settings(max_examples=200, deadline=None)
     @given(line_systems())
     def test_verdicts_ignore_factor_order_and_spaces(self, cs):
         ordered = in_subsystem_order(cs)
         assert enumerate_scalar_assignments(cs) == enumerate_scalar_assignments(ordered)
-        assert parity_witness(cs) == parity_witness(ordered)
         assert verify_operator_identities(cs) == verify_operator_identities(ordered)
 
 
@@ -394,30 +423,29 @@ class TestVectorModel:
     def test_pm_line_values(self):
         cs = builtin_constraints(PM)
         assignment = VectorAssignment.all_positive(2)
-        values = [ev.value for ev in evaluate_vector_model(cs, assignment)]
+        values = line_values(cs, assignment)
         assert values == [1, 1, 1, 1, 1, -1]
 
     def test_ghz_line_values(self):
         cs = builtin_constraints(GHZ)
         assignment = VectorAssignment.all_positive(3)
-        values = [ev.value for ev in evaluate_vector_model(cs, assignment)]
+        values = line_values(cs, assignment)
         assert values == [1, 1, 1, 1, -1]
 
     def test_pm_product_of_line_values(self):
         cs = builtin_constraints(PM)
-        evaluations = evaluate_vector_model(cs, VectorAssignment.all_positive(2))
-        assert _product(ev.value for ev in evaluations) == -1
+        assert _product(line_values(cs, VectorAssignment.all_positive(2))) == -1
 
     def test_ghz_product_of_line_values(self):
         cs = builtin_constraints(GHZ)
-        evaluations = evaluate_vector_model(cs, VectorAssignment.all_positive(3))
-        assert _product(ev.value for ev in evaluations) == -1
+        assert _product(line_values(cs, VectorAssignment.all_positive(3))) == -1
 
     def test_every_line_matches_required(self):
         for name, n in ((PM, 2), (GHZ, 3)):
             cs = builtin_constraints(name)
-            for ev in evaluate_vector_model(cs, VectorAssignment.all_positive(n)):
-                assert ev.matches_required
+            words = evaluate_vector_model(cs, VectorAssignment.all_positive(n))
+            for line, word in zip(cs.lines, words, strict=True):
+                assert word.is_scalar() and word.sign == line.required
 
     def test_pm_all_sign_choices(self):
         # the first four lines repeat every generator, so they stay at +1;
@@ -425,7 +453,7 @@ class TestVectorModel:
         cs = builtin_constraints(PM)
         for signs in itertools.product((1, -1), repeat=6):
             assignment = signed_table(0, **dict(zip(LABELS, signs)))
-            values = [ev.value for ev in evaluate_vector_model(cs, assignment)]
+            values = line_values(cs, assignment)
             parity = _product(signs)
             assert values[:4] == [1, 1, 1, 1]
             assert values[4] == parity
@@ -439,15 +467,15 @@ class TestVectorModel:
         cs = builtin_constraints(PM)
         for signs in itertools.product((1, -1), repeat=6):
             assignment = signed_table(0, **dict(zip(LABELS, signs)))
-            values = [ev.value for ev in evaluate_vector_model(cs, assignment)]
+            values = line_values(cs, assignment)
             if _product(signs[:3]) == _product(signs[3:]) == 1:
                 assert values == [1, 1, 1, 1, 1, -1]
-        assert [ev.value for ev in evaluate_vector_model(cs, signed_table(2, x1=-1))][4] == -1
+        assert line_values(cs, signed_table(2, x1=-1))[4] == -1
 
     def test_pm_even_flip_within_each_system(self):
         cs = builtin_constraints(PM)
         flipped = signed_table(2, x1=-1, y1=-1)
-        assert [ev.value for ev in evaluate_vector_model(cs, flipped)] == [
+        assert line_values(cs, flipped) == [
             1,
             1,
             1,
@@ -456,7 +484,7 @@ class TestVectorModel:
             -1,
         ]
         both = signed_table(2, x1=-1, x2=-1)
-        assert [ev.value for ev in evaluate_vector_model(cs, both)] == [
+        assert line_values(cs, both) == [
             1,
             1,
             1,
@@ -471,32 +499,30 @@ class TestVectorModel:
         cs = builtin_constraints(GHZ)
         for signs in itertools.product((1, -1), repeat=9):
             assignment = signed_table(0, **dict(zip(LABELS, signs)))
-            values = [ev.value for ev in evaluate_vector_model(cs, assignment)]
+            values = line_values(cs, assignment)
             assert values == [1, 1, 1, 1, -1]
 
     def test_values_are_exact_rationals(self):
         cs = builtin_constraints(PM)
-        for ev in evaluate_vector_model(cs, VectorAssignment.all_positive(2)):
-            assert isinstance(ev.value, numbers.Rational)
+        for word in evaluate_vector_model(cs, VectorAssignment.all_positive(2)):
+            assert word.is_scalar() and isinstance(word.sign, numbers.Rational)
 
     def test_bell_ghz_has_no_vector_model(self):
         # the evaluator refuses no line system (verify decides which lines
         # get the model); each Bell-GHZ line multiplies three generators of
         # distinct subsystems, so no line reduces to a scalar and none holds
-        evaluations = evaluate_vector_model(
+        words = evaluate_vector_model(
             builtin_constraints(BELL_GHZ), VectorAssignment.all_positive(3)
         )
-        assert [str(ev.value) for ev in evaluations] == [
-            "e1*f2*g2", "e2*f1*g2", "e2*f2*g1", "e1*f1*g1"
-        ]
-        assert not any(ev.matches_required for ev in evaluations)
+        assert [str(word) for word in words] == ["e1*f2*g2", "e2*f1*g2", "e2*f2*g1", "e1*f1*g1"]
+        assert not any(word.is_scalar() for word in words)
 
     @pytest.mark.parametrize("name,n", [(PM, 2), (GHZ, 3)])
     def test_vector_model_follows_the_lines_not_the_name(self, name, n):
         cs = builtin_constraints(name)
         renamed = ConstraintSet("mine", cs.lines)
         assignment = VectorAssignment.all_positive(n)
-        values = [ev.value for ev in evaluate_vector_model(cs, assignment)]
+        values = line_values(cs, assignment)
         assert evaluate_vector_model(renamed, assignment) == evaluate_vector_model(
             cs, assignment
         )
@@ -505,8 +531,8 @@ class TestVectorModel:
         )
         reordered = ConstraintSet(name, cs.lines[::-1])
         # the model evaluates any lines ...
-        assert [ev.value for ev in evaluate_vector_model(flipped, assignment)] == values
-        assert [ev.value for ev in evaluate_vector_model(reordered, assignment)] == values[::-1]
+        assert line_values(flipped, assignment) == values
+        assert line_values(reordered, assignment) == values[::-1]
 
         # ... and verify gives it rows on the built-in lines only
         def model_rows(document):
@@ -583,8 +609,8 @@ class TestAudit:
     def test_pm_single_values(self):
         cs = builtin_constraints(PM)
         report = non_contextuality_audit(cs, VectorAssignment.all_positive(2))
-        assert report.all_single_valued
-        by_label = {entry.observable.label: entry for entry in report.entries}
+        assert all(entry.single_valued for entry in report)
+        by_label = {entry.observable.label: entry for entry in report}
         assert by_label["x1"].value == "e1"
         assert by_label["x1"].occurrences == ((0, 1), (2, 1))
         assert by_label["x1*y2"].value == "e1*f2"
@@ -593,13 +619,13 @@ class TestAudit:
     def test_ghz_every_observable_unique_value(self):
         cs = builtin_constraints(GHZ)
         report = non_contextuality_audit(cs, VectorAssignment.all_positive(3))
-        assert report.all_single_valued
-        assert len(report.entries) == 10
+        assert all(entry.single_valued for entry in report)
+        assert len(report) == 10
 
     def test_audit_with_flipped_signs_still_single_valued(self):
         cs = builtin_constraints(PM)
         assignment = signed_table(2, x1=-1, y2=-1)
         report = non_contextuality_audit(cs, assignment)
-        assert report.all_single_valued
-        by_label = {entry.observable.label: entry for entry in report.entries}
+        assert all(entry.single_valued for entry in report)
+        by_label = {entry.observable.label: entry for entry in report}
         assert by_label["x1"].value == "-e1"

@@ -8,19 +8,19 @@ from blade_keys import pack
 from contextuality_lab.checks import Context
 from contextuality_lab.chsh import ScanResult
 from contextuality_lab.constraints import (
-    AuditReport,
+    PM,
     ConstraintLine,
     ConstraintSet,
     EnumerationResult,
-    LineEvaluation,
     ObservableAudit,
     ObservableProduct,
-    ParityWitness,
     PauliSymbol,
     VectorAssignment,
+    builtin_constraints,
+    evaluate_vector_model,
 )
 from contextuality_lab.ga import EXACT, Multivector, _Record, basis_vector, pseudoscalar
-from contextuality_lab.identities import ColumnResult, IdentityMap, OrientationReading
+from contextuality_lab.identities import UNIFORM_MAP, ColumnResult, IdentityMap, bell_ghz_column
 from contextuality_lab.quantum import ONE, ZERO, ComplexMatrix, GaussianRational, StateVector
 from contextuality_lab.systems import TensorMultivector, generator
 from tensor_oracle import SparseTensor
@@ -41,27 +41,16 @@ RECORDS = [
     (ObservableProduct, ("factors",), lambda: ((PauliSymbol(1, "x"), PauliSymbol(2, "y")),)),
     (ConstraintLine, ("terms", "required"), lambda: (_line().terms, -1)),
     (ConstraintSet, ("name", "lines"), lambda: ("mine", (_line(),))),
-    (ParityWitness, ("lhs_product", "rhs_product"), lambda: (None, -1)),
     (
         EnumerationResult,
-        ("total", "satisfying_count", "parity_witness"),
-        lambda: (8, 0, ParityWitness(1, -1)),
+        ("total", "satisfying_count", "lhs_parity", "rhs_parity"),
+        lambda: (8, 0, None, -1),
     ),
     (VectorAssignment, ("table",), lambda: (signed_table(0, x1=1, z2=-1).table,)),
-    (
-        LineEvaluation,
-        ("line", "word", "value"),
-        lambda: (_line(), TensorMultivector(1, 0), 1),
-    ),
     (
         ObservableAudit,
         ("observable", "value", "occurrences", "single_valued"),
         lambda: (ObservableProduct.parse("x1*y2"), "e1*f2", ((2, 0), (4, 0)), True),
-    ),
-    (
-        AuditReport,
-        ("entries",),
-        lambda: ((ObservableAudit(ObservableProduct.parse("x1"), "e1", ((0, 1),), True),),),
     ),
     (GaussianRational, ("real", "imag"), lambda: (1, -2)),
     (ComplexMatrix, ("entries",), lambda: (((ONE, ZERO), (ZERO, ONE)),)),
@@ -74,11 +63,6 @@ RECORDS = [
         ),
     ),
     (ColumnResult, ("entries", "product"), lambda: ((basis_vector(1),) * 4, pseudoscalar())),
-    (
-        OrientationReading,
-        ("orientations",),
-        lambda: ((basis_vector(1) * basis_vector(2),) * 3,),
-    ),
     (ScanResult, ("argmax", "maximum", "steps"), lambda: (1.0, 2.5, 3)),
     (Context, ("mode", "seed", "document"), lambda: (EXACT, 7, None)),
 ]
@@ -125,6 +109,24 @@ def test_every_record_is_listed():
     assert len(set(listed)) == len(listed)
     # the test oracles' records are listed besides the package's
     assert set(listed) - {SparseTensor} == set(found)
+
+
+def test_vector_model_results_build_no_record(monkeypatch):
+    # a line's value is its reduced word, a signed blade formed on the
+    # algebra's result path; a column builds only its own ColumnResult
+    built, generic = [], _Record.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(type(self))
+        generic(self, *args, **kwargs)
+
+    pm = builtin_constraints(PM)
+    assignment = VectorAssignment.all_positive(2)
+    monkeypatch.setattr(_Record, "__init__", counted)
+    evaluate_vector_model(pm, assignment)
+    assert built == []
+    bell_ghz_column(UNIFORM_MAP)
+    assert built == [ColumnResult]
 
 
 def test_base_constructor_mixes_position_and_keyword():

@@ -114,20 +114,23 @@ class TestProduct:
             assert str(raised.value) == message
 
     def test_packed_sign_rule_matches_per_slot_table(self):
-        # all 4096 pairs of two-slot keys: the packed rule multiplies each
-        # slot through the one-slot table and exchanges no sign across slots
-        for key_a in range(64):
-            for key_b in range(64):
-                low_sign, low = CAYLEY[key_a & 7][key_b & 7]
-                high_sign, high = CAYLEY[key_a >> 3][key_b >> 3]
-                assert blade_product(key_a, key_b) == (low_sign * high_sign, pack((low, high)))
+        # all 262 144 pairs of three-slot keys: the packed rule multiplies
+        # each slot through the one-slot table and exchanges no sign across
+        # slots
+        keys = {masks: pack(masks) for masks in itertools.product(range(8), repeat=MAX_SYSTEMS)}
+        for (a1, a2, a3), key_a in keys.items():
+            row1, row2, row3 = CAYLEY[a1], CAYLEY[a2], CAYLEY[a3]
+            for (b1, b2, b3), key_b in keys.items():
+                (s1, m1), (s2, m2), (s3, m3) = row1[b1], row2[b2], row3[b3]
+                assert blade_product(key_a, key_b) == (s1 * s2 * s3, keys[m1, m2, m3])
 
     def test_scalar_part(self):
+        # a word is a scalar when its key is 0, and that scalar is its sign
         e = gens(1)
         f = gens(2)
-        assert (e[0] * f[0]).scalar_part() == 0
-        assert ONE.scalar_part() == 1
-        assert (e[0] * e[0]).scalar_part() == 1
+        assert not (e[0] * f[0]).is_scalar()
+        assert ONE.is_scalar() and ONE.sign == 1
+        assert (e[0] * e[0]).is_scalar() and (e[0] * e[0]).sign == 1
 
 
 class TestTwoBasisWords:
@@ -327,7 +330,7 @@ def test_kernel_agrees_with_sparse_oracle(case):
         ):
             assert oracle.of(kernel, n) == reference
             assert kernel.is_scalar() == reference.is_scalar()
-            assert kernel.scalar_part() == reference.scalar_part()
+            assert (0 if kernel.key else kernel.sign) == reference.scalar_part()
             assert str(kernel) == str(reference)
 
 
