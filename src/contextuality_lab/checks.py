@@ -8,9 +8,10 @@ suite maps the context to its rows, and :data:`SUITES` lists them in the order
 A row fixes how its words are reduced: a dense ``ga`` word through
 ``ga.word``, a joint-algebra word through ``systems.word``, and the rows hold
 those two functions themselves.  ``ga.associativity`` decides the table of
-the 64 signed blade products, formed by the dense product, with integer
-lookups.  Other library functions are looked up on their modules at call
-time, so a wrapper installed there sees each call.
+the 64 signed blade products, formed once per mode by the dense product
+(``_blade_table``, shared with ``ga.distributivity`` and ``iso.blade-map``),
+with integer lookups.  Other library functions are looked up on their
+modules at call time, so a wrapper installed there sees each call.
 """
 
 import itertools
@@ -115,8 +116,8 @@ def _ga(witness, build):
 def _blade_table(mode: str) -> tuple:
     """The eight basis blades ``e[a]`` of the mode and the table
     ``p[a][b] = e[a] * e[b]`` of their 64 products, formed by the dense
-    product once per process and mode, for ``ga.distributivity`` and
-    ``iso.blade-map``."""
+    product once per process and mode, for ``ga.associativity``,
+    ``ga.distributivity`` and ``iso.blade-map``."""
     e = tuple(Multivector.from_blades({a: 1}, mode) for a in range(BLADE_COUNT))
     return e, tuple(tuple(x * y for y in e) for x in e)
 
@@ -125,17 +126,17 @@ def _associativity(ctx):
     """``(e_a e_b) e_c == e_a (e_b e_c)`` for every blade triple: the product
     is linear in each factor, so this decides it for all multivectors.
 
-    The 64 blade products are formed by the dense product on every call, so
-    a fault in it shows whenever the row runs.  Each must be one blade with
-    coefficient +1 or -1; the triples are then decided on the integer table
-    of ``(sign, mask)`` pairs: both bracketings give one mask and one sign.
+    The 64 blade products are read from :func:`_blade_table`.  Each must be
+    one blade with coefficient +1 or -1; the triples are then decided on the
+    integer table of ``(sign, mask)`` pairs: both bracketings give one mask
+    and one sign.
     """
     witness = {"triples": BLADE_COUNT**3}
-    e, _ = _blade_table(ctx.mode)
+    _, products = _blade_table(ctx.mode)
     table = []
-    for x in e:
-        for y in e:
-            coeffs = (x * y).coeffs
+    for row in products:
+        for product in row:
+            coeffs = product.coeffs
             masks = [mask for mask, v in enumerate(coeffs) if v]
             if len(masks) != 1 or coeffs[masks[0]] not in (1, -1):
                 return False, witness
@@ -430,7 +431,7 @@ def _lines(name: str, ctx):
            partial(_enumeration, cs))
     if not (constraints.has_builtin_lines(cs, PM) or constraints.has_builtin_lines(cs, GHZ)):
         return
-    assignment = constraints.VectorAssignment.all_positive(cs.n_systems)
+    assignment = constraints.VectorAssignment.all_positive()
     words = constraints.evaluate_vector_model(cs, assignment)
     for k, (line, word) in enumerate(zip(cs.lines, words), start=1):
         yield (
@@ -448,10 +449,9 @@ def _lines(name: str, ctx):
 
 def _named_column(imap, expected: tuple, ctx):
     column = identities.columns()[imap]
-    ok = column.labels() == expected and column.product == MINUS_ONE
-    return ok, {
-        "map": imap.as_dict(), "column": list(column.labels()), "product": str(column.product)
-    }
+    labels = column.labels()
+    ok = labels == expected and column.product == MINUS_ONE
+    return ok, {"map": imap.as_dict(), "column": list(labels), "product": str(column.product)}
 
 
 def _all_maps(ctx):

@@ -124,7 +124,7 @@ def quantum_lhs(phi: float) -> float:
 
 
 class ScanResult(_Record):
-    __slots__ = ("argmax", "maximum", "steps")
+    __slots__ = ("argmax", "maximum")
 
 
 def check_grid(start: float, end: float, steps: int) -> None:
@@ -169,7 +169,7 @@ def scan_F(steps: int, start: float = 0.0, end: float = math.pi, write=None) -> 
         top = max(values)
         if top > best_value:
             best_phi, best_value = phis[values.index(top)], top
-    return ScanResult(best_phi, best_value, steps)
+    return ScanResult(best_phi, best_value)
 
 
 def csv_rows(start: float, end: float, steps: int):

@@ -26,10 +26,14 @@ multiply to -1.  The vector evaluator reads each symbol's value, a signed
 generator of the joint algebra of :mod:`contextuality_lab.systems`, from
 one :class:`VectorAssignment` table, and reduces each line's word through
 the shared-handedness rule.  A line's value is that reduced word, a signed
-blade, and the evaluator returns it as it is.  Under the own-slot table
+blade, and the evaluator returns it as it is.  The own-slot table gives
+every symbol its own slot's generator, whatever subsystems a system uses: a
+slot that no line reaches contributes the identity to every word.  Under it
 every pm and ghz line lands on its required sign; under an identification
-map's table it reduces the Bell-GHZ lines of
-:mod:`contextuality_lab.identities`.
+map's table the evaluator reduces the Bell-GHZ lines of
+:mod:`contextuality_lab.identities`.  A term's value reads the same table
+(:meth:`VectorAssignment.term_value`), and a symbol without a value there
+raises ``ValueError``.
 
 A set can also be read from a JSON document (:meth:`ConstraintSet.from_json`,
 behind ``verify --constraints``); ``json`` loads only when a document is
@@ -43,7 +47,6 @@ from .ga import _Record
 from .systems import TensorMultivector, identify_pseudoscalars
 
 AXES = ("x", "y", "z")
-AXIS_INDEX = {"x": 1, "y": 2, "z": 3}
 
 PM = "pm"
 GHZ = "ghz"
@@ -126,9 +129,6 @@ class ObservableProduct(_Record):
             object.__setattr__(self, "_label", label)
         return label
 
-    def __str__(self) -> str:
-        return self.label
-
 
 class ConstraintLine(_Record):
     """One product equation: the terms' values must multiply to ``required``."""
@@ -202,11 +202,6 @@ class ConstraintSet(_Record):
             lines = ((f._position for t in line.terms for f in t.factors) for line in self.lines)
             object.__setattr__(self, "_positions", tuple(map(tuple, lines)))
         return self._positions
-
-    @property
-    def n_systems(self) -> int:
-        """The highest subsystem any observable acts on."""
-        return max(x | z for x, z in (term.masks for term in self.observables)).bit_length()
 
     @classmethod
     def from_json(cls, text: str) -> "ConstraintSet":
@@ -384,20 +379,23 @@ class VectorAssignment(_Record):
         object.__setattr__(self, "table", tuple(table))
 
     @classmethod
-    def all_positive(cls, n_systems: int) -> "VectorAssignment":
-        """The own-slot table: each symbol of subsystems 1..n_systems takes its slot's generator."""
-        own = (systems.generator(s.system, AXIS_INDEX[s.axis]) for s in SYMBOLS)
-        return cls(tuple(v if s.system <= n_systems else None for s, v in zip(SYMBOLS, own)))
-
-    def symbol_value(self, symbol: PauliSymbol) -> TensorMultivector:
-        value = self.table[symbol._position]
-        if value is None:
-            raise ValueError(f"no value assigned to symbol {symbol.label}")
-        return value
+    def all_positive(cls) -> "VectorAssignment":
+        """The own-slot table: every symbol of :data:`SYMBOLS` takes its own
+        slot's generator of its axis.  A slot that no line reaches is that
+        subsystem's identity, so no subsystem count is needed."""
+        return cls(tuple(systems.generator(s.system, AXES.index(s.axis) + 1) for s in SYMBOLS))
 
     def term_value(self, term: ObservableProduct) -> TensorMultivector:
-        """Product-rule expansion: multiply the factors' values in written order."""
-        return systems.word(map(self.symbol_value, term.factors))
+        """Product-rule expansion: multiply the factors' table values in
+        written order; a factor without a value raises ``ValueError`` naming
+        its symbol."""
+        values = []
+        for factor in term.factors:
+            value = self.table[factor._position]
+            if value is None:
+                raise ValueError(f"no value assigned to symbol {factor.label}")
+            values.append(value)
+        return systems.word(values)
 
 
 def evaluate_vector_model(cs: ConstraintSet, assignment: VectorAssignment) -> tuple:

@@ -121,15 +121,16 @@ class _Record:
     """Base of the package's immutable value records.
 
     A subclass lists its fields in ``__slots__``.  From the fields the base
-    derives a constructor taking them by position or by keyword, equality
-    (with records of the same class only), a hash over the fields, a
-    ``Name(field=value, ...)`` repr and pickling; assigning or deleting a
-    field raises ``AttributeError``.  A subclass writes its own ``__init__``,
-    setting the fields with ``object.__setattr__``, only to check an argument
-    or to supply a default.  A slot named with a leading underscore is no
-    field but a private cache of a value derived from the fields: the
-    subclass's own ``__init__`` sets it, and equality, hash, repr, pickling
-    and the derived constructor leave it out.
+    derives a positional constructor taking them in slot order (a wrong
+    count raises ``TypeError``), equality (with records of the same class
+    only), a hash over the fields, a ``Name(field=value, ...)`` repr and
+    pickling; assigning or deleting a field raises ``AttributeError``.  A
+    subclass writes its own ``__init__``, setting the fields with
+    ``object.__setattr__``, only to check an argument or to supply a
+    default.  A slot named with a leading underscore is no field but a
+    private cache of a value derived from the fields: the subclass's own
+    ``__init__`` sets it, and equality, hash, repr, pickling and the derived
+    constructor leave it out.
 
     The constructor is the checked path: every value built from outside
     input passes through it.  An algebra record (``Multivector``,
@@ -153,31 +154,13 @@ class _Record:
         # the field values as a tuple, for one field as for several
         cls._values = staticmethod(get if len(cls._fields) > 1 else lambda r: (get(r),))
 
-    def __init__(self, *args, **kwargs):
-        if kwargs or len(args) != len(self._fields):
-            args = self._bind(args, kwargs)
+    def __init__(self, *args):
+        if len(args) != len(self._fields):
+            raise TypeError(
+                f"{self.__class__.__qualname__}() takes {len(self._fields)} fields, got {len(args)}"
+            )
         for field, value in zip(self._fields, args):
             object.__setattr__(self, field, value)
-
-    @classmethod
-    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
-        """The field values in slot order from positional and keyword
-        arguments; a missing, extra, unknown or repeated field raises
-        ``TypeError``."""
-        names, name = cls._fields, cls.__qualname__
-        if len(args) > len(names):
-            raise TypeError(f"{name}() takes {len(names)} fields, got {len(args)} positional")
-        values = dict(zip(names, args))
-        for field, value in kwargs.items():
-            if field not in names:
-                raise TypeError(f"{name}() has no field {field!r}")
-            if field in values:
-                raise TypeError(f"{name}() got field {field!r} twice")
-            values[field] = value
-        missing = [field for field in names if field not in values]
-        if missing:
-            raise TypeError(f"{name}() is missing field(s) {', '.join(missing)}")
-        return tuple(values[field] for field in names)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

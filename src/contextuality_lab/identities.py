@@ -14,13 +14,15 @@ line to a signed basis vector, the four reduced values always multiply to
 (x, x, x, -x).  The module also provides the orientation reading: the three
 subsystems' plane orientations induced by a map, as a tuple of blades.
 
-A map is one table of the paper's vector model: it sends x and y of each
-subsystem to ``+-e1`` or ``+-e2``, one-slot signed blades of
-:mod:`contextuality_lab.systems`.  A column holds the words that
-:func:`contextuality_lab.constraints.evaluate_vector_model`, the model's one
-evaluator, returns for the built-in Bell-GHZ lines under that table, as they
-are.  So a reduced line, a column product and a plane orientation are each a
-sign times one blade.  The dense 8-blade product gives the same values and is
+A map is its four images f1, f2, g1 and g2, each ``+-e1`` or ``+-e2``, a
+one-slot signed blade of :mod:`contextuality_lab.systems`; subsystem 1
+keeps e1 and e2.  Together they are one table of the paper's vector model,
+sending x and y of each subsystem to its image.  A column holds the words
+that :func:`contextuality_lab.constraints.evaluate_vector_model`, the
+model's one evaluator, returns for the built-in Bell-GHZ lines under that
+table, as they are; a plane orientation multiplies the images themselves.
+So a reduced line, a column product and a plane orientation are each a sign
+times one blade.  The dense 8-blade product gives the same values and is
 kept as the test oracle (``tests/identities_oracle.py``).
 """
 
@@ -29,7 +31,7 @@ import itertools
 from types import MappingProxyType
 
 from . import constraints, systems
-from .constraints import BELL_GHZ, ObservableProduct, PauliSymbol, VectorAssignment
+from .constraints import BELL_GHZ, ObservableProduct, VectorAssignment
 from .ga import _Record
 from .systems import TensorMultivector
 
@@ -52,10 +54,11 @@ class IdentityMap(_Record):
 
     Each image is ``+-e1`` or ``+-e2`` of one slot.  Per subsystem the two
     images use distinct axes, so each substitution is an
-    orthonormality-preserving signed permutation of the plane.  The private
-    slot ``_assignment`` is the map's table, formed once: x and y of
-    subsystems 1, 2 and 3 take e1 and e2, the f images and the g images; no
-    z symbol has a value.  Lookups, columns and orientations read it.
+    orthonormality-preserving signed permutation of the plane.  The images
+    are the fields themselves; the private slot ``_assignment`` is the map's
+    vector-model table, formed once: x and y of subsystems 1, 2 and 3 take
+    e1 and e2, the f images and the g images; no z symbol has a value.  The
+    columns read it.
     """
 
     __slots__ = ("f1", "f2", "g1", "g2", "_assignment")
@@ -77,10 +80,6 @@ class IdentityMap(_Record):
         super().__init__(f1, f2, g1, g2)
         table = (*_OWN_BASIS, None, f1, f2, None, g1, g2, None)
         object.__setattr__(self, "_assignment", VectorAssignment(table))
-
-    def image(self, system: int, axis: str) -> TensorMultivector:
-        """Where a subsystem's x or y generator lands in the shared copy; z has none."""
-        return self._assignment.symbol_value(PauliSymbol(system, axis))
 
     def as_dict(self) -> dict:
         return {"f1": str(self.f1), "f2": str(self.f2), "g1": str(self.g1), "g2": str(self.g2)}
@@ -159,14 +158,12 @@ def find_identity_maps(x: TensorMultivector) -> tuple:
 def orientation_reading(imap: IdentityMap) -> tuple:
     """The three subsystems' plane orientations induced by a map, subsystem 1 first.
 
-    Reading rule: subsystem 1 is assigned the orientation e1*e2.  Walking
-    the column lines top-down, subsystem 2's generators are determined in
-    the order (axis 2, axis 1), so its orientation is the image of f2*f1.
-    The lines fix no determination order for subsystem 3 (its axis-2
-    generator sits in the first two lines), so its orientation is the image
-    of g1*g2 in axis order.
+    Reading rule: subsystem 1 is assigned the orientation e1*e2, its own
+    generators.  Walking the column lines top-down, subsystem 2's generators
+    are determined in the order (axis 2, axis 1), so its orientation is the
+    product f2*f1 of the map's images.  The lines fix no determination order
+    for subsystem 3 (its axis-2 generator sits in the first two lines), so
+    its orientation is g1*g2 in axis order.
     """
-    image = imap.image
-    return (
-        image(1, "x") * image(1, "y"), image(2, "y") * image(2, "x"), image(3, "x") * image(3, "y")
-    )
+    e1, e2 = _OWN_BASIS
+    return e1 * e2, imap.f2 * imap.f1, imap.g1 * imap.g2

@@ -69,9 +69,6 @@ class GaussianRational(_Record):
     def __bool__(self) -> bool:
         return bool(self.real or self.imag)
 
-    def __str__(self) -> str:
-        return f"{self.real}{'+' if self.imag >= 0 else ''}{self.imag}i"
-
 
 _set_real, _set_imag = GaussianRational.real.__set__, GaussianRational.imag.__set__
 

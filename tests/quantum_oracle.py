@@ -86,8 +86,13 @@ def dense_eigencheck(state, product, eigenvalue: int, n: int) -> bool:
     return all(out == amp * eigenvalue for out, amp in zip(image, state.amplitudes))
 
 
+def n_systems(cs) -> int:
+    """The highest subsystem any observable of the set acts on."""
+    return max(factor.system for term in cs.observables for factor in term.factors)
+
+
 def dense_verify_operator_identities(cs) -> tuple:
-    n = cs.n_systems
+    n = n_systems(cs)
     target_dim = 2 ** n
     results = []
     for line in cs.lines:

@@ -80,16 +80,14 @@ def test_criterion_3_scalar_no_go():
 
 
 def test_criterion_4_vector_model():
+    assignment = VectorAssignment.all_positive()
+    assert assignment == signed_table(3)
     pm = builtin_constraints(PM)
-    assignment2 = VectorAssignment.all_positive(2)
-    assert assignment2 == signed_table(2)
-    assert evaluate_vector_model(pm, assignment2) == (ONE, ONE, ONE, ONE, ONE, -ONE)
-    assert all(entry.single_valued for entry in non_contextuality_audit(pm, assignment2))
+    assert evaluate_vector_model(pm, assignment) == (ONE, ONE, ONE, ONE, ONE, -ONE)
+    assert all(entry.single_valued for entry in non_contextuality_audit(pm, assignment))
     ghz = builtin_constraints(GHZ)
-    assignment3 = VectorAssignment.all_positive(3)
-    assert assignment3 == signed_table(3)
-    assert evaluate_vector_model(ghz, assignment3) == (ONE, ONE, ONE, ONE, -ONE)
-    assert all(entry.single_valued for entry in non_contextuality_audit(ghz, assignment3))
+    assert evaluate_vector_model(ghz, assignment) == (ONE, ONE, ONE, ONE, -ONE)
+    assert all(entry.single_valued for entry in non_contextuality_audit(ghz, assignment))
     report("criterion 4: vector model meets every line exactly, values single across lines")
 
 

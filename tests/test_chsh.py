@@ -344,7 +344,7 @@ class TestBatches:
             value = dense_F(phi)
             if value > best:
                 best_phi, best = phi, value
-        assert scan_F(steps, start, end) == chsh.ScanResult(best_phi, best, steps)
+        assert scan_F(steps, start, end) == chsh.ScanResult(best_phi, best)
 
     @pytest.mark.parametrize("steps", SEAM_STEPS)
     def test_batches_cover_the_grid_in_order(self, steps):

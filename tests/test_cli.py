@@ -661,6 +661,27 @@ class TestAxiomRows:
         assert self.ASSOCIATIVITY(Context(mode, DEFAULT_SEED)) == (True, {"triples": 512})
         assert dense_associativity(mode)
 
+    @pytest.mark.parametrize("mode", [EXACT, APPROX])
+    def test_associativity_forms_no_dense_product_of_its_own(
+        self, mode, monkeypatch, fresh_blade_table
+    ):
+        # the row reads the 64 products of the blade table that
+        # ga.distributivity and iso.blade-map read; once it is formed, the
+        # row multiplies no multivector and runs no coefficient kernel
+        checks._blade_table(mode)
+        calls = []
+
+        def counted(name, real):
+            def wrapper(*args):
+                calls.append(name)
+                return real(*args)
+            return wrapper
+
+        monkeypatch.setattr(Multivector, "__mul__", counted("__mul__", Multivector.__mul__))
+        monkeypatch.setattr(ga, "_product", counted("_product", ga._product))
+        assert self.ASSOCIATIVITY(Context(mode, DEFAULT_SEED)) == (True, {"triples": 512})
+        assert calls == []
+
     @pytest.mark.parametrize("fault", ["two blades", "doubled", "zero"])
     @pytest.mark.parametrize("mode", [EXACT, APPROX])
     def test_a_blade_product_that_is_no_signed_blade_fails_associativity(

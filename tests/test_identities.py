@@ -116,13 +116,9 @@ class TestIdentityMap:
             # x and y of each subsystem, in symbol order; no z has a value
             table = (e1, e2, None, imap.f1, imap.f2, None, imap.g1, imap.g2, None)
             assert imap._assignment.table == table
-            images = tuple(imap.image(s, a) for s in (1, 2, 3) for a in "xy")
-            assert images == (e1, e2, imap.f1, imap.f2, imap.g1, imap.g2)
             # a private cache: repr and pickling leave it out, __init__ rebuilds it
             assert "_assignment" not in repr(imap)
             assert pickle.loads(pickle.dumps(imap))._assignment.table == table
-        with pytest.raises(ValueError, match="system index 4 out of range"):
-            UNIFORM_MAP.image(4, "x")
 
     def test_all_maps_count_and_uniqueness(self):
         maps = all_identity_maps()
@@ -163,8 +159,6 @@ class TestSubstitution:
         # no z symbol has a value: the identification covers only the plane
         with pytest.raises(ValueError, match="no value assigned to symbol z2"):
             _reduce_line(NEGATED_F1_MAP, ObservableProduct.parse("x1*z2*y3"))
-        with pytest.raises(ValueError, match="no value assigned to symbol z2"):
-            NEGATED_F1_MAP.image(2, "z")
 
 
 class TestColumns:
@@ -336,7 +330,7 @@ class TestOrientationReading:
 
     def test_second_system_reads_f2_f1_image(self):
         for imap in all_identity_maps():
-            expected = dense_image(imap.image(2, "y")) * dense_image(imap.image(2, "x"))
+            expected = dense_image(imap.f2) * dense_image(imap.f1)
             assert dense(orientation_reading(imap)[1]) == expected
 
     def test_verdicts_match_handedness_closed_form(self):

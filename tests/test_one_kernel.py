@@ -10,7 +10,8 @@ reads as attributes; the kernel names may appear only in the two kernel
 modules.  ``identities`` holds its values as ``systems`` signed blades, so
 it takes nothing from ``ga`` but the record base ``_Record``; and it reduces
 no line itself, since ``constraints.evaluate_vector_model`` is the one
-evaluator of the vector model.
+evaluator of the vector model, and looks up no symbol: a map's images are
+its fields.
 """
 
 import ast
@@ -73,5 +74,8 @@ def test_identities_takes_only_the_record_base_from_ga():
 def test_identities_reduces_no_line_through_a_rule_of_its_own():
     found = names(ast.parse((PACKAGE_DIR / "identities.py").read_text(encoding="utf-8")))
     assert "evaluate_vector_model" in found
-    # neither the axis numbering nor a symbol's table position
-    assert found & {"AXIS_INDEX", "_position", "_factor_positions"} == set()
+    # neither the axis numbering nor a symbol's table position, and no
+    # symbol-by-symbol lookup: a map's images are its own fields
+    assert found & {
+        "AXIS_INDEX", "_position", "_factor_positions", "PauliSymbol", "symbol_value"
+    } == set()

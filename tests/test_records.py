@@ -63,7 +63,7 @@ RECORDS = [
         ),
     ),
     (ColumnResult, ("entries", "product"), lambda: ((basis_vector(1),) * 4, pseudoscalar())),
-    (ScanResult, ("argmax", "maximum", "steps"), lambda: (1.0, 2.5, 3)),
+    (ScanResult, ("argmax", "maximum"), lambda: (1.0, 2.5)),
     (Context, ("mode", "seed", "document"), lambda: (EXACT, 7, None)),
 ]
 
@@ -75,7 +75,6 @@ OWN_REPR = (Multivector, SparseTensor)
 def test_record_contract(cls, names, values):
     record, twin = cls(*values()), cls(*values())
     assert record == twin and not record != twin
-    assert cls(**dict(zip(names, values()))) == record
     assert hash(record) == hash(twin)
     fields = tuple(getattr(record, name) for name in names)
     assert record != fields and fields != record
@@ -121,7 +120,7 @@ def test_vector_model_results_build_no_record(monkeypatch):
         generic(self, *args, **kwargs)
 
     pm = builtin_constraints(PM)
-    assignment = VectorAssignment.all_positive(2)
+    assignment = VectorAssignment.all_positive()
     monkeypatch.setattr(_Record, "__init__", counted)
     evaluate_vector_model(pm, assignment)
     assert built == []
@@ -129,21 +128,9 @@ def test_vector_model_results_build_no_record(monkeypatch):
     assert built == [ColumnResult]
 
 
-def test_base_constructor_mixes_position_and_keyword():
-    assert ScanResult(1.0, steps=3, maximum=2.5) == ScanResult(1.0, 2.5, 3)
-
-
-@pytest.mark.parametrize(
-    "args,kwargs,fragment",
-    [
-        ((1.0,), {}, "is missing field(s) maximum, steps"),
-        ((1.0, 2.5, 3, 4), {}, "takes 3 fields, got 4 positional"),
-        ((1.0, 2.5), {"step": 3}, "has no field 'step'"),
-        ((1.0, 2.5, 3), {"steps": 3}, "got field 'steps' twice"),
-    ],
-    ids=["missing", "extra-positional", "unknown-keyword", "given-twice"],
-)
-def test_base_constructor_rejects_bad_fields(args, kwargs, fragment):
+@pytest.mark.parametrize("args", [(1.0,), (1.0, 2.5, 3)], ids=["missing", "extra-positional"])
+def test_base_constructor_rejects_bad_fields(args):
+    # the base constructor is positional: it names the class and both counts
     with pytest.raises(TypeError) as excinfo:
-        ScanResult(*args, **kwargs)
-    assert str(excinfo.value) == f"ScanResult() {fragment}"
+        ScanResult(*args)
+    assert str(excinfo.value) == f"ScanResult() takes 2 fields, got {len(args)}"

@@ -7,7 +7,7 @@ generator of such a table is formed here.
 """
 
 from contextuality_lab import systems
-from contextuality_lab.constraints import AXIS_INDEX, SYMBOLS, VectorAssignment
+from contextuality_lab.constraints import AXES, SYMBOLS, VectorAssignment
 
 LABELS = tuple(symbol.label for symbol in SYMBOLS)
 
@@ -21,7 +21,7 @@ def signed_table(n_systems: int, **signs: int) -> VectorAssignment:
     table = dict.fromkeys(LABELS[: 3 * n_systems], 1) | signs
     return VectorAssignment(
         tuple(
-            systems.generator(s.system, AXIS_INDEX[s.axis], table[s.label])
+            systems.generator(s.system, AXES.index(s.axis) + 1, table[s.label])
             if s.label in table else None
             for s in SYMBOLS
         )
